@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, CapExceeded
-from .field_linalg import Field
+from .field_linalg import Field, FMatrix
 
 _WIDTH = 8
 _MAX_SIZE = 120
@@ -42,6 +42,35 @@ def projective_classes(field: Field, n: int) -> list[tuple[int, ...]]:
         for tail in itertools.product(field.elements(), repeat=n - lead - 1):
             reps.append((0,) * lead + (1,) + tail)
     return reps
+
+
+def class_hit_sets(
+    field: Field, columns: Sequence[tuple[int, ...]], targets: Sequence[tuple[int, ...]]
+) -> list[frozenset[int]]:
+    """For each column class, the indices of the targets it has a nonzero
+    inner product with."""
+    add, mul = field._add, field._mul
+    out = []
+    for col in columns:
+        support = [(j, a) for j, a in enumerate(col) if a]
+        hits = []
+        for ti, z in enumerate(targets):
+            acc = 0
+            for j, a in support:
+                if z[j]:
+                    acc = add[acc][mul[a][z[j]]]
+            if acc:
+                hits.append(ti)
+        out.append(frozenset(hits))
+    return out
+
+
+def classes_matrix(
+    field: Field, columns: Sequence[tuple[int, ...]], picks: Sequence[int], nrows: int
+) -> FMatrix:
+    """The nrows x len(picks) matrix whose columns are the picked classes."""
+    rows = tuple(tuple(columns[c][r] for c in picks) for r in range(nrows))
+    return FMatrix(field, rows, len(picks))
 
 
 def canonical_class(vec: Sequence[int], field: Field) -> tuple[int, ...]:
@@ -153,6 +182,8 @@ def multiset_cover_search(
     parallel (each chunk gets the full node budget); the outcome and the
     witness are identical to the serial scan.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if num_targets == 0 or threshold <= 0:
         return CoverResult(True, _trivial_fill(hit_sets, size), 0)
     if size > _MAX_SIZE:

@@ -4,8 +4,10 @@ Four length bounds for correcting delta errors: two derived from the
 shortest classical code of a given dimension and distance (applied at the
 generalized independence number and at the min-rank), the Singleton-style
 bound kappa + 2*delta, and the smallest length at which a uniformly random
-matrix works with positive probability.  All threshold arithmetic is exact
-big-integer; nothing here rounds through floats.
+matrix works with positive probability.  Shortest code lengths come from an
+exhaustive scan that starts at the Griesmer bound, so every length below
+the answer is ruled out by that bound or by exhaustion.  All threshold
+arithmetic is exact big-integer; nothing here rounds through floats.
 """
 
 from __future__ import annotations
@@ -14,26 +16,19 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ._cover import multiset_cover_search, projective_classes
+from ._cover import class_hit_sets, classes_matrix, multiset_cover_search, projective_classes
 from .errors import BudgetExceeded, CapExceeded, UnknownCodeLength
 from .field_linalg import Field, FMatrix, make_field
 from .index_codes import (
     DEFAULT_ALPHA_VERTEX_CAP,
     DEFAULT_MIN_RANK_BUDGET_EXPONENT,
+    _check_delta,
     generalized_independence_number,
     min_rank,
 )
 from .instance import IcsiInstance
 
 DEFAULT_NODE_BUDGET = 1 << 27
-
-# Shortest lengths imported from the standard code tables rather than found
-# by our own search; the test suite re-derives both with the exhaustive
-# fallback below.
-_VERIFIED_LENGTHS: dict[tuple[int, int, int], int] = {
-    (2, 2, 5): 8,
-    (2, 3, 5): 10,
-}
 
 
 def sphere_volume(q: int, length: int, radius: int) -> int:
@@ -43,92 +38,56 @@ def sphere_volume(q: int, length: int, radius: int) -> int:
     return sum(math.comb(length, i) * (q - 1) ** i for i in range(radius + 1))
 
 
-def _code_hit_sets(field: Field, k: int) -> tuple[list, int]:
-    """Hit structure for [N, k, d] existence: both the columns and the
-    nonzero messages range over the projective classes of F_q^k."""
-    classes = projective_classes(field, k)
-    add, mul = field._add, field._mul
-
-    def dot(u, v):
-        acc = 0
-        for a, b in zip(u, v):
-            if a and b:
-                acc = add[acc][mul[a][b]]
-        return acc
-
-    hit_sets = []
-    for col in classes:
-        hit_sets.append(frozenset(zi for zi, z in enumerate(classes) if dot(z, col)))
-    return hit_sets, len(classes)
-
-
 def code_exists(q: int, k: int, d: int, length: int, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Exhaustively decide whether a linear [length, k, >= d] code over GF(q)
     exists, via column-multiset search."""
-    if k < 1:
-        raise ValueError("dimension must be positive")
-    if length < k or length < d:
-        return False
-    field = make_field(q)
-    hit_sets, num_targets = _code_hit_sets(field, k)
-    res = multiset_cover_search(hit_sets, num_targets, length, d, node_budget)
-    return res.found
+    return find_code_generator(q, k, d, length, node_budget) is not None
 
 
 def find_code_generator(
     q: int, k: int, d: int, length: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> Optional[FMatrix]:
     """A k x length generator of minimum distance >= d, or None if none
-    exists (exhaustively established)."""
+    exists (exhaustively established).  Both the columns and the nonzero
+    messages range over the projective classes of F_q^k."""
     if k < 1:
         raise ValueError("dimension must be positive")
     if length < k or length < d:
         return None
     field = make_field(q)
     classes = projective_classes(field, k)
-    hit_sets, num_targets = _code_hit_sets(field, k)
-    res = multiset_cover_search(hit_sets, num_targets, length, d, node_budget)
+    res = multiset_cover_search(
+        class_hit_sets(field, classes, classes), len(classes), length, d, node_budget
+    )
     if not res.found:
         return None
-    cols = [classes[c] for c in res.classes]
-    rows = tuple(tuple(col[r] for col in cols) for r in range(k))
-    return FMatrix(field, rows, length)
+    return classes_matrix(field, classes, res.classes, k)
 
 
-def shortest_code_length(
-    q: int,
-    k: int,
-    d: int,
-    method: str = "auto",
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> int:
+def _griesmer_length(q: int, k: int, d: int) -> int:
+    """Griesmer bound sum_{i<k} ceil(d / q^i): no linear [N, k, >= d]
+    code over GF(q) is shorter."""
+    return sum(-(-d // q**i) for i in range(k))
+
+
+def shortest_code_length(q: int, k: int, d: int, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Exact length of the shortest [N, k, d'] linear code with d' >= d.
 
-    Resolution order under "auto": closed forms (d = 1 and k <= 1), the
-    verified table, then exhaustive column-multiset search upward from
-    max(k, d).  method="search" forces the search (used to re-verify table
-    entries); method="table" allows only closed forms and the table.
+    Scans lengths upward from the Griesmer bound sum_{i<k} ceil(d / q^i),
+    which holds for every linear code, deciding each by exhaustive
+    column-multiset search.  For k <= 1 or d = 1 the bound is attained (by
+    the empty, repetition and identity codes) and is returned without search.
+    Raises UnknownCodeLength when the node budget runs out mid-scan.
     """
-    if method not in ("auto", "table", "search"):
-        raise ValueError(f"unknown method {method!r}")
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
-    if k == 0:
-        return 0
-    if method != "search":
-        if d == 1:
-            return k
-        if k == 1:
-            return d
-        if method == "table" or (q, k, d) in _VERIFIED_LENGTHS:
-            try:
-                return _VERIFIED_LENGTHS[(q, k, d)]
-            except KeyError:
-                raise UnknownCodeLength(q, k, d, "not in verified table") from None
+    griesmer = _griesmer_length(q, k, d)
+    if k <= 1 or d == 1:
+        return griesmer
     # identity columns repeated d times give an [k*d, k, d] code, so the
     # scan below terminates
     try:
-        for length in range(max(k, d), k * d + 1):
+        for length in range(griesmer, k * d + 1):
             if code_exists(q, k, d, length, node_budget):
                 return length
     except (BudgetExceeded, CapExceeded) as exc:
@@ -270,6 +229,7 @@ def bounds_report(
 ) -> BoundsReport:
     """Assemble every bound, leaving fields unknown (None) rather than
     failing when an individual computation runs out of budget."""
+    _check_delta(delta)
     d = 2 * delta + 1
     alpha = kappa = None
     try:
@@ -286,7 +246,7 @@ def bounds_report(
             return None
         try:
             return shortest_code_length(field.q, k, d, node_budget=node_budget)
-        except (UnknownCodeLength, BudgetExceeded, CapExceeded):
+        except UnknownCodeLength:
             return None
 
     a_bound = code_len(alpha)

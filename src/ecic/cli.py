@@ -13,7 +13,6 @@ JSON; to that end timing never appears in JSON output, only in text.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -206,18 +205,10 @@ def _cmd_construct(args) -> int:
     return EXIT_PASS
 
 
-def _byte_stream(label: str, seed: int, index: int, reject_at: int):
-    counter = 0
-    while True:
-        block = hashlib.sha256(f"ecic:{label}:{seed}:{index}:{counter}".encode()).digest()
-        counter += 1
-        yield from (b for b in block if b < reject_at)
-
-
 def _seeded_vector(field, n: int, seed: int, label: str, index: int, max_weight: int | None = None) -> FVector:
     """Deterministic vector from the same hash stream as random_construct."""
     q = field.q
-    stream = _byte_stream(label, seed, index, (256 // q) * q)
+    stream = construct_search._seeded_bytes(f"ecic:{label}:{seed}:{index}", q)
     if max_weight is None:
         return FVector(field, tuple(next(stream) % q for _ in range(n)))
     weight = next(stream) % (min(max_weight, n) + 1)
@@ -233,6 +224,7 @@ def _seeded_vector(field, n: int, seed: int, label: str, index: int, max_weight:
 
 
 def _cmd_simulate(args) -> int:
+    index_codes._check_delta(args.delta)  # the seeded errors are drawn before decoding
     inst = _load_instance(args.instance)
     code = _build_code(inst, _load_matrix(args.matrix), args.q)
     field = code.field
@@ -303,7 +295,19 @@ def _cmd_check(args) -> int:
     return EXIT_PASS if report.ok else EXIT_FAIL
 
 
-def _add_common(p: argparse.ArgumentParser, *, q: bool = False, matrix: bool = False, delta: bool = False):
+_OPTIONAL_FLAGS = {
+    "enum-budget": dict(type=int, default=DEFAULT_ENUM_BUDGET),
+    "node-budget": dict(type=int, default=bounds_mod.DEFAULT_NODE_BUDGET),
+    "jobs": dict(type=int, default=1, help="parallel search workers"),
+    "seed": dict(type=int, default=0),
+}
+
+
+def _add_common(
+    p: argparse.ArgumentParser, *flags: str, q: bool = False, matrix: bool = False, delta: bool = False
+):
+    """Arguments shared by the subcommands; `flags` names the entries of
+    _OPTIONAL_FLAGS the subcommand reads."""
     p.add_argument("--instance", required=True, help="instance file or built-in name")
     if q:
         p.add_argument("--q", type=int, required=True, help="field order")
@@ -313,10 +317,8 @@ def _add_common(p: argparse.ArgumentParser, *, q: bool = False, matrix: bool = F
         p.add_argument("--matrix", required=True, help="matrix file (text format)")
     if delta:
         p.add_argument("--delta", type=int, required=True, help="number of correctable errors")
-    p.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET)
-    p.add_argument("--node-budget", type=int, default=bounds_mod.DEFAULT_NODE_BUDGET)
-    p.add_argument("--jobs", type=int, default=1, help="parallel search workers")
-    p.add_argument("--seed", type=int, default=0)
+    for flag in flags:
+        p.add_argument(f"--{flag}", **_OPTIONAL_FLAGS[flag])
     p.add_argument("--format", choices=("json", "text"), default="json")
 
 
@@ -337,30 +339,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_params)
 
     p = sub.add_parser("bounds", help="all length bounds at one delta")
-    _add_common(p, q=True, delta=True)
+    _add_common(p, "node-budget", q=True, delta=True)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("verify", help="verify a matrix corrects delta errors")
-    _add_common(p, matrix=True, delta=True)
+    _add_common(p, "enum-budget", matrix=True, delta=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("radius", help="largest delta a matrix verifies at")
-    _add_common(p, matrix=True)
+    _add_common(p, "enum-budget", matrix=True)
     p.set_defaults(func=_cmd_radius)
 
     p = sub.add_parser("search", help="exact optimal length with witness")
-    _add_common(p, q=True, delta=True)
+    _add_common(p, "enum-budget", "node-budget", "jobs", q=True, delta=True)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("construct", help="build a code by a named strategy")
-    _add_common(p, q=True, delta=True)
+    _add_common(p, "enum-budget", "node-budget", "seed", q=True, delta=True)
     p.add_argument("--strategy", choices=("concat", "random", "mds-concat"), required=True)
     p.add_argument("--length", type=int, default=None)
     p.add_argument("--trials", type=int, default=200)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("simulate", help="broadcast, corrupt, and decode")
-    _add_common(p, matrix=True, delta=True)
+    _add_common(p, "seed", matrix=True, delta=True)
     p.add_argument("--x", default=None, help="message vector, space separated")
     p.add_argument("--error", default=None, help="error vector, space separated")
     p.add_argument("--random-errors", type=int, default=1, help="number of seeded rounds")
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("check", help="exhaustive decoder correctness check")
-    _add_common(p, matrix=True, delta=True)
+    _add_common(p, "enum-budget", matrix=True, delta=True)
     p.set_defaults(func=_cmd_check)
 
     return parser

@@ -13,12 +13,19 @@ from the best lower bound until the first feasible length.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
-from ._cover import canonical_class, multiset_cover_search, projective_classes
-from .bounds import DEFAULT_NODE_BUDGET, alpha_bound, kappa_bound, singleton_bound
+from ._cover import (
+    canonical_class,
+    class_hit_sets,
+    classes_matrix,
+    multiset_cover_search,
+    projective_classes,
+)
+from .bounds import DEFAULT_NODE_BUDGET, _griesmer_length, alpha_bound, kappa_bound, singleton_bound
 from .errors import (
     BudgetExceeded,
     InternalContradiction,
@@ -26,6 +33,7 @@ from .errors import (
     LengthMismatch,
     OutOfRegime,
     OuterDistanceTooSmall,
+    UnknownCodeLength,
 )
 from .field_linalg import (
     DEFAULT_ENUM_BUDGET,
@@ -37,6 +45,9 @@ from .field_linalg import (
 from .index_codes import (
     DEFAULT_MIN_RANK_BUDGET_EXPONENT,
     LinearIndexCode,
+    _check_delta,
+    _margins_with_minimizers,
+    generalized_independence_number,
     min_rank,
     verify_ecic,
     verify_ic,
@@ -117,6 +128,7 @@ def concatenate_construction(
     messages, which also rejects rank-deficient outers).  The product is
     re-verified before being returned.
     """
+    _check_delta(delta)
     if ic_matrix.ncols != outer.nrows:
         raise LengthMismatch("inner columns must match outer rows")
     inner_code = LinearIndexCode(inst, field, ic_matrix)
@@ -142,25 +154,14 @@ def concatenate_construction(
     return code
 
 
-def _hash_stream_matrix(field: Field, nrows: int, ncols: int, seed: int, trial: int) -> FMatrix:
-    """Matrix with entries drawn from a counter-mode SHA-256 stream keyed by
-    (seed, trial); bytes are rejection-sampled to stay uniform mod q."""
-    q = field.q
+def _seeded_bytes(key: str, q: int) -> Iterator[int]:
+    """Counter-mode SHA-256 stream keyed `{key}:{counter}`.  Bytes at or
+    above the largest multiple of q are rejected, so each kept byte is
+    uniform mod q."""
     limit = (256 // q) * q
-    entries = []
-    counter = 0
-    while len(entries) < nrows * ncols:
-        block = hashlib.sha256(f"ecic:{seed}:{trial}:{counter}".encode()).digest()
-        counter += 1
-        for byte in block:
-            if byte < limit:
-                entries.append(byte % q)
-                if len(entries) == nrows * ncols:
-                    break
-    rows = tuple(
-        tuple(entries[r * ncols : (r + 1) * ncols]) for r in range(nrows)
-    )
-    return FMatrix(field, rows, ncols)
+    for counter in itertools.count():
+        block = hashlib.sha256(f"{key}:{counter}".encode()).digest()
+        yield from (b for b in block if b < limit)
 
 
 def random_construct(
@@ -171,21 +172,21 @@ def random_construct(
     trials: int,
     seed: int,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
-    first_trial_matrix: Optional[FMatrix] = None,
 ) -> Optional[LinearIndexCode]:
     """First verifying code among `trials` seeded random n x length
-    matrices, or None.  Fully determined by (seed, trials, length);
-    `first_trial_matrix` substitutes trial 0 for debugging."""
+    matrices, or None.  Trial t fills its matrix row by row from the seeded
+    stream keyed `ecic:{seed}:{t}`, so the result is fully determined by
+    (seed, trials, length)."""
+    _check_delta(delta)
     if length < 1:
         raise LengthMismatch("length must be positive")
-    n = inst.num_messages
+    q, n = field.q, inst.num_messages
     for trial in range(trials):
-        if trial == 0 and first_trial_matrix is not None:
-            matrix = first_trial_matrix
-        else:
-            matrix = _hash_stream_matrix(field, n, length, seed, trial)
-        code = LinearIndexCode(inst, field, matrix)
-        if verify_ecic(code, delta, enum_budget).ok:
+        stream = _seeded_bytes(f"ecic:{seed}:{trial}", q)
+        rows = tuple(tuple(next(stream) % q for _ in range(length)) for _ in range(n))
+        code = LinearIndexCode(inst, field, FMatrix(field, rows, length))
+        # the margins verify_ecic checks, stopping at the first failing one
+        if all(m > 2 * delta for m, _ in _margins_with_minimizers(code, enum_budget)):
             return code
     return None
 
@@ -229,6 +230,9 @@ def exists_ecic(
     proof by exhaustion; BudgetExceeded means unknown, never infeasible.
     A returned witness has been re-verified through the margin route.
     """
+    _check_delta(delta)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if length < 0:
         raise LengthMismatch("length must be nonnegative")
     n = inst.num_messages
@@ -237,26 +241,12 @@ def exists_ecic(
         witness = LinearIndexCode(inst, field, FMatrix.zero(field, n, length))
         return ExistsResult(True, witness, 0)
     columns = projective_classes(field, n)
-    add, mul = field._add, field._mul
-
-    def dot(u, v):
-        acc = 0
-        for a, b in zip(u, v):
-            if a and b:
-                acc = add[acc][mul[a][b]]
-        return acc
-
-    hit_sets = [
-        frozenset(zi for zi, z in enumerate(zs) if dot(z, col)) for col in columns
-    ]
     res = multiset_cover_search(
-        hit_sets, len(zs), length, 2 * delta + 1, node_budget, jobs
+        class_hit_sets(field, columns, zs), len(zs), length, 2 * delta + 1, node_budget, jobs
     )
     if not res.found:
         return ExistsResult(False, None, res.nodes)
-    cols = [columns[c] for c in res.classes]
-    rows = tuple(tuple(col[r] for col in cols) for r in range(n))
-    code = LinearIndexCode(inst, field, FMatrix(field, rows, length))
+    code = LinearIndexCode(inst, field, classes_matrix(field, columns, res.classes, n))
     if not verify_ecic(code, delta, enum_budget).ok:
         raise InternalContradiction("search witness failed margin verification")
     return ExistsResult(True, code, res.nodes)
@@ -295,17 +285,24 @@ def optimal_length_search(
 
     Scans lengths upward from the best lower bound, exhausting each until
     the first feasible one; the concatenation bound caps the scan, so
-    termination is guaranteed.  On budget exhaustion the raised error
-    carries the bracket explored so far.
+    termination is guaranteed.  When the alpha or kappa bound is not
+    settled within the node budget, the scan falls back to bounds that need
+    no search: the Griesmer bound at alpha below, and kappa * (2*delta + 1)
+    above (the outer code that repeats each identity column).  On budget
+    exhaustion the raised error carries the bracket explored so far.
     """
+    _check_delta(delta)
     started = time.perf_counter()
-    lower = max(
-        alpha_bound(inst, field, delta, node_budget=node_budget),
-        singleton_bound(inst, field, delta, budget_exponent=budget_exponent),
-    )
-    upper = kappa_bound(
-        inst, field, delta, budget_exponent=budget_exponent, node_budget=node_budget
-    )
+    d = 2 * delta + 1
+    try:
+        a_bound = alpha_bound(inst, field, delta, node_budget=node_budget)
+    except UnknownCodeLength:
+        a_bound = _griesmer_length(field.q, generalized_independence_number(inst)[0], d)
+    lower = max(a_bound, singleton_bound(inst, field, delta, budget_exponent=budget_exponent))
+    try:
+        upper = kappa_bound(inst, field, delta, budget_exponent, node_budget)
+    except UnknownCodeLength:
+        upper = min_rank(inst, field, budget_exponent).kappa * d
     nodes = 0
     for length in range(lower, upper + 1):
         try:

@@ -28,7 +28,7 @@ from .field_linalg import (
     solve_row_combination,
     vectors_of_weight_at_most,
 )
-from .index_codes import LinearIndexCode, encode
+from .index_codes import LinearIndexCode, _check_delta, encode
 from .instance import ReceiverFrame, receiver_frame
 
 
@@ -149,6 +149,7 @@ def simulate_round(
     sequence.  The weight cap defaults to delta; success flags compare
     against the true demanded symbols.
     """
+    _check_delta(delta)
     inst = code.inst
     y = encode(code, x)
     if isinstance(error, FVector):
@@ -190,6 +191,7 @@ def exhaustive_correctness_check(
     """Decode every (message vector, error of weight <= delta, receiver)
     combination and confirm the demanded symbol always comes back right and
     the error estimate always lands in the true error's relevant set."""
+    _check_delta(delta)
     inst, field = code.inst, code.field
     n, N, m = inst.num_messages, code.length, inst.num_receivers
     total = field.q**n * sphere_volume(field.q, N, delta) * m

@@ -58,7 +58,7 @@ class OuterDistanceTooSmall(EcicError):
 
 
 class UnknownCodeLength(EcicError):
-    """Shortest-code length not in the verified table and not searchable in budget."""
+    """Shortest-code length not settled within the search's node budget."""
 
     def __init__(self, q: int, k: int, d: int, reason: str = ""):
         detail = f" ({reason})" if reason else ""

@@ -541,10 +541,6 @@ def solve_row_combination(M: FMatrix, target: FVector) -> tuple[FVector, list[FV
     return solve_linear(M.transpose(), target)
 
 
-def in_row_space(M: FMatrix, target: FVector) -> bool:
-    return solve_row_combination(M, target) is not None
-
-
 # ---------------------------------------------------------------------------
 # coset leaders and minimum distance
 

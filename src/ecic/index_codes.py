@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import BudgetExceeded, CapExceeded, IndexOutOfRange, LengthMismatch
 from .field_linalg import (
@@ -99,18 +99,28 @@ def receiver_margin(
     return _margin_with_minimizer(code, i, enum_budget)[0]
 
 
-def margins(code: LinearIndexCode, enum_budget: int = DEFAULT_ENUM_BUDGET) -> tuple[int, ...]:
-    """All receiver margins; receivers sharing (demand, complement) are
-    computed once."""
+def _check_delta(delta: int) -> None:
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+
+
+def _margins_with_minimizers(
+    code: LinearIndexCode, enum_budget: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(margin, minimizer) per receiver, lazily in receiver order;
+    receivers sharing (demand, complement) are computed once."""
     inst = code.inst
-    cache: dict[tuple[int, frozenset[int]], int] = {}
-    out = []
+    cache: dict[tuple[int, frozenset[int]], tuple[int, tuple[int, ...]]] = {}
     for i in range(inst.num_receivers):
         key = (inst.demands[i], inst.complement(i))
         if key not in cache:
-            cache[key] = _margin_with_minimizer(code, i, enum_budget)[0]
-        out.append(cache[key])
-    return tuple(out)
+            cache[key] = _margin_with_minimizer(code, i, enum_budget)
+        yield cache[key]
+
+
+def margins(code: LinearIndexCode, enum_budget: int = DEFAULT_ENUM_BUDGET) -> tuple[int, ...]:
+    """All receiver margins."""
+    return tuple(m for m, _ in _margins_with_minimizers(code, enum_budget))
 
 
 @dataclass(frozen=True)
@@ -132,28 +142,24 @@ def verify_ecic(
 ) -> EcicVerdict:
     """Check that every receiver margin is at least 2*delta + 1.
 
-    On failure the certificate is built from the first failing receiver's
-    minimizing span combination: z has a 1 at the demand and the negated
-    combination coefficients across the complement set.
+    Every margin is reported.  On failure the certificate is built from the
+    first failing receiver's minimizing span combination: z has a 1 at the
+    demand and the negated combination coefficients across the complement
+    set.
     """
+    _check_delta(delta)
     inst, field = code.inst, code.field
     need = 2 * delta + 1
-    cache: dict[tuple[int, frozenset[int]], tuple[int, tuple[int, ...]]] = {}
-    vals = []
-    for i in range(inst.num_receivers):
-        key = (inst.demands[i], inst.complement(i))
-        if key not in cache:
-            cache[key] = _margin_with_minimizer(code, i, enum_budget)
-        margin, coeffs = cache[key]
-        vals.append(margin)
+    table = list(_margins_with_minimizers(code, enum_budget))
+    vals = tuple(m for m, _ in table)
+    for i, (margin, coeffs) in enumerate(table):
         if margin < need:
-            free = sorted(inst.complement(i))
             z = [0] * inst.num_messages
             z[inst.demands[i]] = 1
-            for pos, c in zip(free, coeffs):
+            for pos, c in zip(sorted(inst.complement(i)), coeffs):
                 z[pos] = field.neg(c)
-            return EcicVerdict(False, delta, tuple(vals), FVector(field, tuple(z)))
-    return EcicVerdict(True, delta, tuple(vals), None)
+            return EcicVerdict(False, delta, vals, FVector(field, tuple(z)))
+    return EcicVerdict(True, delta, vals, None)
 
 
 def verify_ecic_direct(
@@ -162,6 +168,7 @@ def verify_ecic_direct(
     """Same verdict as `verify_ecic`, by enumerating every confusable vector
     z of the instance and checking weight(z @ L) >= 2*delta + 1 outright.
     Kept as an independent route for cross-validation."""
+    _check_delta(delta)
     need = 2 * delta + 1
     for z in enumerate_error_vectors(code.inst, code.field, enum_budget):
         if encode(code, z).weight() < need:

@@ -78,10 +78,6 @@ def receiver_frame(inst: IcsiInstance, i: int) -> ReceiverFrame:
     return ReceiverFrame(i, inst.demands[i], inst.side_info[i], inst.complement(i))
 
 
-def frames(inst: IcsiInstance) -> tuple[ReceiverFrame, ...]:
-    return tuple(receiver_frame(inst, i) for i in range(inst.num_receivers))
-
-
 # ---------------------------------------------------------------------------
 # document format: {"m": int, "n": int, "f": [...], "X": [[...], ...]}, 1-based
 

@@ -104,8 +104,8 @@ def test_criterion_02_pentagon_parameters():
 
 def test_criterion_03_pentagon_bounds_with_searched_lengths():
     rep = bounds_report(pentagon(), F2, 2)
-    searched_25 = shortest_code_length(2, 2, 5, method="search")
-    searched_35 = shortest_code_length(2, 3, 5, method="search")
+    searched_25 = shortest_code_length(2, 2, 5)
+    searched_35 = shortest_code_length(2, 3, 5)
     ok = (
         rep.alpha_bound == 8
         and rep.kappa_bound == 10

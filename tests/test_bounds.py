@@ -22,7 +22,6 @@ from ecic import (
     singleton_bound,
     sphere_volume,
 )
-from ecic.bounds import _VERIFIED_LENGTHS
 from ecic.errors import UnknownCodeLength
 
 from helpers import F2, random_instance
@@ -48,6 +47,30 @@ def test_sphere_volume_saturates_at_full_space():
 # shortest code lengths
 
 
+def scan_from_max_k_d(q, k, d):
+    """Shortest length by the plain scan from max(k, d), without any bound."""
+    length = max(k, d)
+    while not code_exists(q, k, d, length):
+        length += 1
+    return length
+
+
+def griesmer(q, k, d):
+    return sum(-(-d // q**i) for i in range(k))
+
+
+def assert_scan_agrees(q, k, d):
+    """The Griesmer-started answer equals the plain scan, and every length
+    the Griesmer start skips is exhaustively infeasible."""
+    n = shortest_code_length(q, k, d)
+    assert n == scan_from_max_k_d(q, k, d)
+    g = griesmer(q, k, d)
+    assert n >= g
+    if g - 1 >= max(k, d):
+        assert not code_exists(q, k, d, g - 1)
+    return n
+
+
 def test_shortest_length_closed_forms():
     assert shortest_code_length(2, 4, 1) == 4
     assert shortest_code_length(5, 1, 7) == 7
@@ -60,23 +83,22 @@ def test_shortest_length_verified_table_values():
 
 
 def test_shortest_length_table_reverified_by_search():
-    for (q, k, d), value in _VERIFIED_LENGTHS.items():
-        assert shortest_code_length(q, k, d, method="search") == value
+    """The former table entries (2,2,5) -> 8 and (2,3,5) -> 10 sit exactly
+    on the Griesmer bound."""
+    for (q, k, d), value in {(2, 2, 5): 8, (2, 3, 5): 10}.items():
+        assert griesmer(q, k, d) == value
+        assert assert_scan_agrees(q, k, d) == value
 
 
 def test_shortest_length_small_searches():
-    assert shortest_code_length(2, 2, 3, method="search") == 5
-    assert shortest_code_length(2, 3, 3, method="search") == 6
-    assert shortest_code_length(3, 2, 3, method="search") == 4  # MDS regime
-    assert shortest_code_length(5, 3, 3, method="search") == 5
-    # closed forms re-derived by the search route
-    assert shortest_code_length(3, 3, 1, method="search") == 3
-    assert shortest_code_length(2, 1, 4, method="search") == 4
-
-
-def test_shortest_length_table_method_unknown():
-    with pytest.raises(UnknownCodeLength):
-        shortest_code_length(2, 4, 3, method="table")
+    assert assert_scan_agrees(2, 2, 3) == 5
+    assert assert_scan_agrees(2, 3, 3) == 6
+    assert assert_scan_agrees(3, 2, 3) == 4  # MDS regime
+    assert assert_scan_agrees(5, 3, 3) == 5
+    assert assert_scan_agrees(3, 3, 3) == 6  # one above its Griesmer bound, 5
+    # closed forms re-derived by the plain scan
+    assert assert_scan_agrees(3, 3, 1) == 3
+    assert assert_scan_agrees(2, 1, 4) == 4
 
 
 def test_shortest_length_budget_to_unknown():
@@ -112,7 +134,7 @@ def test_code_exists_agrees_with_brute_force_over_all_generators():
 
 def test_found_generators_hit_exact_distance():
     for (q, k, d) in [(2, 2, 3), (2, 3, 4), (3, 2, 3), (5, 2, 3)]:
-        n = shortest_code_length(q, k, d, method="search")
+        n = assert_scan_agrees(q, k, d)
         G = find_code_generator(q, k, d, n)
         assert G is not None
         assert mat_rank(G) == k

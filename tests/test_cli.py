@@ -199,3 +199,62 @@ def test_text_format(capsys, pentagon_file):
     )
     assert code == 0
     assert out.startswith("PASS")
+
+
+def test_verify_fail_reports_every_margin(capsys, pentagon_file):
+    code, out, _ = run(
+        capsys, "verify", "--instance", "pentagon",
+        "--matrix", pentagon_file, "--delta", "3",
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["margins"] == [5, 5, 5, 5, 5]
+    assert doc["radius"] == 2
+    assert doc["certificate"] is not None
+
+
+def test_negative_delta_exits_two(capsys, pentagon_file):
+    matrix = ("--matrix", pentagon_file)
+    for argv in (
+        ("verify", "--instance", "pentagon", *matrix),
+        ("check", "--instance", "pentagon", *matrix),
+        ("simulate", "--instance", "pentagon", *matrix),
+        ("bounds", "--instance", "pentagon", "--q", "2"),
+        ("search", "--instance", "pentagon", "--q", "2"),
+        ("construct", "--instance", "pentagon", "--q", "2", "--strategy", "random",
+         "--length", "9"),
+    ):
+        code, out, err = run(capsys, *argv, "--delta", "-1")
+        assert code == 2, argv
+        assert out == ""
+        assert "delta" in err
+
+
+@pytest.mark.parametrize("instance", ["example1", "receiverless"])
+def test_jobs_below_one_exits_two(capsys, tmp_path, instance):
+    if instance == "receiverless":
+        path = tmp_path / "receiverless.json"
+        path.write_text(json.dumps({"m": 0, "n": 2, "f": [], "X": []}))
+        instance = str(path)
+    code, out, err = run(
+        capsys, "search", "--instance", instance, "--q", "2", "--delta", "1",
+        "--jobs", "0",
+    )
+    assert code == 2
+    assert out == "" and "jobs" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("params", "--instance", "pentagon", "--q", "2", "--seed", "1"),
+        ("validate", "--instance", "pentagon", "--enum-budget", "9"),
+        ("search", "--instance", "pentagon", "--q", "2", "--delta", "1", "--seed", "1"),
+        ("bounds", "--instance", "pentagon", "--q", "2", "--delta", "1", "--jobs", "2"),
+    ],
+)
+def test_unread_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2

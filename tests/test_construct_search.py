@@ -27,6 +27,7 @@ from ecic.errors import (
     InvalidInnerIC,
     OutOfRegime,
     OuterDistanceTooSmall,
+    UnknownCodeLength,
 )
 
 from helpers import F2, F3, random_instance, random_matrix
@@ -169,14 +170,6 @@ def test_random_construct_below_alpha_bound_is_absent():
     assert random_construct(pentagon(), F2, 2, 7, trials=40, seed=1) is None
 
 
-def test_random_construct_debug_first_trial():
-    ident = FMatrix.identity(F2, 4)
-    code = random_construct(
-        no_side_info(4), F2, 0, 4, trials=1, seed=0, first_trial_matrix=ident
-    )
-    assert code is not None and code.matrix == ident
-
-
 # ---------------------------------------------------------------------------
 # existence and optimal length
 
@@ -244,6 +237,18 @@ def test_optimal_length_budget_error_carries_bracket():
     with pytest.raises(BudgetExceeded) as err:
         optimal_length_search(pentagon(), F2, 2, node_budget=10)
     assert "infeasible below" in str(err.value)
+
+
+def test_optimal_length_bound_scans_respect_budget():
+    from ecic import kappa_bound
+
+    # N_2[3,5] = 10 needs more than 10 nodes, so the kappa bound is unknown
+    # and the scan's upper end falls back to kappa * (2*delta + 1) = 15
+    with pytest.raises(UnknownCodeLength):
+        kappa_bound(pentagon(), F2, 2, node_budget=10)
+    with pytest.raises(BudgetExceeded) as err:
+        optimal_length_search(pentagon(), F2, 2, node_budget=10)
+    assert "infeasible below 8, feasible at 15" in str(err.value)
 
 
 def test_optimal_length_respects_sandwich():
