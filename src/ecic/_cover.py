@@ -2,16 +2,26 @@
 
 Shared kernel behind the existence searches: a candidate matrix is a
 multiset of N column classes (columns identified up to nonzero scaling),
-and a set of "targets" must each be hit -- have a nonzero inner product --
-by at least `threshold` of the chosen columns.  Columns are enumerated in
+and each target t must be hit -- have a nonzero inner product -- by at
+least quotas[t] of the chosen columns.  Columns are enumerated in
 non-decreasing class order, so every multiset is visited exactly once.
 
-Per-target hit counts are packed eight bits per target into one big
-integer; the prune test ("some target cannot reach its quota even if every
+Per-target hit counts and quotas are packed eight bits per target into big
+integers; the prune test ("some target cannot reach its quota even if every
 remaining pick hits it, counting only classes still allowed") is a single
-SWAR comparison.  Counts and prune bounds never exceed the multiset size,
-so that size is capped at 120 to keep every packed byte below 128, where
-the byte-wise less-than trick is valid.
+SWAR comparison.  Counts, quotas and prune bounds never exceed the multiset
+size, so that size is capped at 120 to keep every packed byte below 128,
+where the byte-wise less-than trick is exact.
+
+Symmetry: when a group of class permutations maps hit sets onto hit sets
+(under a matching permutation of targets with equal quotas), a multiset is
+feasible iff its image is.  Given the group's class orbits, the scan skips
+every first pick that has an earlier class (in visit order) in its orbit.
+This stays exhaustive: if some feasible multiset has smallest class c0 and
+g maps c0 to an earlier class, the feasible image g(M) has a smaller first
+pick, so the earliest first pick whose subtree holds a feasible multiset is
+always an orbit representative.  For the same reason the witness returned
+is the one the unpruned scan returns.
 """
 
 from __future__ import annotations
@@ -83,6 +93,40 @@ def canonical_class(vec: Sequence[int], field: Field) -> tuple[int, ...]:
     return tuple(mul[c][x] for x in vec)
 
 
+def class_permutation(
+    field: Field, classes: Sequence[tuple[int, ...]], perm: Sequence[int]
+) -> list[int]:
+    """Where each class goes when coordinate j is moved to perm[j].  The
+    class list must be closed under that coordinate permutation."""
+    index = {c: i for i, c in enumerate(classes)}
+    out = []
+    for c in classes:
+        moved = [0] * len(c)
+        for j, x in enumerate(c):
+            moved[perm[j]] = x
+        out.append(index[canonical_class(moved, field)])
+    return out
+
+
+def class_orbits(num_classes: int, permutations: Iterable[Sequence[int]]) -> list[int]:
+    """Orbit label per class under the group the permutations generate: the
+    smallest class index in its orbit."""
+    parent = list(range(num_classes))
+
+    def root(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for perm in permutations:
+        for c, image in enumerate(perm):
+            a, b = root(c), root(image)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [root(c) for c in range(num_classes)]
+
+
 def _packed(indices: Iterable[int]) -> int:
     acc = 0
     for i in indices:
@@ -90,28 +134,42 @@ def _packed(indices: Iterable[int]) -> int:
     return acc
 
 
+def _visit_order(hit_sets: Sequence) -> list[int]:
+    """High-coverage classes first; ties by original index."""
+    return sorted(range(len(hit_sets)), key=lambda c: (-len(hit_sets[c]), c))
+
+
 class _Kernel:
     """Packed tables plus the depth-first search over one class range."""
 
-    def __init__(self, hit_sets: Sequence, num_targets: int, size: int, threshold: int):
-        # visit high-coverage classes first; ties by original index
-        self.order = sorted(range(len(hit_sets)), key=lambda c: (-len(hit_sets[c]), c))
+    def __init__(
+        self, hit_sets: Sequence, quotas: Sequence[int], size: int,
+        orbits: Sequence[int] | None = None,
+    ):
+        self.order = _visit_order(hit_sets)
         self.adds = [_packed(sorted(hit_sets[c])) for c in self.order]
         self.size = size
-        low = _packed(range(num_targets))
-        self.high = low << (_WIDTH - 1)
-        self.thresh_low = threshold * low
+        self.high = _packed(range(len(quotas))) << (_WIDTH - 1)
+        self.thresh_low = sum(need << (_WIDTH * t) for t, need in enumerate(quotas))
         # live_low[s]: packed 1 per target hit by some class with index >= s
         self.live_low = [0] * (len(self.order) + 1)
         alive: set[int] = set()
         for s in range(len(self.order) - 1, -1, -1):
             alive |= set(hit_sets[self.order[s]])
             self.live_low[s] = _packed(sorted(alive))
+        # first_ok[s]: no class before s in visit order shares its orbit
+        seen: set[int] = set()
+        self.first_ok = []
+        for c in self.order:
+            label = c if orbits is None else orbits[c]
+            self.first_ok.append(label not in seen)
+            seen.add(label)
 
     def scan(self, first_lo: int, first_hi: int, node_budget: int) -> tuple[bool, list[int], int]:
         """Exhaust all multisets whose smallest class index (in visit order)
-        lies in [first_lo, first_hi)."""
-        adds, live_low = self.adds, self.live_low
+        lies in [first_lo, first_hi), skipping first picks that are not
+        orbit representatives."""
+        adds, live_low, first_ok = self.adds, self.live_low, self.first_ok
         high, thresh_low = self.high, self.thresh_low
         nodes = 0
         path: list[int] = []
@@ -138,6 +196,8 @@ class _Kernel:
             return False
 
         for c0 in range(first_lo, min(first_hi, len(adds))):
+            if not first_ok[c0]:
+                continue
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceeded("cover search node budget exhausted", nodes=nodes)
@@ -151,8 +211,8 @@ class _Kernel:
 _WORKER_ARGS: dict = {}
 
 
-def _init_worker(hit_sets, num_targets, size, threshold, node_budget):
-    _WORKER_ARGS["kernel"] = _Kernel(hit_sets, num_targets, size, threshold)
+def _init_worker(hit_sets, quotas, size, orbits, node_budget):
+    _WORKER_ARGS["kernel"] = _Kernel(hit_sets, quotas, size, orbits)
     _WORKER_ARGS["budget"] = node_budget
 
 
@@ -166,46 +226,48 @@ def _run_chunk(bounds: tuple[int, int]):
 
 def multiset_cover_search(
     hit_sets: Sequence[frozenset[int] | set[int]],
-    num_targets: int,
+    quotas: Sequence[int],
     size: int,
-    threshold: int,
     node_budget: int,
     jobs: int = 1,
+    orbits: Sequence[int] | None = None,
 ) -> CoverResult:
     """Decide whether some size-`size` multiset of classes hits every
-    target at least `threshold` times.
+    target t at least quotas[t] >= 0 times.
 
     hit_sets[c] lists the target indices class c hits.  Exhaustive unless
     the node budget trips (then BudgetExceeded carries the node count); a
-    returned found=False is a proof of infeasibility.  With jobs > 1 the
-    first-class subtrees are split into contiguous chunks searched in
-    parallel (each chunk gets the full node budget); the outcome and the
-    witness are identical to the serial scan.
+    returned found=False is a proof of infeasibility.  `orbits`, if given,
+    labels each class with its orbit under a group of symmetries of the
+    instance (see the module docstring); first picks that are not orbit
+    representatives are skipped, and the outcome and witness do not change.
+    With jobs > 1 the first-class subtrees are split into contiguous chunks
+    searched in parallel (each chunk gets the full node budget); the outcome
+    and the witness are identical to the serial scan.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if num_targets == 0 or threshold <= 0:
+    need = max(quotas, default=0)
+    if need <= 0:
         return CoverResult(True, _trivial_fill(hit_sets, size), 0)
     if size > _MAX_SIZE:
         raise CapExceeded(f"multiset size {size} exceeds packed-count cap {_MAX_SIZE}")
-    if threshold > size:
+    if need > size:
         return CoverResult(False, None, 0)  # each target gets at most one hit per pick
 
     num_classes = len(hit_sets)
     if jobs > 1 and num_classes > 1:
-        found, path, nodes = _scan_parallel(
-            hit_sets, num_targets, size, threshold, node_budget, jobs
-        )
+        found, path, nodes = _scan_parallel(hit_sets, quotas, size, orbits, node_budget, jobs)
     else:
-        kernel = _Kernel(hit_sets, num_targets, size, threshold)
+        kernel = _Kernel(hit_sets, quotas, size, orbits)
         found, path, nodes = kernel.scan(0, num_classes, node_budget)
     if not found:
         return CoverResult(False, None, nodes)
-    order = sorted(range(num_classes), key=lambda c: (-len(hit_sets[c]), c))
+    order = _visit_order(hit_sets)
     return CoverResult(True, tuple(sorted(order[c] for c in path)), nodes)
 
 
-def _scan_parallel(hit_sets, num_targets, size, threshold, node_budget, jobs):
+def _scan_parallel(hit_sets, quotas, size, orbits, node_budget, jobs):
     import multiprocessing
 
     num_classes = len(hit_sets)
@@ -219,7 +281,7 @@ def _scan_parallel(hit_sets, num_targets, size, threshold, node_budget, jobs):
     with ctx.Pool(
         jobs,
         initializer=_init_worker,
-        initargs=(tuple(map(frozenset, hit_sets)), num_targets, size, threshold, node_budget),
+        initargs=(tuple(map(frozenset, hit_sets)), quotas, size, orbits, node_budget),
     ) as pool:
         nodes = 0
         for found, path, chunk_nodes, err in pool.imap(_run_chunk, chunks):

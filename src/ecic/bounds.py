@@ -5,8 +5,9 @@ shortest classical code of a given dimension and distance (applied at the
 generalized independence number and at the min-rank), the Singleton-style
 bound kappa + 2*delta, and the smallest length at which a uniformly random
 matrix works with positive probability.  Shortest code lengths come from an
-exhaustive scan that starts at the Griesmer bound, so every length below
-the answer is ruled out by that bound or by exhaustion.  All threshold
+exhaustive scan over systematic generators that starts at the Griesmer
+bound, so every length below the answer is ruled out by that bound or by
+exhaustion.  All threshold
 arithmetic is exact big-integer; nothing here rounds through floats.
 """
 
@@ -49,19 +50,30 @@ def find_code_generator(
 ) -> Optional[FMatrix]:
     """A k x length generator of minimum distance >= d, or None if none
     exists (exhaustively established).  Both the columns and the nonzero
-    messages range over the projective classes of F_q^k."""
+    messages range over the projective classes of F_q^k.
+
+    The search is over systematic generators only: the k unit columns are
+    forced in, and the remaining length - k columns must give each message
+    class z at least d - wt(z) further nonzero coordinates.  Nothing is
+    lost, since a generator with d >= 1 has full rank and so has k
+    independent columns B; B^-1 times it is a systematic generator of a
+    code with the same weights.  A returned generator contains the unit
+    columns.
+    """
     if k < 1:
         raise ValueError("dimension must be positive")
     if length < k or length < d:
         return None
     field = make_field(q)
     classes = projective_classes(field, k)
+    units = [classes.index(tuple(int(r == i) for r in range(k))) for i in range(k)]
+    residual = [max(0, d - sum(1 for x in z if x)) for z in classes]
     res = multiset_cover_search(
-        class_hit_sets(field, classes, classes), len(classes), length, d, node_budget
+        class_hit_sets(field, classes, classes), residual, length - k, node_budget
     )
     if not res.found:
         return None
-    return classes_matrix(field, classes, res.classes, k)
+    return classes_matrix(field, classes, sorted(units + list(res.classes)), k)
 
 
 def _griesmer_length(q: int, k: int, d: int) -> int:
@@ -75,8 +87,11 @@ def shortest_code_length(q: int, k: int, d: int, node_budget: int = DEFAULT_NODE
 
     Scans lengths upward from the Griesmer bound sum_{i<k} ceil(d / q^i),
     which holds for every linear code, deciding each by exhaustive
-    column-multiset search.  For k <= 1 or d = 1 the bound is attained (by
-    the empty, repetition and identity codes) and is returned without search.
+    column-multiset search over systematic generators (see
+    `find_code_generator`: every code with d >= 1 has one, so each "no" is
+    still a proof for all linear codes).  For k <= 1 or d = 1 the bound is
+    attained (by the empty, repetition and identity codes) and is returned
+    without search.
     Raises UnknownCodeLength when the node budget runs out mid-scan.
     """
     if k < 0 or d < 1:

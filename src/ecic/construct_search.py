@@ -21,6 +21,8 @@ from typing import Iterator, Optional
 from ._cover import (
     canonical_class,
     class_hit_sets,
+    class_orbits,
+    class_permutation,
     classes_matrix,
     multiset_cover_search,
     projective_classes,
@@ -52,7 +54,7 @@ from .index_codes import (
     verify_ecic,
     verify_ic,
 )
-from .instance import IcsiInstance, enumerate_error_vectors
+from .instance import IcsiInstance, automorphisms, enumerate_error_vectors
 
 
 def mds_generator(field: Field, k: int, length: int) -> FMatrix:
@@ -176,10 +178,12 @@ def random_construct(
     """First verifying code among `trials` seeded random n x length
     matrices, or None.  Trial t fills its matrix row by row from the seeded
     stream keyed `ecic:{seed}:{t}`, so the result is fully determined by
-    (seed, trials, length)."""
+    (seed, trials, length).  `trials` must be at least 1."""
     _check_delta(delta)
     if length < 1:
         raise LengthMismatch("length must be positive")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     q, n = field.q, inst.num_messages
     for trial in range(trials):
         stream = _seeded_bytes(f"ecic:{seed}:{trial}", q)
@@ -219,6 +223,7 @@ def exists_ecic(
     node_budget: int = DEFAULT_NODE_BUDGET,
     jobs: int = 1,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
+    symmetry_breaking: bool = True,
 ) -> ExistsResult:
     """Exhaustively decide whether any n x length matrix corrects delta
     errors for the instance.
@@ -226,7 +231,12 @@ def exists_ecic(
     The verification predicate counts, per confusable vector z, the columns
     c with <z, c> != 0; it is invariant under column order and nonzero
     column scaling, so the search ranges over multisets of projective
-    column classes with quota-based pruning.  An infeasible answer is a
+    column classes with quota-based pruning.  It is also invariant under
+    the instance's automorphisms (message permutations carrying receivers
+    to receivers), which permute both the column classes and the
+    confusable classes; with `symmetry_breaking` the search tries only one
+    first column class per automorphism orbit, which changes the node count
+    but neither the answer nor the witness.  An infeasible answer is a
     proof by exhaustion; BudgetExceeded means unknown, never infeasible.
     A returned witness has been re-verified through the margin route.
     """
@@ -241,8 +251,13 @@ def exists_ecic(
         witness = LinearIndexCode(inst, field, FMatrix.zero(field, n, length))
         return ExistsResult(True, witness, 0)
     columns = projective_classes(field, n)
+    orbits = None
+    if symmetry_breaking:
+        gens, _ = automorphisms(inst)
+        orbits = class_orbits(len(columns), (class_permutation(field, columns, g) for g in gens))
     res = multiset_cover_search(
-        class_hit_sets(field, columns, zs), len(zs), length, 2 * delta + 1, node_budget, jobs
+        class_hit_sets(field, columns, zs), [2 * delta + 1] * len(zs), length, node_budget,
+        jobs, orbits,
     )
     if not res.found:
         return ExistsResult(False, None, res.nodes)

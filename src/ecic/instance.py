@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -189,6 +190,81 @@ def _int_suffix(name: str) -> int:
         return int(name.split(":", 1)[1])
     except ValueError as exc:
         raise MalformedDocument(f"bad parameter in {name!r}") from exc
+
+
+# ---------------------------------------------------------------------------
+# automorphisms
+
+
+def automorphisms(inst: IcsiInstance) -> tuple[list[tuple[int, ...]], int]:
+    """Generators and order of the instance's automorphism group: the
+    message permutations p (message j -> p[j]) that map the multiset of
+    receivers (demand, side information) onto itself.
+
+    Backtracking along the stabilizer chain, deepest level first: for each
+    message i and each j outside the orbit of i found so far, one
+    automorphism fixing 0..i-1 and sending i to j is searched for.  The
+    ones found generate the group, whose order is the product of the orbit
+    lengths.
+    """
+    n = inst.num_messages
+    receivers = list(zip(inst.demands, inst.side_info))
+
+    def profile(j: int) -> tuple:
+        return (
+            sorted(len(xs) for f, xs in receivers if f == j),
+            sorted(len(xs) for f, xs in receivers if j in xs),
+        )
+
+    profiles = [profile(j) for j in range(n)]
+
+    def consistent(p: list[int]) -> bool:
+        # the receivers restricted to the assigned messages must map onto
+        # the receivers restricted to their images
+        done, image = len(p), frozenset(p)
+        have = Counter(
+            (p[f] if f < done else -1, frozenset(p[x] for x in xs if x < done))
+            for f, xs in receivers
+        )
+        want = Counter((f if f in image else -1, xs & image) for f, xs in receivers)
+        return have == want
+
+    def extend(p: list[int]) -> tuple[int, ...] | None:
+        if len(p) == n:
+            return tuple(p)
+        a = len(p)
+        for b in range(n):
+            if b in p or profiles[b] != profiles[a]:
+                continue
+            p.append(b)
+            if consistent(p):
+                found = extend(p)
+                if found is not None:
+                    return found
+            p.pop()
+        return None
+
+    gens: list[tuple[int, ...]] = []
+    order = 1
+    for i in range(n - 1, -1, -1):
+        orbit = {i}
+        for j in range(i + 1, n):
+            if j in orbit or profiles[j] != profiles[i]:
+                continue
+            p = list(range(i)) + [j]
+            g = extend(p) if consistent(p) else None
+            if g is None:
+                continue
+            gens.append(g)
+            frontier = list(orbit)
+            while frontier:  # close the orbit of i under every generator so far
+                x = frontier.pop()
+                for h in gens:
+                    if h[x] not in orbit:
+                        orbit.add(h[x])
+                        frontier.append(h[x])
+        order *= len(orbit)
+    return gens, order
 
 
 # ---------------------------------------------------------------------------

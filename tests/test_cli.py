@@ -258,3 +258,13 @@ def test_unread_flags_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_random_construct_without_trials_exits_two(capsys, trials):
+    code, out, err = run(
+        capsys, "construct", "--instance", "example1", "--q", "2", "--delta", "1",
+        "--strategy", "random", "--length", "4", "--trials", trials,
+    )
+    assert code == 2
+    assert out == "" and "trials" in err
