@@ -219,9 +219,9 @@ def _init_worker(hit_sets, quotas, size, orbits, node_budget):
 def _run_chunk(bounds: tuple[int, int]):
     kernel: _Kernel = _WORKER_ARGS["kernel"]
     try:
-        return kernel.scan(bounds[0], bounds[1], _WORKER_ARGS["budget"]) + (None,)
+        return kernel.scan(bounds[0], bounds[1], _WORKER_ARGS["budget"])
     except BudgetExceeded as exc:
-        return False, [], exc.nodes or 0, "budget"
+        return False, [], exc.nodes  # budget + 1, so the merged total trips too
 
 
 def multiset_cover_search(
@@ -242,8 +242,9 @@ def multiset_cover_search(
     instance (see the module docstring); first picks that are not orbit
     representatives are skipped, and the outcome and witness do not change.
     With jobs > 1 the first-class subtrees are split into contiguous chunks
-    searched in parallel (each chunk gets the full node budget); the outcome
-    and the witness are identical to the serial scan.
+    searched in parallel and merged in serial order, charging each chunk's
+    nodes to one running total; the outcome, the witness and where the node
+    budget trips are identical to the serial scan.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -283,12 +284,15 @@ def _scan_parallel(hit_sets, quotas, size, orbits, node_budget, jobs):
         initializer=_init_worker,
         initargs=(tuple(map(frozenset, hit_sets)), quotas, size, orbits, node_budget),
     ) as pool:
+        # Merged in serial order, the running total is the serial scan's node
+        # count at the end of each chunk, so the budget trips exactly where
+        # the serial scan's would.
         nodes = 0
-        for found, path, chunk_nodes, err in pool.imap(_run_chunk, chunks):
+        for found, path, chunk_nodes in pool.imap(_run_chunk, chunks):
             nodes += chunk_nodes
-            if err == "budget":
+            if nodes > node_budget:
                 pool.terminate()
-                raise BudgetExceeded("cover search node budget exhausted", nodes=nodes)
+                raise BudgetExceeded("cover search node budget exhausted", nodes=node_budget + 1)
             if found:
                 pool.terminate()
                 return True, path, nodes

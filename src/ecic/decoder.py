@@ -1,22 +1,38 @@
 """Syndrome decoding for linear index codes, with exhaustive checking.
 
-Each receiver precomputes the span of the rows it cannot cancel (its
-demanded row plus the rows it neither holds nor demands) and a parity
-check of that span.  Decoding subtracts the known side-information
-contribution, reads off the syndrome, takes a minimum-weight error
-estimate from the coset, and solves for the demanded symbol.  The estimate
-need not equal the true error; it only has to land in the true error's
-translate of the unwanted-row span, and then the demanded symbol comes out
-right whenever the true error weight is within the code's radius.
+Each receiver precomputes, once, the span of the rows it cannot cancel
+(its demanded row plus the rows it neither holds nor demands) with a
+parity check of that span, a parity check of the complement rows alone,
+and the demand functional: a column vector lambda with
+unknown_rows @ lambda = e_0, which reads the demanded symbol off any word
+of the span.  Decoding subtracts the known side-information contribution,
+reads off the syndrome, takes a minimum-weight error estimate from the
+coset, and applies lambda to what is left.  The estimate need not equal
+the true error; it only has to land in the true error's translate of the
+unwanted-row span, and then the demanded symbol comes out right whenever
+the true error weight is within the code's radius.
+
+Found coset leaders are remembered per syndrome.  The memo is exact for
+every weight cap because the leader search tries weights 0, 1, 2, ... in a
+fixed order: a leader of weight w is what every cap >= w returns.  A
+smaller cap searches again, and `coset_leader` raises WeightCapExceeded
+itself.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .bounds import sphere_volume
-from .errors import BudgetExceeded, IndexOutOfRange, InternalContradiction, LengthMismatch
+from .errors import (
+    BudgetExceeded,
+    IndexOutOfRange,
+    InternalContradiction,
+    LengthMismatch,
+    WeightCapExceeded,
+)
 from .field_linalg import (
     DEFAULT_ENUM_BUDGET,
     FMatrix,
@@ -25,6 +41,7 @@ from .field_linalg import (
     coset_leader,
     parity_check_matrix,
     row_basis,
+    solve_linear,
     solve_row_combination,
     vectors_of_weight_at_most,
 )
@@ -38,7 +55,12 @@ class ReceiverDecoder:
 
     code_space: basis of the span of the demanded row and the complement
     rows; parity: its parity-check matrix; side_rows: the rows the receiver
-    can cancel, ordered by ascending message index.
+    can cancel, ordered by ascending message index; demand_functional:
+    lambda with unknown_rows @ lambda = e_0, or None when the demanded row
+    lies in the span of the complement rows (the symbol is then not
+    determined); complement_parity: a parity check of the complement rows'
+    span; leaders: the coset-leader memo, syndrome -> (leader, its weight,
+    lambda . leader).
     """
 
     code: LinearIndexCode
@@ -47,21 +69,29 @@ class ReceiverDecoder:
     parity: FMatrix
     side_rows: FMatrix
     unknown_rows: FMatrix  # demanded row first, then sorted complement rows
+    demand_functional: Optional[FVector]
+    complement_parity: FMatrix
+    leaders: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
 
 def build_receiver_decoder(code: LinearIndexCode, i: int) -> ReceiverDecoder:
     if not (0 <= i < code.inst.num_receivers):
         raise IndexOutOfRange(f"receiver index {i} out of range")
     frame = receiver_frame(code.inst, i)
-    unknown_idx = [frame.demand] + sorted(frame.complement)
-    unknown_rows = code.matrix.rows_at(unknown_idx)
+    complement = sorted(frame.complement)
+    unknown_rows = code.matrix.rows_at([frame.demand] + complement)
     basis = row_basis(unknown_rows)
     parity = parity_check_matrix(unknown_rows)
     for r in range(basis.nrows):
         if not parity.mul_col(basis.row(r)).is_zero():
             raise InternalContradiction("parity check does not annihilate the code space")
     side_rows = code.matrix.rows_at(sorted(frame.side_info))
-    return ReceiverDecoder(code, frame, basis, parity, side_rows, unknown_rows)
+    solution = solve_linear(unknown_rows, FVector.unit(code.field, unknown_rows.nrows, 0))
+    return ReceiverDecoder(
+        code, frame, basis, parity, side_rows, unknown_rows,
+        demand_functional=None if solution is None else solution[0],
+        complement_parity=parity_check_matrix(code.matrix.rows_at(complement)),
+    )
 
 
 @dataclass(frozen=True)
@@ -85,7 +115,9 @@ def recover_demand(
     """Final solving step alone: given any error estimate in the right
     coset, subtract it and the side contribution and solve for the demanded
     symbol.  The demanded coordinate of the solution is required to be
-    unique (its alternatives differ only across the complement rows)."""
+    unique (its alternatives differ only across the complement rows).
+    `decode` reads the same symbol off the precomputed demand functional;
+    this full solve is kept as the independent route."""
     adjusted = received.sub(error_estimate).sub(_side_contribution(dec, side_values))
     sol = solve_row_combination(dec.unknown_rows, adjusted)
     if sol is None:
@@ -94,6 +126,24 @@ def recover_demand(
     if any(v.entries[0] for v in kernel):
         raise InternalContradiction("demanded symbol is not uniquely determined")
     return particular.entries[0]
+
+
+def _memo_coset_leader(
+    dec: ReceiverDecoder, syndrome: FVector, weight_cap: int
+) -> tuple[FVector, int, int]:
+    """(leader, weight, lambda . leader) for the syndrome, from the memo
+    when it decides this cap (see the module docstring), else from
+    `coset_leader`, whose answer is checked and remembered."""
+    entry = dec.leaders.get(syndrome.entries)
+    if entry is not None and entry[1] <= weight_cap:
+        return entry
+    estimate = coset_leader(dec.parity, syndrome, weight_cap)
+    if not dec.parity.mul_col(estimate).sub(syndrome).is_zero():
+        raise InternalContradiction("coset leader does not reproduce the syndrome")
+    lam = dec.demand_functional
+    entry = (estimate, estimate.weight(), 0 if lam is None else estimate.dot(lam))
+    dec.leaders[syndrome.entries] = entry
+    return entry
 
 
 def decode(
@@ -106,22 +156,23 @@ def decode(
     """Syndrome-decode one received word.
 
     Subtract the side contribution, compute the parity syndrome, take the
-    minimum-weight coset solution under `weight_cap`, then solve for the
-    demanded symbol.  Raises WeightCapExceeded when even the lightest coset
-    member is heavier than the cap (more channel errors than allowed for).
+    minimum-weight coset solution under `weight_cap`, then apply the demand
+    functional to the corrected word.  Raises WeightCapExceeded when even
+    the lightest coset member is heavier than the cap (more channel errors
+    than allowed for).
     """
     if len(received) != dec.code.length:
         raise LengthMismatch("received word length mismatch")
     adjusted = received.sub(_side_contribution(dec, side_values))
     syndrome = dec.parity.mul_col(adjusted)
-    estimate = coset_leader(dec.parity, syndrome, weight_cap)
-    if not dec.parity.mul_col(estimate).sub(syndrome).is_zero():
-        raise InternalContradiction("coset leader does not reproduce the syndrome")
-    recovered = recover_demand(dec, received, side_values, estimate)
+    estimate, weight, estimate_value = _memo_coset_leader(dec, syndrome, weight_cap)
+    if dec.demand_functional is None:
+        raise InternalContradiction("demanded symbol is not uniquely determined")
+    recovered = dec.code.field.sub(adjusted.dot(dec.demand_functional), estimate_value)
     return DecodeOutcome(
         recovered=recovered,
         error_estimate=estimate,
-        estimate_weight=estimate.weight(),
+        estimate_weight=weight,
         success=None if truth is None else recovered == truth,
     )
 
@@ -131,9 +182,7 @@ def in_relevant_error_set(
 ) -> bool:
     """Whether candidate differs from the reference error only by a
     combination of the receiver's complement rows."""
-    diff = candidate.sub(reference_error)
-    complement_rows = dec.code.matrix.rows_at(sorted(dec.frame.complement))
-    return solve_row_combination(complement_rows, diff) is not None
+    return dec.complement_parity.mul_col(candidate.sub(reference_error)).is_zero()
 
 
 def simulate_round(

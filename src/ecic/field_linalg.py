@@ -9,9 +9,17 @@ included) is smallest -- so that integer encodings are portable across
 runs and machines.
 
 Vectors and matrices are immutable; all operations are pure functions.
-GF(2) data additionally runs on packed machine words inside `mat_rank` and
-`code_min_distance`; the packed and generic paths are interchangeable and
-are compared against each other in the test suite.
+
+`lightest_combination` is the one minimum-weight kernel: the lightest
+target - sum_j c_j * rows_j, found by an odometer over coefficient tuples
+in lexicographic order.  Each step applies one precomputed row change to
+a running combination, so no vector is built per tuple.  Receiver margins
+and `code_min_distance` both run on it.
+
+GF(2) data additionally runs on packed machine words (bit j = coordinate
+j) inside `mat_rank` and `lightest_combination`, where an odometer step is
+one XOR and a weight is one `bit_count`.  The packed and generic paths are
+interchangeable and are compared against each other in the test suite.
 """
 
 from __future__ import annotations
@@ -262,10 +270,6 @@ class FVector:
         self._check(other)
         f = self.field
         return FVector(f, tuple(f.sub(a, b) for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, c: int) -> FVector:
-        mul = self.field._mul
-        return FVector(self.field, tuple(mul[c][a] for a in self.entries))
 
     def dot(self, other: FVector) -> int:
         self._check(other)
@@ -582,56 +586,110 @@ def coset_leader(H: FMatrix, s: FVector, weight_cap: int) -> FVector:
     raise WeightCapExceeded(f"no solution of weight <= {weight_cap}")
 
 
-def _min_distance_gf2(basis_masks: list[int]) -> int:
-    """Minimum weight over the nonzero GF(2) span, by Gray-code enumeration."""
-    k = len(basis_masks)
-    word = 0
-    best = None
-    gray_prev = 0
-    for i in range(1, 1 << k):
-        gray = i ^ (i >> 1)
-        word ^= basis_masks[(gray ^ gray_prev).bit_length() - 1]
-        gray_prev = gray
-        w = word.bit_count()
-        if best is None or w < best:
-            best = w
-            if best == 1:
-                break
-    return best
+def _lightest_gf2(target: Sequence[int], rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(weight, index) of the lightest combination over GF(2), on packed
+    words: stepping from index i-1 to i flips the trailing run of digits,
+    which is one XOR with a precomputed suffix sum of the rows."""
+    combo = _pack_bits(target)
+    best_w, best_i = combo.bit_count(), 0
+    suffix = []
+    acc = 0
+    for row in reversed(rows):
+        acc ^= _pack_bits(row)
+        suffix.append(acc)
+    if best_w:
+        for i in range(1, 1 << len(rows)):
+            combo ^= suffix[(i & -i).bit_length() - 1]
+            w = combo.bit_count()
+            if w < best_w:
+                best_w, best_i = w, i
+                if not w:
+                    break
+    return best_w, best_i
+
+
+def _lightest_generic(
+    field: Field, target: Sequence[int], rows: Sequence[Sequence[int]]
+) -> tuple[int, int]:
+    """(weight, index) of the lightest combination over any GF(q), updating
+    one list in place.  Stepping from index i-1 to i wraps the trailing t
+    digits from q-1 to 0 (adding back (q-1)*r_j for each) and raises digit
+    k-1-t from c to c+1 (adding c*r_j - (c+1)*r_j); `steps[t][c]` holds that
+    whole change as sparse (position, value) pairs."""
+    q, k = field.q, len(rows)
+    add, mul, neg = field._add, field._mul, field._neg
+    combo = list(target)
+    weight = sum(1 for x in combo if x)
+    best_w, best_i = weight, 0
+    steps = []
+    wrapped = [0] * len(combo)
+    for row in reversed(rows):
+        per_digit = []
+        for c in range(q - 1):
+            change = [
+                add[w][add[mul[c][x]][neg[mul[c + 1][x]]]] for w, x in zip(wrapped, row)
+            ]
+            per_digit.append([(pos, v) for pos, v in enumerate(change) if v])
+        steps.append(per_digit)
+        wrapped = [add[w][mul[q - 1][x]] for w, x in zip(wrapped, row)]
+    if best_w:
+        for i in range(1, q**k):
+            t, rest = 0, i
+            while not rest % q:
+                rest //= q
+                t += 1
+            for pos, v in steps[t][rest % q - 1]:
+                old = combo[pos]
+                new = combo[pos] = add[old][v]
+                weight += (new != 0) - (old != 0)
+            if weight < best_w:
+                best_w, best_i = weight, i
+                if not weight:
+                    break
+    return best_w, best_i
+
+
+def lightest_combination(
+    field: Field, target_row: Sequence[int], rows: Sequence[Sequence[int]]
+) -> tuple[int, tuple[int, ...]]:
+    """Least weight of target_row - sum_j c_j * rows[j], with the coefficient
+    tuple c that first attains it.
+
+    Coefficient tuples are walked in lexicographic order (the last one
+    varies fastest) by an odometer whose every step is one precomputed row
+    change; a tuple replaces the best only when strictly lighter, and the
+    walk stops at weight 0.  Visits up to q^len(rows) tuples; the caller
+    bounds that.
+    """
+    q, k = field.q, len(rows)
+    if q == 2:
+        weight, index = _lightest_gf2(target_row, rows)
+    else:
+        weight, index = _lightest_generic(field, target_row, rows)
+    return weight, tuple(index // q ** (k - 1 - j) % q for j in range(k))
 
 
 def code_min_distance(G: FMatrix, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Minimum weight of a nonzero codeword in the row space of G.
 
-    Enumerates the q^rank(G) codewords; requires rank >= 1 and raises
-    BudgetExceeded when the enumeration would exceed `budget` vectors.
+    Every nonzero codeword is a nonzero multiple of one whose first nonzero
+    coefficient over the reduced basis is 1, and scaling keeps the weight,
+    so it suffices to take the lightest basis_j + span(basis_{j+1:}) over
+    j: (q^k - 1)/(q - 1) words for k = rank(G).  Requires rank >= 1 and
+    raises BudgetExceeded when q^k exceeds `budget`.
     """
     field = G.field
-    basis = row_basis(G)
-    k = basis.nrows
+    basis = row_basis(G).rows
+    k = len(basis)
     if k == 0:
         raise ValueError("zero code has no minimum distance")
     if field.q ** k > budget:
         raise BudgetExceeded(f"{field.q}^{k} codewords exceed enumeration budget {budget}")
-    if field.q == 2:
-        return _min_distance_gf2([_pack_bits(r) for r in basis.rows])
-    add, mul = field._add, field._mul
-    N = basis.ncols
-    best = None
-    for coeffs in itertools.product(field.elements(), repeat=k):
-        if not any(coeffs):
-            continue
-        acc = [0] * N
-        for c, row in zip(coeffs, basis.rows):
-            if c:
-                for j, v in enumerate(row):
-                    if v:
-                        acc[j] = add[acc[j]][mul[c][v]]
-        w = sum(1 for x in acc if x)
-        if best is None or w < best:
-            best = w
-            if best == 1:
-                break
+    best = G.ncols
+    for j in range(k):
+        best = min(best, lightest_combination(field, basis[j], basis[j + 1 :])[0])
+        if best == 1:
+            break
     return best
 
 

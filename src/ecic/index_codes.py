@@ -24,6 +24,7 @@ from .field_linalg import (
     Field,
     FMatrix,
     FVector,
+    lightest_combination,
     mat_rank,
     solve_linear,
 )
@@ -72,21 +73,7 @@ def _margin_with_minimizer(
         raise BudgetExceeded(
             f"receiver {i + 1} span needs {field.q}^{len(free)} combinations"
         )
-    target = L.row(inst.demands[i])
-    best_w: Optional[int] = None
-    best_coeffs: tuple[int, ...] = ()
-    rows = [L.row(j) for j in free]
-    for coeffs in itertools.product(field.elements(), repeat=len(free)):
-        combo = target
-        for c, row in zip(coeffs, rows):
-            if c:
-                combo = combo.sub(row.scale(c))
-        w = combo.weight()
-        if best_w is None or w < best_w:
-            best_w, best_coeffs = w, coeffs
-            if w == 0:
-                break
-    return best_w, best_coeffs
+    return lightest_combination(field, L.rows[inst.demands[i]], [L.rows[j] for j in free])
 
 
 def receiver_margin(

@@ -294,17 +294,19 @@ class ErrorVectorStream:
 
     Duplicates (vectors confusable for several receivers) are suppressed
     with a packed-integer visited set when q^n fits in 64 bits; otherwise
-    the stream may repeat vectors and `duplicates_possible` is True.
+    the stream may repeat vectors and `duplicates_possible` is True.  The
+    sum over receivers of (q-1) * q^|complement| bounds both the vectors
+    yielded and the visited set, and BudgetExceeded is raised up front
+    when it exceeds `budget`.
     """
 
     def __init__(self, inst: IcsiInstance, field: Field, budget: int = DEFAULT_ENUM_BUDGET):
         self.duplicates_possible = field.q ** inst.num_messages > 1 << 64
-        for i in range(inst.num_receivers):
-            count = (field.q - 1) * field.q ** len(inst.complement(i))
-            if count > budget:
-                raise BudgetExceeded(
-                    f"receiver {i + 1} contributes {count} vectors, over budget {budget}"
-                )
+        total = sum(
+            (field.q - 1) * field.q ** len(inst.complement(i)) for i in range(inst.num_receivers)
+        )
+        if total > budget:
+            raise BudgetExceeded(f"receivers contribute {total} vectors, over budget {budget}")
         self._iter = self._generate(inst, field)
 
     @staticmethod

@@ -268,3 +268,23 @@ def test_random_construct_without_trials_exits_two(capsys, trials):
     )
     assert code == 2
     assert out == "" and "trials" in err
+
+
+def test_jobs_do_not_change_what_a_budget_proves(capsys):
+    """Pentagon q=2 delta=2 spends 112108 nodes proving N=8 infeasible and
+    170385 finding the N=9 witness; budgets on either side of each must
+    give the serial answer with --jobs 2 too."""
+    outcomes = set()
+    for budget in (100000, 112108, 170384, 170385):
+        argv = (
+            "search", "--instance", "pentagon", "--q", "2", "--delta", "2",
+            "--node-budget", str(budget),
+        )
+        serial = run(capsys, *argv)
+        assert run(capsys, *argv, "--jobs", "2") == serial, budget
+        outcomes.add((serial[0], serial[2]))
+    assert outcomes == {
+        (3, "budget exhausted: budget exhausted at length 8; infeasible below 8, feasible at 10\n"),
+        (3, "budget exhausted: budget exhausted at length 9; infeasible below 9, feasible at 10\n"),
+        (0, ""),
+    }

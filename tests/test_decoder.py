@@ -18,7 +18,7 @@ from ecic import (
     simulate_round,
     verify_ecic,
 )
-from ecic.errors import BudgetExceeded, WeightCapExceeded
+from ecic.errors import BudgetExceeded, InternalContradiction, WeightCapExceeded
 
 from helpers import F2, example1_code, pentagon_code, random_instance, random_matrix
 
@@ -98,6 +98,41 @@ def test_beyond_radius_can_be_wrong_but_is_flagged():
     assert ce.kind == "wrong-output"
     out = simulate_round(example1_code(), ce.x, ce.error, delta=2)[ce.receiver]
     assert out.success is False
+
+
+def _decode_or_cap(dec, received, side, cap):
+    try:
+        return decode(dec, received, side, cap, truth=1)
+    except WeightCapExceeded as exc:
+        return str(exc)
+
+
+def test_leader_memo_answers_every_cap_order_like_a_fresh_decoder():
+    code = pentagon_code()
+    dec = build_receiver_decoder(code, 0)
+    x = FVector(F2, (1, 0, 1, 1, 0))
+    y = encode(code, x).add(FVector(F2, (1, 0, 0, 0, 0, 0, 0, 1, 0)))
+    side = [x.entries[j] for j in sorted(code.inst.side_info[0])]
+    seen = []
+    for cap in (9, 0, 2, 1, 9):
+        got = _decode_or_cap(dec, y, side, cap)
+        assert got == _decode_or_cap(build_receiver_decoder(code, 0), y, side, cap), cap
+        seen.append(got if isinstance(got, str) else got.estimate_weight)
+    assert seen == [2, "no solution of weight <= 0", 2, "no solution of weight <= 1", 2]
+
+
+def test_demand_in_complement_span_raises_contradiction():
+    # receiver 1 demands row 0, which equals complement row 1
+    code = LinearIndexCode(no_side_info(2), F2, FMatrix(F2, ((1, 0, 1), (1, 0, 1)), 3))
+    dec = build_receiver_decoder(code, 0)
+    assert dec.demand_functional is None
+    received = FVector(F2, (1, 1, 0))
+    with pytest.raises(InternalContradiction, match="not uniquely determined"):
+        decode(dec, received, (), weight_cap=3)
+    with pytest.raises(InternalContradiction, match="not uniquely determined"):
+        recover_demand(dec, received, (), FVector(F2, (0, 1, 1)))
+    with pytest.raises(WeightCapExceeded):  # the cap is checked first, as before
+        decode(dec, received, (), weight_cap=0)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,13 @@ def test_error_vector_budget():
         list(enumerate_error_vectors(no_side_info(8), F3, budget=100))
 
 
+def test_error_vector_budget_is_total_over_receivers():
+    # each of the 4 receivers contributes 2^3 = 8 vectors; together 32
+    with pytest.raises(BudgetExceeded):
+        enumerate_error_vectors(no_side_info(4), F2, budget=31)
+    assert len(list(enumerate_error_vectors(no_side_info(4), F2, budget=32))) == 15
+
+
 def test_instance_validation():
     with pytest.raises(DemandInSideInfo):
         IcsiInstance(1, 2, (0,), (frozenset({0}),))
