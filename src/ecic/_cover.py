@@ -7,11 +7,24 @@ least quotas[t] of the chosen columns.  Columns are enumerated in
 non-decreasing class order, so every multiset is visited exactly once.
 
 Per-target hit counts and quotas are packed eight bits per target into big
-integers; the prune test ("some target cannot reach its quota even if every
-remaining pick hits it, counting only classes still allowed") is a single
-SWAR comparison.  Counts, quotas and prune bounds never exceed the multiset
-size, so that size is capped at 120 to keep every packed byte below 128,
-where the byte-wise less-than trick is exact.
+integers; the per-target prune ("some target cannot reach its quota even if
+every remaining pick hits it, counting only classes still allowed") is a
+single SWAR comparison.  Counts, quotas and prune bounds never exceed the
+multiset size, so that size is capped at 120 to keep every packed byte below
+128, where the byte-wise comparison is exact.
+
+Deficit bound: the deficit D = sum_t max(0, quota_t - hits_t) is carried
+down the search, exactly (a pick lowers it by the number of still-short
+targets it hits), so D = 0 is the satisfaction test.  A pick of a class with
+hit set H lowers D by at most |H|, and visit order sorts classes by
+non-increasing |H|, so a node with r picks left whose picks may start at
+class s is infeasible when D > r * |H_s|.  Every child is tested this way
+(with the per-target prune) in its parent's loop before any recursion, and
+the sibling loop stops at the first class where the parent's D exceeds r
+times its size, since every later sibling fails too; those siblings are not
+counted as nodes.  First picks are always counted.  The bound removes only
+subtrees that hold no feasible multiset, so the first feasible multiset in
+visit order, and with it the witness, is the one an unpruned scan returns.
 
 Symmetry: when a group of class permutations maps hit sets onto hit sets
 (under a matching permutation of targets with equal quotas), a multiset is
@@ -148,9 +161,13 @@ class _Kernel:
     ):
         self.order = _visit_order(hit_sets)
         self.adds = [_packed(sorted(hit_sets[c])) for c in self.order]
+        # non-increasing along visit order, so a deficit bound at one class
+        # holds for every later one
+        self.sizes = [len(hit_sets[c]) for c in self.order]
         self.size = size
         self.high = _packed(range(len(quotas))) << (_WIDTH - 1)
         self.thresh_low = sum(need << (_WIDTH * t) for t, need in enumerate(quotas))
+        self.deficit = sum(quotas)
         # live_low[s]: packed 1 per target hit by some class with index >= s
         self.live_low = [0] * (len(self.order) + 1)
         alive: set[int] = set()
@@ -169,42 +186,50 @@ class _Kernel:
         """Exhaust all multisets whose smallest class index (in visit order)
         lies in [first_lo, first_hi), skipping first picks that are not
         orbit representatives."""
-        adds, live_low, first_ok = self.adds, self.live_low, self.first_ok
+        adds, live_low, sizes = self.adds, self.live_low, self.sizes
         high, thresh_low = self.high, self.thresh_low
         nodes = 0
         path: list[int] = []
 
-        def dfs(start: int, rem: int, cnt: int) -> bool:
+        def dfs(picks: Iterable[int], rem: int, cnt: int, deficit: int, cut: bool = True) -> bool:
+            """Try each class of `picks` as the next of `rem` picks below a
+            node with hit counts `cnt` that passed every check.  With `cut`,
+            stop at the first class from which no `rem` picks close the
+            deficit."""
             nonlocal nodes
-            if not ((cnt - thresh_low) & ~cnt & high):
-                path.extend([path[-1]] * rem)
-                return True
-            if rem == 0:
-                return False
-            # bound: every remaining pick hits each still-coverable target
-            ub = cnt + rem * live_low[start]
-            if (ub - thresh_low) & ~ub & high:
-                return False
-            for c in range(start, len(adds)):
+            # (cnt | high) - thresh_low never borrows across bytes, so this
+            # marks exactly the targets still short of their quota.
+            short_low = (high ^ (((cnt | high) - thresh_low) & high)) >> (_WIDTH - 1)
+            below = rem - 1  # picks left under a child
+            for c in picks:
+                if cut and deficit > rem * sizes[c]:
+                    break
                 nodes += 1
                 if nodes > node_budget:
                     raise BudgetExceeded("cover search node budget exhausted", nodes=nodes)
+                left = deficit - (short_low & adds[c]).bit_count()
+                if not left:
+                    path.extend([c] * rem)
+                    return True
+                if left > below * sizes[c]:  # every leaf too, since left > 0
+                    continue
+                # bound: every remaining pick hits each still-coverable target
+                child = cnt + adds[c]
+                ub = child + below * live_low[c]
+                if ((ub | high) - thresh_low) & high != high:
+                    continue
                 path.append(c)
-                if dfs(c, rem - 1, cnt + adds[c]):
+                if dfs(range(c, len(adds)), below, child, left):
                     return True
                 path.pop()
             return False
 
-        for c0 in range(first_lo, min(first_hi, len(adds))):
-            if not first_ok[c0]:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceeded("cover search node budget exhausted", nodes=nodes)
-            path.append(c0)
-            if dfs(c0, self.size - 1, adds[c0]):
-                return True, path, nodes
-            path.pop()
+        # The root is not cut: every orbit-representative first pick counts as
+        # a node, so orbit pruning shows in the count even where the bound
+        # refutes the whole scan.
+        firsts = [c for c in range(first_lo, min(first_hi, len(adds))) if self.first_ok[c]]
+        if dfs(firsts, self.size, 0, self.deficit, cut=False):
+            return True, path, nodes
         return False, [], nodes
 
 

@@ -4,7 +4,8 @@ Subcommands: validate, params, bounds, verify, radius, search, construct,
 simulate, check.  Every subcommand emits either a single JSON document
 (--format json) or aligned text (--format text) on stdout; diagnostics go
 to stderr.  Exit codes: 0 success or PASS, 1 a verified negative answer
-(FAIL verdicts, no radius), 2 input error, 3 budget exhausted.
+(FAIL verdicts, no radius), 2 input error, 3 budget exhausted or size
+cap exceeded (told apart on stderr).
 
 Identical invocations (including seeds and budgets) produce byte-identical
 JSON; to that end timing never appears in JSON output, only in text.
@@ -115,7 +116,7 @@ def _cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
     code = _build_code(inst, _load_matrix(args.matrix), args.q)
     verdict = index_codes.verify_ecic(code, args.delta, args.enum_budget)
-    radius = index_codes.correction_radius(code, args.enum_budget)
+    radius = index_codes.radius_from_margins(verdict.margins, code.length)
     doc = {
         "delta": args.delta,
         "ok": verdict.ok,
@@ -135,8 +136,9 @@ def _cmd_verify(args) -> int:
 def _cmd_radius(args) -> int:
     inst = _load_instance(args.instance)
     code = _build_code(inst, _load_matrix(args.matrix), args.q)
-    radius = index_codes.correction_radius(code, args.enum_budget)
-    doc = {"radius": radius, "margins": list(index_codes.margins(code, args.enum_budget))}
+    vals = index_codes.margins(code, args.enum_budget)
+    radius = index_codes.radius_from_margins(vals, code.length)
+    doc = {"radius": radius, "margins": list(vals)}
     text = "not an index code" if radius is None else f"radius: {radius}"
     _emit(doc, args.format, text)
     return EXIT_PASS if radius is not None else EXIT_FAIL
@@ -380,7 +382,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceeded, CapExceeded, UnknownCodeLength) as exc:
+    except CapExceeded as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except (BudgetExceeded, UnknownCodeLength) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (EcicError, OSError, ValueError) as exc:

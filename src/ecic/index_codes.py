@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, CapExceeded, IndexOutOfRange, LengthMismatch
 from .field_linalg import (
@@ -170,9 +170,13 @@ def correction_radius(
 
     Returns None when some margin is zero, i.e. the matrix is not an index
     code for the instance at all."""
-    vals = margins(code, enum_budget)
+    return radius_from_margins(margins(code, enum_budget), code.length)
+
+
+def radius_from_margins(vals: Sequence[int], length: int) -> Optional[int]:
+    """`correction_radius` of a code of this length with these margins."""
     if not vals:
-        return code.length  # no receivers: every cap up to the length works
+        return length  # no receivers: every cap up to the length works
     m = min(vals)
     if m == 0:
         return None

@@ -5,7 +5,7 @@ import pytest
 from ecic.cli import main
 
 from helpers import example1_matrix, pentagon_matrix
-from ecic import format_matrix
+from ecic import builtin_instance, exists_ecic, format_matrix, index_codes, make_field
 
 
 @pytest.fixture()
@@ -70,6 +70,26 @@ def test_verify_pass_and_fail(capsys, pentagon_file, example1_file):
     assert doc["ok"] is False and doc["certificate"] == [1, 0, 0]
 
 
+@pytest.mark.parametrize("command, delta", [("verify", "2"), ("verify", "3"), ("radius", None)])
+def test_one_margin_pass_per_call(capsys, monkeypatch, pentagon_file, command, delta):
+    real = index_codes._margins_with_minimizers
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(index_codes, "_margins_with_minimizers", counted)
+    argv = [command, "--instance", "pentagon", "--matrix", pentagon_file]
+    if delta is not None:
+        argv += ["--delta", delta]
+    code, out, _ = run(capsys, *argv)
+    assert len(passes) == 1
+    doc = json.loads(out)
+    assert doc["radius"] == 2 and doc["margins"] == [5, 5, 5, 5, 5]
+    assert code == (1 if delta == "3" else 0)
+
+
 def test_radius(capsys, example1_file):
     code, out, _ = run(
         capsys, "radius", "--instance", "example1", "--matrix", example1_file
@@ -112,6 +132,13 @@ def test_search_budget_exit(capsys):
     )
     assert code == 3
     assert "budget" in err
+
+
+def test_cap_exit_is_not_a_budget(capsys):
+    code, out, err = run(capsys, "bounds", "--instance", "pentagon", "--q", "8192", "--delta", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "cap exceeded: field order 8192 exceeds cap 256\n"
 
 
 def test_construct_strategies(capsys):
@@ -271,11 +298,14 @@ def test_random_construct_without_trials_exits_two(capsys, trials):
 
 
 def test_jobs_do_not_change_what_a_budget_proves(capsys):
-    """Pentagon q=2 delta=2 spends 112108 nodes proving N=8 infeasible and
-    170385 finding the N=9 witness; budgets on either side of each must
-    give the serial answer with --jobs 2 too."""
+    """Budgets just below and at the cost of the pentagon q=2 delta=2 N=8
+    proof and N=9 witness must give the serial answer with --jobs 2 too."""
+    inst, field = builtin_instance("pentagon"), make_field(2)
+    proof = exists_ecic(inst, field, 2, 8).nodes
+    witness = exists_ecic(inst, field, 2, 9).nodes
+    assert proof < witness - 1
     outcomes = set()
-    for budget in (100000, 112108, 170384, 170385):
+    for budget in (proof - 1, proof, witness - 1, witness):
         argv = (
             "search", "--instance", "pentagon", "--q", "2", "--delta", "2",
             "--node-budget", str(budget),
