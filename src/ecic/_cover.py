@@ -35,13 +35,17 @@ g maps c0 to an earlier class, the feasible image g(M) has a smaller first
 pick, so the earliest first pick whose subtree holds a feasible multiset is
 always an orbit representative.  For the same reason the witness returned
 is the one the unpruned scan returns.
+
+`local_cover_search` is the heuristic beside this exhaustive kernel: a
+tabu search on the same packed counts and deficit that finds witnesses
+fast and proves nothing when it misses.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, CapExceeded
 from .field_linalg import Field, FMatrix
@@ -275,7 +279,8 @@ def multiset_cover_search(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     need = max(quotas, default=0)
     if need <= 0:
-        return CoverResult(True, _trivial_fill(hit_sets, size), 0)
+        fill = _trivial_fill(hit_sets, size)
+        return CoverResult(fill is not None, fill, 0)
     if size > _MAX_SIZE:
         raise CapExceeded(f"multiset size {size} exceeds packed-count cap {_MAX_SIZE}")
     if need > size:
@@ -330,3 +335,101 @@ def _trivial_fill(hit_sets: Sequence, size: int) -> tuple[int, ...] | None:
     if not hit_sets:
         return None
     return (0,) * size
+
+
+# ---------------------------------------------------------------------------
+# local search
+
+_TABU_TENURE = 7
+
+
+def _draw(stream: Iterator[int], n: int) -> int:
+    """An index below n from two stream bytes (0..255 each); near uniform
+    for the move lists the local search draws from."""
+    if n == 1:
+        return 0
+    return ((next(stream) << 8) | next(stream)) % n
+
+
+def local_cover_search(
+    hit_sets: Sequence[frozenset[int] | set[int]],
+    quotas: Sequence[int],
+    size: int,
+    iterations: int,
+    stream: Iterator[int],
+) -> tuple[tuple[int, ...] | None, int]:
+    """Tabu search for a size-`size` multiset of classes meeting every
+    quota, as in covering-code constructions (Östergård 1997).  Returns
+    (classes, moves made); classes is None when `iterations` moves found
+    none.  A heuristic: a miss proves nothing, which is what
+    `multiset_cover_search` is for.
+
+    The state is a multiset with its packed hit counts, and the cost is the
+    total deficit D of the exhaustive kernel.  A move swaps one picked
+    class a for a class b.  With the targets still short of their quota
+    and those exactly at it as bitsets, D' = D + |H_a & (short | exact)|
+    - |H_b & (short | (H_a & exact))|.  Each move is a best one among those
+    whose b was not swapped out in the last _TABU_TENURE moves, or that
+    reaches D' = 0.  The start is greedy (each pick hits the most
+    still-short targets).  Ties are broken by `stream`, an iterator of
+    bytes 0..255, so a run is determined by it.
+    """
+    need = max(quotas, default=0)
+    if need <= 0:
+        return _trivial_fill(hit_sets, size), 0
+    if need > size or size > _MAX_SIZE or not hit_sets:
+        return None, 0
+    adds = [_packed(sorted(h)) for h in hit_sets]
+    high = _packed(range(len(quotas))) << (_WIDTH - 1)
+    thresh = sum(need << (_WIDTH * t) for t, need in enumerate(quotas))
+    ones = high >> (_WIDTH - 1)
+
+    def below(cnt: int, limit: int) -> int:
+        """Packed 1 per target whose count is below its packed limit."""
+        return (high ^ (((cnt | high) - limit) & high)) >> (_WIDTH - 1)
+
+    picks: list[int] = []
+    cnt, deficit = 0, sum(quotas)
+    for _ in range(size):
+        short = below(cnt, thresh)
+        gains = [(h & short).bit_count() for h in adds]
+        top = max(gains)
+        best = [c for c, g in enumerate(gains) if g == top]
+        c = best[_draw(stream, len(best))]
+        picks.append(c)
+        cnt += adds[c]
+        deficit -= top
+    removed: list[int] = []  # the class each move took out, in order
+    for it in range(1, iterations + 1):
+        if not deficit:
+            return tuple(sorted(picks)), it - 1
+        short = below(cnt, thresh)
+        at_most = below(cnt, thresh + ones)  # short or exactly at quota
+        tabu = set(removed[-_TABU_TENURE:])
+        best_cost = None
+        moves: list[tuple[int, int]] = []
+        for a in sorted(set(picks)):
+            lost = adds[a] & at_most
+            base = deficit + lost.bit_count()  # D after taking a out
+            open_ = short | lost
+            gains = [(h & open_).bit_count() for h in adds]
+            gains[a] = -1
+            for b in tabu:
+                if gains[b] != base:  # a tabu move must reach D' = 0
+                    gains[b] = -1
+            top = max(gains)
+            if top < 0 or (best_cost is not None and base - top > best_cost):
+                continue
+            if best_cost is None or base - top < best_cost:
+                best_cost, moves = base - top, []
+            moves += [(a, b) for b, g in enumerate(gains) if g == top]
+        if not moves:
+            break
+        a, b = moves[_draw(stream, len(moves))]
+        picks[picks.index(a)] = b
+        cnt += adds[b] - adds[a]
+        deficit = best_cost
+        removed.append(a)
+    if not deficit:
+        return tuple(sorted(picks)), iterations
+    return None, iterations

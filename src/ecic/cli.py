@@ -147,21 +147,35 @@ def _cmd_radius(args) -> int:
 def _cmd_search(args) -> int:
     inst = _load_instance(args.instance)
     field = make_field(args.q)
-    outcome = construct_search.optimal_length_search(
-        inst, field, args.delta,
-        node_budget=args.node_budget, jobs=args.jobs, enum_budget=args.enum_budget,
-    )
+    try:
+        outcome = construct_search.optimal_length_search(
+            inst, field, args.delta,
+            node_budget=args.node_budget, jobs=args.jobs, enum_budget=args.enum_budget,
+        )
+    except BudgetExceeded as exc:
+        if exc.feasible_at is not None:  # the scan's bracket, as data
+            doc = {
+                "status": "budget",
+                "infeasible_below": exc.infeasible_below,
+                "feasible_at": exc.feasible_at,
+                "nodes": exc.nodes,
+            }
+            _emit(doc, args.format, f"optimum in [{exc.infeasible_below}, {exc.feasible_at}]")
+        raise
+    stats = outcome.stats
     doc = {
         "optimal_length": outcome.optimal_length,
         "infeasible_below": outcome.infeasible_below,
         "witness": format_matrix(outcome.witness.matrix),
-        "nodes": outcome.stats.nodes,
-        "node_budget": outcome.stats.node_budget,
+        "nodes": stats.nodes,
+        "node_budget": stats.node_budget,
+        "local_iterations": stats.local_iterations,
     }
     text = (
         f"optimal length: {outcome.optimal_length}\n"
         f"infeasible through: {outcome.infeasible_below}\n"
-        f"nodes: {outcome.stats.nodes}  wall: {outcome.stats.wall_seconds:.2f}s\n"
+        f"nodes: {stats.nodes}  local search moves: {stats.local_iterations}  "
+        f"wall: {stats.wall_seconds:.2f}s\n"
         f"witness:\n{format_matrix(outcome.witness.matrix)}"
     )
     _emit(doc, args.format, text)

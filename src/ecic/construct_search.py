@@ -6,8 +6,9 @@ distance-(2*delta+1) outer code, extended Reed-Solomon generators for the
 MDS regime, and seeded random sampling.  The exact search reduces the
 candidate space to multisets of projective column classes -- the
 verification predicate only sees columns up to order and nonzero scaling
--- and exhausts them with quota pruning, walking candidate lengths upward
-from the best lower bound until the first feasible length.
+-- and walks candidate lengths down from the concatenation bound: a tabu
+search supplies witnesses, and exhaustion with quota pruning supplies the
+one proof below the shortest of them.
 """
 
 from __future__ import annotations
@@ -19,17 +20,29 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ._cover import (
+    _MAX_SIZE,
     canonical_class,
     class_hit_sets,
     class_orbits,
     class_permutation,
     classes_matrix,
+    local_cover_search,
     multiset_cover_search,
     projective_classes,
 )
-from .bounds import DEFAULT_NODE_BUDGET, _griesmer_length, alpha_bound, kappa_bound, singleton_bound
+# alpha_bound, kappa_bound and singleton_bound are no longer called here, but
+# bench/tracing.py wraps them under this module's names
+from .bounds import (  # noqa: F401
+    DEFAULT_NODE_BUDGET,
+    _griesmer_length,
+    alpha_bound,
+    kappa_bound,
+    shortest_code_length,
+    singleton_bound,
+)
 from .errors import (
     BudgetExceeded,
+    CapExceeded,
     InternalContradiction,
     InvalidInnerIC,
     LengthMismatch,
@@ -206,6 +219,19 @@ class ExistsResult:
     nodes: int
 
 
+@dataclass(frozen=True)
+class _Analysis:
+    """What the exact search needs from one (instance, q), whatever delta
+    and length: the confusable vectors up to scaling (the targets), the
+    projective column classes, the targets each column class hits, and the
+    class orbits under the instance's automorphisms."""
+
+    targets: list[tuple[int, ...]]
+    columns: list[tuple[int, ...]]
+    hit_sets: list[frozenset[int]]
+    orbits: list[int]
+
+
 def _confusable_classes(inst: IcsiInstance, field: Field, enum_budget: int) -> list[tuple[int, ...]]:
     """The instance's confusable vectors reduced to projective classes,
     sorted for determinism."""
@@ -213,6 +239,30 @@ def _confusable_classes(inst: IcsiInstance, field: Field, enum_budget: int) -> l
     for z in enumerate_error_vectors(inst, field, enum_budget):
         seen.add(canonical_class(z.entries, field))
     return sorted(seen)
+
+
+def _analyse(inst: IcsiInstance, field: Field, enum_budget: int) -> _Analysis:
+    targets = _confusable_classes(inst, field, enum_budget)
+    if not targets:  # no receivers: every matrix works, columns are moot
+        return _Analysis(targets, [], [], [])
+    columns = projective_classes(field, inst.num_messages)
+    gens, _ = automorphisms(inst)
+    orbits = class_orbits(len(columns), (class_permutation(field, columns, g) for g in gens))
+    return _Analysis(targets, columns, class_hit_sets(field, columns, targets), orbits)
+
+
+def _verified(
+    inst: IcsiInstance, field: Field, delta: int, an: _Analysis, classes: tuple[int, ...],
+    enum_budget: int,
+) -> LinearIndexCode:
+    """The code whose columns are the picked classes, re-verified through
+    the margin route."""
+    code = LinearIndexCode(
+        inst, field, classes_matrix(field, an.columns, classes, inst.num_messages)
+    )
+    if not verify_ecic(code, delta, enum_budget).ok:
+        raise InternalContradiction("search witness failed margin verification")
+    return code
 
 
 def exists_ecic(
@@ -224,6 +274,8 @@ def exists_ecic(
     jobs: int = 1,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
     symmetry_breaking: bool = True,
+    *,
+    _analysis: Optional[_Analysis] = None,
 ) -> ExistsResult:
     """Exhaustively decide whether any n x length matrix corrects delta
     errors for the instance.
@@ -239,39 +291,36 @@ def exists_ecic(
     but neither the answer nor the witness.  An infeasible answer is a
     proof by exhaustion; BudgetExceeded means unknown, never infeasible.
     A returned witness has been re-verified through the margin route.
+    `_analysis` passes in the (instance, q) analysis a length scan shares.
     """
     _check_delta(delta)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if length < 0:
         raise LengthMismatch("length must be nonnegative")
-    n = inst.num_messages
-    zs = _confusable_classes(inst, field, enum_budget)
-    if not zs:
-        witness = LinearIndexCode(inst, field, FMatrix.zero(field, n, length))
+    an = _analysis or _analyse(inst, field, enum_budget)
+    if not an.targets:
+        witness = LinearIndexCode(inst, field, FMatrix.zero(field, inst.num_messages, length))
         return ExistsResult(True, witness, 0)
-    columns = projective_classes(field, n)
-    orbits = None
-    if symmetry_breaking:
-        gens, _ = automorphisms(inst)
-        orbits = class_orbits(len(columns), (class_permutation(field, columns, g) for g in gens))
     res = multiset_cover_search(
-        class_hit_sets(field, columns, zs), [2 * delta + 1] * len(zs), length, node_budget,
-        jobs, orbits,
+        an.hit_sets, [2 * delta + 1] * len(an.targets), length, node_budget,
+        jobs, an.orbits if symmetry_breaking else None,
     )
     if not res.found:
         return ExistsResult(False, None, res.nodes)
-    code = LinearIndexCode(inst, field, classes_matrix(field, columns, res.classes, n))
-    if not verify_ecic(code, delta, enum_budget).ok:
-        raise InternalContradiction("search witness failed margin verification")
-    return ExistsResult(True, code, res.nodes)
+    return ExistsResult(True, _verified(inst, field, delta, an, res.classes, enum_budget), res.nodes)
+
+
+# tabu moves tried per length before the exhaustive search takes over
+LOCAL_SEARCH_ITERATIONS = 128
 
 
 @dataclass(frozen=True)
 class SearchStats:
-    nodes: int
+    nodes: int  # exhaustive cover-search nodes, summed over the lengths
     wall_seconds: float
     node_budget: int
+    local_iterations: int  # tabu moves, summed over the lengths
 
 
 @dataclass(frozen=True)
@@ -298,47 +347,88 @@ def optimal_length_search(
 ) -> SearchOutcome:
     """Exact optimal code length for (instance, field, delta).
 
-    Scans lengths upward from the best lower bound, exhausting each until
-    the first feasible one; the concatenation bound caps the scan, so
-    termination is guaranteed.  When the alpha or kappa bound is not
-    settled within the node budget, the scan falls back to bounds that need
-    no search: the Griesmer bound at alpha below, and kappa * (2*delta + 1)
-    above (the outer code that repeats each identity column).  On budget
-    exhaustion the raised error carries the bracket explored so far.
+    Feasibility is monotone in the length (an added column lowers no
+    weight), so the optimum needs one witness and one proof.  The scan
+    walks down from the concatenation bound (or from the cover search's
+    cap, if that is lower).  At each length a seeded tabu search
+    (`local_cover_search`, LOCAL_SEARCH_ITERATIONS moves) looks for a
+    witness, which is re-verified.  Where it finds none, `exists_ecic`
+    decides the length exhaustively: infeasible ends the scan one length
+    above, and feasible gives the next witness.  Reaching the best lower
+    bound ends it too, since every shorter length is ruled out.  When the
+    alpha or kappa bound is not settled within the node budget, the scan
+    falls back to bounds that need no search: the Griesmer bound at alpha
+    below, and kappa * (2*delta + 1) above (the outer code that repeats
+    each identity column).  The node budget is shared by the whole scan.
+    On its exhaustion the raised error carries the bracket proved so far:
+    every length below `infeasible_below` is infeasible, and `feasible_at`
+    has a verified witness (or is the concatenation bound).
     """
     _check_delta(delta)
+    if jobs < 1:  # checked here too, since the scan may never reach exists_ecic
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     started = time.perf_counter()
     d = 2 * delta + 1
+    alpha = generalized_independence_number(inst)[0]
+    kappa = min_rank(inst, field, budget_exponent).kappa
+    shortest: dict[int, Optional[int]] = {}  # N_q[k, d]; None if the budget does not settle it
+    for k in sorted({alpha, kappa}):
+        try:
+            shortest[k] = shortest_code_length(field.q, k, d, node_budget=node_budget)
+        except UnknownCodeLength:
+            shortest[k] = None
+    a_bound = shortest[alpha]
+    if a_bound is None:
+        a_bound = _griesmer_length(field.q, alpha, d)
+    lower = max(a_bound, kappa + 2 * delta if inst.num_receivers else 0)
+    upper = shortest[kappa]
+    if upper is None:
+        upper = kappa * d
+
+    nodes = iterations = 0
+    witness = None
+
+    def exhausted(where: str, exc: BudgetExceeded) -> BudgetExceeded:
+        feasible_at = upper if witness is None else witness.length
+        return BudgetExceeded(
+            f"budget exhausted {where}; infeasible below {lower}, feasible at {feasible_at}",
+            nodes=nodes + (exc.nodes or 0), infeasible_below=lower, feasible_at=feasible_at,
+        )
+
     try:
-        a_bound = alpha_bound(inst, field, delta, node_budget=node_budget)
-    except UnknownCodeLength:
-        a_bound = _griesmer_length(field.q, generalized_independence_number(inst)[0], d)
-    lower = max(a_bound, singleton_bound(inst, field, delta, budget_exponent=budget_exponent))
-    try:
-        upper = kappa_bound(inst, field, delta, budget_exponent, node_budget)
-    except UnknownCodeLength:
-        upper = min_rank(inst, field, budget_exponent).kappa * d
-    nodes = 0
-    for length in range(lower, upper + 1):
+        an = _analyse(inst, field, enum_budget)
+    except BudgetExceeded as exc:
+        raise exhausted("enumerating confusable vectors", exc) from exc
+    quotas = [d] * len(an.targets)
+    for length in range(min(upper, _MAX_SIZE), lower - 1, -1):
+        classes, moves = local_cover_search(
+            an.hit_sets, quotas, length, LOCAL_SEARCH_ITERATIONS,
+            _seeded_bytes(f"ecic:local:{length}", 256),
+        )
+        iterations += moves
+        if classes is not None:
+            witness = _verified(inst, field, delta, an, classes, enum_budget)
+            continue
         try:
             res = exists_ecic(
-                inst, field, delta, length,
-                node_budget=node_budget, jobs=jobs, enum_budget=enum_budget,
+                inst, field, delta, length, node_budget=node_budget - nodes, jobs=jobs,
+                enum_budget=enum_budget, _analysis=an,
             )
         except BudgetExceeded as exc:
-            raise BudgetExceeded(
-                f"budget exhausted at length {length}; infeasible below {length}, "
-                f"feasible at {upper}",
-                nodes=nodes + (exc.nodes or 0),
-            ) from exc
+            raise exhausted(f"at length {length}", exc) from exc
         nodes += res.nodes
-        if res.feasible:
-            return SearchOutcome(
-                optimal_length=length,
-                witness=res.witness,
-                infeasible_below=length - 1,
-                stats=SearchStats(nodes, time.perf_counter() - started, node_budget),
-            )
-    raise InternalContradiction(
-        "no feasible length up to the concatenation bound; this cannot happen"
+        if not res.feasible:
+            break
+        witness = res.witness
+    else:
+        length = lower - 1  # the bounds rule out every shorter length
+    if witness is None:
+        if upper > _MAX_SIZE:  # whatever is feasible lies beyond the cover search's cap
+            raise CapExceeded(f"no length up to the cover-search cap {_MAX_SIZE} is feasible")
+        raise InternalContradiction("infeasible at the concatenation bound; this cannot happen")
+    return SearchOutcome(
+        optimal_length=length + 1,
+        witness=witness,
+        infeasible_below=length,
+        stats=SearchStats(nodes, time.perf_counter() - started, node_budget, iterations),
     )

@@ -14,11 +14,23 @@ class CapExceeded(EcicError):
 
 
 class BudgetExceeded(EcicError):
-    """An enumeration or search exceeded its node/vector budget."""
+    """An enumeration or search exceeded its node/vector budget.
 
-    def __init__(self, message: str, nodes: int | None = None):
+    Raised by the optimal-length scan, it also carries the bracket proved
+    so far: every length below `infeasible_below` is infeasible, and
+    `feasible_at` is feasible."""
+
+    def __init__(
+        self,
+        message: str,
+        nodes: int | None = None,
+        infeasible_below: int | None = None,
+        feasible_at: int | None = None,
+    ):
         super().__init__(message)
         self.nodes = nodes
+        self.infeasible_below = infeasible_below
+        self.feasible_at = feasible_at
 
 
 class NoSolution(EcicError):

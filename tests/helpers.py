@@ -137,3 +137,17 @@ def random_instance(rng: random.Random, max_receivers=5, max_messages=5):
         k = rng.randint(0, len(pool))
         side.append(frozenset(rng.sample(pool, k)))
     return IcsiInstance(m, n, demands, tuple(side))
+
+
+def upward_scan(inst, field, delta):
+    """(optimum, witness) from the exhaustive scan upward from length 0:
+    the first length `exists_ecic` decides feasible.  The reference the
+    top-down optimal-length search is checked against."""
+    from ecic import exists_ecic
+
+    length = 0
+    while True:
+        res = exists_ecic(inst, field, delta, length)
+        if res.feasible:
+            return length, res.witness
+        length += 1

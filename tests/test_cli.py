@@ -299,7 +299,9 @@ def test_random_construct_without_trials_exits_two(capsys, trials):
 
 def test_jobs_do_not_change_what_a_budget_proves(capsys):
     """Budgets just below and at the cost of the pentagon q=2 delta=2 N=8
-    proof and N=9 witness must give the serial answer with --jobs 2 too."""
+    proof and N=9 witness must give the serial answer with --jobs 2 too.
+    Local search finds the witnesses, so the proof is the scan's only
+    exhaustive call and the one place a budget can trip."""
     inst, field = builtin_instance("pentagon"), make_field(2)
     proof = exists_ecic(inst, field, 2, 8).nodes
     witness = exists_ecic(inst, field, 2, 9).nodes
@@ -314,7 +316,22 @@ def test_jobs_do_not_change_what_a_budget_proves(capsys):
         assert run(capsys, *argv, "--jobs", "2") == serial, budget
         outcomes.add((serial[0], serial[2]))
     assert outcomes == {
-        (3, "budget exhausted: budget exhausted at length 8; infeasible below 8, feasible at 10\n"),
-        (3, "budget exhausted: budget exhausted at length 9; infeasible below 9, feasible at 10\n"),
+        (3, "budget exhausted: budget exhausted at length 8; infeasible below 8, feasible at 9\n"),
         (0, ""),
     }
+
+
+def test_budget_exit_prints_the_bracket_as_data(capsys):
+    argv = (
+        "search", "--instance", "pentagon", "--q", "2", "--delta", "2", "--node-budget", "10",
+    )
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and "feasible at 9" in err
+    assert json.loads(out) == {"status": "budget", "infeasible_below": 8, "feasible_at": 9, "nodes": 11}
+    assert run(capsys, *argv, "--jobs", "2") == (code, out, err)
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 3 and out == "optimum in [8, 9]\n"
+    # an enumeration budget that trips before any search keeps the bounds' bracket
+    code, out, _ = run(capsys, *argv[:-2], "--enum-budget", "3")
+    assert code == 3
+    assert json.loads(out) == {"status": "budget", "infeasible_below": 8, "feasible_at": 10, "nodes": 0}

@@ -237,18 +237,84 @@ def test_optimal_length_budget_error_carries_bracket():
     with pytest.raises(BudgetExceeded) as err:
         optimal_length_search(pentagon(), F2, 2, node_budget=10)
     assert "infeasible below" in str(err.value)
+    assert (err.value.infeasible_below, err.value.feasible_at, err.value.nodes) == (8, 9, 11)
 
 
 def test_optimal_length_bound_scans_respect_budget():
     from ecic import kappa_bound
 
     # N_2[3,5] = 10 needs more than 10 nodes, so the kappa bound is unknown
-    # and the scan's upper end falls back to kappa * (2*delta + 1) = 15
+    # and the scan starts from kappa * (2*delta + 1) = 15; local search
+    # carries the witness down to 9, and the N=8 proof runs out of budget
     with pytest.raises(UnknownCodeLength):
         kappa_bound(pentagon(), F2, 2, node_budget=10)
     with pytest.raises(BudgetExceeded) as err:
         optimal_length_search(pentagon(), F2, 2, node_budget=10)
-    assert "infeasible below 8, feasible at 15" in str(err.value)
+    assert "at length 8; infeasible below 8, feasible at 9" in str(err.value)
+
+
+def always_miss(hit_sets, quotas, size, iterations, stream):
+    return None, 0
+
+
+def test_node_budget_is_shared_by_the_whole_scan(monkeypatch):
+    """Without local-search witnesses the scan decides pentagon q=2 delta=2
+    by exhaustion at N = 10, 9 (feasible) and 8 (infeasible): 191,057 +
+    56,647 + 311 nodes.  Each call fits a budget one node short of the
+    total, but the scan does not."""
+    from ecic import construct_search
+
+    monkeypatch.setattr(construct_search, "local_cover_search", always_miss)
+    total = 191_057 + 56_647 + 311
+    out = optimal_length_search(pentagon(), F2, 2, node_budget=total)
+    assert (out.optimal_length, out.stats.nodes, out.stats.local_iterations) == (9, total, 0)
+    assert verify_ecic(out.witness, 2).ok
+    for jobs in (1, 2):
+        with pytest.raises(BudgetExceeded) as err:
+            optimal_length_search(pentagon(), F2, 2, node_budget=total - 1, jobs=jobs)
+        assert "at length 8; infeasible below 8, feasible at 9" in str(err.value)
+        assert (err.value.infeasible_below, err.value.feasible_at, err.value.nodes) == (8, 9, total)
+    # the case that once returned 279,056 nodes under a 278,400 budget: the
+    # N = 13 witness hunt alone now trips it
+    with pytest.raises(BudgetExceeded) as err:
+        optimal_length_search(pentagon(), F2, 3, node_budget=278_400)
+    assert (err.value.infeasible_below, err.value.feasible_at, err.value.nodes) == (11, 13, 278_401)
+
+
+def test_scan_starts_at_the_cover_cap_when_the_upper_bound_is_beyond_it(monkeypatch):
+    from ecic import construct_search
+    from ecic.errors import CapExceeded
+
+    # pentagon q=2 delta=2: optimum 9, concatenation bound 10
+    monkeypatch.setattr(construct_search, "_MAX_SIZE", 9)
+    out = optimal_length_search(pentagon(), F2, 2)
+    assert (out.optimal_length, out.infeasible_below, out.witness.length) == (9, 8, 9)
+    monkeypatch.setattr(construct_search, "_MAX_SIZE", 8)
+    with pytest.raises(CapExceeded):
+        optimal_length_search(pentagon(), F2, 2)
+
+
+# (instance, q, delta, optimum): questions the exhaustive upward scan could
+# not answer within the default budget, or took seconds to
+FRONTIER = [
+    ("odd-cycle-complement:3", 2, 2, 9),
+    ("pentagon", 3, 2, 8),
+    ("pentagon", 2, 4, 16),
+    ("pentagon", 5, 2, 7),  # the Singleton bound; concatenation needs 8
+    ("no-side-info:5", 2, 2, 13),  # N_2[5,5]; the bounds meet
+]
+
+
+@pytest.mark.parametrize("name, q, delta, optimum", FRONTIER)
+def test_frontier_questions_are_answered_within_default_budgets(name, q, delta, optimum):
+    from ecic import builtin_instance, verify_ecic_direct
+
+    field = make_field(q)
+    out = optimal_length_search(builtin_instance(name), field, delta)
+    assert out.optimal_length == optimum and out.infeasible_below == optimum - 1
+    assert out.witness.length == optimum
+    assert verify_ecic(out.witness, delta).ok
+    assert verify_ecic_direct(out.witness, delta).ok
 
 
 def test_optimal_length_respects_sandwich():

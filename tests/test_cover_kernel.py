@@ -1,13 +1,21 @@
-"""The cover kernel against a brute-force oracle, and the optima and
-witnesses its pruning must not move."""
+"""The cover kernel and the local search against a brute-force oracle,
+and the optima and witnesses the kernel's pruning must not move."""
 
 import itertools
 import random
 
 import pytest
 
-from ecic import builtin_instance, exists_ecic, format_matrix, make_field, optimal_length_search
-from ecic._cover import _visit_order, multiset_cover_search
+from ecic import (
+    builtin_instance,
+    exists_ecic,
+    format_matrix,
+    make_field,
+    optimal_length_search,
+    verify_ecic_direct,
+)
+from ecic._cover import CoverResult, _visit_order, local_cover_search, multiset_cover_search
+from ecic.construct_search import _seeded_bytes
 
 
 def oracle(hit_sets, quotas, size):
@@ -34,6 +42,25 @@ def check_against_oracle(hit_sets, quotas, size):
         assert res.classes == (0,) * size
 
 
+def check_local_search(hit_sets, quotas, size):
+    """A local-search hit is a feasible multiset of the right size, it
+    never claims one where the oracle finds none, and the same stream
+    gives the same run."""
+    found, _ = oracle(hit_sets, quotas, size)
+    runs = [local_cover_search(hit_sets, quotas, size, 50, _seeded_bytes("t", 256)) for _ in "ab"]
+    assert runs[0] == runs[1]
+    classes, moves = runs[0]
+    assert 0 <= moves <= 50
+    if classes is None:
+        return
+    assert found and len(classes) == size and list(classes) == sorted(classes)
+    hits = [0] * len(quotas)
+    for c in classes:
+        for t in hit_sets[c]:
+            hits[t] += 1
+    assert all(h >= need for h, need in zip(hits, quotas))
+
+
 def random_case(rng):
     targets = rng.randint(1, 6)
     hit_sets = [
@@ -51,6 +78,31 @@ def test_kernel_matches_brute_force_on_a_fixed_grid(seed):
         check_against_oracle(*random_case(rng))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_local_search_hits_only_feasible_multisets(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(60):
+        check_local_search(*random_case(rng))
+
+
+def test_local_search_finds_the_easy_cases():
+    # one class hits every target: greedy takes it at once
+    assert local_cover_search([frozenset({0}), frozenset({0, 1})], [2, 2], 2, 0, iter(())) == (
+        (1, 1), 0
+    )
+    # greedy takes the big class first and ends one target short; one swap
+    # trades it for the class that covers the rest
+    hit_sets = [frozenset({0, 1, 2, 3}), frozenset({0, 1, 4}), frozenset({2, 3, 5})]
+    assert local_cover_search(hit_sets, [1] * 6, 2, 20, _seeded_bytes("t", 256)) == ((1, 2), 1)
+    assert local_cover_search(hit_sets, [1] * 6, 2, 0, _seeded_bytes("t", 256)) == (None, 0)
+
+
+def test_zero_quotas_without_classes_have_no_multiset():
+    assert multiset_cover_search([], [0], 2, 10) == CoverResult(False, None, 0)
+    assert multiset_cover_search([], [0], 0, 10) == CoverResult(True, (), 0)
+    assert local_cover_search([], [0], 2, 10, iter(())) == (None, 0)
+
+
 def test_kernel_matches_brute_force_on_hand_picked_cases():
     # ties in hit-set size, a class that hits nothing, a zero quota among
     # positive ones, and a size that is exactly the total deficit
@@ -60,7 +112,9 @@ def test_kernel_matches_brute_force_on_hand_picked_cases():
             check_against_oracle(hit_sets, quotas, size)
 
 
-# Witnesses and optima pinned from exhaustive runs before the deficit bound.
+# Witnesses and optima pinned from exhaustive runs before the deficit bound:
+# the kernel's witness at the optimum.  The optimal-length search takes its
+# witnesses from the local search first, so it pins only the optimum.
 PINNED = [
     ("pentagon", 1, "2 5 6\n1 1 1 1 0 0\n0 1 1 1 1 0\n0 0 1 1 1 1\n0 0 1 1 0 1\n1 0 1 1 0 0\n"),
     (
@@ -88,7 +142,9 @@ def test_searched_optima_and_witnesses_are_pinned(name, delta, witness):
     out = optimal_length_search(builtin_instance(name), make_field(2), delta)
     assert out.optimal_length == int(witness.split()[2])
     assert out.infeasible_below == out.optimal_length - 1
-    assert format_matrix(out.witness.matrix) == witness
+    assert verify_ecic_direct(out.witness, delta).ok
+    res = exists_ecic(builtin_instance(name), make_field(2), delta, out.optimal_length)
+    assert format_matrix(res.witness.matrix) == witness
 
 
 def test_odd_cycle_complement_3_delta_2_needs_more_than_8_columns():
