@@ -241,6 +241,10 @@ def _seeded_vector(field, n: int, seed: int, label: str, index: int, max_weight:
 
 def _cmd_simulate(args) -> int:
     index_codes._check_delta(args.delta)  # the seeded errors are drawn before decoding
+    if args.random_errors < 1:
+        raise EcicError(f"--random-errors must be at least 1, got {args.random_errors}")
+    if args.x is not None and args.error is None:
+        raise EcicError("--x needs --error: the seeded rounds draw their own x")
     inst = _load_instance(args.instance)
     code = _build_code(inst, _load_matrix(args.matrix), args.q)
     field = code.field

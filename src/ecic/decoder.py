@@ -12,6 +12,14 @@ the true error; it only has to land in the true error's translate of the
 unwanted-row span, and then the demanded symbol comes out right whenever
 the true error weight is within the code's radius.
 
+`build_receiver_decoder` also stores, once, the sparse form of every row
+the decoder multiplies by: the (position, value) pairs of the nonzero
+entries of the parity check, the complement parity check, the side rows
+and the demand functional.  `decode` and
+`in_relevant_error_set` validate their vectors at the boundary and then
+work on plain tuples and lists through the field's tables; no `FVector`
+is built per call except the syndrome on a memo miss.
+
 Found coset leaders are remembered per syndrome.  The memo is exact for
 every weight cap because the leader search tries weights 0, 1, 2, ... in a
 fixed order: a leader of weight w is what every cap >= w returns.  A
@@ -59,8 +67,9 @@ class ReceiverDecoder:
     lambda with unknown_rows @ lambda = e_0, or None when the demanded row
     lies in the span of the complement rows (the symbol is then not
     determined); complement_parity: a parity check of the complement rows'
-    span; leaders: the coset-leader memo, syndrome -> (leader, its weight,
-    lambda . leader).
+    span; the sparse_* fields: the same rows as (position, value) pairs of
+    their nonzero entries; leaders: the coset-leader memo, syndrome ->
+    (leader, its weight, lambda . leader).
     """
 
     code: LinearIndexCode
@@ -71,7 +80,16 @@ class ReceiverDecoder:
     unknown_rows: FMatrix  # demanded row first, then sorted complement rows
     demand_functional: Optional[FVector]
     complement_parity: FMatrix
+    sparse_parity: tuple = dataclasses.field(compare=False, repr=False)
+    sparse_complement_parity: tuple = dataclasses.field(compare=False, repr=False)
+    sparse_side_rows: tuple = dataclasses.field(compare=False, repr=False)
+    sparse_demand: Optional[tuple] = dataclasses.field(compare=False, repr=False)
     leaders: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
+
+
+def _sparse(rows) -> tuple:
+    """Each row as the (position, value) pairs of its nonzero entries."""
+    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
 
 
 def build_receiver_decoder(code: LinearIndexCode, i: int) -> ReceiverDecoder:
@@ -81,16 +99,22 @@ def build_receiver_decoder(code: LinearIndexCode, i: int) -> ReceiverDecoder:
     complement = sorted(frame.complement)
     unknown_rows = code.matrix.rows_at([frame.demand] + complement)
     basis = row_basis(unknown_rows)
-    parity = parity_check_matrix(unknown_rows)
+    parity = parity_check_matrix(basis)  # reduced rows reduce to themselves
     for r in range(basis.nrows):
         if not parity.mul_col(basis.row(r)).is_zero():
             raise InternalContradiction("parity check does not annihilate the code space")
     side_rows = code.matrix.rows_at(sorted(frame.side_info))
     solution = solve_linear(unknown_rows, FVector.unit(code.field, unknown_rows.nrows, 0))
+    lam = None if solution is None else solution[0]
+    complement_parity = parity_check_matrix(code.matrix.rows_at(complement))
     return ReceiverDecoder(
         code, frame, basis, parity, side_rows, unknown_rows,
-        demand_functional=None if solution is None else solution[0],
-        complement_parity=parity_check_matrix(code.matrix.rows_at(complement)),
+        demand_functional=lam,
+        complement_parity=complement_parity,
+        sparse_parity=_sparse(parity.rows),
+        sparse_complement_parity=_sparse(complement_parity.rows),
+        sparse_side_rows=_sparse(side_rows.rows),
+        sparse_demand=None if lam is None else _sparse([lam.entries])[0],
     )
 
 
@@ -129,20 +153,21 @@ def recover_demand(
 
 
 def _memo_coset_leader(
-    dec: ReceiverDecoder, syndrome: FVector, weight_cap: int
+    dec: ReceiverDecoder, syndrome: tuple[int, ...], weight_cap: int
 ) -> tuple[FVector, int, int]:
-    """(leader, weight, lambda . leader) for the syndrome, from the memo
-    when it decides this cap (see the module docstring), else from
+    """(leader, weight, lambda . leader) for the syndrome entries, from the
+    memo when it decides this cap (see the module docstring), else from
     `coset_leader`, whose answer is checked and remembered."""
-    entry = dec.leaders.get(syndrome.entries)
+    entry = dec.leaders.get(syndrome)
     if entry is not None and entry[1] <= weight_cap:
         return entry
-    estimate = coset_leader(dec.parity, syndrome, weight_cap)
-    if not dec.parity.mul_col(estimate).sub(syndrome).is_zero():
+    target = FVector(dec.code.field, syndrome)
+    estimate = coset_leader(dec.parity, target, weight_cap)
+    if not dec.parity.mul_col(estimate).sub(target).is_zero():
         raise InternalContradiction("coset leader does not reproduce the syndrome")
     lam = dec.demand_functional
     entry = (estimate, estimate.weight(), 0 if lam is None else estimate.dot(lam))
-    dec.leaders[syndrome.entries] = entry
+    dec.leaders[syndrome] = entry
     return entry
 
 
@@ -161,14 +186,38 @@ def decode(
     the lightest coset member is heavier than the cap (more channel errors
     than allowed for).
     """
-    if len(received) != dec.code.length:
+    field = dec.code.field
+    word = received.entries
+    if len(word) != dec.code.length:
         raise LengthMismatch("received word length mismatch")
-    adjusted = received.sub(_side_contribution(dec, side_values))
-    syndrome = dec.parity.mul_col(adjusted)
-    estimate, weight, estimate_value = _memo_coset_leader(dec, syndrome, weight_cap)
-    if dec.demand_functional is None:
+    if len(side_values) != len(dec.sparse_side_rows):
+        raise LengthMismatch("side-information values must match the side set size")
+    q = field.q
+    for c in side_values:
+        if not 0 <= c < q:
+            raise ValueError("vector entry outside field range")
+    if received.field != field:
+        raise LengthMismatch("vector field/length mismatch")
+    add, mul = field._add, field._mul
+    adjusted = list(word)
+    for c, row in zip(side_values, dec.sparse_side_rows):
+        if c:
+            mc = mul[field._neg[c]]  # subtracts c * row
+            for j, v in row:
+                adjusted[j] = add[adjusted[j]][mc[v]]
+    syndrome = []
+    for row in dec.sparse_parity:
+        acc = 0
+        for j, v in row:
+            acc = add[acc][mul[v][adjusted[j]]]
+        syndrome.append(acc)
+    estimate, weight, estimate_value = _memo_coset_leader(dec, tuple(syndrome), weight_cap)
+    if dec.sparse_demand is None:
         raise InternalContradiction("demanded symbol is not uniquely determined")
-    recovered = dec.code.field.sub(adjusted.dot(dec.demand_functional), estimate_value)
+    value = 0
+    for j, v in dec.sparse_demand:
+        value = add[value][mul[v][adjusted[j]]]
+    recovered = add[value][field._neg[estimate_value]]
     return DecodeOutcome(
         recovered=recovered,
         error_estimate=estimate,
@@ -182,7 +231,22 @@ def in_relevant_error_set(
 ) -> bool:
     """Whether candidate differs from the reference error only by a
     combination of the receiver's complement rows."""
-    return dec.complement_parity.mul_col(candidate.sub(reference_error)).is_zero()
+    field = dec.code.field
+    cand, ref = candidate.entries, reference_error.entries
+    if len(cand) != len(ref) or candidate.field != reference_error.field:
+        raise LengthMismatch("vector field/length mismatch")
+    if len(cand) != dec.code.length or candidate.field != field:
+        raise LengthMismatch(f"expected column vector of length {dec.code.length}")
+    if cand == ref:  # a zero difference has a zero syndrome
+        return True
+    add, mul, neg = field._add, field._mul, field._neg
+    for row in dec.sparse_complement_parity:
+        acc = 0
+        for j, v in row:
+            acc = add[acc][mul[v][add[cand[j]][neg[ref[j]]]]]
+        if acc:
+            return False
+    return True
 
 
 def simulate_round(
@@ -251,14 +315,12 @@ def exhaustive_correctness_check(
     decodes = 0
     for x in all_vectors(field, n):
         y = encode(code, x)
+        side_values = [[x.entries[j] for j in side] for side in sides]
+        truths = [x.entries[d] for d in inst.demands]
         for err in vectors_of_weight_at_most(field, N, delta):
             received = y.add(err)
             for i in range(m):
-                side_values = [x.entries[j] for j in sides[i]]
-                outcome = decode(
-                    decoders[i], received, side_values, delta,
-                    truth=x.entries[inst.demands[i]],
-                )
+                outcome = decode(decoders[i], received, side_values[i], delta, truth=truths[i])
                 decodes += 1
                 if not outcome.success:
                     return CheckReport(

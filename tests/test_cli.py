@@ -258,6 +258,23 @@ def test_negative_delta_exits_two(capsys, pentagon_file):
         assert "delta" in err
 
 
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (("--random-errors", "0"), "random-errors"),
+        (("--random-errors", "-3"), "random-errors"),
+        (("--x", "1 1 1"), "--error"),
+    ],
+)
+def test_simulate_rejects_input_it_would_ignore(capsys, example1_file, argv, word):
+    code, out, err = run(
+        capsys, "simulate", "--instance", "example1", "--matrix", example1_file,
+        "--delta", "1", *argv,
+    )
+    assert code == 2
+    assert out == "" and word in err
+
+
 @pytest.mark.parametrize("instance", ["example1", "receiverless"])
 def test_jobs_below_one_exits_two(capsys, tmp_path, instance):
     if instance == "receiverless":

@@ -12,15 +12,21 @@ from ecic import (
     encode,
     exhaustive_correctness_check,
     in_relevant_error_set,
+    make_field,
     margins,
     no_side_info,
     recover_demand,
     simulate_round,
     verify_ecic,
 )
-from ecic.errors import BudgetExceeded, InternalContradiction, WeightCapExceeded
+from ecic.errors import (
+    BudgetExceeded,
+    InternalContradiction,
+    LengthMismatch,
+    WeightCapExceeded,
+)
 
-from helpers import F2, example1_code, pentagon_code, random_instance, random_matrix
+from helpers import F2, F3, example1_code, pentagon_code, random_instance, random_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +87,37 @@ def test_syndrome_invariant_holds_for_every_decode():
         out = decode(dec, received, side, weight_cap=4)
         syndrome = dec.parity.mul_col(received.sub(dec.side_rows.left_mul(FVector(F2, side))))
         assert dec.parity.mul_col(out.error_estimate).entries == syndrome.entries
+
+
+@pytest.mark.parametrize(
+    "word, side, exc",
+    [
+        (FVector(F2, (0, 1, 0)), (0, 1), LengthMismatch),  # one entry short
+        (FVector(F3, (0, 1, 0, 0)), (0, 1), LengthMismatch),  # over another field
+        (FVector(F2, (0, 1, 0, 0)), (0,), LengthMismatch),  # one side value short
+        (FVector(F2, (0, 1, 0, 0)), (0, 2), ValueError),  # side value outside GF(2)
+        (FVector(F2, (0, 1, 0, 0)), (-1, 0), ValueError),
+    ],
+)
+def test_decode_rejects_malformed_input(word, side, exc):
+    dec = build_receiver_decoder(example1_code(), 0)
+    with pytest.raises(exc):
+        decode(dec, word, side, weight_cap=1)
+
+
+@pytest.mark.parametrize(
+    "candidate, reference",
+    [
+        (FVector(F2, (0, 1, 0)), FVector(F2, (0, 1, 0, 0))),
+        (FVector(F2, (0, 1, 0)), FVector(F2, (0, 1, 0))),
+        (FVector(F3, (0, 1, 0, 0)), FVector(F2, (0, 1, 0, 0))),
+        (FVector(F3, (0, 1, 0, 0)), FVector(F3, (0, 1, 0, 0))),
+    ],
+)
+def test_relevant_set_rejects_mismatched_vectors(candidate, reference):
+    dec = build_receiver_decoder(example1_code(), 0)
+    with pytest.raises(LengthMismatch):
+        in_relevant_error_set(dec, candidate, reference)
 
 
 def test_weight_cap_exceeded():
@@ -240,22 +277,26 @@ def test_exhaustive_check_budget():
         exhaustive_correctness_check(pentagon_code(), 2, enum_budget=100)
 
 
-def test_check_agrees_with_verifier_on_random_codes():
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_check_agrees_with_verifier_on_random_codes(q):
     """Decoder success over all within-radius patterns iff the margin
-    verdict says so."""
-    rng = random.Random(13)
-    tested_valid = tested_invalid = 0
+    verdict says so; a zero margin (the demanded row lies in the span of
+    the complement rows) makes decoding itself a contradiction."""
+    field = make_field(q)
+    rng = random.Random(13 + q)
+    tested = {True: 0, False: 0, "zero margin": 0}
     for _ in range(40):
-        inst = random_instance(rng, max_receivers=4, max_messages=4)
-        N = rng.randint(1, 6)
-        L = random_matrix(F2, inst.num_messages, N, rng)
-        code = LinearIndexCode(inst, F2, L)
+        inst = random_instance(rng, max_receivers=4, max_messages=4 if q < 5 else 3)
+        L = random_matrix(field, inst.num_messages, rng.randint(1, 6), rng)
+        code = LinearIndexCode(inst, field, L)
+        zero_margin = any(m == 0 for m in margins(code))
         for delta in (0, 1):
+            if zero_margin:
+                with pytest.raises(InternalContradiction):
+                    exhaustive_correctness_check(code, delta)
+                tested["zero margin"] += 1
+                continue
             expected = verify_ecic(code, delta).ok
-            if not expected and any(m == 0 for m in margins(code)):
-                continue  # not even an index code: decoding is undefined
-            report = exhaustive_correctness_check(code, delta)
-            assert report.ok == expected
-            tested_valid += expected
-            tested_invalid += not expected
-    assert tested_valid >= 5 and tested_invalid >= 5
+            assert exhaustive_correctness_check(code, delta).ok == expected
+            tested[expected] += 1
+    assert min(tested.values()) >= 5, tested

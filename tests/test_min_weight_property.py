@@ -1,5 +1,6 @@
-"""Property tests for the minimum-weight kernel and the decoder's
-coset-leader memo, on random small inputs.  Skipped when hypothesis is not
+"""Property tests for the minimum-weight kernel, the decoder's
+coset-leader memo and the decoder's sparse-row fast path against its
+references, on random small inputs.  Skipped when hypothesis is not
 installed; `tests/conftest.py` makes them deterministic in CI."""
 
 import pytest
@@ -11,12 +12,16 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from ecic import (  # noqa: E402
     FMatrix,
     FVector,
+    IcsiInstance,
     LinearIndexCode,
     build_receiver_decoder,
     code_min_distance,
     decode,
+    encode,
+    in_relevant_error_set,
     make_field,
     no_side_info,
+    recover_demand,
 )
 from ecic.errors import InternalContradiction, WeightCapExceeded  # noqa: E402
 from ecic.field_linalg import _lightest_generic, _lightest_gf2, lightest_combination  # noqa: E402
@@ -83,3 +88,47 @@ def test_memoised_leaders_match_fresh_decoders_at_any_cap_order(span, data):
                 except (WeightCapExceeded, InternalContradiction) as exc:
                     outcomes.append((type(exc).__name__, str(exc)))
             assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def receiver_codes(draw):
+    """(code, receiver) over q in {2, 3, 4, 5}: up to three receivers, up to
+    four messages (three at q = 5) and length up to six."""
+    field = make_field(draw(st.sampled_from((2, 3, 4, 5))))
+    n = draw(st.integers(1, 4 if field.q < 5 else 3))
+    m = draw(st.integers(1, 3))
+    demands = tuple(draw(st.integers(0, n - 1)) for _ in range(m))
+    side = tuple(
+        frozenset(draw(st.sets(st.sampled_from([j for j in range(n) if j != d]))) if n > 1 else ())
+        for d in demands
+    )
+    N = draw(st.integers(1, 6))
+    entries = st.integers(0, field.q - 1)
+    rows = tuple(draw(st.tuples(*[entries] * N)) for _ in range(n))
+    code = LinearIndexCode(IcsiInstance(m, n, demands, side), field, FMatrix(field, rows, N))
+    return code, draw(st.integers(0, m - 1))
+
+
+@settings(deadline=None)
+@given(receiver_codes(), st.data())
+def test_fast_decode_and_relevant_set_match_their_references(case, data):
+    """`decode` recovers what the full `recover_demand` solve recovers with
+    the same estimate, and `in_relevant_error_set` agrees with the dense
+    complement-parity product."""
+    code, i = case
+    field, n, N = code.field, code.inst.num_messages, code.length
+    word = st.tuples(*[st.integers(0, field.q - 1)] * N)
+    x = FVector(field, data.draw(st.tuples(*[st.integers(0, field.q - 1)] * n)))
+    err = FVector(field, data.draw(word))
+    received = encode(code, x).add(err)
+    side = [x.entries[j] for j in sorted(code.inst.side_info[i])]
+    dec = build_receiver_decoder(code, i)
+    try:
+        out = decode(dec, received, side, N)
+    except InternalContradiction:
+        assert dec.demand_functional is None
+        return
+    assert out.recovered == recover_demand(dec, received, side, out.error_estimate)
+    for candidate in (out.error_estimate, err, FVector(field, data.draw(word))):
+        dense = dec.complement_parity.mul_col(candidate.sub(err)).is_zero()
+        assert in_relevant_error_set(dec, candidate, err) == dense
