@@ -241,10 +241,14 @@ def _seeded_vector(field, n: int, seed: int, label: str, index: int, max_weight:
 
 def _cmd_simulate(args) -> int:
     index_codes._check_delta(args.delta)  # the seeded errors are drawn before decoding
-    if args.random_errors < 1:
+    if args.random_errors is not None and args.random_errors < 1:
         raise EcicError(f"--random-errors must be at least 1, got {args.random_errors}")
     if args.x is not None and args.error is None:
         raise EcicError("--x needs --error: the seeded rounds draw their own x")
+    if args.error is not None and args.random_errors is not None:
+        raise EcicError("--random-errors conflicts with --error, which makes one round")
+    if args.x is not None and args.error is not None and args.seed is not None:
+        raise EcicError("--seed is unused when --x and --error give the whole round")
     inst = _load_instance(args.instance)
     code = _build_code(inst, _load_matrix(args.matrix), args.q)
     field = code.field
@@ -255,13 +259,13 @@ def _cmd_simulate(args) -> int:
         x = (
             FVector(field, tuple(int(t) for t in args.x.split()))
             if args.x is not None
-            else _seeded_vector(field, n, args.seed, "x", 0)
+            else _seeded_vector(field, n, args.seed or 0, "x", 0)
         )
         rounds.append((x, error))
     else:
-        for t in range(args.random_errors):
-            x = _seeded_vector(field, n, args.seed, "x", t)
-            err = _seeded_vector(field, N, args.seed, "err", t, max_weight=args.delta)
+        for t in range(args.random_errors or 1):
+            x = _seeded_vector(field, n, args.seed or 0, "x", t)
+            err = _seeded_vector(field, N, args.seed or 0, "err", t, max_weight=args.delta)
             rounds.append((x, err))
     cap = args.weight_cap if args.weight_cap is not None else args.delta
     docs = []
@@ -385,9 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "seed", matrix=True, delta=True)
     p.add_argument("--x", default=None, help="message vector, space separated")
     p.add_argument("--error", default=None, help="error vector, space separated")
-    p.add_argument("--random-errors", type=int, default=1, help="number of seeded rounds")
+    p.add_argument("--random-errors", type=int, default=None, help="number of seeded rounds (1)")
     p.add_argument("--weight-cap", type=int, default=None)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, seed=None)  # absent flags read as seed 0, one round
 
     p = sub.add_parser("check", help="exhaustive decoder correctness check")
     _add_common(p, "enum-budget", matrix=True, delta=True)

@@ -12,11 +12,10 @@ not on q.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -289,49 +288,68 @@ def in_support_family(inst: IcsiInstance, K: Iterable[int]) -> bool:
     return False
 
 
+def _odometer(q: int, n: int, positions: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """One receiver's confusable vectors over GF(q) as odometer steps.
+    Digit t is the entry at positions[t] (the demand's runs over 1..q-1),
+    the last digit fastest.  Started at digit 0 = 0 and the rest at q-1,
+    every step raises one digit t from c to c+1 and wraps the later ones
+    from q-1 to 0; it yields (t, c, key), key being the vector as a base-q
+    integer (entry 0 most significant)."""
+    k = len(positions)
+    place = [q ** (n - 1 - pos) for pos in positions]
+    carry = [place[t] - (q - 1) * sum(place[t + 1 :]) for t in range(k)]
+    key = (q - 1) * sum(place[1:])
+    digits, t = [0] * k, 0
+    while True:
+        c = digits[t]
+        digits[t] = c + 1
+        key += carry[t]
+        yield t, c, key
+        t = k - 1
+        while t and digits[t] == q - 1:
+            digits[t] = 0
+            t -= 1
+        if digits[t] == q - 1:
+            return
+
+
 class ErrorVectorStream:
     """Iterator over the confusable vectors of an instance over GF(q).
 
-    Duplicates (vectors confusable for several receivers) are suppressed
-    with a packed-integer visited set when q^n fits in 64 bits; otherwise
-    the stream may repeat vectors and `duplicates_possible` is True.  The
-    sum over receivers of (q-1) * q^|complement| bounds both the vectors
-    yielded and the visited set, and BudgetExceeded is raised up front
-    when it exceeds `budget`.
+    Receiver by receiver, in `_odometer` order; duplicates (vectors
+    confusable for several receivers) are suppressed with a visited set of
+    odometer keys.  The sum over receivers of (q-1) * q^|complement| bounds
+    both the vectors yielded and the visited set, and BudgetExceeded is
+    raised up front when it exceeds `budget`.
     """
 
     def __init__(self, inst: IcsiInstance, field: Field, budget: int = DEFAULT_ENUM_BUDGET):
-        self.duplicates_possible = field.q ** inst.num_messages > 1 << 64
         total = sum(
             (field.q - 1) * field.q ** len(inst.complement(i)) for i in range(inst.num_receivers)
         )
         if total > budget:
             raise BudgetExceeded(f"receivers contribute {total} vectors, over budget {budget}")
-        self._iter = self._generate(inst, field)
+        self._inst, self._q = inst, field.q
+        self._iter = self._generate(field)
 
-    @staticmethod
-    def _generate(inst: IcsiInstance, field: Field) -> Iterator[FVector]:
-        n = inst.num_messages
-        q = field.q
-        dedup = q ** n <= 1 << 64
-        seen: set[int] = set()
+    def receiver_walks(self) -> Iterator[tuple[tuple[int, ...], Iterator[tuple[int, int, int]]]]:
+        """Per receiver, its positions (demand, then the sorted complement)
+        and its `_odometer` steps, duplicates included: the stream's walk
+        for callers that keep their own state instead of taking vectors."""
+        inst, n = self._inst, self._inst.num_messages
         for i in range(inst.num_receivers):
-            demand = inst.demands[i]
-            free = sorted(inst.complement(i))
-            for dval in field.nonzero():
-                for tail in itertools.product(field.elements(), repeat=len(free)):
-                    entries = [0] * n
-                    entries[demand] = dval
-                    for pos, val in zip(free, tail):
-                        entries[pos] = val
-                    if dedup:
-                        key = 0
-                        for x in entries:
-                            key = key * q + x
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                    yield FVector(field, tuple(entries))
+            positions = (inst.demands[i], *sorted(inst.complement(i)))
+            yield positions, _odometer(self._q, n, positions)
+
+    def _generate(self, field: Field) -> Iterator[FVector]:
+        q, n = self._q, self._inst.num_messages
+        places = [q ** (n - 1 - j) for j in range(n)]
+        seen: set[int] = set()
+        for _, steps in self.receiver_walks():
+            for _, _, key in steps:
+                if key not in seen:
+                    seen.add(key)
+                    yield FVector(field, tuple(key // place % q for place in places))
 
     def __iter__(self) -> Iterator[FVector]:
         return self._iter

@@ -151,3 +151,27 @@ def upward_scan(inst, field, delta):
         if res.feasible:
             return length, res.witness
         length += 1
+
+
+def direct_reference(code, delta):
+    """The error-correction verdict by definition, rebuilt per vector: every
+    confusable z in stream order (receiver by receiver, the demand value,
+    then the sorted complement values, the last fastest), with
+    weight(z @ L) from `encode`.  Certificate: the first z of weight
+    <= 2*delta.  The enumeration is spelled out with itertools.product so
+    that it shares no code with the stream's odometer."""
+    from ecic import EcicVerdict, FVector, encode
+
+    inst, field = code.inst, code.field
+    for i in range(inst.num_receivers):
+        free = sorted(inst.complement(i))
+        for dval in field.nonzero():
+            for tail in itertools.product(field.elements(), repeat=len(free)):
+                entries = [0] * inst.num_messages
+                entries[inst.demands[i]] = dval
+                for pos, val in zip(free, tail):
+                    entries[pos] = val
+                z = FVector(field, tuple(entries))
+                if encode(code, z).weight() < 2 * delta + 1:
+                    return EcicVerdict(False, delta, None, z)
+    return EcicVerdict(True, delta, None, None)

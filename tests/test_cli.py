@@ -264,6 +264,10 @@ def test_negative_delta_exits_two(capsys, pentagon_file):
         (("--random-errors", "0"), "random-errors"),
         (("--random-errors", "-3"), "random-errors"),
         (("--x", "1 1 1"), "--error"),
+        (("--error", "0 1 0 0", "--random-errors", "5"), "random-errors"),
+        (("--error", "0 1 0 0", "--random-errors", "1"), "random-errors"),
+        (("--x", "1 0 1", "--error", "0 1 0 0", "--seed", "3"), "--seed"),
+        (("--x", "1 0 1", "--error", "0 1 0 0", "--seed", "0"), "--seed"),
     ],
 )
 def test_simulate_rejects_input_it_would_ignore(capsys, example1_file, argv, word):
@@ -273,6 +277,20 @@ def test_simulate_rejects_input_it_would_ignore(capsys, example1_file, argv, wor
     )
     assert code == 2
     assert out == "" and word in err
+
+
+@pytest.mark.parametrize(
+    "argv, same_as",
+    [
+        ((), ("--seed", "0", "--random-errors", "1")),
+        (("--error", "0 1 0 0"), ("--error", "0 1 0 0", "--seed", "0")),
+    ],
+)
+def test_simulate_absent_seed_and_rounds_read_as_0_and_1(capsys, example1_file, argv, same_as):
+    common = ("simulate", "--instance", "example1", "--matrix", example1_file, "--delta", "1")
+    code, out, _ = run(capsys, *common, *argv)
+    assert code == 0
+    assert run(capsys, *common, *same_as) == (0, out, "")
 
 
 @pytest.mark.parametrize("instance", ["example1", "receiverless"])

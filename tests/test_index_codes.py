@@ -6,11 +6,14 @@ import pytest
 from ecic import (
     FMatrix,
     FVector,
+    IcsiInstance,
     LinearIndexCode,
     code_min_distance,
     correction_radius,
     encode,
     generalized_independence_number,
+    in_support_family,
+    instance,
     instance_params,
     make_field,
     margins,
@@ -30,6 +33,7 @@ from ecic.errors import BudgetExceeded, CapExceeded, LengthMismatch
 from helpers import (
     F2,
     F3,
+    direct_reference,
     example1_code,
     pentagon_code,
     random_full_rank_matrix,
@@ -125,6 +129,54 @@ def test_direct_and_margin_routes_agree():
         code = LinearIndexCode(inst, field, L)
         for delta in (0, 1, 2):
             assert verify_ecic(code, delta).ok == verify_ecic_direct(code, delta).ok
+
+
+def _confusable_total(inst, field):
+    return sum(
+        (field.q - 1) * field.q ** len(inst.complement(i)) for i in range(inst.num_receivers)
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_direct_budget_is_checked_before_any_vector(monkeypatch, q):
+    field = make_field(q)
+    code = LinearIndexCode(pentagon(), field, random_matrix(field, 5, 6, random.Random(q)))
+    total = _confusable_total(code.inst, field)
+
+    def no_walk(*args):
+        raise AssertionError("a vector was walked")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(instance, "_odometer", no_walk)
+        with pytest.raises(BudgetExceeded) as exc:
+            verify_ecic_direct(code, 1, enum_budget=total - 1)
+    assert str(exc.value) == f"receivers contribute {total} vectors, over budget {total - 1}"
+    for delta in (0, 1, 2):
+        assert verify_ecic_direct(code, delta, enum_budget=total) == direct_reference(code, delta)
+
+
+@pytest.mark.parametrize("q", [8, 9])
+def test_direct_certificates_on_multi_digit_lanes(q):
+    """GF(8) and GF(9) symbols span several base-p lanes; the first failing
+    z must still be the reference's, and confusable."""
+    field = make_field(q)
+    rng = random.Random(q)
+    inst = IcsiInstance(
+        4, 4, (0, 1, 2, 3), (frozenset({1}), frozenset({2, 3}), frozenset(), frozenset({0}))
+    )
+    certificates = []
+    while len(certificates) < 6:
+        code = LinearIndexCode(inst, field, random_matrix(field, 4, rng.randint(2, 5), rng))
+        verdict = verify_ecic_direct(code, 1)
+        assert verdict == direct_reference(code, 1)
+        if not verdict.ok:
+            z = verdict.certificate.entries
+            assert any(z[inst.demands[i]] and not any(z[j] for j in inst.side_info[i])
+                       for i in range(inst.num_receivers))
+            assert in_support_family(inst, verdict.certificate.support())
+            assert encode(code, verdict.certificate).weight() <= 2
+            certificates.append(z)
+    assert any(x >= field.p for z in certificates for x in z)  # a digit above the lowest lane
 
 
 def test_radius_consistent_with_verify():
