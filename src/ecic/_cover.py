@@ -43,15 +43,17 @@ fast and proves nothing when it misses.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, CapExceeded
-from .field_linalg import Field, FMatrix
+from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FMatrix
 
 _WIDTH = 8
 _MAX_SIZE = 120
+DEFAULT_NODE_BUDGET = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,21 @@ def class_hit_sets(
                 hits.append(ti)
         out.append(frozenset(hits))
     return out
+
+
+def class_table(
+    field: Field, n: int, targets: Sequence[tuple[int, ...]] | None = None,
+    budget: int = DEFAULT_ENUM_BUDGET,
+) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
+    """The projective classes of F_q^n and the targets each hits (the
+    classes themselves when `targets` is None).  BudgetExceeded is raised
+    before anything is built when classes x targets exceeds `budget`."""
+    count = (field.q**n - 1) // (field.q - 1)
+    width = count if targets is None else len(targets)
+    if count * width > budget:
+        raise BudgetExceeded(f"{count} column classes x {width} targets exceed budget {budget}")
+    columns = projective_classes(field, n)
+    return columns, class_hit_sets(field, columns, columns if targets is None else targets)
 
 
 def classes_matrix(
@@ -164,7 +181,7 @@ class _Kernel:
         orbits: Sequence[int] | None = None,
     ):
         self.order = _visit_order(hit_sets)
-        self.adds = [_packed(sorted(hit_sets[c])) for c in self.order]
+        self.adds = [_packed(hit_sets[c]) for c in self.order]
         # non-increasing along visit order, so a deficit bound at one class
         # holds for every later one
         self.sizes = [len(hit_sets[c]) for c in self.order]
@@ -174,10 +191,8 @@ class _Kernel:
         self.deficit = sum(quotas)
         # live_low[s]: packed 1 per target hit by some class with index >= s
         self.live_low = [0] * (len(self.order) + 1)
-        alive: set[int] = set()
         for s in range(len(self.order) - 1, -1, -1):
-            alive |= set(hit_sets[self.order[s]])
-            self.live_low[s] = _packed(sorted(alive))
+            self.live_low[s] = self.live_low[s + 1] | self.adds[s]
         # first_ok[s]: no class before s in visit order shares its orbit
         seen: set[int] = set()
         self.first_ok = []
@@ -341,6 +356,18 @@ def _trivial_fill(hit_sets: Sequence, size: int) -> tuple[int, ...] | None:
 # local search
 
 _TABU_TENURE = 7
+# tabu moves tried per length before an exhaustive search takes over
+LOCAL_SEARCH_ITERATIONS = 128
+
+
+def _seeded_bytes(key: str, q: int) -> Iterator[int]:
+    """Counter-mode SHA-256 stream keyed `{key}:{counter}`.  Bytes at or
+    above the largest multiple of q are rejected, so each kept byte is
+    uniform mod q."""
+    limit = (256 // q) * q
+    for counter in itertools.count():
+        block = hashlib.sha256(f"{key}:{counter}".encode()).digest()
+        yield from (b for b in block if b < limit)
 
 
 def _draw(stream: Iterator[int], n: int) -> int:
@@ -379,7 +406,7 @@ def local_cover_search(
         return _trivial_fill(hit_sets, size), 0
     if need > size or size > _MAX_SIZE or not hit_sets:
         return None, 0
-    adds = [_packed(sorted(h)) for h in hit_sets]
+    adds = [_packed(h) for h in hit_sets]
     high = _packed(range(len(quotas))) << (_WIDTH - 1)
     thresh = sum(need << (_WIDTH * t) for t, need in enumerate(quotas))
     ones = high >> (_WIDTH - 1)

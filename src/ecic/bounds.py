@@ -17,19 +17,16 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ._cover import class_hit_sets, classes_matrix, multiset_cover_search, projective_classes
+from ._cover import DEFAULT_NODE_BUDGET, class_table, classes_matrix, multiset_cover_search
 from .errors import BudgetExceeded, CapExceeded, UnknownCodeLength
 from .field_linalg import Field, FMatrix, make_field
 from .index_codes import (
     DEFAULT_ALPHA_VERTEX_CAP,
-    DEFAULT_MIN_RANK_BUDGET_EXPONENT,
     _check_delta,
     generalized_independence_number,
     min_rank,
 )
 from .instance import IcsiInstance
-
-DEFAULT_NODE_BUDGET = 1 << 27
 
 
 def sphere_volume(q: int, length: int, radius: int) -> int:
@@ -65,12 +62,10 @@ def find_code_generator(
     if length < k or length < d:
         return None
     field = make_field(q)
-    classes = projective_classes(field, k)
+    classes, hit_sets = class_table(field, k)
     units = [classes.index(tuple(int(r == i) for r in range(k))) for i in range(k)]
     residual = [max(0, d - sum(1 for x in z if x)) for z in classes]
-    res = multiset_cover_search(
-        class_hit_sets(field, classes, classes), residual, length - k, node_budget
-    )
+    res = multiset_cover_search(hit_sets, residual, length - k, node_budget)
     if not res.found:
         return None
     return classes_matrix(field, classes, sorted(units + list(res.classes)), k)
@@ -127,27 +122,21 @@ def kappa_bound(
     inst: IcsiInstance,
     field: Field,
     delta: int,
-    budget_exponent: int = DEFAULT_MIN_RANK_BUDGET_EXPONENT,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
     """Upper bound: the shortest code of dimension kappa and distance
     2*delta + 1 (achieved by concatenation with an optimal plain index
     code)."""
-    kappa = min_rank(inst, field, budget_exponent).kappa
+    kappa = min_rank(inst, field).kappa
     return shortest_code_length(field.q, kappa, 2 * delta + 1, node_budget=node_budget)
 
 
-def singleton_bound(
-    inst: IcsiInstance,
-    field: Field,
-    delta: int,
-    budget_exponent: int = DEFAULT_MIN_RANK_BUDGET_EXPONENT,
-) -> int:
+def singleton_bound(inst: IcsiInstance, field: Field, delta: int) -> int:
     """Lower bound kappa + 2*delta (zero for the degenerate receiverless
     instance, where length 0 is feasible)."""
     if inst.num_receivers == 0:
         return 0
-    kappa = min_rank(inst, field, budget_exponent).kappa
+    kappa = min_rank(inst, field).kappa
     return kappa + 2 * delta
 
 
@@ -165,15 +154,10 @@ def random_coding_length(inst: IcsiInstance, field: Field, delta: int) -> int:
     return N
 
 
-def mds_optimal_length(
-    inst: IcsiInstance,
-    field: Field,
-    delta: int,
-    budget_exponent: int = DEFAULT_MIN_RANK_BUDGET_EXPONENT,
-) -> Optional[int]:
+def mds_optimal_length(inst: IcsiInstance, field: Field, delta: int) -> Optional[int]:
     """kappa + 2*delta when the field is large enough (q >= kappa + 2*delta
     - 1) for an MDS outer code to close the gap; None otherwise."""
-    kappa = min_rank(inst, field, budget_exponent).kappa
+    kappa = min_rank(inst, field).kappa
     if field.q >= kappa + 2 * delta - 1:
         return kappa + 2 * delta
     return None
@@ -239,7 +223,6 @@ def bounds_report(
     field: Field,
     delta: int,
     vertex_cap: int = DEFAULT_ALPHA_VERTEX_CAP,
-    budget_exponent: int = DEFAULT_MIN_RANK_BUDGET_EXPONENT,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> BoundsReport:
     """Assemble every bound, leaving fields unknown (None) rather than
@@ -252,7 +235,7 @@ def bounds_report(
     except (BudgetExceeded, CapExceeded):
         pass
     try:
-        kappa = min_rank(inst, field, budget_exponent).kappa
+        kappa = min_rank(inst, field, node_budget).kappa
     except (BudgetExceeded, CapExceeded):
         pass
 

@@ -197,7 +197,7 @@ def _cmd_construct(args) -> int:
             _emit(doc, args.format, "no verifying matrix found within the trial budget")
             return EXIT_FAIL
     else:
-        inner = construct_search.optimal_ic_matrix(inst, field)
+        inner = index_codes.min_rank(inst, field, args.node_budget).ic_matrix
         kappa = inner.ncols
         need = 2 * args.delta + 1
         if args.strategy == "mds-concat":

@@ -13,27 +13,23 @@ one proof below the shortest of them.
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from ._cover import (
     _MAX_SIZE,
-    canonical_class,
-    class_hit_sets,
-    class_orbits,
-    class_permutation,
+    DEFAULT_NODE_BUDGET,
+    LOCAL_SEARCH_ITERATIONS,
+    _seeded_bytes,
     classes_matrix,
     local_cover_search,
     multiset_cover_search,
-    projective_classes,
 )
-# alpha_bound, kappa_bound and singleton_bound are no longer called here, but
-# bench/tracing.py wraps them under this module's names
+# alpha_bound, kappa_bound, singleton_bound and enumerate_error_vectors are
+# no longer called here, but bench/tracing.py wraps them under this module's
+# names
 from .bounds import (  # noqa: F401
-    DEFAULT_NODE_BUDGET,
     _griesmer_length,
     alpha_bound,
     kappa_bound,
@@ -50,16 +46,11 @@ from .errors import (
     OuterDistanceTooSmall,
     UnknownCodeLength,
 )
-from .field_linalg import (
-    DEFAULT_ENUM_BUDGET,
-    Field,
-    FMatrix,
-    all_vectors,
-    row_basis,
-)
+from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FMatrix, all_vectors
 from .index_codes import (
-    DEFAULT_MIN_RANK_BUDGET_EXPONENT,
     LinearIndexCode,
+    _Analysis,
+    _analyse,
     _check_delta,
     _margins_with_minimizers,
     generalized_independence_number,
@@ -67,7 +58,7 @@ from .index_codes import (
     verify_ecic,
     verify_ic,
 )
-from .instance import IcsiInstance, automorphisms, enumerate_error_vectors
+from .instance import IcsiInstance, enumerate_error_vectors  # noqa: F401
 
 
 def mds_generator(field: Field, k: int, length: int) -> FMatrix:
@@ -115,16 +106,10 @@ def _smallest_primitive(field: Field) -> int:
     raise AssertionError("no primitive element found")
 
 
-def optimal_ic_matrix(
-    inst: IcsiInstance,
-    field: Field,
-    budget_exponent: int = DEFAULT_MIN_RANK_BUDGET_EXPONENT,
-) -> FMatrix:
-    """An n x kappa matrix that is a shortest plain index code: the
-    transposed row basis of a min-rank witness, so that every witness row
-    lies in its column space."""
-    result = min_rank(inst, field, budget_exponent)
-    return row_basis(result.witness).transpose()
+def optimal_ic_matrix(inst: IcsiInstance, field: Field) -> FMatrix:
+    """An n x kappa matrix that is a shortest plain index code: the code
+    `min_rank` found, whose column space holds every min-rank witness row."""
+    return min_rank(inst, field).ic_matrix
 
 
 def concatenate_construction(
@@ -169,16 +154,6 @@ def concatenate_construction(
     return code
 
 
-def _seeded_bytes(key: str, q: int) -> Iterator[int]:
-    """Counter-mode SHA-256 stream keyed `{key}:{counter}`.  Bytes at or
-    above the largest multiple of q are rejected, so each kept byte is
-    uniform mod q."""
-    limit = (256 // q) * q
-    for counter in itertools.count():
-        block = hashlib.sha256(f"{key}:{counter}".encode()).digest()
-        yield from (b for b in block if b < limit)
-
-
 def random_construct(
     inst: IcsiInstance,
     field: Field,
@@ -219,38 +194,6 @@ class ExistsResult:
     nodes: int
 
 
-@dataclass(frozen=True)
-class _Analysis:
-    """What the exact search needs from one (instance, q), whatever delta
-    and length: the confusable vectors up to scaling (the targets), the
-    projective column classes, the targets each column class hits, and the
-    class orbits under the instance's automorphisms."""
-
-    targets: list[tuple[int, ...]]
-    columns: list[tuple[int, ...]]
-    hit_sets: list[frozenset[int]]
-    orbits: list[int]
-
-
-def _confusable_classes(inst: IcsiInstance, field: Field, enum_budget: int) -> list[tuple[int, ...]]:
-    """The instance's confusable vectors reduced to projective classes,
-    sorted for determinism."""
-    seen = set()
-    for z in enumerate_error_vectors(inst, field, enum_budget):
-        seen.add(canonical_class(z.entries, field))
-    return sorted(seen)
-
-
-def _analyse(inst: IcsiInstance, field: Field, enum_budget: int) -> _Analysis:
-    targets = _confusable_classes(inst, field, enum_budget)
-    if not targets:  # no receivers: every matrix works, columns are moot
-        return _Analysis(targets, [], [], [])
-    columns = projective_classes(field, inst.num_messages)
-    gens, _ = automorphisms(inst)
-    orbits = class_orbits(len(columns), (class_permutation(field, columns, g) for g in gens))
-    return _Analysis(targets, columns, class_hit_sets(field, columns, targets), orbits)
-
-
 def _verified(
     inst: IcsiInstance, field: Field, delta: int, an: _Analysis, classes: tuple[int, ...],
     enum_budget: int,
@@ -273,7 +216,6 @@ def exists_ecic(
     node_budget: int = DEFAULT_NODE_BUDGET,
     jobs: int = 1,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
-    symmetry_breaking: bool = True,
     *,
     _analysis: Optional[_Analysis] = None,
 ) -> ExistsResult:
@@ -286,11 +228,11 @@ def exists_ecic(
     column classes with quota-based pruning.  It is also invariant under
     the instance's automorphisms (message permutations carrying receivers
     to receivers), which permute both the column classes and the
-    confusable classes; with `symmetry_breaking` the search tries only one
-    first column class per automorphism orbit, which changes the node count
-    but neither the answer nor the witness.  An infeasible answer is a
-    proof by exhaustion; BudgetExceeded means unknown, never infeasible.
-    A returned witness has been re-verified through the margin route.
+    confusable classes, so the search tries only one first column class
+    per automorphism orbit, which changes the node count but neither the
+    answer nor the witness.  An infeasible answer is a proof by
+    exhaustion; BudgetExceeded means unknown, never infeasible.  A
+    returned witness has been re-verified through the margin route.
     `_analysis` passes in the (instance, q) analysis a length scan shares.
     """
     _check_delta(delta)
@@ -303,16 +245,11 @@ def exists_ecic(
         witness = LinearIndexCode(inst, field, FMatrix.zero(field, inst.num_messages, length))
         return ExistsResult(True, witness, 0)
     res = multiset_cover_search(
-        an.hit_sets, [2 * delta + 1] * len(an.targets), length, node_budget,
-        jobs, an.orbits if symmetry_breaking else None,
+        an.hit_sets, [2 * delta + 1] * len(an.targets), length, node_budget, jobs, an.orbits
     )
     if not res.found:
         return ExistsResult(False, None, res.nodes)
     return ExistsResult(True, _verified(inst, field, delta, an, res.classes, enum_budget), res.nodes)
-
-
-# tabu moves tried per length before the exhaustive search takes over
-LOCAL_SEARCH_ITERATIONS = 128
 
 
 @dataclass(frozen=True)
@@ -343,7 +280,6 @@ def optimal_length_search(
     node_budget: int = DEFAULT_NODE_BUDGET,
     jobs: int = 1,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
-    budget_exponent: int = DEFAULT_MIN_RANK_BUDGET_EXPONENT,
 ) -> SearchOutcome:
     """Exact optimal code length for (instance, field, delta).
 
@@ -355,11 +291,14 @@ def optimal_length_search(
     witness, which is re-verified.  Where it finds none, `exists_ecic`
     decides the length exhaustively: infeasible ends the scan one length
     above, and feasible gives the next witness.  Reaching the best lower
-    bound ends it too, since every shorter length is ruled out.  When the
-    alpha or kappa bound is not settled within the node budget, the scan
+    bound ends it too, since every shorter length is ruled out.  Kappa
+    comes from `min_rank` on the same analysis, with the node budget to
+    itself; if the budgets leave it unsettled, the bounds drop it and
+    concatenate the unit columns of the distinct demands instead.  When a
+    shortest outer code is not settled within the node budget, the scan
     falls back to bounds that need no search: the Griesmer bound at alpha
-    below, and kappa * (2*delta + 1) above (the outer code that repeats
-    each identity column).  The node budget is shared by the whole scan.
+    below, and k * (2*delta + 1) above (the outer code that repeats each
+    identity column).  The node budget is shared by the whole scan.
     On its exhaustion the raised error carries the bracket proved so far:
     every length below `infeasible_below` is infeasible, and `feasible_at`
     has a verified witness (or is the concatenation bound).
@@ -369,10 +308,16 @@ def optimal_length_search(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     started = time.perf_counter()
     d = 2 * delta + 1
-    alpha = generalized_independence_number(inst)[0]
-    kappa = min_rank(inst, field, budget_exponent).kappa
+    an = kappa = None
+    try:
+        an = _analyse(inst, field, enum_budget)
+        kappa = min_rank(inst, field, node_budget, _analysis=an).kappa
+    except BudgetExceeded as exc:
+        unsettled = exc
+    alpha = generalized_independence_number(inst)[0] if an is None else an.alpha
+    inner = len(set(inst.demands)) if kappa is None else kappa  # the concatenated code's width
     shortest: dict[int, Optional[int]] = {}  # N_q[k, d]; None if the budget does not settle it
-    for k in sorted({alpha, kappa}):
+    for k in sorted({alpha, inner}):
         try:
             shortest[k] = shortest_code_length(field.q, k, d, node_budget=node_budget)
         except UnknownCodeLength:
@@ -380,10 +325,12 @@ def optimal_length_search(
     a_bound = shortest[alpha]
     if a_bound is None:
         a_bound = _griesmer_length(field.q, alpha, d)
-    lower = max(a_bound, kappa + 2 * delta if inst.num_receivers else 0)
-    upper = shortest[kappa]
+    lower = a_bound
+    if kappa is not None and inst.num_receivers:
+        lower = max(lower, kappa + 2 * delta)
+    upper = shortest[inner]
     if upper is None:
-        upper = kappa * d
+        upper = inner * d
 
     nodes = iterations = 0
     witness = None
@@ -395,10 +342,8 @@ def optimal_length_search(
             nodes=nodes + (exc.nodes or 0), infeasible_below=lower, feasible_at=feasible_at,
         )
 
-    try:
-        an = _analyse(inst, field, enum_budget)
-    except BudgetExceeded as exc:
-        raise exhausted("enumerating confusable vectors", exc) from exc
+    if an is None:
+        raise exhausted("analysing the instance", unsettled) from unsettled
     quotas = [d] * len(an.targets)
     for length in range(min(upper, _MAX_SIZE), lower - 1, -1):
         classes, moves = local_cover_search(

@@ -10,16 +10,38 @@ L[f(i)] to the span of the rows its complement set indexes -- is at least
 an independent route checking every confusable vector, on packed lanes
 and sharing no code with the margin kernel, is kept alongside for
 cross-checking (`verify_ecic_direct`).
+
+Kappa is the length of a shortest delta = 0 code, so `min_rank` finds it
+with the column-class cover search of the optimal-length scan, on the
+per-(instance, q) analysis (`_analyse`) the scan shares.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .errors import BudgetExceeded, CapExceeded, IndexOutOfRange, LengthMismatch
+from ._cover import (
+    DEFAULT_NODE_BUDGET,
+    LOCAL_SEARCH_ITERATIONS,
+    _seeded_bytes,
+    canonical_class,
+    class_orbits,
+    class_permutation,
+    class_table,
+    classes_matrix,
+    local_cover_search,
+    multiset_cover_search,
+)
+from .errors import (
+    BudgetExceeded,
+    CapExceeded,
+    IndexOutOfRange,
+    InternalContradiction,
+    LengthMismatch,
+)
 from .field_linalg import (
     DEFAULT_ENUM_BUDGET,
     Field,
@@ -29,10 +51,9 @@ from .field_linalg import (
     mat_rank,
     solve_linear,
 )
-from .instance import IcsiInstance, enumerate_error_vectors, in_support_family
+from .instance import IcsiInstance, automorphisms, enumerate_error_vectors, in_support_family
 
 DEFAULT_ALPHA_VERTEX_CAP = 24
-DEFAULT_MIN_RANK_BUDGET_EXPONENT = 30
 
 
 @dataclass(frozen=True)
@@ -229,16 +250,21 @@ def verify_ic(code: LinearIndexCode) -> bool:
     unit vector is a combination of L's columns.  (Equivalent to every
     margin being positive; implemented independently of the margin route.)
     """
+    return all(lam is not None for lam in _decoding_combinations(code))
+
+
+def _decoding_combinations(code: LinearIndexCode) -> Iterator[Optional[FVector]]:
+    """Per receiver, lazily, a column combination lambda whose product
+    L @ lambda is 1 at the demand and 0 at every other message outside the
+    side information, or None if there is none."""
     inst, field, L = code.inst, code.field, code.matrix
     n = inst.num_messages
     for i in range(inst.num_receivers):
         keep = [r for r in range(n) if r not in inst.side_info[i]]
-        sub = L.rows_at(keep)
         target = [0] * len(keep)
         target[keep.index(inst.demands[i])] = 1
-        if solve_linear(sub, FVector(field, tuple(target))) is None:
-            return False
-    return True
+        sol = solve_linear(L.rows_at(keep), FVector(field, tuple(target)))
+        yield None if sol is None else sol[0]
 
 
 # ---------------------------------------------------------------------------
@@ -288,163 +314,160 @@ def generalized_independence_number(
 
 
 # ---------------------------------------------------------------------------
-# min-rank
+# the (instance, q) analysis and min-rank
+
+
+@dataclass(frozen=True)
+class _Analysis:
+    """What the cover searches need from one (instance, q), whatever delta
+    and length: the confusable vectors up to scaling (the targets), the
+    projective column classes, the targets each column class hits, and the
+    class orbits under the instance's automorphisms."""
+
+    inst: IcsiInstance
+    targets: list[tuple[int, ...]]
+    columns: list[tuple[int, ...]]
+    hit_sets: list[frozenset[int]]
+    orbits: list[int]
+
+    @cached_property
+    def alpha(self) -> int:
+        """The instance's alpha, computed once for every search sharing
+        this analysis."""
+        return generalized_independence_number(self.inst)[0]
+
+
+def _analyse(inst: IcsiInstance, field: Field, enum_budget: int) -> _Analysis:
+    """The analysis, targets sorted for determinism.  Both the confusable
+    vectors and the hit-set table are bounded by `enum_budget`."""
+    targets = sorted(
+        {canonical_class(z.entries, field) for z in enumerate_error_vectors(inst, field, enum_budget)}
+    )
+    if not targets:  # no receivers: every matrix works, columns are moot
+        return _Analysis(inst, targets, [], [], [])
+    columns, hit_sets = class_table(field, inst.num_messages, targets, enum_budget)
+    gens, _ = automorphisms(inst)
+    orbits = class_orbits(len(columns), (class_permutation(field, columns, g) for g in gens))
+    return _Analysis(inst, targets, columns, hit_sets, orbits)
+
+
+def _min_rank_parts(inst: IcsiInstance) -> list[tuple[list[int], IcsiInstance]]:
+    """Parts (messages, instance on them) whose kappas add up to kappa.
+
+    Message d points to message x when a receiver demanding d holds x, and
+    the parts are the strongly connected components of the demanded
+    messages.  Ordering the parts so that every pointer runs forward, the
+    rows of a completion (grouped by their demand's part) are block upper
+    triangular, with each part's instance on the diagonal and the messages
+    nobody demands last; such a rank is at least the sum of the diagonal
+    blocks' ranks, and zeroing every other block reaches it.  Each part is
+    renumbered onto its messages in order, receivers kept in order.
+    """
+    demanded = set(inst.demands)
+    points: dict[int, set[int]] = {d: set() for d in demanded}
+    for d, xs in zip(inst.demands, inst.side_info):
+        points[d] |= xs & demanded
+    reach = {}
+    for d in demanded:
+        seen, todo = {d}, [d]
+        while todo:
+            for x in points[todo.pop()] - seen:
+                seen.add(x)
+                todo.append(x)
+        reach[d] = seen
+    parts = []
+    for msgs in sorted({tuple(sorted(x for x in reach[d] if d in reach[x])) for d in demanded}):
+        index = {x: k for k, x in enumerate(msgs)}
+        rs = [i for i in range(inst.num_receivers) if inst.demands[i] in index]
+        part = IcsiInstance(
+            len(rs), len(msgs), tuple(index[inst.demands[i]] for i in rs),
+            tuple(frozenset(index[x] for x in inst.side_info[i] if x in index) for i in rs),
+        )
+        parts.append((list(msgs), part))
+    return parts
 
 
 @dataclass(frozen=True)
 class MinRankResult:
-    """Min-rank value with a rank-achieving witness.
-
-    `witness` has one row per receiver: the demand unit vector plus a
-    vector supported on that receiver's side information (`assignment`,
-    values aligned to the sorted side-information sets)."""
+    """Min-rank value with its witnesses: `ic_matrix`, an n x kappa plain
+    index code, and `witness`, of rank kappa, with one row per receiver --
+    the demand unit vector plus a vector supported on that receiver's side
+    information."""
 
     kappa: int
     witness: FMatrix
-    assignment: tuple[tuple[int, ...], ...]
+    ic_matrix: FMatrix
 
 
 def min_rank(
     inst: IcsiInstance,
     field: Field,
-    budget_exponent: int = DEFAULT_MIN_RANK_BUDGET_EXPONENT,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    *,
+    _analysis: Optional[_Analysis] = None,
 ) -> MinRankResult:
-    """Minimum rank over all side-information completions of the demand rows.
+    """Minimum rank over all side-information completions of the demand
+    rows, found as the length of a shortest plain index code: a delta = 0
+    code is a multiset of column classes hitting every confusable class at
+    least once, so kappa is the cover search's optimum at quota 1.
 
-    Exhausts target ranks from below: for each target r it runs a
-    depth-first search over receivers (sorted by side-information size,
-    completions in lexicographic value order, incremental row reduction)
-    that prunes any branch whose partial rank exceeds r.  Once the partial
-    rank reaches r, the remaining rows are forced into the current span and
-    are found by direct linear solves instead of enumeration.  The first
-    feasible target is exact.
+    The instance is first split exactly into parts (`_min_rank_parts`),
+    each solved on its own and placed as a diagonal block of the code.  In
+    a part every message is demanded, and its identity matrix is a code.
+    Below that length the lengths are tried downward: a seeded tabu search
+    (`local_cover_search`) looks for a code, and where it finds none the
+    exhaustive `multiset_cover_search` (first picks skipped by orbit)
+    decides the length; infeasible ends the descent one length above, and
+    reaching the part's alpha <= its kappa ends it too.  `node_budget`
+    bounds the exhaustive nodes, summed over the parts; BudgetExceeded
+    means kappa is unknown.
+    Row i of the witness is L @ lambda_i for the found code L, where
+    lambda_i solves receiver i's decoding system (see `verify_ic`).
+    `_analysis` passes in the (instance, q) analysis a length scan shares;
+    it is used when the instance is one part as it stands.
     """
-    m, n = inst.num_receivers, inst.num_messages
-    if m == 0:
-        return MinRankResult(0, FMatrix(field, (), n), ())
-    total_free = sum(len(x) for x in inst.side_info)
-    if total_free * math.log2(field.q) > budget_exponent:
-        raise BudgetExceeded(
-            f"{field.q}^{total_free} completions exceed budget exponent {budget_exponent}"
-        )
-
-    order = sorted(range(m), key=lambda i: (len(inst.side_info[i]), i))
-    receivers = [(inst.demands[i], sorted(inst.side_info[i])) for i in order]
-
-    upper = mat_rank(
-        FMatrix.from_rows(
-            field,
-            [tuple(1 if j == d else 0 for j in range(n)) for d, _ in receivers],
-            n,
-        )
-    )
-    for target in range(1, upper + 1):
-        assignment = _min_rank_decision(receivers, field, n, target)
-        if assignment is not None:
-            by_receiver: dict[int, tuple[int, ...]] = dict(zip(order, assignment))
-            rows = []
-            final_assignment = []
-            for i in range(m):
-                vals = by_receiver[i]
-                row = [0] * n
-                row[inst.demands[i]] = 1
-                for pos, val in zip(sorted(inst.side_info[i]), vals):
-                    row[pos] = val
-                rows.append(tuple(row))
-                final_assignment.append(vals)
-            witness = FMatrix(field, tuple(rows), n)
-            if mat_rank(witness) != target:
-                raise AssertionError("min-rank witness does not achieve its rank")
-            return MinRankResult(target, witness, tuple(final_assignment))
-    raise AssertionError("min-rank search failed to terminate at the trivial bound")
-
-
-def _solve_in_span(
-    basis: list[list[int]], demand: int, side: list[int], field: Field, n: int
-) -> tuple[int, ...] | None:
-    """Find values on `side` making demand-unit-plus-values lie in the span
-    of `basis`.  Returns the first solution in the deterministic order of
-    the elimination, or None."""
-    constrained = [c for c in range(n) if c not in side]
-    rows = [[b[c] for b in basis] for c in constrained]
-    rhs = [1 if c == demand else 0 for c in constrained]
-    A = FMatrix(field, tuple(tuple(r) for r in rows), len(basis))
-    sol = solve_linear(A, FVector(field, tuple(rhs)))
-    if sol is None:
-        return None
-    coeffs = sol[0].entries
-    add, mul = field._add, field._mul
-    values = []
-    for pos in side:
-        acc = 0
-        for c, b in zip(coeffs, basis):
-            if c and b[pos]:
-                acc = add[acc][mul[c][b[pos]]]
-        values.append(acc)
-    return tuple(values)
-
-
-def _min_rank_decision(
-    receivers: list[tuple[int, list[int]]], field: Field, n: int, target: int
-) -> list[tuple[int, ...]] | None:
-    """Depth-first feasibility search for an assignment of rank <= target."""
-    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
-
-    def insert(row: list[int], basis: list[list[int]], pivots: list[int]):
-        """Reduce `row` against the basis; on a nonzero residual return the
-        extended (still fully reduced) basis, else None."""
-        for b, p in zip(basis, pivots):
-            c = row[p]
-            if c:
-                nc = neg[c]
-                for j in range(n):
-                    if b[j]:
-                        row[j] = add[row[j]][mul[nc][b[j]]]
-        pivot = next((j for j in range(n) if row[j]), None)
-        if pivot is None:
-            return None
-        c = inv[row[pivot]]
-        if c != 1:
-            row = [mul[c][x] for x in row]
-        new_basis = []
-        for b in basis:
-            bc = b[pivot]
-            if bc:
-                nb = neg[bc]
-                b = [add[x][mul[nb][y]] for x, y in zip(b, row)]
-            new_basis.append(b)
-        new_basis.append(row)
-        return new_basis, pivots + [pivot]
-
-    def rec(idx: int, basis: list[list[int]], pivots: list[int]) -> list[tuple[int, ...]] | None:
-        if idx == len(receivers):
-            return []
-        demand, side = receivers[idx]
-
-        # in-span completion first (leaves the basis unchanged); a single
-        # child suffices since the subtree depends only on the basis
-        vals = _solve_in_span(basis, demand, side, field, n)
-        if vals is not None:
-            rest = rec(idx + 1, basis, pivots)
-            if rest is not None:
-                return [vals] + rest
-        if len(basis) == target:
-            return None  # no rank headroom and not in span
-
-        for combo in itertools.product(field.elements(), repeat=len(side)):
-            row = [0] * n
-            row[demand] = 1
-            for pos, val in zip(side, combo):
-                row[pos] = val
-            extended = insert(row, basis, pivots)
-            if extended is None:
-                continue  # in-span, already covered
-            rest = rec(idx + 1, *extended)
-            if rest is not None:
-                return [combo] + rest
-        return None
-
-    return rec(0, [], [])
+    n = inst.num_messages
+    blocks = []
+    nodes = 0
+    for msgs, part in _min_rank_parts(inst):
+        an = _analysis if part == inst else None
+        alpha = generalized_independence_number(part)[0] if an is None else an.alpha
+        code = FMatrix.identity(field, len(msgs))
+        if alpha < len(msgs):
+            an = an or _analyse(part, field, DEFAULT_ENUM_BUDGET)
+            quotas = [1] * len(an.targets)
+            for length in range(len(msgs) - 1, alpha - 1, -1):
+                classes, _ = local_cover_search(
+                    an.hit_sets, quotas, length, LOCAL_SEARCH_ITERATIONS,
+                    _seeded_bytes(f"ecic:kappa:{length}", 256),
+                )
+                if classes is None:
+                    res = multiset_cover_search(
+                        an.hit_sets, quotas, length, node_budget - nodes, orbits=an.orbits
+                    )
+                    nodes += res.nodes
+                    if not res.found:
+                        break
+                    classes = res.classes
+                code = classes_matrix(field, an.columns, classes, len(msgs))
+        blocks.append((msgs, code))
+    kappa = sum(code.ncols for _, code in blocks)
+    rows = [[0] * kappa for _ in range(n)]
+    col = 0
+    for msgs, code in blocks:
+        for x, row in zip(msgs, code.rows):
+            rows[x][col:col + code.ncols] = row
+        col += code.ncols
+    L = FMatrix(field, tuple(map(tuple, rows)), kappa)
+    witness = []
+    for lam in _decoding_combinations(LinearIndexCode(inst, field, L)):
+        if lam is None:
+            raise InternalContradiction("min-rank code fails to decode")
+        witness.append(L.mul_col(lam).entries)
+    result = MinRankResult(kappa, FMatrix(field, tuple(witness), n), L)
+    if mat_rank(result.witness) != kappa:
+        raise AssertionError("min-rank witness does not achieve its rank")
+    return result
 
 
 @dataclass(frozen=True)
@@ -459,11 +482,8 @@ class InstanceParams:
 
 
 def instance_params(
-    inst: IcsiInstance,
-    field: Field,
-    vertex_cap: int = DEFAULT_ALPHA_VERTEX_CAP,
-    budget_exponent: int = DEFAULT_MIN_RANK_BUDGET_EXPONENT,
+    inst: IcsiInstance, field: Field, vertex_cap: int = DEFAULT_ALPHA_VERTEX_CAP
 ) -> InstanceParams:
     alpha, witness = generalized_independence_number(inst, vertex_cap)
-    mr = min_rank(inst, field, budget_exponent)
+    mr = min_rank(inst, field)
     return InstanceParams(field, alpha, witness, mr.kappa, mr.witness)

@@ -69,6 +69,29 @@ def brute_rank(field, rows, n):
     return r
 
 
+def brute_min_rank(inst, field):
+    """Min-rank by enumerating every completion outright: each receiver's
+    demand unit row plus every assignment of values to its side
+    information, the minimum rank over all of them."""
+    from ecic import mat_rank
+
+    best = None
+    spaces = [sorted(inst.side_info[i]) for i in range(inst.num_receivers)]
+    for choice in itertools.product(
+        *(itertools.product(field.elements(), repeat=len(s)) for s in spaces)
+    ):
+        rows = []
+        for i, vals in enumerate(choice):
+            row = [0] * inst.num_messages
+            row[inst.demands[i]] = 1
+            for pos, v in zip(spaces[i], vals):
+                row[pos] = v
+            rows.append(tuple(row))
+        r = mat_rank(FMatrix(field, tuple(rows), inst.num_messages))
+        best = r if best is None else min(best, r)
+    return best
+
+
 def brute_dual(field, rows, n):
     """All vectors orthogonal to every row, by full enumeration of F_q^n."""
     out = set()

@@ -106,6 +106,12 @@ def test_shortest_length_budget_to_unknown():
         shortest_code_length(2, 5, 7, node_budget=10)
 
 
+def test_shortest_length_table_over_budget_is_unknown():
+    # 29,524 column classes x 29,524 message classes: refused before any is built
+    with pytest.raises(UnknownCodeLength, match="29524 column classes"):
+        shortest_code_length(3, 10, 3)
+
+
 def test_code_exists_and_generator_agree():
     assert not code_exists(2, 2, 5, 7)
     assert code_exists(2, 2, 5, 8)

@@ -5,7 +5,15 @@ import pytest
 from ecic.cli import main
 
 from helpers import example1_matrix, pentagon_matrix
-from ecic import builtin_instance, exists_ecic, format_matrix, index_codes, make_field
+from ecic import (
+    builtin_instance,
+    exists_ecic,
+    format_matrix,
+    index_codes,
+    make_field,
+    mat_rank,
+    parse_matrix,
+)
 
 
 @pytest.fixture()
@@ -41,6 +49,30 @@ def test_params_example1(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["alpha"] == 1 and doc["kappa"] == 1
+
+
+@pytest.mark.parametrize(
+    "instance, q", [("odd-cycle-complement:4", "2"), ("odd-cycle-complement:3", "3"),
+                    ("odd-cycle-complement:5", "2")],
+)
+def test_params_answers_where_completions_are_many(capsys, instance, q):
+    """2^54, 3^28 and 2^88 side-information completions: kappa comes from
+    the delta = 0 cover search, which needs none of them."""
+    code, out, _ = run(capsys, "params", "--instance", instance, "--q", q)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["kappa"] == 3
+    assert mat_rank(parse_matrix(doc["kappa_witness"])) == 3
+
+
+@pytest.mark.parametrize(
+    "instance, q, optimum", [("odd-cycle-complement:4", "2", 6), ("odd-cycle-complement:3", "3", 5)],
+)
+def test_search_answers_where_completions_are_many(capsys, instance, q, optimum):
+    code, out, _ = run(capsys, "search", "--instance", instance, "--q", q, "--delta", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["optimal_length"], doc["infeasible_below"]) == (optimum, optimum - 1)
 
 
 def test_bounds_json(capsys):
@@ -366,7 +398,9 @@ def test_budget_exit_prints_the_bracket_as_data(capsys):
     assert run(capsys, *argv, "--jobs", "2") == (code, out, err)
     code, out, _ = run(capsys, *argv, "--format", "text")
     assert code == 3 and out == "optimum in [8, 9]\n"
-    # an enumeration budget that trips before any search keeps the bounds' bracket
+    # an enumeration budget that trips before any search keeps the bounds'
+    # bracket; kappa needs the enumeration too, so the upper end is the
+    # shortest code at the 5 distinct demands, N_2[5, 5] = 13
     code, out, _ = run(capsys, *argv[:-2], "--enum-budget", "3")
     assert code == 3
-    assert json.loads(out) == {"status": "budget", "infeasible_below": 8, "feasible_at": 10, "nodes": 0}
+    assert json.loads(out) == {"status": "budget", "infeasible_below": 8, "feasible_at": 13, "nodes": 0}

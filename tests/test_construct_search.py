@@ -240,6 +240,17 @@ def test_optimal_length_budget_error_carries_bracket():
     assert (err.value.infeasible_below, err.value.feasible_at, err.value.nodes) == (8, 9, 11)
 
 
+def test_search_kappa_on_an_instance_of_several_parts():
+    # a two-cycle {1, 2} beside a lone demand 3: kappa = 1 + 1, so the
+    # scan's shared analysis (of the whole instance) must not stand in for
+    # a part's
+    from ecic import IcsiInstance
+
+    inst = IcsiInstance(3, 3, (0, 1, 2), (frozenset({1}), frozenset({0}), frozenset()))
+    assert min_rank(inst, F2).kappa == 2
+    assert optimal_length_search(inst, F2, 0).optimal_length == 2
+
+
 def test_optimal_length_bound_scans_respect_budget():
     from ecic import kappa_bound
 
@@ -251,6 +262,16 @@ def test_optimal_length_bound_scans_respect_budget():
     with pytest.raises(BudgetExceeded) as err:
         optimal_length_search(pentagon(), F2, 2, node_budget=10)
     assert "at length 8; infeasible below 8, feasible at 9" in str(err.value)
+
+
+def test_hit_set_table_over_budget_exits_with_the_bracket():
+    """no-side-info:10 over GF(3): every nonzero class is a target, and the
+    29,524 x 29,524 hit-set table exceeds the enumeration budget.  alpha =
+    kappa = 10 needs no table, N_3[10, 3] is unknown for the same reason,
+    so the bracket is Griesmer's 12 below and 10 * 3 above."""
+    with pytest.raises(BudgetExceeded, match="analysing the instance") as err:
+        optimal_length_search(no_side_info(10), F3, 1)
+    assert (err.value.infeasible_below, err.value.feasible_at, err.value.nodes) == (12, 30, 0)
 
 
 def always_miss(hit_sets, quotas, size, iterations, stream):

@@ -29,10 +29,12 @@ from ecic import (
     verify_ic,
 )
 from ecic.errors import BudgetExceeded, CapExceeded, LengthMismatch
+from ecic.index_codes import _min_rank_parts
 
 from helpers import (
     F2,
     F3,
+    brute_min_rank,
     direct_reference,
     example1_code,
     pentagon_code,
@@ -264,34 +266,15 @@ def test_min_rank_witness_validates():
                 assert row.supported_on(allowed)
 
 
-def _brute_min_rank(inst, field):
-    """Independent oracle: enumerate every completion outright."""
-    best = None
-    spaces = [sorted(inst.side_info[i]) for i in range(inst.num_receivers)]
-    for choice in itertools.product(
-        *(itertools.product(field.elements(), repeat=len(s)) for s in spaces)
-    ):
-        rows = []
-        for i, vals in enumerate(choice):
-            row = [0] * inst.num_messages
-            row[inst.demands[i]] = 1
-            for pos, v in zip(spaces[i], vals):
-                row[pos] = v
-            rows.append(tuple(row))
-        r = mat_rank(FMatrix(field, tuple(rows), inst.num_messages))
-        best = r if best is None else min(best, r)
-    return best
-
-
 def test_min_rank_is_minimum_by_exhaustion():
     rng = random.Random(53)
     for _ in range(8):
         inst = random_instance(rng, max_receivers=3, max_messages=3)
         for field in (F2, F3):
-            assert min_rank(inst, field).kappa == _brute_min_rank(inst, field)
+            assert min_rank(inst, field).kappa == brute_min_rank(inst, field)
     for _ in range(6):
         inst = random_instance(rng, max_receivers=4, max_messages=4)
-        assert min_rank(inst, F2).kappa == _brute_min_rank(inst, F2)
+        assert min_rank(inst, F2).kappa == brute_min_rank(inst, F2)
 
 
 def test_min_rank_gf7_witness_validates():
@@ -308,8 +291,50 @@ def test_min_rank_gf7_witness_validates():
 
 def test_min_rank_budget():
     inst = odd_cycle_complement(4)  # 9 messages, 6 side infos each
-    with pytest.raises(BudgetExceeded):
-        min_rank(inst, make_field(8), budget_exponent=30)
+    # the hit-set table would hold (8^9 - 1) / 7 = 19,173,961 column classes
+    with pytest.raises(BudgetExceeded, match="19173961 column classes"):
+        min_rank(inst, make_field(8))
+
+
+def test_min_rank_beyond_the_alpha_cap():
+    # every message is a part of its own, so kappa = 30 needs neither the
+    # capped alpha search of the whole instance nor any table
+    res = min_rank(no_side_info(30), F2)
+    assert res.kappa == 30
+    assert res.witness == res.ic_matrix == FMatrix.identity(F2, 30)
+
+
+def test_min_rank_of_a_one_way_chain_beyond_the_caps():
+    # receiver 1 also holds message 2, which nobody points back from: 25
+    # one-message parts, although 25 messages exceed the alpha cap and the
+    # whole instance's 2^25 - 1 classes the table budget
+    inst = IcsiInstance(25, 25, tuple(range(25)), (frozenset({1}),) + (frozenset(),) * 24)
+    res = min_rank(inst, F2)
+    assert res.kappa == 25
+    assert res.ic_matrix == FMatrix.identity(F2, 25)
+    assert mat_rank(res.witness) == 25
+
+
+def test_min_rank_splits_a_two_cycle_from_fourteen_lone_demands():
+    # receivers 1 and 2 hold each other's demand, the other 14 hold nothing:
+    # alpha = 15 < 16 demands, yet only the two-cycle needs a search
+    inst = IcsiInstance(
+        16, 16, tuple(range(16)), (frozenset({1}), frozenset({0})) + (frozenset(),) * 14
+    )
+    res = min_rank(inst, F2)
+    assert res.kappa == 15
+    assert verify_ic(LinearIndexCode(inst, F2, res.ic_matrix))
+    assert res.ic_matrix.rows[0] == res.ic_matrix.rows[1] == (1,) + (0,) * 14
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_min_rank_parts_linked_one_way_add_up(field):
+    # two two-cycles, {1, 2} and {3, 4}; receiver 1 also holds message 3
+    inst = IcsiInstance(
+        4, 4, (0, 1, 2, 3), (frozenset({1, 2}), frozenset({0}), frozenset({3}), frozenset({2}))
+    )
+    assert [msgs for msgs, _ in _min_rank_parts(inst)] == [[0, 1], [2, 3]]
+    assert min_rank(inst, field).kappa == brute_min_rank(inst, field) == 2
 
 
 def test_min_rank_degenerate_no_receivers():

@@ -23,10 +23,11 @@ from ecic._cover import (
     class_hit_sets,
     class_orbits,
     class_permutation,
+    classes_matrix,
     multiset_cover_search,
     projective_classes,
 )
-from ecic.construct_search import _confusable_classes
+from ecic.index_codes import _analyse
 from ecic.instance import automorphisms
 
 from helpers import F2, F3, random_instance
@@ -131,9 +132,10 @@ def test_automorphisms_match_brute_force_on_random_instances():
     [(pentagon(), F2), (pentagon(), F3), (odd_cycle_complement(3), F2), (no_side_info(3), F3)],
 )
 def test_class_permutations_map_hit_sets_onto_hit_sets(inst, field):
-    columns = projective_classes(field, inst.num_messages)
-    zs = _confusable_classes(inst, field, 1 << 20)
-    hit_sets = class_hit_sets(field, columns, zs)
+    an = _analyse(inst, field, 1 << 20)
+    columns, zs, hit_sets = an.columns, an.targets, an.hit_sets
+    assert columns == projective_classes(field, inst.num_messages)
+    assert hit_sets == class_hit_sets(field, columns, zs)
     gens, _ = automorphisms(inst)
     assert gens
     for g in gens:
@@ -180,13 +182,17 @@ def test_cover_search_orbits_skip_first_picks_only():
     [(pentagon(), 1, 6), (pentagon(), 2, 9), (odd_cycle_complement(3), 1, 6)],
 )
 def test_orbit_skipping_keeps_answers_and_witnesses(inst, delta, optimum):
+    an = _analyse(inst, F2, 1 << 20)
     for length in (optimum - 1, optimum):
         pruned = exists_ecic(inst, F2, delta, length)
-        plain = exists_ecic(inst, F2, delta, length, symmetry_breaking=False)
+        plain = multiset_cover_search(
+            an.hit_sets, [2 * delta + 1] * len(an.targets), length, 1 << 27, orbits=None
+        )
         parallel = exists_ecic(inst, F2, delta, length, jobs=2)
-        assert pruned.feasible == plain.feasible == parallel.feasible == (length == optimum)
+        assert pruned.feasible == plain.found == parallel.feasible == (length == optimum)
         if pruned.feasible:
-            assert pruned.witness.matrix == plain.witness.matrix == parallel.witness.matrix
+            plain_matrix = classes_matrix(F2, an.columns, plain.classes, inst.num_messages)
+            assert pruned.witness.matrix == plain_matrix == parallel.witness.matrix
         else:
             assert pruned.nodes < plain.nodes
             assert parallel.nodes == pruned.nodes

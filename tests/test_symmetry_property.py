@@ -9,6 +9,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ecic import IcsiInstance, exists_ecic, make_field  # noqa: E402
+from ecic._cover import classes_matrix, multiset_cover_search  # noqa: E402
+from ecic.index_codes import _analyse  # noqa: E402
 from ecic.instance import automorphisms  # noqa: E402
 
 
@@ -60,10 +62,14 @@ def test_pruned_search_matches_unpruned_search(question):
     answers = set()
     for case in (inst, moved):
         pruned = exists_ecic(case, field, delta, length, node_budget=1 << 22)
-        plain = exists_ecic(case, field, delta, length, node_budget=1 << 22, symmetry_breaking=False)
-        assert pruned.feasible == plain.feasible
+        an = _analyse(case, field, 1 << 20)
+        plain = multiset_cover_search(
+            an.hit_sets, [2 * delta + 1] * len(an.targets), length, 1 << 22, orbits=None
+        )
+        assert pruned.feasible == plain.found
         assert pruned.nodes <= plain.nodes
         if pruned.feasible:
-            assert pruned.witness.matrix == plain.witness.matrix
+            plain_matrix = classes_matrix(field, an.columns, plain.classes, case.num_messages)
+            assert pruned.witness.matrix == plain_matrix
         answers.add(pruned.feasible)
     assert len(answers) == 1  # relabelling messages cannot change feasibility
