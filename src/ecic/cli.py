@@ -85,7 +85,7 @@ def _cmd_validate(args) -> int:
 def _cmd_params(args) -> int:
     inst = _load_instance(args.instance)
     field = make_field(args.q)
-    params = index_codes.instance_params(inst, field)
+    params = index_codes.instance_params(inst, field, node_budget=args.node_budget)
     doc = {
         "q": field.q,
         "alpha": params.alpha,
@@ -268,10 +268,11 @@ def _cmd_simulate(args) -> int:
             err = _seeded_vector(field, N, args.seed or 0, "err", t, max_weight=args.delta)
             rounds.append((x, err))
     cap = args.weight_cap if args.weight_cap is not None else args.delta
+    decoders = [decoder.build_receiver_decoder(code, i) for i in range(inst.num_receivers)]
     docs = []
     all_ok = True
     for t, (x, err) in enumerate(rounds):
-        outcomes = decoder.simulate_round(code, x, err, args.delta, weight_cap=cap)
+        outcomes = decoder._decode_round(code, decoders, x, err, cap)
         for i, out in enumerate(outcomes):
             all_ok = all_ok and bool(out.success)
             docs.append(
@@ -359,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("params", help="alpha and kappa with witnesses")
-    _add_common(p, q=True)
+    _add_common(p, "node-budget", q=True)
     p.set_defaults(func=_cmd_params)
 
     p = sub.add_parser("bounds", help="all length bounds at one delta")

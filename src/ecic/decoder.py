@@ -1,14 +1,17 @@
 """Syndrome decoding for linear index codes, with exhaustive checking.
 
-Each receiver precomputes, once, the span of the rows it cannot cancel
-(its demanded row plus the rows it neither holds nor demands) with a
-parity check of that span, a parity check of the complement rows alone,
-and the demand functional: a column vector lambda with
-unknown_rows @ lambda = e_0, which reads the demanded symbol off any word
-of the span.  Decoding subtracts the known side-information contribution,
-reads off the syndrome, takes a minimum-weight error estimate from the
-coset, and applies lambda to what is left.  The estimate need not equal
-the true error; it only has to land in the true error's translate of the
+Each receiver precomputes, once, a parity check of the span of the rows
+it cannot cancel (its demanded row plus the rows it neither holds nor
+demands), a parity check of the complement rows alone, and the demand
+functional: a column vector lambda with unknown_rows @ lambda = e_0,
+which reads the demanded symbol off any word of the span.  All three come
+from one elimination, of the complement rows (see
+`build_receiver_decoder`).  Decoding subtracts the known side-information
+contribution, reads off the syndrome, takes a minimum-weight error
+estimate from the coset, and applies lambda to what is left.  Any basis of
+the span's dual cuts out the same coset, so the leader found does not
+depend on which parity check is kept.  The estimate need not equal the
+true error; it only has to land in the true error's translate of the
 unwanted-row span, and then the demanded symbol comes out right whenever
 the true error weight is within the code's radius.
 
@@ -43,13 +46,12 @@ from .errors import (
 )
 from .field_linalg import (
     DEFAULT_ENUM_BUDGET,
+    Field,
     FMatrix,
     FVector,
     all_vectors,
     coset_leader,
     parity_check_matrix,
-    row_basis,
-    solve_linear,
     solve_row_combination,
     vectors_of_weight_at_most,
 )
@@ -61,20 +63,19 @@ from .instance import ReceiverFrame, receiver_frame
 class ReceiverDecoder:
     """Precomputed decoding state for one receiver.
 
-    code_space: basis of the span of the demanded row and the complement
-    rows; parity: its parity-check matrix; side_rows: the rows the receiver
-    can cancel, ordered by ascending message index; demand_functional:
-    lambda with unknown_rows @ lambda = e_0, or None when the demanded row
-    lies in the span of the complement rows (the symbol is then not
-    determined); complement_parity: a parity check of the complement rows'
-    span; the sparse_* fields: the same rows as (position, value) pairs of
-    their nonzero entries; leaders: the coset-leader memo, syndrome ->
+    parity: a parity check of the span of the demanded row and the
+    complement rows; side_rows: the rows the receiver can cancel, ordered by
+    ascending message index; demand_functional: lambda with
+    unknown_rows @ lambda = e_0, or None when the demanded row lies in the
+    span of the complement rows (the symbol is then not determined);
+    complement_parity: a parity check of the complement rows' span; the
+    sparse_* fields: the same rows as (position, value) pairs of their
+    nonzero entries; leaders: the coset-leader memo, syndrome ->
     (leader, its weight, lambda . leader).
     """
 
     code: LinearIndexCode
     frame: ReceiverFrame
-    code_space: FMatrix
     parity: FMatrix
     side_rows: FMatrix
     unknown_rows: FMatrix  # demanded row first, then sorted complement rows
@@ -89,32 +90,65 @@ class ReceiverDecoder:
 
 def _sparse(rows) -> tuple:
     """Each row as the (position, value) pairs of its nonzero entries."""
-    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
+    return tuple([tuple([(j, v) for j, v in enumerate(row) if v]) for row in rows])
+
+
+def _dot(field: Field, sparse_row: tuple, entries: Sequence[int]) -> int:
+    add, mul = field._add, field._mul
+    acc = 0
+    for j, v in sparse_row:
+        acc = add[acc][mul[v][entries[j]]]
+    return acc
 
 
 def build_receiver_decoder(code: LinearIndexCode, i: int) -> ReceiverDecoder:
+    """One elimination, of the complement rows C, gives everything: its
+    kernel basis h_1..h_r is the complement parity check, and s_j = u . h_j
+    for the demanded row u decides the rest.  All s_j = 0 puts u in span(C):
+    no functional, and the parity check of span(u, C) is the kernel itself.
+    Otherwise, with j0 the first j where s_j != 0, lambda = h_j0 / s_j0 reads
+    u's coefficient, and h_j - (s_j / s_j0) h_j0 for j != j0 span the dual
+    of span(u, C).  Both are checked against the unknown rows."""
     if not (0 <= i < code.inst.num_receivers):
         raise IndexOutOfRange(f"receiver index {i} out of range")
+    field, N = code.field, code.length
+    add, mul, neg = field._add, field._mul, field._neg
     frame = receiver_frame(code.inst, i)
     complement = sorted(frame.complement)
     unknown_rows = code.matrix.rows_at([frame.demand] + complement)
-    basis = row_basis(unknown_rows)
-    parity = parity_check_matrix(basis)  # reduced rows reduce to themselves
-    for r in range(basis.nrows):
-        if not parity.mul_col(basis.row(r)).is_zero():
-            raise InternalContradiction("parity check does not annihilate the code space")
-    side_rows = code.matrix.rows_at(sorted(frame.side_info))
-    solution = solve_linear(unknown_rows, FVector.unit(code.field, unknown_rows.nrows, 0))
-    lam = None if solution is None else solution[0]
+    unknown = unknown_rows.rows
     complement_parity = parity_check_matrix(code.matrix.rows_at(complement))
+    kernel = complement_parity.rows
+    sparse_kernel = _sparse(kernel)
+    s = [_dot(field, h, unknown[0]) for h in sparse_kernel]
+    j0 = next((j for j, v in enumerate(s) if v), None)
+    if j0 is None:
+        lam, parity, sparse_parity = None, kernel, sparse_kernel
+    else:
+        h0, inv = kernel[j0], field._inv[s[j0]]
+        lam = tuple([mul[inv][v] for v in h0])
+        parity = []
+        for j, h in enumerate(kernel):
+            if j != j0:
+                m = mul[neg[mul[s[j]][inv]]]  # h_j - (s_j / s_j0) h_j0
+                parity.append(tuple([add[a][m[b]] for a, b in zip(h, h0)]))
+        sparse_parity = _sparse(parity)
+    for row in unknown:
+        if any(_dot(field, h, row) for h in sparse_parity):
+            raise InternalContradiction("parity check does not annihilate the unknown rows")
+    sparse_demand = None if lam is None else _sparse([lam])[0]
+    if lam is not None:
+        if [_dot(field, sparse_demand, row) for row in unknown] != [1] + [0] * len(complement):
+            raise InternalContradiction("demand functional does not read the demanded row")
+    side_rows = code.matrix.rows_at(sorted(frame.side_info))
     return ReceiverDecoder(
-        code, frame, basis, parity, side_rows, unknown_rows,
-        demand_functional=lam,
+        code, frame, FMatrix._unchecked(field, tuple(parity), N), side_rows, unknown_rows,
+        demand_functional=None if lam is None else FVector(field, lam),
         complement_parity=complement_parity,
-        sparse_parity=_sparse(parity.rows),
-        sparse_complement_parity=_sparse(complement_parity.rows),
+        sparse_parity=sparse_parity,
+        sparse_complement_parity=sparse_kernel,
         sparse_side_rows=_sparse(side_rows.rows),
-        sparse_demand=None if lam is None else _sparse([lam.entries])[0],
+        sparse_demand=sparse_demand,
     )
 
 
@@ -263,6 +297,20 @@ def simulate_round(
     against the true demanded symbols.
     """
     _check_delta(delta)
+    decoders = [build_receiver_decoder(code, i) for i in range(code.inst.num_receivers)]
+    return _decode_round(code, decoders, x, error, delta if weight_cap is None else weight_cap)
+
+
+def _decode_round(
+    code: LinearIndexCode,
+    decoders: Sequence[ReceiverDecoder],
+    x: FVector,
+    error: FVector | Sequence[FVector],
+    weight_cap: int,
+) -> list[DecodeOutcome]:
+    """One `simulate_round` on decoders built once per code (one per
+    receiver, in order), so many rounds share their precomputation and
+    leader memos."""
     inst = code.inst
     y = encode(code, x)
     if isinstance(error, FVector):
@@ -271,13 +319,11 @@ def simulate_round(
         errors = list(error)
         if len(errors) != inst.num_receivers:
             raise LengthMismatch("need one error vector per receiver")
-    cap = delta if weight_cap is None else weight_cap
     outcomes = []
-    for i in range(inst.num_receivers):
-        dec = build_receiver_decoder(code, i)
+    for i, dec in enumerate(decoders):
         side = [x.entries[j] for j in sorted(inst.side_info[i])]
         outcomes.append(
-            decode(dec, y.add(errors[i]), side, cap, truth=x.entries[inst.demands[i]])
+            decode(dec, y.add(errors[i]), side, weight_cap, truth=x.entries[inst.demands[i]])
         )
     return outcomes
 

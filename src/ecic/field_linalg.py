@@ -323,7 +323,7 @@ class FMatrix:
         return FVector(self.field, self.rows[i])
 
     def rows_at(self, indices: Sequence[int]) -> FMatrix:
-        return FMatrix(self.field, tuple(self.rows[i] for i in indices), self.ncols)
+        return FMatrix._unchecked(self.field, tuple(self.rows[i] for i in indices), self.ncols)
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.rows)
@@ -378,6 +378,16 @@ class FMatrix:
                 acc = add[acc][mul[a][b]]
             out.append(acc)
         return FVector(f, tuple(out))
+
+    @classmethod
+    def _unchecked(cls, field: Field, rows: tuple[tuple[int, ...], ...], ncols: int) -> FMatrix:
+        """Wrap rows already known to have ncols entries in range, without
+        checking them again."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "field", field)
+        object.__setattr__(M, "rows", rows)
+        object.__setattr__(M, "ncols", ncols)
+        return M
 
     @staticmethod
     def from_rows(field: Field, rows: Iterable[Sequence[int]], ncols: int | None = None) -> FMatrix:
@@ -446,6 +456,25 @@ def _rref(rows: Sequence[Sequence[int]], ncols: int, field: Field) -> tuple[list
     return work[:rank], pivots
 
 
+def _kernel_rows(
+    reduced: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int, field: Field
+) -> list[tuple[int, ...]]:
+    """The standard kernel basis of a reduced echelon form over its first
+    `ncols` columns: one row per non-pivot column j, 1 at j, minus the
+    reduced rows' column-j entries at their pivots, 0 elsewhere."""
+    pivot_set = set(pivots)
+    neg = field._neg
+    rows = []
+    for j in range(ncols):
+        if j not in pivot_set:
+            h = [0] * ncols
+            h[j] = 1
+            for r, p in enumerate(pivots):
+                h[p] = neg[reduced[r][j]]
+            rows.append(tuple(h))
+    return rows
+
+
 def _pack_bits(entries: Sequence[int]) -> int:
     mask = 0
     for i, x in enumerate(entries):
@@ -493,20 +522,9 @@ def parity_check_matrix(G: FMatrix) -> FMatrix:
     deterministic.  k = N yields a 0 x N matrix; a 0 x N input yields the
     identity.
     """
-    field = G.field
-    N = G.ncols
-    reduced, pivots = _rref(G.rows, N, field)
-    pivot_set = set(pivots)
-    free = [j for j in range(N) if j not in pivot_set]
-    neg = field._neg
-    rows = []
-    for j in free:
-        h = [0] * N
-        h[j] = 1
-        for r, p in enumerate(pivots):
-            h[p] = neg[reduced[r][j]]
-        rows.append(tuple(h))
-    return FMatrix(field, tuple(rows), N)
+    reduced, pivots = _rref(G.rows, G.ncols, G.field)
+    rows = _kernel_rows(reduced, pivots, G.ncols, G.field)
+    return FMatrix._unchecked(G.field, tuple(rows), G.ncols)
 
 
 def solve_linear(A: FMatrix, b: FVector) -> tuple[FVector, list[FVector]] | None:
@@ -524,19 +542,10 @@ def solve_linear(A: FMatrix, b: FVector) -> tuple[FVector, list[FVector]] | None
     reduced, pivots = _rref(aug, N + 1, field)
     if N in pivots:
         return None
-    pivot_set = set(pivots)
-    free = [j for j in range(N) if j not in pivot_set]
     x = [0] * N
     for r, p in enumerate(pivots):
         x[p] = reduced[r][N]
-    neg = field._neg
-    kernel = []
-    for j in free:
-        v = [0] * N
-        v[j] = 1
-        for r, p in enumerate(pivots):
-            v[p] = neg[reduced[r][j]]
-        kernel.append(FVector(field, tuple(v)))
+    kernel = [FVector(field, v) for v in _kernel_rows(reduced, pivots, N, field)]
     return FVector(field, tuple(x)), kernel
 
 
@@ -555,7 +564,8 @@ def coset_leader(H: FMatrix, s: FVector, weight_cap: int) -> FVector:
     Candidates of equal weight are ordered by lexicographic support and then
     lexicographic nonzero values, so the result is reproducible.  Raises
     NoSolution if H e^T = s has no solution at any weight, WeightCapExceeded
-    if every solution needs weight > weight_cap.
+    if every solution needs weight > weight_cap.  Consistency costs an
+    elimination, so it is decided only when the search finds nothing.
     """
     if len(s) != H.nrows or s.field != H.field:
         raise LengthMismatch("syndrome length must equal the parity row count")
@@ -563,8 +573,6 @@ def coset_leader(H: FMatrix, s: FVector, weight_cap: int) -> FVector:
     N = H.ncols
     if s.is_zero():
         return FVector.zero(field, N)
-    if solve_linear(H, s) is None:
-        raise NoSolution("inconsistent syndrome")
     add, mul = field._add, field._mul
     cols = [H.column(j) for j in range(N)]
     nonzero = list(field.nonzero())
@@ -583,6 +591,8 @@ def coset_leader(H: FMatrix, s: FVector, weight_cap: int) -> FVector:
                     for j, val in zip(supp, values):
                         e[j] = val
                     return FVector(field, tuple(e))
+    if solve_linear(H, s) is None:
+        raise NoSolution("inconsistent syndrome")
     raise WeightCapExceeded(f"no solution of weight <= {weight_cap}")
 
 

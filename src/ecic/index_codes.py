@@ -482,8 +482,11 @@ class InstanceParams:
 
 
 def instance_params(
-    inst: IcsiInstance, field: Field, vertex_cap: int = DEFAULT_ALPHA_VERTEX_CAP
+    inst: IcsiInstance,
+    field: Field,
+    vertex_cap: int = DEFAULT_ALPHA_VERTEX_CAP,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> InstanceParams:
     alpha, witness = generalized_independence_number(inst, vertex_cap)
-    mr = min_rank(inst, field)
+    mr = min_rank(inst, field, node_budget)
     return InstanceParams(field, alpha, witness, mr.kappa, mr.witness)

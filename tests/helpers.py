@@ -198,3 +198,39 @@ def direct_reference(code, delta):
                 if encode(code, z).weight() < 2 * delta + 1:
                     return EcicVerdict(False, delta, None, z)
     return EcicVerdict(True, delta, None, None)
+
+
+def reference_decoder(code, i):
+    """A receiver decoder built by four separate eliminations: a row basis of
+    the demanded and complement rows, the parity check of that basis, the
+    demand functional from `solve_linear`, and a parity check of the
+    complement rows alone.  The reference the one-elimination
+    `build_receiver_decoder` is checked against; it decodes with the same
+    `decode`, so outcomes can be compared call by call."""
+    from ecic import FVector, ReceiverDecoder, parity_check_matrix
+    from ecic.decoder import _sparse
+    from ecic.errors import InternalContradiction
+    from ecic.field_linalg import row_basis, solve_linear
+    from ecic.instance import receiver_frame
+
+    frame = receiver_frame(code.inst, i)
+    complement = sorted(frame.complement)
+    unknown_rows = code.matrix.rows_at([frame.demand] + complement)
+    basis = row_basis(unknown_rows)
+    parity = parity_check_matrix(basis)
+    for r in range(basis.nrows):
+        if not parity.mul_col(basis.row(r)).is_zero():
+            raise InternalContradiction("parity check does not annihilate the code space")
+    side_rows = code.matrix.rows_at(sorted(frame.side_info))
+    solution = solve_linear(unknown_rows, FVector.unit(code.field, unknown_rows.nrows, 0))
+    lam = None if solution is None else solution[0]
+    complement_parity = parity_check_matrix(code.matrix.rows_at(complement))
+    return ReceiverDecoder(
+        code, frame, parity, side_rows, unknown_rows,
+        demand_functional=lam,
+        complement_parity=complement_parity,
+        sparse_parity=_sparse(parity.rows),
+        sparse_complement_parity=_sparse(complement_parity.rows),
+        sparse_side_rows=_sparse(side_rows.rows),
+        sparse_demand=None if lam is None else _sparse([lam.entries])[0],
+    )

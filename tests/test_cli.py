@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from ecic import decoder
 from ecic.cli import main
 
 from helpers import example1_matrix, pentagon_matrix
@@ -204,6 +206,41 @@ def test_simulate(capsys, example1_file):
     )
     assert code == 0
     assert len(json.loads(out)["rounds"]) == 12
+
+
+def test_simulate_builds_each_decoder_once(capsys, monkeypatch, pentagon_file):
+    """Every round decodes on the same m decoders, and the output is the
+    four-elimination decoder's, byte for byte (its sha256 is pinned)."""
+    built = []
+    original = decoder.build_receiver_decoder
+    monkeypatch.setattr(
+        decoder, "build_receiver_decoder", lambda code, i: built.append(i) or original(code, i)
+    )
+    for rounds in ("1", "20"):
+        built.clear()
+        code, out, _ = run(
+            capsys, "simulate", "--instance", "pentagon", "--matrix", pentagon_file,
+            "--delta", "2", "--random-errors", rounds, "--seed", "7",
+        )
+        assert code == 0
+        assert built == [0, 1, 2, 3, 4]
+    assert len(json.loads(out)["rounds"]) == 100
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5d336b753d616cab786cd66546e0d99fe1b243e5d40b9364ae10f13d23968aed"
+    )
+
+
+def test_params_node_budget(capsys):
+    code, out, err = run(
+        capsys, "params", "--instance", "pentagon", "--q", "2", "--node-budget", "10"
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("budget exhausted")
+    code, out, _ = run(
+        capsys, "params", "--instance", "pentagon", "--q", "2", "--node-budget", "2000"
+    )
+    assert code == 0
+    assert '"kappa": 3' in out
 
 
 def test_check(capsys, example1_file, pentagon_file):

@@ -25,6 +25,8 @@ from ecic.errors import (
     LengthMismatch,
     WeightCapExceeded,
 )
+from ecic import field_linalg
+from ecic.field_linalg import row_basis
 
 from helpers import F2, F3, example1_code, pentagon_code, random_instance, random_matrix
 
@@ -35,23 +37,37 @@ from helpers import F2, F3, example1_code, pentagon_code, random_instance, rando
 
 def test_build_example1_receiver():
     dec = build_receiver_decoder(example1_code(), 0)
-    assert dec.code_space.rows == ((1, 1, 1, 0),)
+    basis = row_basis(dec.unknown_rows)
+    assert basis.rows == ((1, 1, 1, 0),)
     assert dec.parity.nrows == 3
-    for r in range(dec.code_space.nrows):
-        assert dec.parity.mul_col(dec.code_space.row(r)).is_zero()
+    for r in range(basis.nrows):
+        assert dec.parity.mul_col(basis.row(r)).is_zero()
 
 
 def test_build_full_space_receiver_has_empty_parity():
     code = LinearIndexCode(no_side_info(3), F2, FMatrix.identity(F2, 3))
     dec = build_receiver_decoder(code, 0)
-    assert dec.code_space.nrows == 3
+    assert row_basis(dec.unknown_rows).nrows == 3
     assert dec.parity.nrows == 0
 
 
 def test_build_pentagon_receiver():
     dec = build_receiver_decoder(pentagon_code(), 0)
-    assert dec.code_space.nrows == 3  # rows {1, 3, 4} of L are independent
+    assert row_basis(dec.unknown_rows).nrows == 3  # rows {1, 3, 4} of L are independent
     assert dec.parity.nrows == 6
+
+
+def test_build_runs_one_elimination(monkeypatch):
+    """Parity check, demand functional and complement parity all come from
+    one reduction of the complement rows."""
+    calls = []
+    original = field_linalg._rref
+    monkeypatch.setattr(field_linalg, "_rref", lambda *a: calls.append(a) or original(*a))
+    for code in (example1_code(), pentagon_code()):
+        for i in range(code.inst.num_receivers):
+            calls.clear()
+            build_receiver_decoder(code, i)
+            assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

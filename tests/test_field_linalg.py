@@ -24,6 +24,7 @@ from ecic.errors import (
     NotPrimePower,
     WeightCapExceeded,
 )
+from ecic import field_linalg
 from ecic.field_linalg import _pack_bits, _rank_generic, _rank_gf2
 
 from helpers import (
@@ -252,15 +253,52 @@ def test_coset_leader_never_heavier_than_any_preimage():
 
 
 def test_coset_leader_no_solution():
-    H = FMatrix(F2, ((0, 0, 0),), 3)
-    with pytest.raises(NoSolution):
-        coset_leader(H, FVector(F2, (1,)), 3)
+    """An inconsistent syndrome raises NoSolution at every cap, also when
+    the search below the cap finds nothing and H is rank-deficient."""
+    cases = [
+        FMatrix(F2, ((0, 0, 0),), 3),
+        FMatrix(F2, ((1, 1, 0), (1, 1, 0)), 3),
+        FMatrix(F3, ((1, 0, 2, 1), (2, 0, 1, 2), (0, 1, 1, 0)), 4),  # row 2 = 2 * row 1
+    ]
+    syndromes = [(1,), (1, 0), (1, 1, 0)]
+    for H, s in zip(cases, syndromes):
+        assert mat_rank(H) < H.nrows
+        for cap in (0, 1, H.ncols):
+            with pytest.raises(NoSolution):
+                coset_leader(H, FVector(H.field, s), cap)
 
 
 def test_coset_leader_weight_cap():
+    """A consistent syndrome whose lightest preimage is heavier than the cap
+    raises WeightCapExceeded, not NoSolution."""
     H = FMatrix(F2, ((1, 0), (0, 1)), 2)
     with pytest.raises(WeightCapExceeded):
         coset_leader(H, FVector(F2, (1, 1)), 1)
+    H = FMatrix(F3, ((1, 0, 2, 1), (2, 0, 1, 2), (0, 1, 1, 0)), 4)  # rank-deficient
+    s = FVector(F3, (1, 2, 1))
+    assert coset_leader(H, s, 4).weight() == 2
+    for cap in (0, 1):
+        with pytest.raises(WeightCapExceeded):
+            coset_leader(H, s, cap)
+
+
+def test_coset_leader_eliminates_only_on_a_miss(monkeypatch):
+    """A found leader proves the syndrome consistent, so `solve_linear` runs
+    only when the search below the cap comes back empty."""
+    calls = []
+    original = field_linalg.solve_linear
+    monkeypatch.setattr(
+        field_linalg, "solve_linear", lambda *a: calls.append(a) or original(*a)
+    )
+    H = FMatrix(F2, ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 0, 1)), 4)
+    for s in itertools.product((0, 1), repeat=3):
+        coset_leader(H, FVector(F2, s), 4)
+    assert calls == []
+    with pytest.raises(WeightCapExceeded):
+        coset_leader(H, FVector(F2, (1, 1, 1)), 1)
+    with pytest.raises(NoSolution):
+        coset_leader(FMatrix(F2, ((0, 0, 0),), 3), FVector(F2, (1,)), 3)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
