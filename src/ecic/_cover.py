@@ -38,7 +38,9 @@ is the one the unpruned scan returns.
 
 `local_cover_search` is the heuristic beside this exhaustive kernel: a
 tabu search on the same packed counts and deficit that finds witnesses
-fast and proves nothing when it misses.
+fast and proves nothing when it misses.  `decide_length` settles one length
+of a descent with the two: tabu first, or at the descent's bottom length an
+exhaustive probe first.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, CapExceeded
 from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FMatrix
@@ -460,3 +462,53 @@ def local_cover_search(
     if not deficit:
         return tuple(sorted(picks)), iterations
     return None, iterations
+
+
+# ---------------------------------------------------------------------------
+# one length of a witness-first descent
+
+
+@dataclass(frozen=True)
+class LengthDecision:
+    classes: tuple[int, ...] | None  # a tabu witness; None when `result` decides
+    result: Any  # what `exhaustive` returned, or None after a tabu witness
+    nodes: int  # exhaustive nodes charged, a tripped probe's included
+    moves: int  # tabu moves made
+
+
+def decide_length(
+    tabu: Callable[[], tuple[tuple[int, ...] | None, int]],
+    exhaustive: Callable[[int], Any],
+    node_budget: int,
+    probe_budget: int | None,
+) -> LengthDecision:
+    """Settle one length of a descent that walks down from a witness.
+
+    `tabu()` returns (classes or None, moves); `exhaustive(budget)` decides
+    the length under a node budget, returning a result with `.nodes`, or
+    raises BudgetExceeded.  Tabu goes first, and the exhaustive search only
+    on a miss.  With a `probe_budget` (at the bottom length, where a miss is
+    the common case and proves nothing) the exhaustive search goes first
+    under that budget, and tabu and the full search follow only if it
+    trips, its nodes charged.  A probe cut short by `node_budget` itself
+    raises at once: its trip spends that budget.
+    """
+    charged = 0
+    if probe_budget is not None:
+        budget = min(probe_budget, node_budget)
+        try:
+            res = exhaustive(budget)
+            return LengthDecision(None, res, res.nodes, 0)
+        except BudgetExceeded as exc:
+            if budget == node_budget:
+                raise
+            charged = exc.nodes
+    classes, moves = tabu()
+    if classes is not None:
+        return LengthDecision(classes, None, charged, moves)
+    try:
+        res = exhaustive(node_budget - charged)
+    except BudgetExceeded as exc:
+        exc.nodes = charged + (exc.nodes or 0)
+        raise
+    return LengthDecision(None, res, charged + res.nodes, moves)

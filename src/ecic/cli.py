@@ -4,8 +4,8 @@ Subcommands: validate, params, bounds, verify, radius, search, construct,
 simulate, check.  Every subcommand emits either a single JSON document
 (--format json) or aligned text (--format text) on stdout; diagnostics go
 to stderr.  Exit codes: 0 success or PASS, 1 a verified negative answer
-(FAIL verdicts, no radius), 2 input error, 3 budget exhausted or size
-cap exceeded (told apart on stderr).
+(FAIL verdicts, no radius), 2 input error (a negative budget included), 3
+budget exhausted or size cap exceeded (told apart on stderr).
 
 Identical invocations (including seeds and budgets) produce byte-identical
 JSON; to that end timing never appears in JSON output, only in text.
@@ -320,9 +320,20 @@ def _cmd_check(args) -> int:
     return EXIT_PASS if report.ok else EXIT_FAIL
 
 
+def _budget(text: str) -> int:
+    """A budget flag's value: a nonnegative integer (0 allows no work)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be a nonnegative integer, got {text!r}")
+    return value
+
+
 _OPTIONAL_FLAGS = {
-    "enum-budget": dict(type=int, default=DEFAULT_ENUM_BUDGET),
-    "node-budget": dict(type=int, default=bounds_mod.DEFAULT_NODE_BUDGET),
+    "enum-budget": dict(type=_budget, default=DEFAULT_ENUM_BUDGET),
+    "node-budget": dict(type=_budget, default=bounds_mod.DEFAULT_NODE_BUDGET),
     "jobs": dict(type=int, default=1, help="parallel search workers"),
     "seed": dict(type=int, default=0),
 }

@@ -8,7 +8,7 @@ candidate space to multisets of projective column classes -- the
 verification predicate only sees columns up to order and nonzero scaling
 -- and walks candidate lengths down from the concatenation bound: a tabu
 search supplies witnesses, and exhaustion with quota pruning supplies the
-one proof below the shortest of them.
+one proof below the shortest of them, tried first at the lower bound.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from ._cover import (
     LOCAL_SEARCH_ITERATIONS,
     _seeded_bytes,
     classes_matrix,
+    decide_length,
     local_cover_search,
     multiset_cover_search,
 )
@@ -291,7 +292,12 @@ def optimal_length_search(
     witness, which is re-verified.  Where it finds none, `exists_ecic`
     decides the length exhaustively: infeasible ends the scan one length
     above, and feasible gives the next witness.  Reaching the best lower
-    bound ends it too, since every shorter length is ruled out.  Kappa
+    bound ends it too, since every shorter length is ruled out.  At that
+    bound, when the scan starts above it, a tabu miss is the common case and
+    proves nothing, so `exists_ecic` goes first under one tabu run's work
+    (LOCAL_SEARCH_ITERATIONS x column classes nodes) and usually settles
+    it; only if that probe trips do tabu and the full exhaustive search
+    decide, with the probe's nodes counted (`_cover.decide_length`).  Kappa
     comes from `min_rank` on the same analysis, with the node budget to
     itself; if the budgets leave it unsettled, the bounds drop it and
     concatenate the unit columns of the distinct demands instead.  When a
@@ -346,25 +352,29 @@ def optimal_length_search(
         raise exhausted("analysing the instance", unsettled) from unsettled
     quotas = [d] * len(an.targets)
     for length in range(min(upper, _MAX_SIZE), lower - 1, -1):
-        classes, moves = local_cover_search(
-            an.hit_sets, quotas, length, LOCAL_SEARCH_ITERATIONS,
-            _seeded_bytes(f"ecic:local:{length}", 256),
-        )
-        iterations += moves
-        if classes is not None:
-            witness = _verified(inst, field, delta, an, classes, enum_budget)
-            continue
         try:
-            res = exists_ecic(
-                inst, field, delta, length, node_budget=node_budget - nodes, jobs=jobs,
-                enum_budget=enum_budget, _analysis=an,
+            step = decide_length(
+                lambda: local_cover_search(
+                    an.hit_sets, quotas, length, LOCAL_SEARCH_ITERATIONS,
+                    _seeded_bytes(f"ecic:local:{length}", 256),
+                ),
+                lambda budget: exists_ecic(
+                    inst, field, delta, length, node_budget=budget, jobs=jobs,
+                    enum_budget=enum_budget, _analysis=an,
+                ),
+                node_budget - nodes,
+                LOCAL_SEARCH_ITERATIONS * len(an.hit_sets) if lower == length < upper else None,
             )
         except BudgetExceeded as exc:
             raise exhausted(f"at length {length}", exc) from exc
-        nodes += res.nodes
-        if not res.feasible:
+        nodes += step.nodes
+        iterations += step.moves
+        if step.classes is not None:
+            witness = _verified(inst, field, delta, an, step.classes, enum_budget)
+        elif step.result.feasible:
+            witness = step.result.witness
+        else:
             break
-        witness = res.witness
     else:
         length = lower - 1  # the bounds rule out every shorter length
     if witness is None:

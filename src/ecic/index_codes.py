@@ -32,6 +32,7 @@ from ._cover import (
     class_permutation,
     class_table,
     classes_matrix,
+    decide_length,
     local_cover_search,
     multiset_cover_search,
 )
@@ -175,8 +176,11 @@ def verify_ecic_direct(
     code: LinearIndexCode, delta: int, enum_budget: int = DEFAULT_ENUM_BUDGET
 ) -> EcicVerdict:
     """Same verdict as `verify_ecic`, by checking weight(z @ L) >= 2*delta+1
-    for every confusable z, with the first failing z as certificate.  Shares
-    no code with the margin kernel: each odometer step of the stream adds a
+    for every confusable z, with the first failing z in stream order as
+    certificate.  Scaling z keeps weight(z @ L), so only the stream's walk
+    up to scaling is checked (`ErrorVectorStream.receiver_walks`); the first
+    failing z has demand entry 1 and is met there first.  Shares no code
+    with the margin kernel: each odometer step of the walk adds a
     precomputed change to z @ L, kept as base-p digit lanes of w bits
     (symbol j's from bit j*e*w) and reduced mod p in all lanes at once."""
     _check_delta(delta)
@@ -205,14 +209,15 @@ def verify_ecic_direct(
     ]
     for positions, steps in walks:
         # changes[t][c] raises digit t from c to c+1, adding (c+1 - c) times
-        # its row, and wraps the later digits from q-1 to 0, adding `wrap`
+        # its row, and wraps the later digits from q-1 to 0, adding `wrap`;
+        # the demand digit only takes its first step, from 0 to 1
         changes, wrap = [], 0
-        for pos in reversed(positions):
+        for pos in reversed(positions[1:]):
             row = multiples[pos]
             changes.insert(0, [lane_add(wrap, row[add[c + 1][neg[c]]]) for c in range(q - 1)])
             wrap = lane_add(wrap, row[neg[q - 1]])
-        acc = 0  # so the first step (t = 0, c = 0) lands on the demand row
-        changes[0][0] = multiples[positions[0]][1]
+        changes.insert(0, [multiples[positions[0]][1]])  # acc = 0 lands on the demand row
+        acc = 0
         for t, c, key in steps:
             s = acc + changes[t][c]
             acc = s - (((s + bias) & top) >> (w - 1)) * p  # lane_add, inlined
@@ -418,9 +423,12 @@ def min_rank(
     (`local_cover_search`) looks for a code, and where it finds none the
     exhaustive `multiset_cover_search` (first picks skipped by orbit)
     decides the length; infeasible ends the descent one length above, and
-    reaching the part's alpha <= its kappa ends it too.  `node_budget`
-    bounds the exhaustive nodes, summed over the parts; BudgetExceeded
-    means kappa is unknown.
+    reaching the part's alpha <= its kappa ends it too.  At alpha the
+    exhaustive search goes first, under one tabu run's work of nodes, and
+    tabu runs only if it trips (`_cover.decide_length`, as in the length
+    scan).  `node_budget` bounds the exhaustive nodes, a tripped probe's
+    included, summed over the parts; BudgetExceeded means kappa is
+    unknown.
     Row i of the witness is L @ lambda_i for the found code L, where
     lambda_i solves receiver i's decoding system (see `verify_ic`).
     `_analysis` passes in the (instance, q) analysis a length scan shares;
@@ -437,18 +445,23 @@ def min_rank(
             an = an or _analyse(part, field, DEFAULT_ENUM_BUDGET)
             quotas = [1] * len(an.targets)
             for length in range(len(msgs) - 1, alpha - 1, -1):
-                classes, _ = local_cover_search(
-                    an.hit_sets, quotas, length, LOCAL_SEARCH_ITERATIONS,
-                    _seeded_bytes(f"ecic:kappa:{length}", 256),
+                step = decide_length(
+                    lambda: local_cover_search(
+                        an.hit_sets, quotas, length, LOCAL_SEARCH_ITERATIONS,
+                        _seeded_bytes(f"ecic:kappa:{length}", 256),
+                    ),
+                    lambda budget: multiset_cover_search(
+                        an.hit_sets, quotas, length, budget, orbits=an.orbits
+                    ),
+                    node_budget - nodes,
+                    LOCAL_SEARCH_ITERATIONS * len(an.hit_sets) if length == alpha else None,
                 )
+                nodes += step.nodes
+                classes = step.classes
                 if classes is None:
-                    res = multiset_cover_search(
-                        an.hit_sets, quotas, length, node_budget - nodes, orbits=an.orbits
-                    )
-                    nodes += res.nodes
-                    if not res.found:
+                    if not step.result.found:
                         break
-                    classes = res.classes
+                    classes = step.result.classes
                 code = classes_matrix(field, an.columns, classes, len(msgs))
         blocks.append((msgs, code))
     kappa = sum(code.ncols for _, code in blocks)

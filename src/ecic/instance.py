@@ -12,6 +12,7 @@ not on q.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -333,20 +334,31 @@ class ErrorVectorStream:
         self._iter = self._generate(field)
 
     def receiver_walks(self) -> Iterator[tuple[tuple[int, ...], Iterator[tuple[int, int, int]]]]:
-        """Per receiver, its positions (demand, then the sorted complement)
-        and its `_odometer` steps, duplicates included: the stream's walk
-        for callers that keep their own state instead of taking vectors."""
-        inst, n = self._inst, self._inst.num_messages
-        for i in range(inst.num_receivers):
-            positions = (inst.demands[i], *sorted(inst.complement(i)))
-            yield positions, _odometer(self._q, n, positions)
+        """The stream's walk up to scaling, for callers that keep their own
+        state instead of taking vectors.  Per receiver j, its positions
+        (demand, then the sorted complement) and the `_odometer` steps that
+        keep the demand entry at 1.  A position is dropped where an earlier
+        receiver i with side_i inside side_j demands it (every vector
+        nonzero there is confusable for i), and j is skipped when such an i
+        demands what j does.  So every vector the stream yields is a scaling
+        of one walked no later in stream order."""
+        inst, q, n = self._inst, self._q, self._inst.num_messages
+        for j in range(inst.num_receivers):
+            side = inst.side_info[j]
+            earlier = {inst.demands[i] for i in range(j) if inst.side_info[i] <= side}
+            if inst.demands[j] in earlier:
+                continue
+            positions = (inst.demands[j], *sorted(inst.complement(j) - earlier))
+            yield positions, itertools.islice(
+                _odometer(q, n, positions), q ** (len(positions) - 1)
+            )
 
     def _generate(self, field: Field) -> Iterator[FVector]:
-        q, n = self._q, self._inst.num_messages
+        inst, q, n = self._inst, self._q, self._inst.num_messages
         places = [q ** (n - 1 - j) for j in range(n)]
         seen: set[int] = set()
-        for _, steps in self.receiver_walks():
-            for _, _, key in steps:
+        for i in range(inst.num_receivers):
+            for _, _, key in _odometer(q, n, (inst.demands[i], *sorted(inst.complement(i)))):
                 if key not in seen:
                     seen.add(key)
                     yield FVector(field, tuple(key // place % q for place in places))

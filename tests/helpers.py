@@ -234,3 +234,49 @@ def reference_decoder(code, i):
         sparse_side_rows=_sparse(side_rows.rows),
         sparse_demand=None if lam is None else _sparse([lam.entries])[0],
     )
+
+
+def full_walk_direct(code, delta):
+    """The packed direct route before it walked up to scaling: every
+    receiver's whole odometer walk, demand values 1..q-1 and vectors other
+    receivers also confuse included, with the first failing step's z as
+    certificate.  The reference the reduced walk of `verify_ecic_direct` is
+    checked against, verdict and certificate alike."""
+    from ecic import EcicVerdict, FVector
+    from ecic.instance import _odometer
+
+    inst, field, L = code.inst, code.field, code.matrix
+    need = 2 * delta + 1
+    q, p, e, n, N = field.q, field.p, field.e, inst.num_messages, L.ncols
+    add, mul, neg = field._add, field._mul, field._neg
+    w = p.bit_length() + 1
+    width = e * w
+    digit_lanes = [sum(x // p**r % p << r * w for r in range(e)) for x in range(q)]
+    lane_ones = sum(1 << i * w for i in range(N * e))
+    symbol_ones = sum(1 << j * width for j in range(N))
+    bias, top = lane_ones * ((1 << (w - 1)) - p), lane_ones << (w - 1)
+    sym_bias, sym_top = symbol_ones * ((1 << (width - 1)) - 1), symbol_ones << (width - 1)
+
+    def lane_add(a, b):
+        s = a + b
+        return s - (((s + bias) & top) >> (w - 1)) * p
+
+    multiples = [
+        [sum(digit_lanes[mul[a][x]] << j * width for j, x in enumerate(row)) for a in range(q)]
+        for row in L.rows
+    ]
+    for i in range(inst.num_receivers):
+        positions = (inst.demands[i], *sorted(inst.complement(i)))
+        changes, wrap = [], 0
+        for pos in reversed(positions):
+            row = multiples[pos]
+            changes.insert(0, [lane_add(wrap, row[add[c + 1][neg[c]]]) for c in range(q - 1)])
+            wrap = lane_add(wrap, row[neg[q - 1]])
+        acc = 0
+        changes[0][0] = multiples[positions[0]][1]
+        for t, c, key in _odometer(q, n, positions):
+            acc = lane_add(acc, changes[t][c])
+            if ((acc + sym_bias) & sym_top).bit_count() < need:
+                z = tuple(key // q ** (n - 1 - j) % q for j in range(n))
+                return EcicVerdict(False, delta, None, FVector(field, z))
+    return EcicVerdict(True, delta, None, None)

@@ -441,3 +441,47 @@ def test_budget_exit_prints_the_bracket_as_data(capsys):
     code, out, _ = run(capsys, *argv[:-2], "--enum-budget", "3")
     assert code == 3
     assert json.loads(out) == {"status": "budget", "infeasible_below": 8, "feasible_at": 13, "nodes": 0}
+
+
+SEARCH_ARGS = ("--instance", "pentagon", "--q", "2", "--delta", "1")
+MATRIX_ARGS = ("--instance", "pentagon", "--matrix", "PENTAGON", "--delta", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("params", "--instance", "pentagon", "--q", "2"), "--node-budget"),
+        (("bounds", *SEARCH_ARGS), "--node-budget"),
+        (("search", *SEARCH_ARGS), "--node-budget"),
+        (("search", *SEARCH_ARGS), "--enum-budget"),
+        (("construct", *SEARCH_ARGS, "--strategy", "concat"), "--node-budget"),
+        (("construct", *SEARCH_ARGS, "--strategy", "concat"), "--enum-budget"),
+        (("verify", *MATRIX_ARGS), "--enum-budget"),
+        (("radius", *MATRIX_ARGS[:4]), "--enum-budget"),
+        (("check", *MATRIX_ARGS), "--enum-budget"),
+    ],
+)
+@pytest.mark.parametrize("value", ["-1", "-5", "ten"])
+def test_bad_budget_exits_two(capsys, pentagon_file, argv, flag, value):
+    argv = [pentagon_file if a == "PENTAGON" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{flag}: budget must be a nonnegative integer" in err
+
+
+def test_zero_budgets_stay_valid(capsys):
+    """A budget of 0 is accepted and allows no work: the search exits 3
+    with its bracket under either budget."""
+    code, out, err = run(
+        capsys, "search", "--instance", "pentagon", "--q", "2", "--delta", "1",
+        "--node-budget", "0",
+    )
+    assert code == 3 and err.startswith("budget exhausted")
+    assert json.loads(out)["status"] == "budget"
+    code, out, _ = run(
+        capsys, "search", "--instance", "example1", "--q", "2", "--delta", "0",
+        "--enum-budget", "0",
+    )
+    assert code == 3 and json.loads(out)["status"] == "budget"

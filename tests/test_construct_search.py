@@ -315,6 +315,77 @@ def test_scan_starts_at_the_cover_cap_when_the_upper_bound_is_beyond_it(monkeypa
         optimal_length_search(pentagon(), F2, 2)
 
 
+# (instance, q, delta, optimum, nodes, tabu moves) in the built-in labelling:
+# the bottom length is infeasible and its probe is the proof, so no tabu
+# move is made there
+PROBE_PROOFS = [
+    ("pentagon", 2, 1, 6, 287, 0),
+    ("pentagon", 2, 2, 9, 311, 2),
+    ("pentagon", 2, 3, 12, 670, 44),
+    ("odd-cycle-complement:3", 2, 1, 6, 11_961, 0),
+]
+
+
+@pytest.mark.parametrize("name, q, delta, optimum, nodes, moves", PROBE_PROOFS)
+def test_probe_at_the_lower_bound_is_the_proof(name, q, delta, optimum, nodes, moves):
+    from ecic import builtin_instance
+
+    inst, field = builtin_instance(name), make_field(q)
+    out = optimal_length_search(inst, field, delta)
+    assert (out.optimal_length, out.infeasible_below) == (optimum, optimum - 1)
+    assert (out.stats.nodes, out.stats.local_iterations) == (nodes, moves)
+    assert exists_ecic(inst, field, delta, optimum - 1).nodes == nodes
+
+
+def test_probe_finds_the_witness_at_a_feasible_lower_bound():
+    """pentagon q=3 delta=1: the lower bound 5 is the optimum, and the
+    probe's exhaustive search returns its witness."""
+    from ecic import verify_ecic_direct
+
+    inst, field = pentagon(), make_field(3)
+    out = optimal_length_search(inst, field, 1)
+    assert (out.optimal_length, out.infeasible_below, out.stats.nodes) == (5, 4, 259)
+    assert out.witness == exists_ecic(inst, field, 1, 5).witness
+    assert verify_ecic_direct(out.witness, 1).ok
+
+
+def test_tripped_probe_falls_back_to_tabu_and_the_full_proof(monkeypatch):
+    """With 4 tabu moves per length the probe at odd-cycle-complement:3
+    q=2 delta=1 N=5 gets 4 x 127 nodes, short of the 11,961-node proof: it
+    trips, its nodes are charged, and the tabu run and the full proof
+    decide."""
+    from ecic import builtin_instance, construct_search
+
+    inst = builtin_instance("odd-cycle-complement:3")
+    proof = exists_ecic(inst, F2, 1, 5).nodes
+    monkeypatch.setattr(construct_search, "LOCAL_SEARCH_ITERATIONS", 4)
+    out = optimal_length_search(inst, F2, 1)
+    assert (out.optimal_length, out.infeasible_below) == (6, 5)
+    assert (out.stats.nodes, out.stats.local_iterations) == (4 * 127 + 1 + proof, 4)
+
+
+def test_probe_capped_by_the_node_budget_raises_at_once(monkeypatch):
+    """A probe whose budget is the scan's remaining budget spends it by
+    tripping, so the scan exits with the bracket and runs no tabu search at
+    the bottom length."""
+    from ecic import builtin_instance, construct_search
+
+    inst = builtin_instance("odd-cycle-complement:3")
+    lengths = []
+    original = construct_search.local_cover_search
+
+    def recorded(hit_sets, quotas, size, iterations, stream):
+        lengths.append(size)
+        return original(hit_sets, quotas, size, iterations, stream)
+
+    monkeypatch.setattr(construct_search, "local_cover_search", recorded)
+    with pytest.raises(BudgetExceeded) as err:
+        optimal_length_search(inst, F2, 1, node_budget=11_960)
+    assert (err.value.infeasible_below, err.value.feasible_at, err.value.nodes) == (5, 6, 11_961)
+    assert lengths == [6]
+    assert optimal_length_search(inst, F2, 1, node_budget=11_961).stats.nodes == 11_961
+
+
 # (instance, q, delta, optimum): questions the exhaustive upward scan could
 # not answer within the default budget, or took seconds to
 FRONTIER = [

@@ -1,7 +1,8 @@
-"""Property test: the packed direct route (`verify_ecic_direct`) against
-the per-vector reference, the margin route and the decoder, on random
-small instances over q in {2, 3, 4, 5, 7, 8, 9}.  Skipped when hypothesis
-is not installed; `tests/conftest.py` makes it deterministic in CI."""
+"""Property tests: the packed direct route (`verify_ecic_direct`) against
+the per-vector reference, the margin route and the decoder, and its walk
+up to scaling against the full walk, on random small instances over q in
+{2, 3, 4, 5, 7, 8, 9}.  Skipped when hypothesis is not installed;
+`tests/conftest.py` makes it deterministic in CI."""
 
 import pytest
 
@@ -13,6 +14,7 @@ from ecic import (  # noqa: E402
     FMatrix,
     IcsiInstance,
     LinearIndexCode,
+    enumerate_error_vectors,
     exhaustive_correctness_check,
     make_field,
     sphere_volume,
@@ -20,7 +22,7 @@ from ecic import (  # noqa: E402
     verify_ecic_direct,
 )
 
-from helpers import direct_reference  # noqa: E402
+from helpers import direct_reference, full_walk_direct  # noqa: E402
 
 # decodes the exhaustive check may spend on one code
 CHECK_LIMIT = 3000
@@ -59,3 +61,31 @@ def test_direct_route_matches_reference_margins_and_decoder(case):
     q, n, m = code.field.q, code.inst.num_messages, code.inst.num_receivers
     if verdict.ok and q**n * sphere_volume(q, code.length, delta) * m <= CHECK_LIMIT:
         assert exhaustive_correctness_check(code, delta).ok
+
+
+@settings(deadline=None)
+@given(codes())
+def test_walk_up_to_scaling_matches_the_full_walk(case):
+    """Same verdict and same certificate, byte for byte, as walking every
+    confusable vector once per receiver that confuses it."""
+    code, delta = case
+    assert verify_ecic_direct(code, delta) == full_walk_direct(code, delta)
+
+
+@settings(deadline=None)
+@given(codes())
+def test_walk_up_to_scaling_meets_every_stream_vector_first(case):
+    """Each walked vector is confusable with demand entry 1, and each vector
+    of the stream has a scaling walked no later in stream order."""
+    inst, field = case[0].inst, case[0].field
+    q, n = field.q, inst.num_messages
+    order = {v.entries: k for k, v in enumerate(enumerate_error_vectors(inst, field))}
+    walked = set()
+    for positions, steps in enumerate_error_vectors(inst, field).receiver_walks():
+        for _, _, key in steps:
+            z = tuple(key // q ** (n - 1 - j) % q for j in range(n))
+            assert z in order and z[positions[0]] == 1
+            walked.add(z)
+    for z, k in order.items():
+        scalings = {tuple(field.mul(a, x) for x in z) for a in field.nonzero()}
+        assert any(order[w] <= k for w in scalings & walked), z
