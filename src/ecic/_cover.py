@@ -4,7 +4,9 @@ Shared kernel behind the existence searches: a candidate matrix is a
 multiset of N column classes (columns identified up to nonzero scaling),
 and each target t must be hit -- have a nonzero inner product -- by at
 least quotas[t] of the chosen columns.  Columns are enumerated in
-non-decreasing class order, so every multiset is visited exactly once.
+non-decreasing class order, so every multiset is visited exactly once, by
+one serial depth-first search whose every node is charged to one node
+budget.
 
 Per-target hit counts and quotas are packed eight bits per target into big
 integers; the per-target prune ("some target cannot reach its quota even if
@@ -39,8 +41,8 @@ is the one the unpruned scan returns.
 `local_cover_search` is the heuristic beside this exhaustive kernel: a
 tabu search on the same packed counts and deficit that finds witnesses
 fast and proves nothing when it misses.  `decide_length` settles one length
-of a descent with the two: tabu first, or at the descent's bottom length an
-exhaustive probe first.
+of a descent with the two: tabu first, or an exhaustive probe first at the
+bottom length of a descent that has tried a longer one.
 """
 
 from __future__ import annotations
@@ -175,107 +177,12 @@ def _visit_order(hit_sets: Sequence) -> list[int]:
     return sorted(range(len(hit_sets)), key=lambda c: (-len(hit_sets[c]), c))
 
 
-class _Kernel:
-    """Packed tables plus the depth-first search over one class range."""
-
-    def __init__(
-        self, hit_sets: Sequence, quotas: Sequence[int], size: int,
-        orbits: Sequence[int] | None = None,
-    ):
-        self.order = _visit_order(hit_sets)
-        self.adds = [_packed(hit_sets[c]) for c in self.order]
-        # non-increasing along visit order, so a deficit bound at one class
-        # holds for every later one
-        self.sizes = [len(hit_sets[c]) for c in self.order]
-        self.size = size
-        self.high = _packed(range(len(quotas))) << (_WIDTH - 1)
-        self.thresh_low = sum(need << (_WIDTH * t) for t, need in enumerate(quotas))
-        self.deficit = sum(quotas)
-        # live_low[s]: packed 1 per target hit by some class with index >= s
-        self.live_low = [0] * (len(self.order) + 1)
-        for s in range(len(self.order) - 1, -1, -1):
-            self.live_low[s] = self.live_low[s + 1] | self.adds[s]
-        # first_ok[s]: no class before s in visit order shares its orbit
-        seen: set[int] = set()
-        self.first_ok = []
-        for c in self.order:
-            label = c if orbits is None else orbits[c]
-            self.first_ok.append(label not in seen)
-            seen.add(label)
-
-    def scan(self, first_lo: int, first_hi: int, node_budget: int) -> tuple[bool, list[int], int]:
-        """Exhaust all multisets whose smallest class index (in visit order)
-        lies in [first_lo, first_hi), skipping first picks that are not
-        orbit representatives."""
-        adds, live_low, sizes = self.adds, self.live_low, self.sizes
-        high, thresh_low = self.high, self.thresh_low
-        nodes = 0
-        path: list[int] = []
-
-        def dfs(picks: Iterable[int], rem: int, cnt: int, deficit: int, cut: bool = True) -> bool:
-            """Try each class of `picks` as the next of `rem` picks below a
-            node with hit counts `cnt` that passed every check.  With `cut`,
-            stop at the first class from which no `rem` picks close the
-            deficit."""
-            nonlocal nodes
-            # (cnt | high) - thresh_low never borrows across bytes, so this
-            # marks exactly the targets still short of their quota.
-            short_low = (high ^ (((cnt | high) - thresh_low) & high)) >> (_WIDTH - 1)
-            below = rem - 1  # picks left under a child
-            for c in picks:
-                if cut and deficit > rem * sizes[c]:
-                    break
-                nodes += 1
-                if nodes > node_budget:
-                    raise BudgetExceeded("cover search node budget exhausted", nodes=nodes)
-                left = deficit - (short_low & adds[c]).bit_count()
-                if not left:
-                    path.extend([c] * rem)
-                    return True
-                if left > below * sizes[c]:  # every leaf too, since left > 0
-                    continue
-                # bound: every remaining pick hits each still-coverable target
-                child = cnt + adds[c]
-                ub = child + below * live_low[c]
-                if ((ub | high) - thresh_low) & high != high:
-                    continue
-                path.append(c)
-                if dfs(range(c, len(adds)), below, child, left):
-                    return True
-                path.pop()
-            return False
-
-        # The root is not cut: every orbit-representative first pick counts as
-        # a node, so orbit pruning shows in the count even where the bound
-        # refutes the whole scan.
-        firsts = [c for c in range(first_lo, min(first_hi, len(adds))) if self.first_ok[c]]
-        if dfs(firsts, self.size, 0, self.deficit, cut=False):
-            return True, path, nodes
-        return False, [], nodes
-
-
-_WORKER_ARGS: dict = {}
-
-
-def _init_worker(hit_sets, quotas, size, orbits, node_budget):
-    _WORKER_ARGS["kernel"] = _Kernel(hit_sets, quotas, size, orbits)
-    _WORKER_ARGS["budget"] = node_budget
-
-
-def _run_chunk(bounds: tuple[int, int]):
-    kernel: _Kernel = _WORKER_ARGS["kernel"]
-    try:
-        return kernel.scan(bounds[0], bounds[1], _WORKER_ARGS["budget"])
-    except BudgetExceeded as exc:
-        return False, [], exc.nodes  # budget + 1, so the merged total trips too
-
-
 def multiset_cover_search(
     hit_sets: Sequence[frozenset[int] | set[int]],
     quotas: Sequence[int],
     size: int,
     node_budget: int,
-    jobs: int = 1,
+    *,
     orbits: Sequence[int] | None = None,
 ) -> CoverResult:
     """Decide whether some size-`size` multiset of classes hits every
@@ -287,13 +194,7 @@ def multiset_cover_search(
     labels each class with its orbit under a group of symmetries of the
     instance (see the module docstring); first picks that are not orbit
     representatives are skipped, and the outcome and witness do not change.
-    With jobs > 1 the first-class subtrees are split into contiguous chunks
-    searched in parallel and merged in serial order, charging each chunk's
-    nodes to one running total; the outcome, the witness and where the node
-    budget trips are identical to the serial scan.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     need = max(quotas, default=0)
     if need <= 0:
         fill = _trivial_fill(hit_sets, size)
@@ -303,47 +204,65 @@ def multiset_cover_search(
     if need > size:
         return CoverResult(False, None, 0)  # each target gets at most one hit per pick
 
-    num_classes = len(hit_sets)
-    if jobs > 1 and num_classes > 1:
-        found, path, nodes = _scan_parallel(hit_sets, quotas, size, orbits, node_budget, jobs)
-    else:
-        kernel = _Kernel(hit_sets, quotas, size, orbits)
-        found, path, nodes = kernel.scan(0, num_classes, node_budget)
-    if not found:
-        return CoverResult(False, None, nodes)
     order = _visit_order(hit_sets)
-    return CoverResult(True, tuple(sorted(order[c] for c in path)), nodes)
+    adds = [_packed(hit_sets[c]) for c in order]
+    # non-increasing along visit order, so a deficit bound at one class holds
+    # for every later one
+    sizes = [len(hit_sets[c]) for c in order]
+    high = _packed(range(len(quotas))) << (_WIDTH - 1)
+    thresh_low = sum(quota << (_WIDTH * t) for t, quota in enumerate(quotas))
+    # live_low[s]: packed 1 per target hit by some class with index >= s
+    live_low = [0] * (len(order) + 1)
+    for s in range(len(order) - 1, -1, -1):
+        live_low[s] = live_low[s + 1] | adds[s]
+    nodes = 0
+    path: list[int] = []
 
-
-def _scan_parallel(hit_sets, quotas, size, orbits, node_budget, jobs):
-    import multiprocessing
-
-    num_classes = len(hit_sets)
-    chunks = []
-    per = max(1, num_classes // (jobs * 4))
-    lo = 0
-    while lo < num_classes:
-        chunks.append((lo, min(lo + per, num_classes)))
-        lo += per
-    ctx = multiprocessing.get_context()
-    with ctx.Pool(
-        jobs,
-        initializer=_init_worker,
-        initargs=(tuple(map(frozenset, hit_sets)), quotas, size, orbits, node_budget),
-    ) as pool:
-        # Merged in serial order, the running total is the serial scan's node
-        # count at the end of each chunk, so the budget trips exactly where
-        # the serial scan's would.
-        nodes = 0
-        for found, path, chunk_nodes in pool.imap(_run_chunk, chunks):
-            nodes += chunk_nodes
+    def dfs(picks: Iterable[int], rem: int, cnt: int, deficit: int, cut: bool = True) -> bool:
+        """Try each class of `picks` as the next of `rem` picks below a node
+        with hit counts `cnt` that passed every check.  With `cut`, stop at
+        the first class from which no `rem` picks close the deficit."""
+        nonlocal nodes
+        # (cnt | high) - thresh_low never borrows across bytes, so this marks
+        # exactly the targets still short of their quota.
+        short_low = (high ^ (((cnt | high) - thresh_low) & high)) >> (_WIDTH - 1)
+        below = rem - 1  # picks left under a child
+        for c in picks:
+            if cut and deficit > rem * sizes[c]:
+                break
+            nodes += 1
             if nodes > node_budget:
-                pool.terminate()
-                raise BudgetExceeded("cover search node budget exhausted", nodes=node_budget + 1)
-            if found:
-                pool.terminate()
-                return True, path, nodes
-    return False, [], nodes
+                raise BudgetExceeded("cover search node budget exhausted", nodes=nodes)
+            left = deficit - (short_low & adds[c]).bit_count()
+            if not left:
+                path.extend([c] * rem)
+                return True
+            if left > below * sizes[c]:  # every leaf too, since left > 0
+                continue
+            # bound: every remaining pick hits each still-coverable target
+            child = cnt + adds[c]
+            ub = child + below * live_low[c]
+            if ((ub | high) - thresh_low) & high != high:
+                continue
+            path.append(c)
+            if dfs(range(c, len(adds)), below, child, left):
+                return True
+            path.pop()
+        return False
+
+    # First picks: one class per orbit, the earliest in visit order.  The
+    # root is not cut: every one of them counts as a node, so orbit pruning
+    # shows in the count even where the bound refutes the whole scan.
+    seen: set[int] = set()
+    firsts = []
+    for i, c in enumerate(order):
+        label = c if orbits is None else orbits[c]
+        if label not in seen:
+            firsts.append(i)
+            seen.add(label)
+    if not dfs(firsts, size, 0, sum(quotas), cut=False):
+        return CoverResult(False, None, nodes)
+    return CoverResult(True, tuple(sorted(order[i] for i in path)), nodes)
 
 
 def _trivial_fill(hit_sets: Sequence, size: int) -> tuple[int, ...] | None:

@@ -150,7 +150,7 @@ def _cmd_search(args) -> int:
     try:
         outcome = construct_search.optimal_length_search(
             inst, field, args.delta,
-            node_budget=args.node_budget, jobs=args.jobs, enum_budget=args.enum_budget,
+            node_budget=args.node_budget, enum_budget=args.enum_budget,
         )
     except BudgetExceeded as exc:
         if exc.feasible_at is not None:  # the scan's bracket, as data
@@ -320,21 +320,21 @@ def _cmd_check(args) -> int:
     return EXIT_PASS if report.ok else EXIT_FAIL
 
 
-def _budget(text: str) -> int:
-    """A budget flag's value: a nonnegative integer (0 allows no work)."""
+def _nonnegative(text: str) -> int:
+    """A budget's or a cap's value: a nonnegative integer (a budget of 0
+    allows no work)."""
     try:
         value = int(text)
     except ValueError:
         value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(f"budget must be a nonnegative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     return value
 
 
 _OPTIONAL_FLAGS = {
-    "enum-budget": dict(type=_budget, default=DEFAULT_ENUM_BUDGET),
-    "node-budget": dict(type=_budget, default=bounds_mod.DEFAULT_NODE_BUDGET),
-    "jobs": dict(type=int, default=1, help="parallel search workers"),
+    "enum-budget": dict(type=_nonnegative, default=DEFAULT_ENUM_BUDGET),
+    "node-budget": dict(type=_nonnegative, default=bounds_mod.DEFAULT_NODE_BUDGET),
     "seed": dict(type=int, default=0),
 }
 
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_radius)
 
     p = sub.add_parser("search", help="exact optimal length with witness")
-    _add_common(p, "enum-budget", "node-budget", "jobs", q=True, delta=True)
+    _add_common(p, "enum-budget", "node-budget", q=True, delta=True)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("construct", help="build a code by a named strategy")
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default=None, help="message vector, space separated")
     p.add_argument("--error", default=None, help="error vector, space separated")
     p.add_argument("--random-errors", type=int, default=None, help="number of seeded rounds (1)")
-    p.add_argument("--weight-cap", type=int, default=None)
+    p.add_argument("--weight-cap", type=_nonnegative, default=None)
     p.set_defaults(func=_cmd_simulate, seed=None)  # absent flags read as seed 0, one round
 
     p = sub.add_parser("check", help="exhaustive decoder correctness check")

@@ -215,9 +215,8 @@ def exists_ecic(
     delta: int,
     length: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    jobs: int = 1,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
     *,
+    enum_budget: int = DEFAULT_ENUM_BUDGET,
     _analysis: Optional[_Analysis] = None,
 ) -> ExistsResult:
     """Exhaustively decide whether any n x length matrix corrects delta
@@ -237,8 +236,6 @@ def exists_ecic(
     `_analysis` passes in the (instance, q) analysis a length scan shares.
     """
     _check_delta(delta)
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if length < 0:
         raise LengthMismatch("length must be nonnegative")
     an = _analysis or _analyse(inst, field, enum_budget)
@@ -246,7 +243,7 @@ def exists_ecic(
         witness = LinearIndexCode(inst, field, FMatrix.zero(field, inst.num_messages, length))
         return ExistsResult(True, witness, 0)
     res = multiset_cover_search(
-        an.hit_sets, [2 * delta + 1] * len(an.targets), length, node_budget, jobs, an.orbits
+        an.hit_sets, [2 * delta + 1] * len(an.targets), length, node_budget, orbits=an.orbits
     )
     if not res.found:
         return ExistsResult(False, None, res.nodes)
@@ -279,7 +276,7 @@ def optimal_length_search(
     field: Field,
     delta: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    jobs: int = 1,
+    *,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> SearchOutcome:
     """Exact optimal code length for (instance, field, delta).
@@ -310,8 +307,6 @@ def optimal_length_search(
     has a verified witness (or is the concatenation bound).
     """
     _check_delta(delta)
-    if jobs < 1:  # checked here too, since the scan may never reach exists_ecic
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     started = time.perf_counter()
     d = 2 * delta + 1
     an = kappa = None
@@ -359,7 +354,7 @@ def optimal_length_search(
                     _seeded_bytes(f"ecic:local:{length}", 256),
                 ),
                 lambda budget: exists_ecic(
-                    inst, field, delta, length, node_budget=budget, jobs=jobs,
+                    inst, field, delta, length, node_budget=budget,
                     enum_budget=enum_budget, _analysis=an,
                 ),
                 node_budget - nodes,

@@ -423,12 +423,13 @@ def min_rank(
     (`local_cover_search`) looks for a code, and where it finds none the
     exhaustive `multiset_cover_search` (first picks skipped by orbit)
     decides the length; infeasible ends the descent one length above, and
-    reaching the part's alpha <= its kappa ends it too.  At alpha the
-    exhaustive search goes first, under one tabu run's work of nodes, and
-    tabu runs only if it trips (`_cover.decide_length`, as in the length
-    scan).  `node_budget` bounds the exhaustive nodes, a tripped probe's
-    included, summed over the parts; BudgetExceeded means kappa is
-    unknown.
+    reaching the part's alpha <= its kappa ends it too.  At alpha, when the
+    descent has tried a longer length, the exhaustive search goes first,
+    under one tabu run's work of nodes, and tabu runs only if it trips
+    (`_cover.decide_length`, as in the length scan); where alpha is the
+    first length tried, tabu goes first as at every other length.
+    `node_budget` bounds the exhaustive nodes, a tripped probe's included,
+    summed over the parts; BudgetExceeded means kappa is unknown.
     Row i of the witness is L @ lambda_i for the found code L, where
     lambda_i solves receiver i's decoding system (see `verify_ic`).
     `_analysis` passes in the (instance, q) analysis a length scan shares;
@@ -454,7 +455,8 @@ def min_rank(
                         an.hit_sets, quotas, length, budget, orbits=an.orbits
                     ),
                     node_budget - nodes,
-                    LOCAL_SEARCH_ITERATIONS * len(an.hit_sets) if length == alpha else None,
+                    LOCAL_SEARCH_ITERATIONS * len(an.hit_sets)
+                    if alpha == length < len(msgs) - 1 else None,
                 )
                 nodes += step.nodes
                 classes = step.classes

@@ -362,20 +362,6 @@ def test_simulate_absent_seed_and_rounds_read_as_0_and_1(capsys, example1_file, 
     assert run(capsys, *common, *same_as) == (0, out, "")
 
 
-@pytest.mark.parametrize("instance", ["example1", "receiverless"])
-def test_jobs_below_one_exits_two(capsys, tmp_path, instance):
-    if instance == "receiverless":
-        path = tmp_path / "receiverless.json"
-        path.write_text(json.dumps({"m": 0, "n": 2, "f": [], "X": []}))
-        instance = str(path)
-    code, out, err = run(
-        capsys, "search", "--instance", instance, "--q", "2", "--delta", "1",
-        "--jobs", "0",
-    )
-    assert code == 2
-    assert out == "" and "jobs" in err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -383,6 +369,7 @@ def test_jobs_below_one_exits_two(capsys, tmp_path, instance):
         ("validate", "--instance", "pentagon", "--enum-budget", "9"),
         ("search", "--instance", "pentagon", "--q", "2", "--delta", "1", "--seed", "1"),
         ("bounds", "--instance", "pentagon", "--q", "2", "--delta", "1", "--jobs", "2"),
+        ("search", "--instance", "pentagon", "--q", "2", "--delta", "1", "--jobs", "2"),
     ],
 )
 def test_unread_flags_are_rejected(capsys, argv):
@@ -401,28 +388,28 @@ def test_random_construct_without_trials_exits_two(capsys, trials):
     assert out == "" and "trials" in err
 
 
-def test_jobs_do_not_change_what_a_budget_proves(capsys):
+def test_budgets_at_the_proof_and_witness_costs(capsys):
     """Budgets just below and at the cost of the pentagon q=2 delta=2 N=8
-    proof and N=9 witness must give the serial answer with --jobs 2 too.
-    Local search finds the witnesses, so the proof is the scan's only
-    exhaustive call and the one place a budget can trip."""
+    proof and N=9 witness: one short of the proof exits 3 with the bracket,
+    and every budget from the proof's cost on answers.  Local search finds
+    the witnesses, so the proof is the scan's only exhaustive call and the
+    one place a budget can trip."""
     inst, field = builtin_instance("pentagon"), make_field(2)
     proof = exists_ecic(inst, field, 2, 8).nodes
     witness = exists_ecic(inst, field, 2, 9).nodes
     assert proof < witness - 1
-    outcomes = set()
+    outcomes = []
     for budget in (proof - 1, proof, witness - 1, witness):
         argv = (
             "search", "--instance", "pentagon", "--q", "2", "--delta", "2",
             "--node-budget", str(budget),
         )
-        serial = run(capsys, *argv)
-        assert run(capsys, *argv, "--jobs", "2") == serial, budget
-        outcomes.add((serial[0], serial[2]))
-    assert outcomes == {
+        code, _, err = run(capsys, *argv)
+        outcomes.append((code, err))
+    assert outcomes == [
         (3, "budget exhausted: budget exhausted at length 8; infeasible below 8, feasible at 9\n"),
-        (0, ""),
-    }
+        *[(0, "")] * 3,
+    ]
 
 
 def test_budget_exit_prints_the_bracket_as_data(capsys):
@@ -432,7 +419,6 @@ def test_budget_exit_prints_the_bracket_as_data(capsys):
     code, out, err = run(capsys, *argv)
     assert code == 3 and "feasible at 9" in err
     assert json.loads(out) == {"status": "budget", "infeasible_below": 8, "feasible_at": 9, "nodes": 11}
-    assert run(capsys, *argv, "--jobs", "2") == (code, out, err)
     code, out, _ = run(capsys, *argv, "--format", "text")
     assert code == 3 and out == "optimum in [8, 9]\n"
     # an enumeration budget that trips before any search keeps the bounds'
@@ -459,6 +445,7 @@ MATRIX_ARGS = ("--instance", "pentagon", "--matrix", "PENTAGON", "--delta", "1")
         (("verify", *MATRIX_ARGS), "--enum-budget"),
         (("radius", *MATRIX_ARGS[:4]), "--enum-budget"),
         (("check", *MATRIX_ARGS), "--enum-budget"),
+        (("simulate", *MATRIX_ARGS), "--weight-cap"),
     ],
 )
 @pytest.mark.parametrize("value", ["-1", "-5", "ten"])
@@ -468,7 +455,7 @@ def test_bad_budget_exits_two(capsys, pentagon_file, argv, flag, value):
         main([*argv, flag, value])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and f"{flag}: budget must be a nonnegative integer" in err
+    assert out == "" and f"{flag}: must be a nonnegative integer" in err
 
 
 def test_zero_budgets_stay_valid(capsys):

@@ -290,11 +290,10 @@ def test_node_budget_is_shared_by_the_whole_scan(monkeypatch):
     out = optimal_length_search(pentagon(), F2, 2, node_budget=total)
     assert (out.optimal_length, out.stats.nodes, out.stats.local_iterations) == (9, total, 0)
     assert verify_ecic(out.witness, 2).ok
-    for jobs in (1, 2):
-        with pytest.raises(BudgetExceeded) as err:
-            optimal_length_search(pentagon(), F2, 2, node_budget=total - 1, jobs=jobs)
-        assert "at length 8; infeasible below 8, feasible at 9" in str(err.value)
-        assert (err.value.infeasible_below, err.value.feasible_at, err.value.nodes) == (8, 9, total)
+    with pytest.raises(BudgetExceeded) as err:
+        optimal_length_search(pentagon(), F2, 2, node_budget=total - 1)
+    assert "at length 8; infeasible below 8, feasible at 9" in str(err.value)
+    assert (err.value.infeasible_below, err.value.feasible_at, err.value.nodes) == (8, 9, total)
     # the case that once returned 279,056 nodes under a 278,400 budget: the
     # N = 13 witness hunt alone now trips it
     with pytest.raises(BudgetExceeded) as err:
@@ -424,15 +423,17 @@ def test_optimal_length_respects_sandwich():
         assert out.infeasible_below == out.optimal_length - 1
 
 
-def test_parallel_search_matches_serial():
-    s = exists_ecic(pentagon(), F2, 1, 5)
-    p = exists_ecic(pentagon(), F2, 1, 5, jobs=2)
-    assert s.feasible == p.feasible
-    assert s.nodes == p.nodes
-    s8 = exists_ecic(pentagon(), F2, 1, 4, jobs=1)
-    p8 = exists_ecic(pentagon(), F2, 1, 4, jobs=2)
-    assert s8.feasible == p8.feasible is False
-    assert s8.nodes == p8.nodes
+def test_arguments_after_node_budget_are_keyword_only():
+    """A positional value after the node budget (where `jobs` once went)
+    fails at the call instead of landing in the next parameter."""
+    from ecic._cover import multiset_cover_search
+
+    with pytest.raises(TypeError):
+        exists_ecic(pentagon(), F2, 1, 5, 1000, 2)
+    with pytest.raises(TypeError):
+        optimal_length_search(pentagon(), F2, 1, 1000, 2)
+    with pytest.raises(TypeError):
+        multiset_cover_search([{0}], [1], 1, 1000, [0])
 
 
 def test_full_pipeline_over_extension_field():

@@ -327,6 +327,25 @@ def test_min_rank_splits_a_two_cycle_from_fourteen_lone_demands():
     assert res.ic_matrix.rows[0] == res.ic_matrix.rows[1] == (1,) + (0,) * 14
 
 
+@pytest.mark.parametrize("field, top", [(F2, 9), (F3, 6)])
+def test_min_rank_of_a_directed_cycle_needs_no_exhaustive_search(monkeypatch, field, top):
+    """On the directed n-cycle (receiver i demands i and holds i + 1 mod n)
+    alpha = kappa = n - 1 is the first length the descent tries, so tabu
+    goes first there and its code ends the descent with no proof."""
+    from ecic import index_codes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exhaustive cover search called")
+
+    monkeypatch.setattr(index_codes, "multiset_cover_search", refuse)
+    for n in range(2, top + 1):
+        side = tuple(frozenset({(i + 1) % n}) for i in range(n))
+        inst = IcsiInstance(n, n, tuple(range(n)), side)
+        res = min_rank(inst, field)
+        assert res.kappa == n - 1, n
+        assert verify_ic(LinearIndexCode(inst, field, res.ic_matrix))
+
+
 @pytest.mark.parametrize("field", [F2, F3])
 def test_min_rank_parts_linked_one_way_add_up(field):
     # two two-cycles, {1, 2} and {3, 4}; receiver 1 also holds message 3

@@ -188,11 +188,9 @@ def test_orbit_skipping_keeps_answers_and_witnesses(inst, delta, optimum):
         plain = multiset_cover_search(
             an.hit_sets, [2 * delta + 1] * len(an.targets), length, 1 << 27, orbits=None
         )
-        parallel = exists_ecic(inst, F2, delta, length, jobs=2)
-        assert pruned.feasible == plain.found == parallel.feasible == (length == optimum)
+        assert pruned.feasible == plain.found == (length == optimum)
         if pruned.feasible:
             plain_matrix = classes_matrix(F2, an.columns, plain.classes, inst.num_messages)
-            assert pruned.witness.matrix == plain_matrix == parallel.witness.matrix
+            assert pruned.witness.matrix == plain_matrix
         else:
             assert pruned.nodes < plain.nodes
-            assert parallel.nodes == pruned.nodes
