@@ -309,7 +309,7 @@ def _cmd_check(args) -> int:
             "x": _vector_doc(ce.x),
             "error": _vector_doc(ce.error),
             "receiver": ce.receiver + 1,
-            "recovered": ce.outcome.recovered,
+            "recovered": None if ce.outcome is None else ce.outcome.recovered,
         }
         text += (
             f"\ncounterexample ({ce.kind}): receiver {ce.receiver + 1}, "

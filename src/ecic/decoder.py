@@ -18,22 +18,36 @@ the true error weight is within the code's radius.
 `build_receiver_decoder` also stores, once, the sparse form of every row
 the decoder multiplies by: the (position, value) pairs of the nonzero
 entries of the parity check, the complement parity check, the side rows
-and the demand functional.  `decode` and
-`in_relevant_error_set` validate their vectors at the boundary and then
-work on plain tuples and lists through the field's tables; no `FVector`
-is built per call except the syndrome on a memo miss.
+and the demand functional.  `decode` and `in_relevant_error_set` validate
+their vectors at the boundary and then work on plain tuples and lists
+through the field's tables; no `FVector` is built per call except the
+syndrome on a memo miss.  `decode`'s checks are cheap: lengths against
+ints the decoder holds, the field by identity before equality.
+`exhaustive_correctness_check` checks its inputs once per check: it
+builds each error's `FVector` once, makes each received word with the
+add table under the unchecked constructor, and runs the relevant-set test
+on raw entries.
 
 Found coset leaders are remembered per syndrome.  The memo is exact for
 every weight cap because the leader search tries weights 0, 1, 2, ... in a
 fixed order: a leader of weight w is what every cap >= w returns.  A
 smaller cap searches again, and `coset_leader` raises WeightCapExceeded
-itself.
+itself.  Before decoding, the exhaustive check fills the memo as a leader
+table: one pass per decoder over its weight-ordered error list, keeping
+the first error seen for each syndrome.  That list walks the same order
+as `coset_leader` and holds every vector up to its weight, so each entry
+is the leader the search would return; every entry is checked against
+the parity check like a searched one.  A received word less its side
+rows is a combination of the unknown rows, which the parity check
+annihilates, plus the error; so every syndrome the check meets is in the
+table, and the check never searches.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import getitem
 from typing import Optional, Sequence
 
 from .bounds import sphere_volume
@@ -49,11 +63,11 @@ from .field_linalg import (
     Field,
     FMatrix,
     FVector,
+    _weight_ordered,
     all_vectors,
     coset_leader,
     parity_check_matrix,
     solve_row_combination,
-    vectors_of_weight_at_most,
 )
 from .index_codes import LinearIndexCode, _check_delta, encode
 from .instance import ReceiverFrame, receiver_frame
@@ -186,21 +200,13 @@ def recover_demand(
     return particular.entries[0]
 
 
-def _memo_coset_leader(
-    dec: ReceiverDecoder, syndrome: tuple[int, ...], weight_cap: int
-) -> tuple[FVector, int, int]:
-    """(leader, weight, lambda . leader) for the syndrome entries, from the
-    memo when it decides this cap (see the module docstring), else from
-    `coset_leader`, whose answer is checked and remembered."""
-    entry = dec.leaders.get(syndrome)
-    if entry is not None and entry[1] <= weight_cap:
-        return entry
-    target = FVector(dec.code.field, syndrome)
-    estimate = coset_leader(dec.parity, target, weight_cap)
-    if not dec.parity.mul_col(estimate).sub(target).is_zero():
+def _remember(dec: ReceiverDecoder, syndrome: tuple[int, ...], leader: FVector) -> tuple:
+    """Check that leader has the syndrome, then memoise (leader, weight,
+    lambda . leader) under it."""
+    if dec.parity.mul_col(leader).entries != syndrome:
         raise InternalContradiction("coset leader does not reproduce the syndrome")
     lam = dec.demand_functional
-    entry = (estimate, estimate.weight(), 0 if lam is None else estimate.dot(lam))
+    entry = (leader, leader.weight(), 0 if lam is None else leader.dot(lam))
     dec.leaders[syndrome] = entry
     return entry
 
@@ -220,23 +226,23 @@ def decode(
     the lightest coset member is heavier than the cap (more channel errors
     than allowed for).
     """
-    field = dec.code.field
     word = received.entries
-    if len(word) != dec.code.length:
+    if len(word) != dec.parity.ncols:
         raise LengthMismatch("received word length mismatch")
-    if len(side_values) != len(dec.sparse_side_rows):
+    sparse_side_rows = dec.sparse_side_rows
+    if len(side_values) != len(sparse_side_rows):
         raise LengthMismatch("side-information values must match the side set size")
-    q = field.q
-    for c in side_values:
-        if not 0 <= c < q:
-            raise ValueError("vector entry outside field range")
-    if received.field != field:
+    field = dec.code.field
+    if received.field is not field and received.field != field:
         raise LengthMismatch("vector field/length mismatch")
-    add, mul = field._add, field._mul
+    q = field.q
+    add, mul, neg = field._add, field._mul, field._neg
     adjusted = list(word)
-    for c, row in zip(side_values, dec.sparse_side_rows):
+    for c, row in zip(side_values, sparse_side_rows):
         if c:
-            mc = mul[field._neg[c]]  # subtracts c * row
+            if not 0 < c < q:
+                raise ValueError("vector entry outside field range")
+            mc = mul[neg[c]]  # subtracts c * row
             for j, v in row:
                 adjusted[j] = add[adjusted[j]][mc[v]]
     syndrome = []
@@ -245,13 +251,18 @@ def decode(
         for j, v in row:
             acc = add[acc][mul[v][adjusted[j]]]
         syndrome.append(acc)
-    estimate, weight, estimate_value = _memo_coset_leader(dec, tuple(syndrome), weight_cap)
+    syndrome = tuple(syndrome)
+    entry = dec.leaders.get(syndrome)
+    if entry is None or entry[1] > weight_cap:  # not decided at this cap: search
+        leader = coset_leader(dec.parity, FVector(field, syndrome), weight_cap)
+        entry = _remember(dec, syndrome, leader)
+    estimate, weight, estimate_value = entry
     if dec.sparse_demand is None:
         raise InternalContradiction("demanded symbol is not uniquely determined")
     value = 0
     for j, v in dec.sparse_demand:
         value = add[value][mul[v][adjusted[j]]]
-    recovered = add[value][field._neg[estimate_value]]
+    recovered = add[value][neg[estimate_value]]
     return DecodeOutcome(
         recovered=recovered,
         error_estimate=estimate,
@@ -271,8 +282,15 @@ def in_relevant_error_set(
         raise LengthMismatch("vector field/length mismatch")
     if len(cand) != dec.code.length or candidate.field != field:
         raise LengthMismatch(f"expected column vector of length {dec.code.length}")
+    return _relevant(dec, cand, ref)
+
+
+def _relevant(dec: ReceiverDecoder, cand: tuple[int, ...], ref: tuple[int, ...]) -> bool:
+    """`in_relevant_error_set` on entry tuples already checked: the
+    difference has a zero complement syndrome."""
     if cand == ref:  # a zero difference has a zero syndrome
         return True
+    field = dec.code.field
     add, mul, neg = field._add, field._mul, field._neg
     for row in dec.sparse_complement_parity:
         acc = 0
@@ -330,11 +348,14 @@ def _decode_round(
 
 @dataclass(frozen=True)
 class Counterexample:
-    kind: str  # "wrong-output" or "estimate-outside-relevant-set"
+    # "wrong-output", "estimate-outside-relevant-set", or "undetermined-demand"
+    # (the receiver's demanded row lies in the span of its complement rows,
+    # so no decoder reads it; outcome is then None)
+    kind: str
     x: FVector
     error: FVector
     receiver: int
-    outcome: DecodeOutcome
+    outcome: Optional[DecodeOutcome]
 
 
 @dataclass(frozen=True)
@@ -349,7 +370,9 @@ def exhaustive_correctness_check(
 ) -> CheckReport:
     """Decode every (message vector, error of weight <= delta, receiver)
     combination and confirm the demanded symbol always comes back right and
-    the error estimate always lands in the true error's relevant set."""
+    the error estimate always lands in the true error's relevant set.  A
+    receiver whose demanded symbol no decoder can read fails at its first
+    combination, x = 0 and error 0, before it is decoded."""
     _check_delta(delta)
     inst, field = code.inst, code.field
     n, N, m = inst.num_messages, code.length, inst.num_receivers
@@ -357,25 +380,38 @@ def exhaustive_correctness_check(
     if total > enum_budget:
         raise BudgetExceeded(f"{total} decodes exceed enumeration budget {enum_budget}")
     decoders = [build_receiver_decoder(code, i) for i in range(m)]
+    errors = [(e, FVector._unchecked(field, e)) for e in _weight_ordered(field.q, N, delta)]
+    for dec in decoders:  # the leader table: the first error seen per syndrome
+        for e, err in errors:
+            syndrome = tuple([_dot(field, row, e) for row in dec.sparse_parity])
+            if syndrome not in dec.leaders:
+                _remember(dec, syndrome, err)
+    determined = next((i for i, dec in enumerate(decoders) if dec.sparse_demand is None), m)
+    receivers = list(enumerate(decoders[:determined]))
     sides = [sorted(inst.side_info[i]) for i in range(m)]
+    add = field._add
     decodes = 0
     for x in all_vectors(field, n):
-        y = encode(code, x)
+        plus = [add[a] for a in encode(code, x).entries]  # plus[j][b] = y_j + b
         side_values = [[x.entries[j] for j in side] for side in sides]
         truths = [x.entries[d] for d in inst.demands]
-        for err in vectors_of_weight_at_most(field, N, delta):
-            received = y.add(err)
-            for i in range(m):
-                outcome = decode(decoders[i], received, side_values[i], delta, truth=truths[i])
+        for e, err in errors:
+            received = FVector._unchecked(field, tuple(map(getitem, plus, e)))
+            for i, dec in receivers:
+                outcome = decode(dec, received, side_values[i], delta, truths[i])
                 decodes += 1
                 if not outcome.success:
                     return CheckReport(
                         False, decodes, Counterexample("wrong-output", x, err, i, outcome)
                     )
-                if not in_relevant_error_set(decoders[i], outcome.error_estimate, err):
+                if not _relevant(dec, outcome.error_estimate.entries, e):
                     return CheckReport(
                         False,
                         decodes,
                         Counterexample("estimate-outside-relevant-set", x, err, i, outcome),
                     )
+            if determined < m:
+                return CheckReport(
+                    False, decodes, Counterexample("undetermined-demand", x, err, determined, None)
+                )
     return CheckReport(True, decodes, None)

@@ -290,6 +290,15 @@ class FVector:
         if self.field != other.field or len(self) != len(other):
             raise LengthMismatch("vector field/length mismatch")
 
+    @classmethod
+    def _unchecked(cls, field: Field, entries: tuple[int, ...]) -> FVector:
+        """Wrap entries already known to be in range, without checking them
+        again."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "field", field)
+        object.__setattr__(v, "entries", entries)
+        return v
+
     @staticmethod
     def zero(field: Field, n: int) -> FVector:
         return FVector(field, (0,) * n)
@@ -324,9 +333,6 @@ class FMatrix:
 
     def rows_at(self, indices: Sequence[int]) -> FMatrix:
         return FMatrix._unchecked(self.field, tuple(self.rows[i] for i in indices), self.ncols)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> FMatrix:
         return FMatrix(
@@ -558,6 +564,22 @@ def solve_row_combination(M: FMatrix, target: FVector) -> tuple[FVector, list[FV
 # coset leaders and minimum distance
 
 
+def _weight_ordered(q: int, n: int, w: int) -> Iterator[tuple[int, ...]]:
+    """Entry tuples of length n over GF(q) with weight <= w, in ascending
+    weight, then lexicographic support, then lexicographic nonzero values.
+    `coset_leader`, `vectors_of_weight_at_most` and the decoder's leader
+    table all walk this one order."""
+    yield (0,) * n
+    nonzero = range(1, q)
+    for weight in range(1, min(w, n) + 1):
+        for supp in itertools.combinations(range(n), weight):
+            for values in itertools.product(nonzero, repeat=weight):
+                e = [0] * n
+                for j, val in zip(supp, values):
+                    e[j] = val
+                yield tuple(e)
+
+
 def coset_leader(H: FMatrix, s: FVector, weight_cap: int) -> FVector:
     """Minimum-weight e with H e^T = s, searching weights 0, 1, 2, ...
 
@@ -570,27 +592,18 @@ def coset_leader(H: FMatrix, s: FVector, weight_cap: int) -> FVector:
     if len(s) != H.nrows or s.field != H.field:
         raise LengthMismatch("syndrome length must equal the parity row count")
     field = H.field
-    N = H.ncols
-    if s.is_zero():
-        return FVector.zero(field, N)
     add, mul = field._add, field._mul
-    cols = [H.column(j) for j in range(N)]
-    nonzero = list(field.nonzero())
+    cols = [[(r, v) for r, v in enumerate(col) if v] for col in zip(*H.rows)]
     target = s.entries
-    for w in range(1, min(weight_cap, N) + 1):
-        for supp in itertools.combinations(range(N), w):
-            chosen = [cols[j] for j in supp]
-            for values in itertools.product(nonzero, repeat=w):
-                acc = [0] * H.nrows
-                for val, col in zip(values, chosen):
-                    for r, cv in enumerate(col):
-                        if cv:
-                            acc[r] = add[acc[r]][mul[val][cv]]
-                if tuple(acc) == target:
-                    e = [0] * N
-                    for j, val in zip(supp, values):
-                        e[j] = val
-                    return FVector(field, tuple(e))
+    for e in _weight_ordered(field.q, H.ncols, weight_cap):
+        acc = [0] * H.nrows
+        for j, val in enumerate(e):
+            if val:
+                m = mul[val]
+                for r, cv in cols[j]:
+                    acc[r] = add[acc[r]][m[cv]]
+        if tuple(acc) == target:
+            return FVector._unchecked(field, e)
     if solve_linear(H, s) is None:
         raise NoSolution("inconsistent syndrome")
     raise WeightCapExceeded(f"no solution of weight <= {weight_cap}")
@@ -750,12 +763,5 @@ def all_vectors(field: Field, n: int) -> Iterator[FVector]:
 
 def vectors_of_weight_at_most(field: Field, n: int, w: int) -> Iterator[FVector]:
     """Vectors of weight <= w, ascending weight, lexicographic support/values."""
-    yield FVector.zero(field, n)
-    nonzero = list(field.nonzero())
-    for weight in range(1, min(w, n) + 1):
-        for supp in itertools.combinations(range(n), weight):
-            for values in itertools.product(nonzero, repeat=weight):
-                e = [0] * n
-                for j, val in zip(supp, values):
-                    e[j] = val
-                yield FVector(field, tuple(e))
+    for e in _weight_ordered(field.q, n, w):
+        yield FVector._unchecked(field, e)

@@ -280,3 +280,47 @@ def full_walk_direct(code, delta):
                 z = tuple(key // q ** (n - 1 - j) % q for j in range(n))
                 return EcicVerdict(False, delta, None, FVector(field, z))
     return EcicVerdict(True, delta, None, None)
+
+
+def check_reference(code, delta):
+    """`exhaustive_correctness_check` as it was written before the leader
+    table: for every message vector, every error of weight <= delta and
+    every receiver, the public `decode` on a validated received word, then
+    `in_relevant_error_set` on `FVector`s.  The errors are spelled out with
+    itertools in the same order (weight, then support, then values), so
+    the check's own enumerator is checked too.  Raises InternalContradiction
+    where a receiver's demanded symbol is not determined."""
+    from ecic import FVector, build_receiver_decoder, decode, encode, in_relevant_error_set
+    from ecic.decoder import CheckReport, Counterexample
+
+    inst, field, N = code.inst, code.field, code.length
+    errors = [FVector.zero(field, N)]
+    for w in range(1, min(delta, N) + 1):
+        for supp in itertools.combinations(range(N), w):
+            for values in itertools.product(range(1, field.q), repeat=w):
+                entries = [0] * N
+                for j, v in zip(supp, values):
+                    entries[j] = v
+                errors.append(FVector(field, tuple(entries)))
+    decoders = [build_receiver_decoder(code, i) for i in range(inst.num_receivers)]
+    decodes = 0
+    for xs in itertools.product(field.elements(), repeat=inst.num_messages):
+        x = FVector(field, xs)
+        y = encode(code, x)
+        for err in errors:
+            received = y.add(err)
+            for i, dec in enumerate(decoders):
+                side = [xs[j] for j in sorted(inst.side_info[i])]
+                outcome = decode(dec, received, side, delta, truth=xs[inst.demands[i]])
+                decodes += 1
+                if not outcome.success:
+                    return CheckReport(
+                        False, decodes, Counterexample("wrong-output", x, err, i, outcome)
+                    )
+                if not in_relevant_error_set(dec, outcome.error_estimate, err):
+                    return CheckReport(
+                        False,
+                        decodes,
+                        Counterexample("estimate-outside-relevant-set", x, err, i, outcome),
+                    )
+    return CheckReport(True, decodes, None)

@@ -258,6 +258,25 @@ def test_check(capsys, example1_file, pentagon_file):
     assert json.loads(out)["counterexample"]["kind"] == "wrong-output"
 
 
+@pytest.mark.parametrize("delta", ["0", "1"])
+def test_check_on_a_matrix_that_is_not_an_index_code_exits_one(capsys, tmp_path, delta):
+    """Receiver 3 demands message 3, whose row is zero: no decoder reads its
+    symbol, so the check fails at x = 0 and error 0 after the two decodes
+    before it, like `verify` on the same matrix."""
+    matrix = tmp_path / "zero-margin.txt"
+    matrix.write_text("2 5 5\n1 0 0 0 0\n1 0 0 0 0\n0 0 0 0 0\n0 0 0 1 0\n0 0 0 0 1\n")
+    argv = ("--instance", "pentagon", "--matrix", str(matrix), "--delta", delta)
+    code, out, _ = run(capsys, "check", *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["ok"], doc["decodes"]) == (False, 2)
+    assert doc["counterexample"] == {
+        "kind": "undetermined-demand", "x": [0] * 5, "error": [0] * 5,
+        "receiver": 3, "recovered": None,
+    }
+    assert run(capsys, "verify", *argv)[0] == 1
+
+
 def test_validate(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", "--instance", "odd-cycle-complement:2")
     assert code == 0

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ecic import (
+    Field,
     FMatrix,
     FVector,
     LinearIndexCode,
@@ -113,12 +114,23 @@ def test_syndrome_invariant_holds_for_every_decode():
         (FVector(F2, (0, 1, 0, 0)), (0,), LengthMismatch),  # one side value short
         (FVector(F2, (0, 1, 0, 0)), (0, 2), ValueError),  # side value outside GF(2)
         (FVector(F2, (0, 1, 0, 0)), (-1, 0), ValueError),
+        (FVector(F2, (0, 1, 0, 0, 1)), (0, 1), LengthMismatch),  # one entry long
     ],
 )
 def test_decode_rejects_malformed_input(word, side, exc):
     dec = build_receiver_decoder(example1_code(), 0)
     with pytest.raises(exc):
         decode(dec, word, side, weight_cap=1)
+
+
+def test_decode_accepts_an_equal_field_built_apart():
+    """The field check tests identity first, then equality: a word over a
+    directly built GF(2) decodes exactly like one over the cached field."""
+    dec = build_receiver_decoder(example1_code(), 0)
+    other = Field(2)
+    assert other is not F2 and other == F2
+    got = decode(dec, FVector(other, (0, 1, 0, 0)), (0, 1), weight_cap=1, truth=1)
+    assert got == decode(dec, FVector(F2, (0, 1, 0, 0)), (0, 1), weight_cap=1, truth=1)
 
 
 @pytest.mark.parametrize(
@@ -297,7 +309,8 @@ def test_exhaustive_check_budget():
 def test_check_agrees_with_verifier_on_random_codes(q):
     """Decoder success over all within-radius patterns iff the margin
     verdict says so; a zero margin (the demanded row lies in the span of
-    the complement rows) makes decoding itself a contradiction."""
+    the complement rows) fails at once, at x = 0 and error 0, as an
+    undetermined demand."""
     field = make_field(q)
     rng = random.Random(13 + q)
     tested = {True: 0, False: 0, "zero margin": 0}
@@ -307,12 +320,16 @@ def test_check_agrees_with_verifier_on_random_codes(q):
         code = LinearIndexCode(inst, field, L)
         zero_margin = any(m == 0 for m in margins(code))
         for delta in (0, 1):
+            expected = verify_ecic(code, delta).ok
+            report = exhaustive_correctness_check(code, delta)
+            assert report.ok == expected
             if zero_margin:
-                with pytest.raises(InternalContradiction):
-                    exhaustive_correctness_check(code, delta)
+                ce = report.counterexample
+                assert ce.kind == "undetermined-demand" and ce.outcome is None
+                assert ce.x.is_zero() and ce.error.is_zero()
+                assert margins(code).index(0) == ce.receiver
+                assert report.decodes == ce.receiver
                 tested["zero margin"] += 1
                 continue
-            expected = verify_ecic(code, delta).ok
-            assert exhaustive_correctness_check(code, delta).ok == expected
             tested[expected] += 1
     assert min(tested.values()) >= 5, tested
