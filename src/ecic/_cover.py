@@ -40,9 +40,9 @@ is the one the unpruned scan returns.
 
 `local_cover_search` is the heuristic beside this exhaustive kernel: a
 tabu search on the same packed counts and deficit that finds witnesses
-fast and proves nothing when it misses.  `decide_length` settles one length
-of a descent with the two: tabu first, or an exhaustive probe first at the
-bottom length of a descent that has tried a longer one.
+fast and proves nothing when it misses.  `descend` walks lengths down with
+the two, for the optimal-length scan and for kappa alike; its docstring
+holds the policy.
 """
 
 from __future__ import annotations
@@ -384,50 +384,78 @@ def local_cover_search(
 
 
 # ---------------------------------------------------------------------------
-# one length of a witness-first descent
+# the witness-first descent
 
 
 @dataclass(frozen=True)
-class LengthDecision:
-    classes: tuple[int, ...] | None  # a tabu witness; None when `result` decides
-    result: Any  # what `exhaustive` returned, or None after a tabu witness
-    nodes: int  # exhaustive nodes charged, a tripped probe's included
-    moves: int  # tabu moves made
+class Descent:
+    size: int  # the shortest length with a witness, or `known`
+    witness: Any  # the witness at `size`; None when `size` is `known`
+    nodes: int  # exhaustive nodes, tripped probes included
+    moves: int  # tabu moves
 
 
-def decide_length(
-    tabu: Callable[[], tuple[tuple[int, ...] | None, int]],
-    exhaustive: Callable[[int], Any],
-    node_budget: int,
-    probe_budget: int | None,
-) -> LengthDecision:
-    """Settle one length of a descent that walks down from a witness.
+def descend(
+    hit_sets: Sequence[frozenset[int] | set[int]], quotas: Sequence[int],
+    top: int, bottom: int, known: int, node_budget: int, key: str,
+    witness: Callable[[tuple[int, ...]], Any],
+    exhaustive: Callable[[int, int], tuple[Any, int]],
+) -> Descent:
+    """The shortest length in `bottom`..`known` at which some multiset of
+    classes meets `quotas`, given that `known` is feasible and nothing below
+    `bottom` is.  Feasibility is monotone in the length (an added pick
+    lowers no count), so the answer needs one witness and one proof.
 
-    `tabu()` returns (classes or None, moves); `exhaustive(budget)` decides
-    the length under a node budget, returning a result with `.nodes`, or
-    raises BudgetExceeded.  Tabu goes first, and the exhaustive search only
-    on a miss.  With a `probe_budget` (at the bottom length, where a miss is
-    the common case and proves nothing) the exhaustive search goes first
-    under that budget, and tabu and the full search follow only if it
-    trips, its nodes charged.  A probe cut short by `node_budget` itself
-    raises at once: its trip spends that budget.
+    The lengths are tried from `top` down.  At each, a tabu search
+    (`local_cover_search`, LOCAL_SEARCH_ITERATIONS moves, tie-breaks from
+    the stream keyed `{key}:{length}`) looks for a multiset, which
+    `witness(classes)` turns into the caller's witness.  Where it finds
+    none, `exhaustive(length, budget)` decides the length, returning
+    (witness or None, nodes) or raising BudgetExceeded: None ends the
+    descent one length above, with this length as the proof.  Reaching
+    `bottom` ends it too.  At `bottom`, when the descent started above it,
+    a tabu miss is the common case and proves nothing, so `exhaustive` goes
+    first there under one tabu run's work of nodes
+    (LOCAL_SEARCH_ITERATIONS x classes); tabu and the full search follow
+    only if that probe trips.  A probe cut short by the budget itself ends
+    the descent at once.
+
+    Every exhaustive node, a tripped probe's included, is charged to
+    `node_budget`.  On its exhaustion the raised BudgetExceeded carries
+    every node spent and the bracket: infeasible below `bottom`, feasible
+    at the shortest length found (or `known`).
     """
-    charged = 0
-    if probe_budget is not None:
-        budget = min(probe_budget, node_budget)
+    size, best = known, None
+    nodes = moves = 0
+    for length in range(top, bottom - 1, -1):
         try:
-            res = exhaustive(budget)
-            return LengthDecision(None, res, res.nodes, 0)
+            spent = None  # until the length is settled
+            if bottom == length < top:
+                budget = min(LOCAL_SEARCH_ITERATIONS * len(hit_sets), node_budget - nodes)
+                try:
+                    found, spent = exhaustive(length, budget)
+                except BudgetExceeded as exc:
+                    if budget == node_budget - nodes:
+                        raise
+                    nodes += exc.nodes
+            if spent is None:
+                classes, made = local_cover_search(
+                    hit_sets, quotas, length, LOCAL_SEARCH_ITERATIONS,
+                    _seeded_bytes(f"{key}:{length}", 256),
+                )
+                moves += made
+                if classes is not None:
+                    found, spent = witness(classes), 0
+                else:
+                    found, spent = exhaustive(length, node_budget - nodes)
         except BudgetExceeded as exc:
-            if budget == node_budget:
-                raise
-            charged = exc.nodes
-    classes, moves = tabu()
-    if classes is not None:
-        return LengthDecision(classes, None, charged, moves)
-    try:
-        res = exhaustive(node_budget - charged)
-    except BudgetExceeded as exc:
-        exc.nodes = charged + (exc.nodes or 0)
-        raise
-    return LengthDecision(None, res, charged + res.nodes, moves)
+            raise BudgetExceeded(
+                f"budget exhausted at length {length}; "
+                f"infeasible below {bottom}, feasible at {size}",
+                nodes=nodes + (exc.nodes or 0), infeasible_below=bottom, feasible_at=size,
+            ) from exc
+        nodes += spent
+        if found is None:
+            break
+        size, best = length, found
+    return Descent(size, best, nodes, moves)

@@ -13,6 +13,7 @@ arithmetic is exact big-integer; nothing here rounds through floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -239,6 +240,7 @@ def bounds_report(
     except (BudgetExceeded, CapExceeded):
         pass
 
+    @functools.cache  # alpha and kappa are often equal: one scan per distinct dimension
     def code_len(k: Optional[int]) -> Optional[int]:
         if k is None:
             return None

@@ -261,6 +261,7 @@ def _cmd_simulate(args) -> int:
             if args.x is not None
             else _seeded_vector(field, n, args.seed or 0, "x", 0)
         )
+        index_codes.encode(code, x).add(error)  # bad lengths exit 2 before any verdict
         rounds.append((x, error))
     else:
         for t in range(args.random_errors or 1):
@@ -269,6 +270,14 @@ def _cmd_simulate(args) -> int:
             rounds.append((x, err))
     cap = args.weight_cap if args.weight_cap is not None else args.delta
     decoders = [decoder.build_receiver_decoder(code, i) for i in range(inst.num_receivers)]
+    # a receiver whose demanded row lies in the span of its complement rows
+    # has no symbol to decode: the matrix is not an index code, as in `check`
+    stuck = next((i for i, dec in enumerate(decoders) if dec.demand_functional is None), None)
+    if stuck is not None:
+        ce = {"kind": "undetermined-demand", "receiver": stuck + 1}
+        _emit({"rounds": [], "counterexample": ce}, args.format,
+              f"receiver {stuck + 1}: demanded symbol is not uniquely determined")
+        return EXIT_FAIL
     docs = []
     all_ok = True
     for t, (x, err) in enumerate(rounds):

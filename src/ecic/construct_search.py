@@ -6,9 +6,9 @@ distance-(2*delta+1) outer code, extended Reed-Solomon generators for the
 MDS regime, and seeded random sampling.  The exact search reduces the
 candidate space to multisets of projective column classes -- the
 verification predicate only sees columns up to order and nonzero scaling
--- and walks candidate lengths down from the concatenation bound: a tabu
-search supplies witnesses, and exhaustion with quota pruning supplies the
-one proof below the shortest of them, tried first at the lower bound.
+-- and walks candidate lengths down from the concatenation bound with
+`_cover.descend`: a tabu search supplies witnesses, and exhaustion with
+quota pruning supplies the one proof below the shortest of them.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ from typing import Optional
 from ._cover import (
     _MAX_SIZE,
     DEFAULT_NODE_BUDGET,
-    LOCAL_SEARCH_ITERATIONS,
     _seeded_bytes,
     classes_matrix,
-    decide_length,
-    local_cover_search,
+    descend,
     multiset_cover_search,
 )
 # alpha_bound, kappa_bound, singleton_bound and enumerate_error_vectors are
@@ -281,27 +279,17 @@ def optimal_length_search(
 ) -> SearchOutcome:
     """Exact optimal code length for (instance, field, delta).
 
-    Feasibility is monotone in the length (an added column lowers no
-    weight), so the optimum needs one witness and one proof.  The scan
-    walks down from the concatenation bound (or from the cover search's
-    cap, if that is lower).  At each length a seeded tabu search
-    (`local_cover_search`, LOCAL_SEARCH_ITERATIONS moves) looks for a
-    witness, which is re-verified.  Where it finds none, `exists_ecic`
-    decides the length exhaustively: infeasible ends the scan one length
-    above, and feasible gives the next witness.  Reaching the best lower
-    bound ends it too, since every shorter length is ruled out.  At that
-    bound, when the scan starts above it, a tabu miss is the common case and
-    proves nothing, so `exists_ecic` goes first under one tabu run's work
-    (LOCAL_SEARCH_ITERATIONS x column classes nodes) and usually settles
-    it; only if that probe trips do tabu and the full exhaustive search
-    decide, with the probe's nodes counted (`_cover.decide_length`).  Kappa
-    comes from `min_rank` on the same analysis, with the node budget to
-    itself; if the budgets leave it unsettled, the bounds drop it and
+    The length is found by `_cover.descend` (tabu witnesses, each
+    re-verified, and one exhaustive proof by `exists_ecic`; its docstring
+    holds the policy), walking down from the concatenation bound (or from
+    the cover search's cap, if that is lower) to the best lower bound.
+    Kappa comes from `min_rank` on the same analysis, with the node budget
+    to itself; if the budgets leave it unsettled, the bounds drop it and
     concatenate the unit columns of the distinct demands instead.  When a
     shortest outer code is not settled within the node budget, the scan
     falls back to bounds that need no search: the Griesmer bound at alpha
     below, and k * (2*delta + 1) above (the outer code that repeats each
-    identity column).  The node budget is shared by the whole scan.
+    identity column).  The node budget is shared by the whole descent.
     On its exhaustion the raised error carries the bracket proved so far:
     every length below `infeasible_below` is infeasible, and `feasible_at`
     has a verified witness (or is the concatenation bound).
@@ -333,52 +321,31 @@ def optimal_length_search(
     if upper is None:
         upper = inner * d
 
-    nodes = iterations = 0
-    witness = None
-
-    def exhausted(where: str, exc: BudgetExceeded) -> BudgetExceeded:
-        feasible_at = upper if witness is None else witness.length
-        return BudgetExceeded(
-            f"budget exhausted {where}; infeasible below {lower}, feasible at {feasible_at}",
-            nodes=nodes + (exc.nodes or 0), infeasible_below=lower, feasible_at=feasible_at,
-        )
-
     if an is None:
-        raise exhausted("analysing the instance", unsettled) from unsettled
-    quotas = [d] * len(an.targets)
-    for length in range(min(upper, _MAX_SIZE), lower - 1, -1):
-        try:
-            step = decide_length(
-                lambda: local_cover_search(
-                    an.hit_sets, quotas, length, LOCAL_SEARCH_ITERATIONS,
-                    _seeded_bytes(f"ecic:local:{length}", 256),
-                ),
-                lambda budget: exists_ecic(
-                    inst, field, delta, length, node_budget=budget,
-                    enum_budget=enum_budget, _analysis=an,
-                ),
-                node_budget - nodes,
-                LOCAL_SEARCH_ITERATIONS * len(an.hit_sets) if lower == length < upper else None,
-            )
-        except BudgetExceeded as exc:
-            raise exhausted(f"at length {length}", exc) from exc
-        nodes += step.nodes
-        iterations += step.moves
-        if step.classes is not None:
-            witness = _verified(inst, field, delta, an, step.classes, enum_budget)
-        elif step.result.feasible:
-            witness = step.result.witness
-        else:
-            break
-    else:
-        length = lower - 1  # the bounds rule out every shorter length
-    if witness is None:
+        raise BudgetExceeded(
+            f"budget exhausted analysing the instance; infeasible below {lower}, "
+            f"feasible at {upper}",
+            nodes=unsettled.nodes or 0, infeasible_below=lower, feasible_at=upper,
+        ) from unsettled
+
+    def exhaustive(length: int, budget: int) -> tuple[Optional[LinearIndexCode], int]:
+        res = exists_ecic(
+            inst, field, delta, length, node_budget=budget, enum_budget=enum_budget, _analysis=an
+        )
+        return res.witness, res.nodes
+
+    out = descend(
+        an.hit_sets, [d] * len(an.targets), min(upper, _MAX_SIZE), lower, upper, node_budget,
+        "ecic:local", lambda classes: _verified(inst, field, delta, an, classes, enum_budget),
+        exhaustive,
+    )
+    if out.witness is None:
         if upper > _MAX_SIZE:  # whatever is feasible lies beyond the cover search's cap
             raise CapExceeded(f"no length up to the cover-search cap {_MAX_SIZE} is feasible")
         raise InternalContradiction("infeasible at the concatenation bound; this cannot happen")
     return SearchOutcome(
-        optimal_length=length + 1,
-        witness=witness,
-        infeasible_below=length,
-        stats=SearchStats(nodes, time.perf_counter() - started, node_budget, iterations),
+        optimal_length=out.size,
+        witness=out.witness,
+        infeasible_below=out.size - 1,
+        stats=SearchStats(out.nodes, time.perf_counter() - started, node_budget, out.moves),
     )

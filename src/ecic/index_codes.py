@@ -12,8 +12,8 @@ and sharing no code with the margin kernel, is kept alongside for
 cross-checking (`verify_ecic_direct`).
 
 Kappa is the length of a shortest delta = 0 code, so `min_rank` finds it
-with the column-class cover search of the optimal-length scan, on the
-per-(instance, q) analysis (`_analyse`) the scan shares.
+with the descent of the optimal-length scan (`_cover.descend`) at quota 1,
+on the per-(instance, q) analysis (`_analyse`) the scan shares.
 """
 
 from __future__ import annotations
@@ -25,15 +25,12 @@ from typing import Iterator, Optional, Sequence
 
 from ._cover import (
     DEFAULT_NODE_BUDGET,
-    LOCAL_SEARCH_ITERATIONS,
-    _seeded_bytes,
     canonical_class,
     class_orbits,
     class_permutation,
     class_table,
     classes_matrix,
-    decide_length,
-    local_cover_search,
+    descend,
     multiset_cover_search,
 )
 from .errors import (
@@ -418,18 +415,13 @@ def min_rank(
 
     The instance is first split exactly into parts (`_min_rank_parts`),
     each solved on its own and placed as a diagonal block of the code.  In
-    a part every message is demanded, and its identity matrix is a code.
-    Below that length the lengths are tried downward: a seeded tabu search
-    (`local_cover_search`) looks for a code, and where it finds none the
-    exhaustive `multiset_cover_search` (first picks skipped by orbit)
-    decides the length; infeasible ends the descent one length above, and
-    reaching the part's alpha <= its kappa ends it too.  At alpha, when the
-    descent has tried a longer length, the exhaustive search goes first,
-    under one tabu run's work of nodes, and tabu runs only if it trips
-    (`_cover.decide_length`, as in the length scan); where alpha is the
-    first length tried, tabu goes first as at every other length.
-    `node_budget` bounds the exhaustive nodes, a tripped probe's included,
-    summed over the parts; BudgetExceeded means kappa is unknown.
+    a part every message is demanded, and its identity matrix is a code;
+    below that length `_cover.descend` walks down to the part's alpha <=
+    its kappa (tabu codes, and the exhaustive `multiset_cover_search` with
+    first picks skipped by orbit as the one proof; its docstring holds the
+    policy).  `node_budget` bounds the exhaustive nodes, tripped probes
+    included, summed over the parts; BudgetExceeded carries that sum and
+    means kappa is unknown.
     Row i of the witness is L @ lambda_i for the found code L, where
     lambda_i solves receiver i's decoding system (see `verify_ic`).
     `_analysis` passes in the (instance, q) analysis a length scan shares;
@@ -445,26 +437,22 @@ def min_rank(
         if alpha < len(msgs):
             an = an or _analyse(part, field, DEFAULT_ENUM_BUDGET)
             quotas = [1] * len(an.targets)
-            for length in range(len(msgs) - 1, alpha - 1, -1):
-                step = decide_length(
-                    lambda: local_cover_search(
-                        an.hit_sets, quotas, length, LOCAL_SEARCH_ITERATIONS,
-                        _seeded_bytes(f"ecic:kappa:{length}", 256),
-                    ),
-                    lambda budget: multiset_cover_search(
-                        an.hit_sets, quotas, length, budget, orbits=an.orbits
-                    ),
-                    node_budget - nodes,
-                    LOCAL_SEARCH_ITERATIONS * len(an.hit_sets)
-                    if alpha == length < len(msgs) - 1 else None,
+
+            def exhaustive(length: int, budget: int) -> tuple[Optional[tuple[int, ...]], int]:
+                res = multiset_cover_search(an.hit_sets, quotas, length, budget, orbits=an.orbits)
+                return res.classes, res.nodes
+
+            try:
+                out = descend(
+                    an.hit_sets, quotas, len(msgs) - 1, alpha, len(msgs), node_budget - nodes,
+                    "ecic:kappa", tuple, exhaustive,  # witnesses stay class multisets
                 )
-                nodes += step.nodes
-                classes = step.classes
-                if classes is None:
-                    if not step.result.found:
-                        break
-                    classes = step.result.classes
-                code = classes_matrix(field, an.columns, classes, len(msgs))
+            except BudgetExceeded as exc:
+                where = f"min-rank of messages {[x + 1 for x in msgs]}"
+                raise BudgetExceeded(f"{where}: {exc}", nodes=nodes + exc.nodes) from exc
+            nodes += out.nodes
+            if out.witness is not None:
+                code = classes_matrix(field, an.columns, out.witness, len(msgs))
         blocks.append((msgs, code))
     kappa = sum(code.ncols for _, code in blocks)
     rows = [[0] * kappa for _ in range(n)]

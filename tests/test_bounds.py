@@ -211,6 +211,23 @@ def test_bounds_report_no_side_info_is_tight():
     assert rep.lower == rep.upper == shortest_code_length(2, 3, 3)
 
 
+def test_bounds_report_scans_each_code_length_once(monkeypatch):
+    """alpha = kappa = 3 without side information: both bounds are
+    N_2[3, 3], and one scan answers both."""
+    from ecic import bounds
+
+    calls = []
+
+    def counted(q, k, d, node_budget):
+        calls.append((q, k, d))
+        return shortest_code_length(q, k, d, node_budget=node_budget)
+
+    monkeypatch.setattr(bounds, "shortest_code_length", counted)
+    rep = bounds_report(no_side_info(3), F2, 1)
+    assert rep.alpha_bound == rep.kappa_bound == 6
+    assert calls == [(2, 3, 3)]
+
+
 def test_bounds_report_mds_equality():
     rep = bounds_report(pentagon(), make_field(5), 1)
     assert rep.mds_equality is True

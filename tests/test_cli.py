@@ -277,6 +277,23 @@ def test_check_on_a_matrix_that_is_not_an_index_code_exits_one(capsys, tmp_path,
     assert run(capsys, "verify", *argv)[0] == 1
 
 
+def test_simulate_on_a_matrix_that_is_not_an_index_code_exits_one(capsys, tmp_path):
+    """The matrix `check` rejects above: simulate names receiver 3, whose
+    demanded symbol no decoder reads, instead of failing mid-round; an
+    error vector of the wrong length is still an input error."""
+    matrix = tmp_path / "zero-margin.txt"
+    matrix.write_text("2 5 5\n1 0 0 0 0\n1 0 0 0 0\n0 0 0 0 0\n0 0 0 1 0\n0 0 0 0 1\n")
+    argv = ("simulate", "--instance", "pentagon", "--matrix", str(matrix), "--delta", "0")
+    code, out, err = run(capsys, *argv, "--random-errors", "2", "--seed", "1")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "rounds": [], "counterexample": {"kind": "undetermined-demand", "receiver": 3},
+    }
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 1 and "receiver 3" in out
+    assert run(capsys, *argv, "--error", "0 0 0")[0] == 2  # bad input comes first
+
+
 def test_validate(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", "--instance", "odd-cycle-complement:2")
     assert code == 0

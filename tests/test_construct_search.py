@@ -283,9 +283,9 @@ def test_node_budget_is_shared_by_the_whole_scan(monkeypatch):
     by exhaustion at N = 10, 9 (feasible) and 8 (infeasible): 191,057 +
     56,647 + 311 nodes.  Each call fits a budget one node short of the
     total, but the scan does not."""
-    from ecic import construct_search
+    from ecic import _cover
 
-    monkeypatch.setattr(construct_search, "local_cover_search", always_miss)
+    monkeypatch.setattr(_cover, "local_cover_search", always_miss)
     total = 191_057 + 56_647 + 311
     out = optimal_length_search(pentagon(), F2, 2, node_budget=total)
     assert (out.optimal_length, out.stats.nodes, out.stats.local_iterations) == (9, total, 0)
@@ -353,11 +353,11 @@ def test_tripped_probe_falls_back_to_tabu_and_the_full_proof(monkeypatch):
     q=2 delta=1 N=5 gets 4 x 127 nodes, short of the 11,961-node proof: it
     trips, its nodes are charged, and the tabu run and the full proof
     decide."""
-    from ecic import builtin_instance, construct_search
+    from ecic import _cover, builtin_instance
 
     inst = builtin_instance("odd-cycle-complement:3")
     proof = exists_ecic(inst, F2, 1, 5).nodes
-    monkeypatch.setattr(construct_search, "LOCAL_SEARCH_ITERATIONS", 4)
+    monkeypatch.setattr(_cover, "LOCAL_SEARCH_ITERATIONS", 4)
     out = optimal_length_search(inst, F2, 1)
     assert (out.optimal_length, out.infeasible_below) == (6, 5)
     assert (out.stats.nodes, out.stats.local_iterations) == (4 * 127 + 1 + proof, 4)
@@ -366,18 +366,20 @@ def test_tripped_probe_falls_back_to_tabu_and_the_full_proof(monkeypatch):
 def test_probe_capped_by_the_node_budget_raises_at_once(monkeypatch):
     """A probe whose budget is the scan's remaining budget spends it by
     tripping, so the scan exits with the bracket and runs no tabu search at
-    the bottom length."""
-    from ecic import builtin_instance, construct_search
+    the bottom length.  Only the scan's tabu runs (quota 2 * delta + 1) are
+    recorded, not kappa's (quota 1)."""
+    from ecic import _cover, builtin_instance
 
     inst = builtin_instance("odd-cycle-complement:3")
     lengths = []
-    original = construct_search.local_cover_search
+    original = _cover.local_cover_search
 
     def recorded(hit_sets, quotas, size, iterations, stream):
-        lengths.append(size)
+        if max(quotas) == 3:
+            lengths.append(size)
         return original(hit_sets, quotas, size, iterations, stream)
 
-    monkeypatch.setattr(construct_search, "local_cover_search", recorded)
+    monkeypatch.setattr(_cover, "local_cover_search", recorded)
     with pytest.raises(BudgetExceeded) as err:
         optimal_length_search(inst, F2, 1, node_budget=11_960)
     assert (err.value.infeasible_below, err.value.feasible_at, err.value.nodes) == (5, 6, 11_961)

@@ -14,7 +14,16 @@ from ecic import (
     optimal_length_search,
     verify_ecic_direct,
 )
-from ecic._cover import CoverResult, _visit_order, local_cover_search, multiset_cover_search
+from ecic import _cover
+from ecic._cover import (
+    CoverResult,
+    Descent,
+    _visit_order,
+    descend,
+    local_cover_search,
+    multiset_cover_search,
+)
+from ecic.errors import BudgetExceeded
 from ecic.construct_search import _seeded_bytes
 
 
@@ -101,6 +110,39 @@ def test_zero_quotas_without_classes_have_no_multiset():
     assert multiset_cover_search([], [0], 2, 10) == CoverResult(False, None, 0)
     assert multiset_cover_search([], [0], 0, 10) == CoverResult(True, (), 0)
     assert local_cover_search([], [0], 2, 10, iter(())) == (None, 0)
+
+
+# two classes, each hitting one of two targets: a multiset meets quotas
+# (2, 2) from length 4 on
+TWO = [frozenset({0}), frozenset({1})]
+
+
+def kernel_decides(length, budget):
+    res = multiset_cover_search(TWO, [2, 2], length, budget)
+    return res.classes, res.nodes
+
+
+def test_descent_returns_known_when_top_is_infeasible():
+    proof = multiset_cover_search(TWO, [2, 2], 3, 100).nodes
+    out = descend(TWO, [2, 2], 3, 1, 4, 100, "t", tuple, kernel_decides)
+    assert out == Descent(4, None, proof, _cover.LOCAL_SEARCH_ITERATIONS)
+
+
+def test_descent_charges_every_length_to_one_budget(monkeypatch):
+    """With tabu missing everywhere, lengths 5 and 4 are found and 3 is the
+    proof, each by the kernel; one node short of their sum, the probe at the
+    bottom spends what is left and the descent raises with every node and
+    the bracket."""
+    monkeypatch.setattr(_cover, "local_cover_search", lambda *args: (None, 0))
+    spent = [multiset_cover_search(TWO, [2, 2], n, 100).nodes for n in (5, 4, 3)]
+    total = sum(spent)
+    assert total < _cover.LOCAL_SEARCH_ITERATIONS * len(TWO)  # the probe is not capped
+    out = descend(TWO, [2, 2], 5, 3, 6, total, "t", tuple, kernel_decides)
+    assert out == Descent(4, (0, 0, 1, 1), total, 0)
+    with pytest.raises(BudgetExceeded) as err:
+        descend(TWO, [2, 2], 5, 3, 6, total - 1, "t", tuple, kernel_decides)
+    assert str(err.value) == "budget exhausted at length 3; infeasible below 3, feasible at 4"
+    assert (err.value.nodes, err.value.infeasible_below, err.value.feasible_at) == (total, 3, 4)
 
 
 def test_kernel_matches_brute_force_on_hand_picked_cases():

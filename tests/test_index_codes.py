@@ -296,6 +296,22 @@ def test_min_rank_budget():
         min_rank(inst, make_field(8))
 
 
+def test_min_rank_budget_counts_every_part():
+    """Two disjoint pentagons over GF(2) are two parts, each settled by a
+    108-node probe at alpha = 2; one node short of both, the second probe
+    trips, and the error carries the nodes of both parts."""
+    p = pentagon()
+    inst = IcsiInstance(
+        10, 10, p.demands + tuple(d + 5 for d in p.demands),
+        p.side_info + tuple(frozenset(x + 5 for x in side) for side in p.side_info),
+    )
+    assert [msgs for msgs, _ in _min_rank_parts(inst)] == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+    assert min_rank(inst, F2, node_budget=216).kappa == 6
+    with pytest.raises(BudgetExceeded, match=r"messages \[6, 7, 8, 9, 10\]") as err:
+        min_rank(inst, F2, node_budget=215)
+    assert err.value.nodes == 216
+
+
 def test_min_rank_beyond_the_alpha_cap():
     # every message is a part of its own, so kappa = 30 needs neither the
     # capped alpha search of the whole instance nor any table

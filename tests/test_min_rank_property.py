@@ -11,9 +11,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ecic import (  # noqa: E402
+    _cover,
     IcsiInstance,
     LinearIndexCode,
-    index_codes,
     make_field,
     mat_rank,
     min_rank,
@@ -49,10 +49,10 @@ def instances(draw):
 # Short caps make tabu miss above kappa and make the probe at alpha trip, so
 # kappa's fallbacks are checked too.
 @settings(deadline=None)
-@given(instances(), st.sampled_from([0, 1, 4, index_codes.LOCAL_SEARCH_ITERATIONS]))
+@given(instances(), st.sampled_from([0, 1, 4, _cover.LOCAL_SEARCH_ITERATIONS]))
 def test_min_rank_matches_the_completion_oracle(case, cap):
     inst, field = case
-    with mock.patch.object(index_codes, "LOCAL_SEARCH_ITERATIONS", cap):
+    with mock.patch.object(_cover, "LOCAL_SEARCH_ITERATIONS", cap):
         res = min_rank(inst, field)
     assert res.kappa == brute_min_rank(inst, field)
     assert mat_rank(res.witness) == res.kappa

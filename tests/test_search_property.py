@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ecic import IcsiInstance, construct_search, make_field, verify_ecic_direct  # noqa: E402
+from ecic import IcsiInstance, _cover, construct_search, make_field, verify_ecic_direct  # noqa: E402
 
 from helpers import upward_scan  # noqa: E402
 
@@ -33,11 +33,11 @@ def questions(draw):
 # A cap of 0 keeps only the greedy start, so short caps make the scan mix
 # local-search witnesses with exhaustive ones on the way down.
 @settings(deadline=None)
-@given(questions(), st.sampled_from([0, 1, 4, construct_search.LOCAL_SEARCH_ITERATIONS]))
+@given(questions(), st.sampled_from([0, 1, 4, _cover.LOCAL_SEARCH_ITERATIONS]))
 def test_top_down_search_matches_the_upward_scan(question, cap):
     inst, field, delta = question
     optimum, reference = upward_scan(inst, field, delta)
-    with mock.patch.object(construct_search, "LOCAL_SEARCH_ITERATIONS", cap):
+    with mock.patch.object(_cover, "LOCAL_SEARCH_ITERATIONS", cap):
         out = construct_search.optimal_length_search(inst, field, delta)
     assert out.optimal_length == optimum
     assert out.infeasible_below == optimum - 1
