@@ -82,10 +82,26 @@ def _cmd_validate(args) -> int:
     return EXIT_PASS
 
 
+def _emit_bracket(exc: BudgetExceeded, args, what: str) -> None:
+    """Print the bracket a budget exhaustion proved, as data, if it has one."""
+    if exc.feasible_at is not None:
+        doc = {
+            "status": "budget",
+            "infeasible_below": exc.infeasible_below,
+            "feasible_at": exc.feasible_at,
+            "nodes": exc.nodes,
+        }
+        _emit(doc, args.format, f"{what} in [{exc.infeasible_below}, {exc.feasible_at}]")
+
+
 def _cmd_params(args) -> int:
     inst = _load_instance(args.instance)
     field = make_field(args.q)
-    params = index_codes.instance_params(inst, field, node_budget=args.node_budget)
+    try:
+        params = index_codes.instance_params(inst, field, node_budget=args.node_budget)
+    except BudgetExceeded as exc:
+        _emit_bracket(exc, args, "kappa")
+        raise
     doc = {
         "q": field.q,
         "alpha": params.alpha,
@@ -153,14 +169,7 @@ def _cmd_search(args) -> int:
             node_budget=args.node_budget, enum_budget=args.enum_budget,
         )
     except BudgetExceeded as exc:
-        if exc.feasible_at is not None:  # the scan's bracket, as data
-            doc = {
-                "status": "budget",
-                "infeasible_below": exc.infeasible_below,
-                "feasible_at": exc.feasible_at,
-                "nodes": exc.nodes,
-            }
-            _emit(doc, args.format, f"optimum in [{exc.infeasible_below}, {exc.feasible_at}]")
+        _emit_bracket(exc, args, "optimum")
         raise
     stats = outcome.stats
     doc = {

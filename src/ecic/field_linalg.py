@@ -10,22 +10,23 @@ runs and machines.
 
 Vectors and matrices are immutable; all operations are pure functions.
 
-`lightest_combination` is the one minimum-weight kernel: the lightest
-target - sum_j c_j * rows_j, found by an odometer over coefficient tuples
-in lexicographic order.  Each step applies one precomputed row change to
-a running combination, so no vector is built per tuple.  Receiver margins
-and `code_min_distance` both run on it.
-
-GF(2) data additionally runs on packed machine words (bit j = coordinate
-j) inside `mat_rank` and `lightest_combination`, where an odometer step is
-one XOR and a weight is one `bit_count`.  The packed and generic paths are
-interchangeable and are compared against each other in the test suite.
+`PackedRows.lightest` is the one minimum-weight kernel, for every q: the
+lightest target - sum_j c_j * rows_j, found by an odometer over
+coefficient tuples in lexicographic order.  Rows are packed once, with
+all their multiples, as base-p digit lanes in one integer, so each step
+is one integer add of a precomputed change with every lane reduced mod p
+at once (one XOR in characteristic 2), and a weight is one `bit_count`.
+Receiver margins pack a code's rows once, `code_min_distance` its basis,
+and `lightest_combination` packs the rows it is given.  The test suite
+checks the kernel against brute force and, on GF(2), against an XOR
+walk over suffix sums.  `mat_rank` on GF(2) runs on packed words too.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -609,87 +610,160 @@ def coset_leader(H: FMatrix, s: FVector, weight_cap: int) -> FVector:
     raise WeightCapExceeded(f"no solution of weight <= {weight_cap}")
 
 
-def _lightest_gf2(target: Sequence[int], rows: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """(weight, index) of the lightest combination over GF(2), on packed
-    words: stepping from index i-1 to i flips the trailing run of digits,
-    which is one XOR with a precomputed suffix sum of the rows."""
-    combo = _pack_bits(target)
-    best_w, best_i = combo.bit_count(), 0
-    suffix = []
-    acc = 0
-    for row in reversed(rows):
-        acc ^= _pack_bits(row)
-        suffix.append(acc)
-    if best_w:
-        for i in range(1, 1 << len(rows)):
-            combo ^= suffix[(i & -i).bit_length() - 1]
-            w = combo.bit_count()
-            if w < best_w:
-                best_w, best_i = w, i
-                if not w:
-                    break
-    return best_w, best_i
+_BLOCK = 1 << 12  # the fastest digits' odometer steps, precomputed as one list
 
 
-def _lightest_generic(
-    field: Field, target: Sequence[int], rows: Sequence[Sequence[int]]
-) -> tuple[int, int]:
-    """(weight, index) of the lightest combination over any GF(q), updating
-    one list in place.  Stepping from index i-1 to i wraps the trailing t
-    digits from q-1 to 0 (adding back (q-1)*r_j for each) and raises digit
-    k-1-t from c to c+1 (adding c*r_j - (c+1)*r_j); `steps[t][c]` holds that
-    whole change as sparse (position, value) pairs."""
-    q, k = field.q, len(rows)
-    add, mul, neg = field._add, field._mul, field._neg
-    combo = list(target)
-    weight = sum(1 for x in combo if x)
-    best_w, best_i = weight, 0
-    steps = []
-    wrapped = [0] * len(combo)
-    for row in reversed(rows):
-        per_digit = []
-        for c in range(q - 1):
-            change = [
-                add[w][add[mul[c][x]][neg[mul[c + 1][x]]]] for w, x in zip(wrapped, row)
-            ]
-            per_digit.append([(pos, v) for pos, v in enumerate(change) if v])
-        steps.append(per_digit)
-        wrapped = [add[w][mul[q - 1][x]] for w, x in zip(wrapped, row)]
-    if best_w:
-        for i in range(1, q**k):
-            t, rest = 0, i
-            while not rest % q:
-                rest //= q
-                t += 1
-            for pos, v in steps[t][rest % q - 1]:
-                old = combo[pos]
-                new = combo[pos] = add[old][v]
-                weight += (new != 0) - (old != 0)
-            if weight < best_w:
-                best_w, best_i = weight, i
-                if not weight:
-                    break
-    return best_w, best_i
+def _odometer_steps(changes: Sequence[Sequence[int]]) -> list[int]:
+    """The change landing on each tuple of an odometer over digits whose
+    per-digit changes are `changes` (changes[0] the fastest digit), in
+    step order; the first tuple gets 0, as the walk starts on it."""
+    seq = [0]
+    for per_digit in changes:
+        run = seq[1:]
+        for change in per_digit:
+            seq.append(change)
+            seq += run
+    return seq
+
+
+@functools.lru_cache(maxsize=None)
+def _lane_layout(field: Field) -> tuple[int, int, tuple[int, ...], tuple[int, ...], int]:
+    """How `PackedRows` packs GF(q): (lane bits w, symbol bits width, the
+    packed digits of each label, the label of c - (c+1) for each c, and
+    how many digits the precomputed odometer block spans)."""
+    q, p, e = field.q, field.p, field.e
+    w = 1 if p == 2 else p.bit_length() + 1  # an odd-p lane holds two digits' sum
+    width = e + (e > 1) if p == 2 else e * w
+    digits = tuple(sum(x // p**r % p << r * w for r in range(e)) for x in range(q))
+    # moving a digit from label c to c+1 adds (c - (c+1)) times its row
+    step_labels = tuple(field._add[c][field._neg[c + 1]] for c in range(q - 1))
+    block_digits = 0
+    while q ** (block_digits + 1) <= _BLOCK:
+        block_digits += 1
+    return w, width, digits, step_labels, block_digits
+
+
+class PackedRows:
+    """Rows over GF(q), q = p^e, packed for `lightest`: symbol j's e base-p
+    digits sit in lanes of w bits from bit j*width.  Lanes are added and
+    reduced mod p all at once (a plain XOR when p = 2, where a spare bit
+    tops each symbol of an extension field), and a weight is one
+    `bit_count` over the symbols' nonzero flags.  Every multiple a*row of a
+    row is packed on the row's first use and kept."""
+
+    def __init__(self, field: Field, rows: Sequence[Sequence[int]], ncols: int):
+        p = field.p
+        self.field, self.rows, self.ncols = field, rows, ncols
+        self._w, self._width, self._digits, self._step_labels, self._block_digits = (
+            _lane_layout(field)
+        )
+        self._multiples: list[list[int] | None] = [None] * len(rows)
+        w, width = self._w, self._width
+        symbol_ones = ((1 << ncols * width) - 1) // ((1 << width) - 1)
+        lane_ones = symbol_ones * (((1 << width) - 1) // ((1 << w) - 1))
+        # for odd p the walk keeps every lane biased by `_bias`, so a lane
+        # sum reaches the lane's top bit (`_top`) exactly when it is >= p;
+        # `_sym_bias` lifts a (biased) symbol onto its top bit when nonzero
+        self._bias = 0 if p == 2 else lane_ones * ((1 << (w - 1)) - p)
+        self._top = lane_ones << (w - 1)
+        self._sym_bias = symbol_ones * ((1 << (width - 1)) - 1) - self._bias
+        self._sym_top = symbol_ones << (width - 1)
+        self._add = operator.xor if p == 2 else self._add_mod_p
+
+    def _add_mod_p(self, a: int, b: int) -> int:
+        """Lane sum of two unbiased packed vectors, p odd."""
+        s = a + b + self._bias
+        return s - self._bias - ((s & self._top) >> (self._w - 1)) * self.field.p
+
+    def multiples(self, j: int) -> list[int]:
+        """Row j scaled by each field element a, packed, at index a."""
+        out = self._multiples[j]
+        if out is None:
+            row, digits, width = self.rows[j], self._digits, self._width
+            out = self._multiples[j] = []
+            for m in self.field._mul:
+                packed = 0
+                for x in reversed(row):
+                    packed = packed << width | digits[m[x]]
+                out.append(packed)
+        return out
+
+    def lightest(self, target: int, rows: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+        """Least weight of row `target` - sum_j c_j * (row rows[j]), with the
+        coefficient tuple c that first attains it.
+
+        Coefficient tuples are walked in lexicographic order (the last one
+        varies fastest).  Moving digit t from label c to c+1 adds
+        (c - (c+1)) * row, which on an extension field depends on c, and
+        wraps the faster digits from q-1 to 0, adding (q-1) times each of
+        their rows; `changes[t][c]` holds that whole step as one packed
+        int.  A tuple replaces the best only when strictly lighter, and the
+        walk stops at weight 0.  Visits up to q^len(rows) tuples; the
+        caller bounds that."""
+        q, k, lane_add = self.field.q, len(rows), self._add
+        changes, wrap = [], 0
+        for j in reversed(rows):
+            m = self.multiples(j)
+            changes.append([lane_add(wrap, m[a]) for a in self._step_labels])
+            wrap = lane_add(wrap, m[q - 1])
+        # block o covers tuples o*q^b .. (o+1)*q^b - 1 and is entered by
+        # leads[o], one step of the slower digits; block 0 opens with
+        # change 0, which weighs the target itself
+        b = min(k, self._block_digits)
+        block, leads = _odometer_steps(changes[:b]), _odometer_steps(changes[b:])
+        acc, best = self.multiples(target)[1] + self._bias, (self.ncols + 1, 0)
+        for o, lead in enumerate(leads):
+            block[0] = lead
+            acc, best = self._scan(acc, block, o * len(block), best)
+            if not best[0]:
+                break
+        w, index = best
+        return w, tuple(index // q ** (k - 1 - j) % q for j in range(k))
+
+    def _scan(
+        self, acc: int, steps: Sequence[int], start: int, best: tuple[int, int]
+    ) -> tuple[int, tuple[int, int]]:
+        """Apply `steps` to the biased acc in turn, the first landing on
+        tuple `start`, and keep the first strictly lightest tuple."""
+        best_w, best_i = best
+        sym_bias, sym_top = self._sym_bias, self._sym_top
+        if self.field.q == 2:  # every bit is a symbol
+            for i, change in enumerate(steps, start):
+                acc ^= change
+                w = acc.bit_count()
+                if w < best_w:
+                    best_w, best_i = w, i
+                    if not w:
+                        break
+        elif self.field.p == 2:
+            for i, change in enumerate(steps, start):
+                acc ^= change
+                w = ((acc + sym_bias) & sym_top).bit_count()
+                if w < best_w:
+                    best_w, best_i = w, i
+                    if not w:
+                        break
+        else:
+            p, top, sh = self.field.p, self._top, self._w - 1
+            for i, change in enumerate(steps, start):
+                s = acc + change
+                acc = s - ((s & top) >> sh) * p
+                w = ((acc + sym_bias) & sym_top).bit_count()
+                if w < best_w:
+                    best_w, best_i = w, i
+                    if not w:
+                        break
+        return acc, (best_w, best_i)
 
 
 def lightest_combination(
     field: Field, target_row: Sequence[int], rows: Sequence[Sequence[int]]
 ) -> tuple[int, tuple[int, ...]]:
     """Least weight of target_row - sum_j c_j * rows[j], with the coefficient
-    tuple c that first attains it.
-
-    Coefficient tuples are walked in lexicographic order (the last one
-    varies fastest) by an odometer whose every step is one precomputed row
-    change; a tuple replaces the best only when strictly lighter, and the
-    walk stops at weight 0.  Visits up to q^len(rows) tuples; the caller
-    bounds that.
-    """
-    q, k = field.q, len(rows)
-    if q == 2:
-        weight, index = _lightest_gf2(target_row, rows)
-    else:
-        weight, index = _lightest_generic(field, target_row, rows)
-    return weight, tuple(index // q ** (k - 1 - j) % q for j in range(k))
+    tuple c that first attains it in lexicographic order; the walk stops at
+    weight 0.  Packs the rows and runs `PackedRows.lightest` on them."""
+    packed = PackedRows(field, [target_row, *rows], len(target_row))
+    return packed.lightest(0, range(1, len(rows) + 1))
 
 
 def code_min_distance(G: FMatrix, budget: int = DEFAULT_ENUM_BUDGET) -> int:
@@ -708,9 +782,10 @@ def code_min_distance(G: FMatrix, budget: int = DEFAULT_ENUM_BUDGET) -> int:
         raise ValueError("zero code has no minimum distance")
     if field.q ** k > budget:
         raise BudgetExceeded(f"{field.q}^{k} codewords exceed enumeration budget {budget}")
+    packed = PackedRows(field, basis, G.ncols)
     best = G.ncols
     for j in range(k):
-        best = min(best, lightest_combination(field, basis[j], basis[j + 1 :])[0])
+        best = min(best, packed.lightest(j, range(j + 1, k))[0])
         if best == 1:
             break
     return best

@@ -45,7 +45,7 @@ from .field_linalg import (
     Field,
     FMatrix,
     FVector,
-    lightest_combination,
+    PackedRows,
     mat_rank,
     solve_linear,
 )
@@ -82,18 +82,16 @@ def encode(code: LinearIndexCode, x: FVector) -> FVector:
 
 
 def _margin_with_minimizer(
-    code: LinearIndexCode, i: int, enum_budget: int
+    code: LinearIndexCode, i: int, enum_budget: int, packed: PackedRows
 ) -> tuple[int, tuple[int, ...]]:
     """Margin of receiver i plus the coefficient tuple (over its complement
-    rows, sorted ascending) achieving it.  First minimizer in lexicographic
-    coefficient order wins."""
-    inst, field, L = code.inst, code.field, code.matrix
+    rows, sorted ascending) achieving it, on the code's packed rows.  First
+    minimizer in lexicographic coefficient order wins."""
+    inst, q = code.inst, code.field.q
     free = sorted(inst.complement(i))
-    if field.q ** len(free) > enum_budget:
-        raise BudgetExceeded(
-            f"receiver {i + 1} span needs {field.q}^{len(free)} combinations"
-        )
-    return lightest_combination(field, L.rows[inst.demands[i]], [L.rows[j] for j in free])
+    if q ** len(free) > enum_budget:
+        raise BudgetExceeded(f"receiver {i + 1} span needs {q}^{len(free)} combinations")
+    return packed.lightest(inst.demands[i], free)
 
 
 def receiver_margin(
@@ -103,7 +101,8 @@ def receiver_margin(
     receiver neither holds nor demands."""
     if not (0 <= i < code.inst.num_receivers):
         raise IndexOutOfRange(f"receiver index {i} out of range")
-    return _margin_with_minimizer(code, i, enum_budget)[0]
+    packed = PackedRows(code.field, code.matrix.rows, code.length)
+    return _margin_with_minimizer(code, i, enum_budget, packed)[0]
 
 
 def _check_delta(delta: int) -> None:
@@ -114,14 +113,15 @@ def _check_delta(delta: int) -> None:
 def _margins_with_minimizers(
     code: LinearIndexCode, enum_budget: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(margin, minimizer) per receiver, lazily in receiver order;
-    receivers sharing (demand, complement) are computed once."""
-    inst = code.inst
+    """(margin, minimizer) per receiver, lazily in receiver order, on rows
+    packed once per code; receivers sharing (demand, complement) are
+    computed once."""
+    inst, packed = code.inst, PackedRows(code.field, code.matrix.rows, code.length)
     cache: dict[tuple[int, frozenset[int]], tuple[int, tuple[int, ...]]] = {}
     for i in range(inst.num_receivers):
         key = (inst.demands[i], inst.complement(i))
         if key not in cache:
-            cache[key] = _margin_with_minimizer(code, i, enum_budget)
+            cache[key] = _margin_with_minimizer(code, i, enum_budget, packed)
         yield cache[key]
 
 
@@ -421,7 +421,9 @@ def min_rank(
     first picks skipped by orbit as the one proof; its docstring holds the
     policy).  `node_budget` bounds the exhaustive nodes, tripped probes
     included, summed over the parts; BudgetExceeded carries that sum and
-    means kappa is unknown.
+    means kappa is unknown, with kappa's bracket: the settled parts' kappa
+    plus the open part's bracket plus each later part's alpha (below) or
+    size (above).
     Row i of the witness is L @ lambda_i for the found code L, where
     lambda_i solves receiver i's decoding system (see `verify_ic`).
     `_analysis` passes in the (instance, q) analysis a length scan shares;
@@ -430,7 +432,8 @@ def min_rank(
     n = inst.num_messages
     blocks = []
     nodes = 0
-    for msgs, part in _min_rank_parts(inst):
+    parts = _min_rank_parts(inst)
+    for at, (msgs, part) in enumerate(parts):
         an = _analysis if part == inst else None
         alpha = generalized_independence_number(part)[0] if an is None else an.alpha
         code = FMatrix.identity(field, len(msgs))
@@ -448,8 +451,17 @@ def min_rank(
                     "ecic:kappa", tuple, exhaustive,  # witnesses stay class multisets
                 )
             except BudgetExceeded as exc:
+                # kappa's bracket: the settled parts' kappa, this part's
+                # bracket, and each later part's alpha below and size above
+                settled = sum(block.ncols for _, block in blocks)
+                later = parts[at + 1:]
                 where = f"min-rank of messages {[x + 1 for x in msgs]}"
-                raise BudgetExceeded(f"{where}: {exc}", nodes=nodes + exc.nodes) from exc
+                raise BudgetExceeded(
+                    f"{where}: {exc}", nodes=nodes + exc.nodes,
+                    infeasible_below=settled + exc.infeasible_below
+                    + sum(generalized_independence_number(rest)[0] for _, rest in later),
+                    feasible_at=settled + exc.feasible_at + sum(len(m) for m, _ in later),
+                ) from exc
             nodes += out.nodes
             if out.witness is not None:
                 code = classes_matrix(field, an.columns, out.witness, len(msgs))

@@ -121,6 +121,29 @@ def brute_min_distance(field, rows, n):
     return min(weights)
 
 
+def lightest_gf2_xor(target, rows):
+    """(weight, coefficients) of the first lightest target + sum c_j rows_j
+    over GF(2), on packed words: stepping from tuple i-1 to i flips the
+    trailing run of digits, which is one XOR with a suffix sum of the rows."""
+    def pack(entries):
+        return sum(1 << j for j, x in enumerate(entries) if x)
+
+    combo = pack(target)
+    best_w, best_i = combo.bit_count(), 0
+    suffix, acc = [], 0
+    for row in reversed(rows):
+        acc ^= pack(row)
+        suffix.append(acc)
+    for i in range(1, 1 << len(rows)):
+        if not best_w:
+            break
+        combo ^= suffix[(i & -i).bit_length() - 1]
+        if combo.bit_count() < best_w:
+            best_w, best_i = combo.bit_count(), i
+    k = len(rows)
+    return best_w, tuple(best_i >> (k - 1 - j) & 1 for j in range(k))
+
+
 def brute_coset_min_weight(field, h_rows, n, syndrome):
     """Minimum weight solution of H e^T = s by enumerating all of F_q^n."""
     best = None

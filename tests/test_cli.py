@@ -234,8 +234,18 @@ def test_params_node_budget(capsys):
     code, out, err = run(
         capsys, "params", "--instance", "pentagon", "--q", "2", "--node-budget", "10"
     )
-    assert code == 3 and out == ""
+    # kappa's bracket as data: the probe at alpha = 2 trips, after tabu
+    # found a code of length 3
+    assert code == 3
+    assert json.loads(out) == {
+        "status": "budget", "infeasible_below": 2, "feasible_at": 3, "nodes": 11,
+    }
     assert err.startswith("budget exhausted")
+    code, out, _ = run(
+        capsys, "params", "--instance", "pentagon", "--q", "2", "--node-budget", "10",
+        "--format", "text",
+    )
+    assert (code, out) == (3, "kappa in [2, 3]\n")
     code, out, _ = run(
         capsys, "params", "--instance", "pentagon", "--q", "2", "--node-budget", "2000"
     )

@@ -299,7 +299,10 @@ def test_min_rank_budget():
 def test_min_rank_budget_counts_every_part():
     """Two disjoint pentagons over GF(2) are two parts, each settled by a
     108-node probe at alpha = 2; one node short of both, the second probe
-    trips, and the error carries the nodes of both parts."""
+    trips, and the error carries the nodes of both parts and kappa's
+    bracket: the first part's kappa 3 plus the second's [2, 3].  Tripped in
+    the first part, the bracket adds the second part's alpha 2 below and
+    its size 5 above."""
     p = pentagon()
     inst = IcsiInstance(
         10, 10, p.demands + tuple(d + 5 for d in p.demands),
@@ -310,6 +313,10 @@ def test_min_rank_budget_counts_every_part():
     with pytest.raises(BudgetExceeded, match=r"messages \[6, 7, 8, 9, 10\]") as err:
         min_rank(inst, F2, node_budget=215)
     assert err.value.nodes == 216
+    assert (err.value.infeasible_below, err.value.feasible_at) == (5, 6)
+    with pytest.raises(BudgetExceeded, match=r"messages \[1, 2, 3, 4, 5\]") as err:
+        min_rank(inst, F2, node_budget=10)
+    assert (err.value.infeasible_below, err.value.feasible_at) == (4, 8)
 
 
 def test_min_rank_beyond_the_alpha_cap():

@@ -1,8 +1,10 @@
 """The minimum-weight kernel against brute-force oracles.
 
-`lightest_combination` walks coefficient tuples with an odometer; the
-oracle here rebuilds every combination from scratch with plain field
-operations and takes the first lightest one in lexicographic order.
+`lightest_combination` walks coefficient tuples with an odometer on
+packed digit lanes; the oracle here rebuilds every combination from
+scratch with plain field operations and takes the first lightest one in
+lexicographic order.  The fields cover odd p with e = 1 and 2 (q = 3, 5,
+7, 9) and p = 2 with e = 1, 2 and 3 (q = 2, 4, 8).
 """
 
 import itertools
@@ -19,12 +21,25 @@ from ecic import (
     pentagon,
     verify_ecic,
 )
-from ecic.field_linalg import _lightest_generic, _lightest_gf2, lightest_combination
+from ecic import field_linalg
+from ecic.field_linalg import lightest_combination
 from ecic.index_codes import _margins_with_minimizers
 
-from helpers import F2, brute_min_distance, pentagon_code, random_instance, random_matrix
+from helpers import (
+    F2,
+    brute_min_distance,
+    lightest_gf2_xor,
+    pentagon_code,
+    random_instance,
+    random_matrix,
+)
 
-FIELDS = [make_field(q) for q in (2, 3, 4, 5)]
+FIELDS = [make_field(q) for q in (2, 3, 4, 5, 7, 8, 9)]
+
+
+def max_rows(field):
+    """Rows per span, capped so that the oracle's q^k walk stays small."""
+    return 4 if field.q < 5 else 3 if field.q < 7 else 2
 
 
 def oracle(field, target, rows):
@@ -54,7 +69,7 @@ def test_lightest_combination_matches_oracle(field):
     rng = random.Random(field.q)
     for trial in range(60):
         n = rng.randint(1, 6)
-        k = rng.randint(0, 4 if field.q < 5 else 3)
+        k = rng.randint(0, max_rows(field))
         rows = [tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(k)]
         if trial % 3 == 0:
             rows = (special_rows(field, rng, n) + rows)[: max(k, 2)]
@@ -66,7 +81,7 @@ def test_lightest_combination_matches_oracle(field):
 def test_margins_and_minimizers_match_oracle(field):
     rng = random.Random(100 + field.q)
     for trial in range(40):
-        inst = random_instance(rng, max_receivers=4, max_messages=5 if field.q < 4 else 4)
+        inst = random_instance(rng, max_receivers=4, max_messages=1 + max_rows(field))
         N = rng.randint(1, 6)
         L = random_matrix(field, inst.num_messages, N, rng)
         if trial % 2:
@@ -100,12 +115,47 @@ def test_zero_weight_stops_at_first_cancelling_tuple():
 
 
 def test_packed_gf2_path_matches_generic_path():
+    """The lane kernel on GF(2) against the XOR path's suffix sums."""
     rng = random.Random(31)
     for _ in range(200):
         n, k = rng.randint(1, 12), rng.randint(0, 7)
         rows = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(k)]
         target = tuple(rng.randrange(2) for _ in range(n))
-        assert _lightest_gf2(target, rows) == _lightest_generic(F2, target, rows)
+        assert lightest_combination(F2, target, rows) == lightest_gf2_xor(target, rows)
+
+
+def test_gf4_step_depends_on_the_label():
+    """GF(4) labels 0, 1, 2 = x, 3 = x + 1: moving a coefficient from label
+    c to c+1 adds (c - (c+1)) * row, that is row, 3 * row, then row again.
+    Adding the row at every step would come back to the target at label 2
+    and miss the cancellation there."""
+    field = make_field(4)
+    row = (1, 2, 3)
+    target = tuple(field.mul(2, x) for x in row)
+    assert target == (2, 3, 1)
+    assert lightest_combination(field, target, [row]) == (0, (2,))
+    # (0, 1, 1) varies fastest: the wrap back to 0 must add 3 * (0, 1, 1)
+    assert lightest_combination(field, target, [row, (0, 1, 1)]) == (0, (2, 0))
+    # x * (0, 1, 1) + (x + 1) * row = (3, 3, 0), met after 3 wraps of the row
+    assert lightest_combination(field, (3, 3, 0), [(0, 1, 1), row]) == (0, (2, 3))
+    assert oracle(field, (3, 3, 0), [(0, 1, 1), row]) == (0, (2, 3))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"q{f.q}")
+def test_walk_over_several_blocks_matches_oracle(monkeypatch, field):
+    """With a block of at most 4 precomputed steps, every walk over two or
+    more digits is entered block by block through the slower digits."""
+    monkeypatch.setattr(field_linalg, "_BLOCK", 4)
+    field_linalg._lane_layout.cache_clear()
+    try:
+        rng = random.Random(400 + field.q)
+        for _ in range(15):
+            n, k = rng.randint(1, 5), rng.randint(2, max_rows(field))
+            rows = [tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(k)]
+            target = tuple(rng.randrange(field.q) for _ in range(n))
+            assert lightest_combination(field, target, rows) == oracle(field, target, rows)
+    finally:
+        field_linalg._lane_layout.cache_clear()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"q{f.q}")
@@ -113,7 +163,7 @@ def test_min_distance_matches_span_oracle(field):
     rng = random.Random(200 + field.q)
     tested = 0
     while tested < 25:
-        m = random_matrix(field, rng.randint(1, 3), rng.randint(1, 6), rng)
+        m = random_matrix(field, rng.randint(1, min(3, max_rows(field) + 1)), rng.randint(1, 6), rng)
         if not any(any(r) for r in m.rows):
             continue
         assert code_min_distance(m) == brute_min_distance(field, list(m.rows), m.ncols)

@@ -24,19 +24,20 @@ from ecic import (  # noqa: E402
     recover_demand,
 )
 from ecic.errors import InternalContradiction, WeightCapExceeded  # noqa: E402
-from ecic.field_linalg import _lightest_generic, _lightest_gf2, lightest_combination  # noqa: E402
+from ecic.index_codes import _margins_with_minimizers  # noqa: E402
+from ecic.field_linalg import lightest_combination  # noqa: E402
 
-from helpers import brute_min_distance  # noqa: E402
-from test_min_weight_kernel import oracle  # noqa: E402
+from helpers import brute_min_distance, lightest_gf2_xor  # noqa: E402
+from test_min_weight_kernel import max_rows, oracle  # noqa: E402
 
 
 @st.composite
-def spans(draw, qs=(2, 3, 4, 5)):
-    """(field, target, rows) with up to four rows of length up to six."""
+def spans(draw, qs=(2, 3, 4, 5, 7, 8, 9)):
+    """(field, target, rows) with up to `max_rows` rows of length up to six."""
     field = make_field(draw(st.sampled_from(qs)))
     n = draw(st.integers(1, 6))
     vector = st.tuples(*[st.integers(0, field.q - 1)] * n)
-    rows = draw(st.lists(vector, max_size=4 if field.q < 5 else 3))
+    rows = draw(st.lists(vector, max_size=max_rows(field)))
     return field, draw(vector), rows
 
 
@@ -50,8 +51,9 @@ def test_lightest_combination_is_the_first_lexicographic_minimum(span):
 @settings(deadline=None)
 @given(spans(qs=(2,)))
 def test_packed_gf2_equals_generic(span):
+    """The lane kernel on GF(2) against the XOR path's suffix sums."""
     field, target, rows = span
-    assert _lightest_gf2(target, rows) == _lightest_generic(field, target, rows)
+    assert lightest_combination(field, target, rows) == lightest_gf2_xor(target, rows)
 
 
 @settings(deadline=None)
@@ -91,11 +93,11 @@ def test_memoised_leaders_match_fresh_decoders_at_any_cap_order(span, data):
 
 
 @st.composite
-def receiver_codes(draw):
-    """(code, receiver) over q in {2, 3, 4, 5}: up to three receivers, up to
-    four messages (three at q = 5) and length up to six."""
-    field = make_field(draw(st.sampled_from((2, 3, 4, 5))))
-    n = draw(st.integers(1, 4 if field.q < 5 else 3))
+def receiver_codes(draw, qs=(2, 3, 4, 5)):
+    """(code, receiver) over q in `qs`: up to three receivers, up to
+    `max_rows` messages and length up to six."""
+    field = make_field(draw(st.sampled_from(qs)))
+    n = draw(st.integers(1, max_rows(field)))
     m = draw(st.integers(1, 3))
     demands = tuple(draw(st.integers(0, n - 1)) for _ in range(m))
     side = tuple(
@@ -132,3 +134,16 @@ def test_fast_decode_and_relevant_set_match_their_references(case, data):
     for candidate in (out.error_estimate, err, FVector(field, data.draw(word))):
         dense = dec.complement_parity.mul_col(candidate.sub(err)).is_zero()
         assert in_relevant_error_set(dec, candidate, err) == dense
+
+
+@settings(deadline=None)
+@given(receiver_codes(qs=(2, 3, 4, 5, 7, 8, 9)))
+def test_margins_and_minimizers_equal_the_oracle(case):
+    """Margins packed once per code equal the oracle's per receiver."""
+    code, _ = case
+    inst, L = code.inst, code.matrix
+    want = [
+        oracle(code.field, L.rows[inst.demands[i]], [L.rows[j] for j in sorted(inst.complement(i))])
+        for i in range(inst.num_receivers)
+    ]
+    assert list(_margins_with_minimizers(code, 1 << 20)) == want
