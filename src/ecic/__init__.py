@@ -13,7 +13,6 @@ from .bounds import (
     code_exists,
     find_code_generator,
     kappa_bound,
-    mds_optimal_length,
     random_coding_length,
     shortest_code_length,
     singleton_bound,
@@ -25,7 +24,6 @@ from .construct_search import (
     concatenate_construction,
     exists_ecic,
     mds_generator,
-    optimal_ic_matrix,
     optimal_length_search,
     random_construct,
 )
@@ -47,8 +45,6 @@ from .field_linalg import (
     code_min_distance,
     coset_leader,
     format_matrix,
-    hamming_distance,
-    hamming_weight,
     make_field,
     mat_rank,
     parity_check_matrix,
@@ -64,7 +60,6 @@ from .index_codes import (
     instance_params,
     margins,
     min_rank,
-    receiver_margin,
     verify_ecic,
     verify_ecic_direct,
     verify_ic,

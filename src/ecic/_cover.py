@@ -8,12 +8,16 @@ non-decreasing class order, so every multiset is visited exactly once, by
 one serial depth-first search whose every node is charged to one node
 budget.
 
-Per-target hit counts and quotas are packed eight bits per target into big
-integers; the per-target prune ("some target cannot reach its quota even if
-every remaining pick hits it, counting only classes still allowed") is a
-single SWAR comparison.  Counts, quotas and prune bounds never exceed the
-multiset size, so that size is capped at 120 to keep every packed byte below
-128, where the byte-wise comparison is exact.
+The hit table is packed once, by `class_table`: class c's row is one int
+whose byte t is 1 if c hits target t and 0 if not, so a row's `bit_count()`
+is the number of targets it hits.  Every search reads these rows as they
+are.  Per-target hit counts and quotas use the same eight-bit lanes, so a
+pick adds its row to the counts, and the per-target prune ("some target
+cannot reach its quota even if every remaining pick hits it, counting only
+classes still allowed") is a single SWAR comparison.  Counts, quotas and
+prune bounds never exceed the multiset size, so that size is capped at 120
+to keep every packed byte below 128, where the byte-wise comparison is
+exact.
 
 Deficit bound: the deficit D = sum_t max(0, quota_t - hits_t) is carried
 down the search, exactly (a pick lowers it by the number of still-short
@@ -39,7 +43,7 @@ always an orbit representative.  For the same reason the witness returned
 is the one the unpruned scan returns.
 
 `local_cover_search` is the heuristic beside this exhaustive kernel: a
-tabu search on the same packed counts and deficit that finds witnesses
+tabu search on the same packed rows, counts and deficit that finds witnesses
 fast and proves nothing when it misses.  `descend` walks lengths down with
 the two, for the optimal-length scan and for kappa alike; its docstring
 holds the policy.
@@ -79,32 +83,34 @@ def projective_classes(field: Field, n: int) -> list[tuple[int, ...]]:
 
 def class_hit_sets(
     field: Field, columns: Sequence[tuple[int, ...]], targets: Sequence[tuple[int, ...]]
-) -> list[frozenset[int]]:
-    """For each column class, the indices of the targets it has a nonzero
-    inner product with."""
+) -> list[int]:
+    """For each column class, its packed hit row: an int whose byte t is 1
+    if the class has a nonzero inner product with target t, else 0."""
     add, mul = field._add, field._mul
     out = []
     for col in columns:
         support = [(j, a) for j, a in enumerate(col) if a]
-        hits = []
+        row = bytearray(len(targets))
         for ti, z in enumerate(targets):
             acc = 0
             for j, a in support:
                 if z[j]:
                     acc = add[acc][mul[a][z[j]]]
             if acc:
-                hits.append(ti)
-        out.append(frozenset(hits))
+                row[ti] = 1
+        out.append(int.from_bytes(row, "little"))
     return out
 
 
 def class_table(
     field: Field, n: int, targets: Sequence[tuple[int, ...]] | None = None,
     budget: int = DEFAULT_ENUM_BUDGET,
-) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
-    """The projective classes of F_q^n and the targets each hits (the
-    classes themselves when `targets` is None).  BudgetExceeded is raised
-    before anything is built when classes x targets exceeds `budget`."""
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The projective classes of F_q^n and each one's packed hit row over
+    the targets (the classes themselves when `targets` is None), one byte
+    per target.  BudgetExceeded is raised before anything is built when
+    classes x targets exceeds `budget`, so the rows hold at most `budget`
+    bytes."""
     count = (field.q**n - 1) // (field.q - 1)
     width = count if targets is None else len(targets)
     if count * width > budget:
@@ -165,20 +171,18 @@ def class_orbits(num_classes: int, permutations: Iterable[Sequence[int]]) -> lis
     return [root(c) for c in range(num_classes)]
 
 
-def _packed(indices: Iterable[int]) -> int:
-    acc = 0
-    for i in indices:
-        acc |= 1 << (_WIDTH * i)
-    return acc
+def _lanes(values: Sequence[int]) -> int:
+    """values[t] (each 0..255) packed into byte t."""
+    return int.from_bytes(bytes(values), "little")
 
 
-def _visit_order(hit_sets: Sequence) -> list[int]:
+def _visit_order(hit_sets: Sequence[int]) -> list[int]:
     """High-coverage classes first; ties by original index."""
-    return sorted(range(len(hit_sets)), key=lambda c: (-len(hit_sets[c]), c))
+    return sorted(range(len(hit_sets)), key=lambda c: (-hit_sets[c].bit_count(), c))
 
 
 def multiset_cover_search(
-    hit_sets: Sequence[frozenset[int] | set[int]],
+    hit_sets: Sequence[int],
     quotas: Sequence[int],
     size: int,
     node_budget: int,
@@ -188,12 +192,13 @@ def multiset_cover_search(
     """Decide whether some size-`size` multiset of classes hits every
     target t at least quotas[t] >= 0 times.
 
-    hit_sets[c] lists the target indices class c hits.  Exhaustive unless
-    the node budget trips (then BudgetExceeded carries the node count); a
-    returned found=False is a proof of infeasibility.  `orbits`, if given,
-    labels each class with its orbit under a group of symmetries of the
-    instance (see the module docstring); first picks that are not orbit
-    representatives are skipped, and the outcome and witness do not change.
+    hit_sets[c] is class c's packed hit row (see `class_hit_sets`).
+    Exhaustive unless the node budget trips (then BudgetExceeded carries
+    the node count); a returned found=False is a proof of infeasibility.
+    `orbits`, if given, labels each class with its orbit under a group of
+    symmetries of the instance (see the module docstring); first picks
+    that are not orbit representatives are skipped, and the outcome and
+    witness do not change.
     """
     need = max(quotas, default=0)
     if need <= 0:
@@ -205,12 +210,12 @@ def multiset_cover_search(
         return CoverResult(False, None, 0)  # each target gets at most one hit per pick
 
     order = _visit_order(hit_sets)
-    adds = [_packed(hit_sets[c]) for c in order]
+    adds = [hit_sets[c] for c in order]
     # non-increasing along visit order, so a deficit bound at one class holds
     # for every later one
-    sizes = [len(hit_sets[c]) for c in order]
-    high = _packed(range(len(quotas))) << (_WIDTH - 1)
-    thresh_low = sum(quota << (_WIDTH * t) for t, quota in enumerate(quotas))
+    sizes = [h.bit_count() for h in adds]
+    high = _lanes([0x80] * len(quotas))
+    thresh_low = _lanes(quotas)
     # live_low[s]: packed 1 per target hit by some class with index >= s
     live_low = [0] * (len(order) + 1)
     for s in range(len(order) - 1, -1, -1):
@@ -300,7 +305,7 @@ def _draw(stream: Iterator[int], n: int) -> int:
 
 
 def local_cover_search(
-    hit_sets: Sequence[frozenset[int] | set[int]],
+    hit_sets: Sequence[int],
     quotas: Sequence[int],
     size: int,
     iterations: int,
@@ -327,9 +332,8 @@ def local_cover_search(
         return _trivial_fill(hit_sets, size), 0
     if need > size or size > _MAX_SIZE or not hit_sets:
         return None, 0
-    adds = [_packed(h) for h in hit_sets]
-    high = _packed(range(len(quotas))) << (_WIDTH - 1)
-    thresh = sum(need << (_WIDTH * t) for t, need in enumerate(quotas))
+    high = _lanes([0x80] * len(quotas))
+    thresh = _lanes(quotas)
     ones = high >> (_WIDTH - 1)
 
     def below(cnt: int, limit: int) -> int:
@@ -340,12 +344,12 @@ def local_cover_search(
     cnt, deficit = 0, sum(quotas)
     for _ in range(size):
         short = below(cnt, thresh)
-        gains = [(h & short).bit_count() for h in adds]
+        gains = [(h & short).bit_count() for h in hit_sets]
         top = max(gains)
         best = [c for c, g in enumerate(gains) if g == top]
         c = best[_draw(stream, len(best))]
         picks.append(c)
-        cnt += adds[c]
+        cnt += hit_sets[c]
         deficit -= top
     removed: list[int] = []  # the class each move took out, in order
     for it in range(1, iterations + 1):
@@ -357,10 +361,10 @@ def local_cover_search(
         best_cost = None
         moves: list[tuple[int, int]] = []
         for a in sorted(set(picks)):
-            lost = adds[a] & at_most
+            lost = hit_sets[a] & at_most
             base = deficit + lost.bit_count()  # D after taking a out
             open_ = short | lost
-            gains = [(h & open_).bit_count() for h in adds]
+            gains = [(h & open_).bit_count() for h in hit_sets]
             gains[a] = -1
             for b in tabu:
                 if gains[b] != base:  # a tabu move must reach D' = 0
@@ -375,7 +379,7 @@ def local_cover_search(
             break
         a, b = moves[_draw(stream, len(moves))]
         picks[picks.index(a)] = b
-        cnt += adds[b] - adds[a]
+        cnt += hit_sets[b] - hit_sets[a]
         deficit = best_cost
         removed.append(a)
     if not deficit:
@@ -396,7 +400,7 @@ class Descent:
 
 
 def descend(
-    hit_sets: Sequence[frozenset[int] | set[int]], quotas: Sequence[int],
+    hit_sets: Sequence[int], quotas: Sequence[int],
     top: int, bottom: int, known: int, node_budget: int, key: str,
     witness: Callable[[tuple[int, ...]], Any],
     exhaustive: Callable[[int, int], tuple[Any, int]],

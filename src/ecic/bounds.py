@@ -127,8 +127,9 @@ def kappa_bound(
 ) -> int:
     """Upper bound: the shortest code of dimension kappa and distance
     2*delta + 1 (achieved by concatenation with an optimal plain index
-    code)."""
-    kappa = min_rank(inst, field).kappa
+    code).  `node_budget` bounds kappa's search and the code-length scan
+    each."""
+    kappa = min_rank(inst, field, node_budget).kappa
     return shortest_code_length(field.q, kappa, 2 * delta + 1, node_budget=node_budget)
 
 
@@ -153,15 +154,6 @@ def random_coding_length(inst: IcsiInstance, field: Field, delta: int) -> int:
     while lhs * sphere_volume(q, N, 2 * delta) >= q**N:
         N += 1
     return N
-
-
-def mds_optimal_length(inst: IcsiInstance, field: Field, delta: int) -> Optional[int]:
-    """kappa + 2*delta when the field is large enough (q >= kappa + 2*delta
-    - 1) for an MDS outer code to close the gap; None otherwise."""
-    kappa = min_rank(inst, field).kappa
-    if field.q >= kappa + 2 * delta - 1:
-        return kappa + 2 * delta
-    return None
 
 
 @dataclass(frozen=True)

@@ -105,12 +105,6 @@ def _smallest_primitive(field: Field) -> int:
     raise AssertionError("no primitive element found")
 
 
-def optimal_ic_matrix(inst: IcsiInstance, field: Field) -> FMatrix:
-    """An n x kappa matrix that is a shortest plain index code: the code
-    `min_rank` found, whose column space holds every min-rank witness row."""
-    return min_rank(inst, field).ic_matrix
-
-
 def concatenate_construction(
     inst: IcsiInstance,
     field: Field,

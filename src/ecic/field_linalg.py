@@ -283,10 +283,6 @@ class FVector:
     def take(self, positions: Sequence[int]) -> FVector:
         return FVector(self.field, tuple(self.entries[i] for i in positions))
 
-    def supported_on(self, positions: Iterable[int]) -> bool:
-        allowed = set(positions)
-        return all(i in allowed for i in self.support())
-
     def _check(self, other: FVector) -> None:
         if self.field != other.field or len(self) != len(other):
             raise LengthMismatch("vector field/length mismatch")
@@ -397,29 +393,12 @@ class FMatrix:
         return M
 
     @staticmethod
-    def from_rows(field: Field, rows: Iterable[Sequence[int]], ncols: int | None = None) -> FMatrix:
-        tup = tuple(tuple(r) for r in rows)
-        if ncols is None:
-            if not tup:
-                raise ValueError("cannot infer column count of an empty matrix")
-            ncols = len(tup[0])
-        return FMatrix(field, tup, ncols)
-
-    @staticmethod
     def identity(field: Field, n: int) -> FMatrix:
         return FMatrix(field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @staticmethod
     def zero(field: Field, nrows: int, ncols: int) -> FMatrix:
         return FMatrix(field, tuple((0,) * ncols for _ in range(nrows)), ncols)
-
-
-def hamming_weight(u: FVector) -> int:
-    return u.weight()
-
-
-def hamming_distance(u: FVector, v: FVector) -> int:
-    return u.sub(v).weight()
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +792,8 @@ def parse_matrix(text: str, cap: int = DEFAULT_FIELD_CAP) -> FMatrix:
         q, n, N = (int(t) for t in head)
     except ValueError as exc:
         raise MalformedDocument("matrix header must contain integers") from exc
+    if n < 0 or N < 0:
+        raise MalformedDocument("matrix dimensions must be nonnegative")
     if len(lines) - 1 != n:
         raise MalformedDocument(f"expected {n} matrix rows, found {len(lines) - 1}")
     field = make_field(q, cap)

@@ -36,7 +36,6 @@ from ._cover import (
 from .errors import (
     BudgetExceeded,
     CapExceeded,
-    IndexOutOfRange,
     InternalContradiction,
     LengthMismatch,
 )
@@ -81,30 +80,6 @@ def encode(code: LinearIndexCode, x: FVector) -> FVector:
     return code.matrix.left_mul(x)
 
 
-def _margin_with_minimizer(
-    code: LinearIndexCode, i: int, enum_budget: int, packed: PackedRows
-) -> tuple[int, tuple[int, ...]]:
-    """Margin of receiver i plus the coefficient tuple (over its complement
-    rows, sorted ascending) achieving it, on the code's packed rows.  First
-    minimizer in lexicographic coefficient order wins."""
-    inst, q = code.inst, code.field.q
-    free = sorted(inst.complement(i))
-    if q ** len(free) > enum_budget:
-        raise BudgetExceeded(f"receiver {i + 1} span needs {q}^{len(free)} combinations")
-    return packed.lightest(inst.demands[i], free)
-
-
-def receiver_margin(
-    code: LinearIndexCode, i: int, enum_budget: int = DEFAULT_ENUM_BUDGET
-) -> int:
-    """Hamming distance from the demanded row to the span of the rows the
-    receiver neither holds nor demands."""
-    if not (0 <= i < code.inst.num_receivers):
-        raise IndexOutOfRange(f"receiver index {i} out of range")
-    packed = PackedRows(code.field, code.matrix.rows, code.length)
-    return _margin_with_minimizer(code, i, enum_budget, packed)[0]
-
-
 def _check_delta(delta: int) -> None:
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
@@ -114,14 +89,21 @@ def _margins_with_minimizers(
     code: LinearIndexCode, enum_budget: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(margin, minimizer) per receiver, lazily in receiver order, on rows
-    packed once per code; receivers sharing (demand, complement) are
-    computed once."""
-    inst, packed = code.inst, PackedRows(code.field, code.matrix.rows, code.length)
+    packed once per code.  Receiver i's margin is the Hamming distance from
+    its demanded row to the span of the rows it neither holds nor demands,
+    and the minimizer is the coefficient tuple (over those rows, sorted
+    ascending) achieving it, the first in lexicographic order.  Receivers
+    sharing (demand, complement) are computed once."""
+    inst, q = code.inst, code.field.q
+    packed = PackedRows(code.field, code.matrix.rows, code.length)
     cache: dict[tuple[int, frozenset[int]], tuple[int, tuple[int, ...]]] = {}
     for i in range(inst.num_receivers):
         key = (inst.demands[i], inst.complement(i))
         if key not in cache:
-            cache[key] = _margin_with_minimizer(code, i, enum_budget, packed)
+            free = sorted(key[1])
+            if q ** len(free) > enum_budget:
+                raise BudgetExceeded(f"receiver {i + 1} span needs {q}^{len(free)} combinations")
+            cache[key] = packed.lightest(key[0], free)
         yield cache[key]
 
 
@@ -323,13 +305,14 @@ def generalized_independence_number(
 class _Analysis:
     """What the cover searches need from one (instance, q), whatever delta
     and length: the confusable vectors up to scaling (the targets), the
-    projective column classes, the targets each column class hits, and the
-    class orbits under the instance's automorphisms."""
+    projective column classes, each column class's packed hit row over the
+    targets (`_cover.class_hit_sets`), and the class orbits under the
+    instance's automorphisms."""
 
     inst: IcsiInstance
     targets: list[tuple[int, ...]]
     columns: list[tuple[int, ...]]
-    hit_sets: list[frozenset[int]]
+    hit_sets: list[int]
     orbits: list[int]
 
     @cached_property

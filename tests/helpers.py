@@ -111,6 +111,18 @@ def _dot(field, u, v):
     return acc
 
 
+def reference_hit_sets(field, columns, targets):
+    """For each column, the set of indices of the targets it has a nonzero
+    inner product with: the table the cover kernel's packed rows hold."""
+    return [frozenset(t for t, z in enumerate(targets) if _dot(field, col, z)) for col in columns]
+
+
+def pack(hit_sets):
+    """Hit sets as the cover kernel's packed rows: byte t of row c is 1
+    where hit_sets[c] holds t, else 0."""
+    return [sum(1 << (8 * t) for t in hits) for hits in hit_sets]
+
+
 def brute_min_distance(field, rows, n):
     """Minimum weight over the nonzero span, from the span oracle."""
     weights = [

@@ -25,7 +25,6 @@ from ecic import (
     min_rank,
     no_side_info,
     odd_cycle_complement,
-    optimal_ic_matrix,
     optimal_length_search,
     pentagon,
     random_coding_length,
@@ -213,7 +212,7 @@ def test_criterion_10_mds_equality():
     f5 = make_field(5)
     kappa = min_rank(pentagon(), f5).kappa
     assert f5.q >= kappa + 1
-    inner = optimal_ic_matrix(pentagon(), f5)
+    inner = min_rank(pentagon(), f5).ic_matrix
     outer = mds_generator(f5, kappa, kappa + 2)
     code = concatenate_construction(pentagon(), f5, 1, inner, outer)
     rep = bounds_report(pentagon(), f5, 1)

@@ -11,7 +11,6 @@ from ecic import (
     kappa_bound,
     make_field,
     mat_rank,
-    mds_optimal_length,
     min_rank,
     no_side_info,
     odd_cycle_complement,
@@ -190,10 +189,12 @@ def test_random_coding_tightness_for_cycle_complement():
 
 
 def test_mds_optimal_length():
-    assert mds_optimal_length(pentagon(), F2, 2) is None  # q too small
+    assert bounds_report(pentagon(), F2, 2).mds_equality is False  # q too small
     f5 = make_field(5)
-    assert mds_optimal_length(pentagon(), f5, 1) == 5
-    assert mds_optimal_length(example1(), F2, 0) == 1
+    rep = bounds_report(pentagon(), f5, 1)
+    assert rep.mds_equality is True and rep.singleton == 5
+    rep = bounds_report(example1(), F2, 0)
+    assert rep.mds_equality is True and rep.singleton == 1
 
 
 def test_bounds_report_pentagon():

@@ -314,6 +314,20 @@ def test_validate(capsys, tmp_path):
     assert "holds" in err or "error" in err
 
 
+def test_negative_matrix_dimensions_exit_two(capsys, tmp_path):
+    """A header with a negative column count is malformed, even where no
+    row is there to contradict it."""
+    inst = tmp_path / "empty.json"
+    inst.write_text('{"m": 0, "n": 0, "f": [], "X": []}')
+    matrix = tmp_path / "negative.txt"
+    matrix.write_text("2 0 -3\n")
+    for argv in (("validate",), ("verify", "--delta", "0")):
+        code, out, err = run(capsys, *argv, "--instance", str(inst), "--matrix", str(matrix))
+        assert code == 2, argv
+        assert out == ""
+        assert "matrix dimensions must be nonnegative" in err
+
+
 def test_input_errors_exit_two(capsys, example1_file):
     code, _, _ = run(capsys, "params", "--instance", "no-such-builtin", "--q", "2")
     assert code == 2

@@ -14,7 +14,6 @@ from ecic import (
     mds_generator,
     min_rank,
     no_side_info,
-    optimal_ic_matrix,
     optimal_length_search,
     pentagon,
     example1,
@@ -83,13 +82,13 @@ def test_mds_out_of_regime():
 def test_optimal_ic_matrix_is_an_index_code_of_min_rank_width():
     for inst in (pentagon(), example1()):
         for field in (F2, F3):
-            inner = optimal_ic_matrix(inst, field)
+            inner = min_rank(inst, field).ic_matrix
             assert inner.ncols == min_rank(inst, field).kappa
             assert verify_ic(LinearIndexCode(inst, field, inner))
 
 
 def test_concatenation_reaches_kappa_bound_for_pentagon():
-    inner = optimal_ic_matrix(pentagon(), F2)
+    inner = min_rank(pentagon(), F2).ic_matrix
     outer = find_code_generator(2, 3, 5, 10)
     code = concatenate_construction(pentagon(), F2, 2, inner, outer)
     assert code.length == 10
@@ -97,7 +96,7 @@ def test_concatenation_reaches_kappa_bound_for_pentagon():
 
 
 def test_concatenation_with_identity_outer_is_plain_ic():
-    inner = optimal_ic_matrix(pentagon(), F2)
+    inner = min_rank(pentagon(), F2).ic_matrix
     code = concatenate_construction(pentagon(), F2, 0, inner, FMatrix.identity(F2, 3))
     assert code.length == 3
     assert verify_ic(code)
@@ -105,7 +104,7 @@ def test_concatenation_with_identity_outer_is_plain_ic():
 
 def test_concatenation_mds_matches_singleton():
     f7 = make_field(7)
-    inner = optimal_ic_matrix(pentagon(), f7)
+    inner = min_rank(pentagon(), f7).ic_matrix
     kappa = inner.ncols
     outer = mds_generator(f7, kappa, kappa + 2)
     code = concatenate_construction(pentagon(), f7, 1, inner, outer)
@@ -120,13 +119,13 @@ def test_concatenation_rejects_bad_inner():
 
 
 def test_concatenation_rejects_weak_outer():
-    inner = optimal_ic_matrix(pentagon(), F2)
+    inner = min_rank(pentagon(), F2).ic_matrix
     with pytest.raises(OuterDistanceTooSmall):
         concatenate_construction(pentagon(), F2, 2, inner, FMatrix.identity(F2, 3))
 
 
 def test_concatenation_rejects_rank_deficient_outer():
-    inner = optimal_ic_matrix(example1(), F2)  # 3 x 1
+    inner = min_rank(example1(), F2).ic_matrix  # 3 x 1
     outer = FMatrix(F2, ((0, 0, 0),), 3)
     with pytest.raises(OuterDistanceTooSmall):
         concatenate_construction(example1(), F2, 1, inner, outer)
@@ -147,7 +146,7 @@ def test_concatenation_property_random_valid_inputs():
 
         length = shortest_code_length(2, kappa, need)
         outer = find_code_generator(2, kappa, need, length)
-        inner = optimal_ic_matrix(inst, F2)
+        inner = min_rank(inst, F2).ic_matrix
         code = concatenate_construction(inst, F2, delta, inner, outer)
         assert verify_ecic(code, delta).ok
         done += 1
@@ -252,13 +251,18 @@ def test_search_kappa_on_an_instance_of_several_parts():
 
 
 def test_optimal_length_bound_scans_respect_budget():
-    from ecic import kappa_bound
+    from ecic import kappa_bound, shortest_code_length
 
     # N_2[3,5] = 10 needs more than 10 nodes, so the kappa bound is unknown
     # and the scan starts from kappa * (2*delta + 1) = 15; local search
     # carries the witness down to 9, and the N=8 proof runs out of budget
     with pytest.raises(UnknownCodeLength):
+        shortest_code_length(2, 3, 5, node_budget=10)
+    # kappa_bound spends the same budget on kappa first, whose length-2
+    # proof needs more than 10 nodes
+    with pytest.raises(BudgetExceeded) as err:
         kappa_bound(pentagon(), F2, 2, node_budget=10)
+    assert (err.value.nodes, err.value.infeasible_below, err.value.feasible_at) == (11, 2, 3)
     with pytest.raises(BudgetExceeded) as err:
         optimal_length_search(pentagon(), F2, 2, node_budget=10)
     assert "at length 8; infeasible below 8, feasible at 9" in str(err.value)
@@ -435,7 +439,7 @@ def test_arguments_after_node_budget_are_keyword_only():
     with pytest.raises(TypeError):
         optimal_length_search(pentagon(), F2, 1, 1000, 2)
     with pytest.raises(TypeError):
-        multiset_cover_search([{0}], [1], 1, 1000, [0])
+        multiset_cover_search([1], [1], 1, 1000, [0])
 
 
 def test_full_pipeline_over_extension_field():

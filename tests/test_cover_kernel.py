@@ -18,19 +18,22 @@ from ecic import _cover
 from ecic._cover import (
     CoverResult,
     Descent,
-    _visit_order,
     descend,
     local_cover_search,
     multiset_cover_search,
 )
 from ecic.errors import BudgetExceeded
 from ecic.construct_search import _seeded_bytes
+from ecic.index_codes import _analyse
+
+from helpers import pack, random_instance, reference_hit_sets
 
 
 def oracle(hit_sets, quotas, size):
     """(found, classes): the first feasible tuple of visit-order positions
-    in combinations_with_replacement order, mapped back to class indices."""
-    order = _visit_order(hit_sets)
+    in combinations_with_replacement order, mapped back to class indices;
+    visit order is by non-increasing hit-set size, ties by index."""
+    order = sorted(range(len(hit_sets)), key=lambda c: (-len(hit_sets[c]), c))
     for picks in itertools.combinations_with_replacement(range(len(order)), size):
         hits = [0] * len(quotas)
         for p in picks:
@@ -42,7 +45,7 @@ def oracle(hit_sets, quotas, size):
 
 
 def check_against_oracle(hit_sets, quotas, size):
-    res = multiset_cover_search(hit_sets, quotas, size, 1 << 20)
+    res = multiset_cover_search(pack(hit_sets), quotas, size, 1 << 20)
     found, classes = oracle(hit_sets, quotas, size)
     assert res.found == found
     if max(quotas) > 0:
@@ -56,7 +59,8 @@ def check_local_search(hit_sets, quotas, size):
     never claims one where the oracle finds none, and the same stream
     gives the same run."""
     found, _ = oracle(hit_sets, quotas, size)
-    runs = [local_cover_search(hit_sets, quotas, size, 50, _seeded_bytes("t", 256)) for _ in "ab"]
+    rows = pack(hit_sets)
+    runs = [local_cover_search(rows, quotas, size, 50, _seeded_bytes("t", 256)) for _ in "ab"]
     assert runs[0] == runs[1]
     classes, moves = runs[0]
     assert 0 <= moves <= 50
@@ -96,14 +100,12 @@ def test_local_search_hits_only_feasible_multisets(seed):
 
 def test_local_search_finds_the_easy_cases():
     # one class hits every target: greedy takes it at once
-    assert local_cover_search([frozenset({0}), frozenset({0, 1})], [2, 2], 2, 0, iter(())) == (
-        (1, 1), 0
-    )
+    assert local_cover_search(pack([{0}, {0, 1}]), [2, 2], 2, 0, iter(())) == ((1, 1), 0)
     # greedy takes the big class first and ends one target short; one swap
     # trades it for the class that covers the rest
-    hit_sets = [frozenset({0, 1, 2, 3}), frozenset({0, 1, 4}), frozenset({2, 3, 5})]
-    assert local_cover_search(hit_sets, [1] * 6, 2, 20, _seeded_bytes("t", 256)) == ((1, 2), 1)
-    assert local_cover_search(hit_sets, [1] * 6, 2, 0, _seeded_bytes("t", 256)) == (None, 0)
+    rows = pack([{0, 1, 2, 3}, {0, 1, 4}, {2, 3, 5}])
+    assert local_cover_search(rows, [1] * 6, 2, 20, _seeded_bytes("t", 256)) == ((1, 2), 1)
+    assert local_cover_search(rows, [1] * 6, 2, 0, _seeded_bytes("t", 256)) == (None, 0)
 
 
 def test_zero_quotas_without_classes_have_no_multiset():
@@ -114,7 +116,7 @@ def test_zero_quotas_without_classes_have_no_multiset():
 
 # two classes, each hitting one of two targets: a multiset meets quotas
 # (2, 2) from length 4 on
-TWO = [frozenset({0}), frozenset({1})]
+TWO = pack([{0}, {1}])
 
 
 def kernel_decides(length, budget):
@@ -192,3 +194,23 @@ def test_searched_optima_and_witnesses_are_pinned(name, delta, witness):
 def test_odd_cycle_complement_3_delta_2_needs_more_than_8_columns():
     res = exists_ecic(builtin_instance("odd-cycle-complement:3"), make_field(2), 2, 8)
     assert not res.feasible
+
+
+@pytest.mark.parametrize(
+    "name, q",
+    [(name, q) for name in ("example1", "pentagon") for q in (2, 3, 4, 5)]
+    + [("no-side-info:3", 9)],
+)
+def test_analysis_table_is_the_packed_reference(name, q):
+    field = make_field(q)
+    an = _analyse(builtin_instance(name), field, 1 << 20)
+    assert an.hit_sets == pack(reference_hit_sets(field, an.columns, an.targets))
+
+
+def test_analysis_table_is_the_packed_reference_on_random_instances():
+    rng = random.Random(5)
+    for q in (2, 3, 4):
+        field = make_field(q)
+        for _ in range(10):
+            an = _analyse(random_instance(rng), field, 1 << 20)
+            assert an.hit_sets == pack(reference_hit_sets(field, an.columns, an.targets))

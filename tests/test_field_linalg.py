@@ -9,8 +9,6 @@ from ecic import (
     code_min_distance,
     coset_leader,
     format_matrix,
-    hamming_distance,
-    hamming_weight,
     make_field,
     mat_rank,
     parity_check_matrix,
@@ -124,10 +122,10 @@ def test_make_field_is_cached():
 
 
 def test_hamming_weight_examples():
-    assert hamming_weight(FVector(F2, (0, 0, 0, 0))) == 0
-    assert hamming_weight(FVector(F2, (1, 1, 1, 0))) == 3
+    assert FVector(F2, (0, 0, 0, 0)).weight() == 0
+    assert FVector(F2, (1, 1, 1, 0)).weight() == 3
     f7 = make_field(7)
-    assert hamming_weight(FVector(f7, (0, 3, 0, 5, 6))) == 3
+    assert FVector(f7, (0, 3, 0, 5, 6)).weight() == 3
 
 
 def test_distance_is_weight_of_difference_exhaustive():
@@ -135,7 +133,7 @@ def test_distance_is_weight_of_difference_exhaustive():
         for u in itertools.product(field.elements(), repeat=3):
             for v in itertools.product(field.elements(), repeat=3):
                 fu, fv = FVector(field, u), FVector(field, v)
-                assert hamming_distance(fu, fv) == fu.sub(fv).weight()
+                assert fu.sub(fv).weight() == sum(a != b for a, b in zip(u, v))
 
 
 def test_triangle_inequality_small_sample():
@@ -146,7 +144,7 @@ def test_triangle_inequality_small_sample():
                 FVector(field, tuple(rng.randrange(field.q) for _ in range(5)))
                 for _ in range(3)
             )
-            assert hamming_distance(u, w) <= hamming_distance(u, v) + hamming_distance(v, w)
+            assert u.sub(w).weight() <= u.sub(v).weight() + v.sub(w).weight()
 
 
 def test_support():

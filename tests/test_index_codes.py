@@ -23,7 +23,6 @@ from ecic import (
     odd_cycle_complement,
     pentagon,
     example1,
-    receiver_margin,
     verify_ecic,
     verify_ecic_direct,
     verify_ic,
@@ -73,13 +72,13 @@ def test_encode_length_mismatch():
 def test_example1_margins_and_radius():
     code = example1_code()
     assert margins(code) == (3, 3, 3)
-    assert receiver_margin(code, 0) == 3
+    assert margins(code)[0] == 3
     assert correction_radius(code) == 1
 
 
 def test_pentagon_margins_and_radius():
     code = pentagon_code()
-    assert receiver_margin(code, 0) >= 5
+    assert margins(code)[0] >= 5
     assert margins(code) == (5, 5, 5, 5, 5)
     assert correction_radius(code) == 2
 
@@ -208,7 +207,7 @@ def test_classical_reduction_full_rank_no_side_info():
 def test_margin_budget():
     code = LinearIndexCode(no_side_info(5), F2, FMatrix.identity(F2, 5))
     with pytest.raises(BudgetExceeded):
-        receiver_margin(code, 0, enum_budget=3)
+        margins(code, enum_budget=3)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +262,7 @@ def test_min_rank_witness_validates():
                 row = res.witness.row(i)
                 assert row.entries[inst.demands[i]] == 1
                 allowed = set(inst.side_info[i]) | {inst.demands[i]}
-                assert row.supported_on(allowed)
+                assert set(row.support()) <= allowed
 
 
 def test_min_rank_is_minimum_by_exhaustion():
@@ -286,7 +285,7 @@ def test_min_rank_gf7_witness_validates():
     for i in range(inst.num_receivers):
         row = res.witness.row(i)
         assert row.entries[inst.demands[i]] == 1
-        assert row.supported_on(set(inst.side_info[i]) | {inst.demands[i]})
+        assert set(row.support()) <= set(inst.side_info[i]) | {inst.demands[i]}
 
 
 def test_min_rank_budget():

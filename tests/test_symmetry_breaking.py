@@ -30,7 +30,7 @@ from ecic._cover import (
 from ecic.index_codes import _analyse
 from ecic.instance import automorphisms
 
-from helpers import F2, F3, random_instance
+from helpers import F2, F3, pack, random_instance, reference_hit_sets
 
 
 def relabel(inst, perm):
@@ -133,9 +133,10 @@ def test_automorphisms_match_brute_force_on_random_instances():
 )
 def test_class_permutations_map_hit_sets_onto_hit_sets(inst, field):
     an = _analyse(inst, field, 1 << 20)
-    columns, zs, hit_sets = an.columns, an.targets, an.hit_sets
+    columns, zs = an.columns, an.targets
     assert columns == projective_classes(field, inst.num_messages)
-    assert hit_sets == class_hit_sets(field, columns, zs)
+    hit_sets = reference_hit_sets(field, columns, zs)
+    assert an.hit_sets == pack(hit_sets)
     gens, _ = automorphisms(inst)
     assert gens
     for g in gens:
@@ -153,7 +154,7 @@ def test_class_orbits_are_labelled_by_their_smallest_class():
 
 
 def test_cover_search_quotas_are_per_target():
-    hit_sets = [frozenset({0}), frozenset({1})]
+    hit_sets = pack([{0}, {1}])
     assert multiset_cover_search(hit_sets, [0, 0], 2, 1000).classes == (0, 0)
     assert not multiset_cover_search(hit_sets, [3, 1], 3, 1000).found
     assert multiset_cover_search(hit_sets, [3, 1], 4, 1000).classes == (0, 0, 0, 1)
@@ -162,7 +163,7 @@ def test_cover_search_quotas_are_per_target():
 
 def test_cover_search_orbits_skip_first_picks_only():
     # each class hits one of two targets; swapping the targets swaps them
-    hit_sets = [frozenset({0}), frozenset({1})]
+    hit_sets = pack([{0}, {1}])
     for size, found in ((3, False), (4, True)):
         plain = multiset_cover_search(hit_sets, [2, 2], size, 1000)
         pruned = multiset_cover_search(hit_sets, [2, 2], size, 1000, orbits=[0, 0])
