@@ -133,12 +133,15 @@ def kappa_bound(
     return shortest_code_length(field.q, kappa, 2 * delta + 1, node_budget=node_budget)
 
 
-def singleton_bound(inst: IcsiInstance, field: Field, delta: int) -> int:
+def singleton_bound(
+    inst: IcsiInstance, field: Field, delta: int, node_budget: int = DEFAULT_NODE_BUDGET
+) -> int:
     """Lower bound kappa + 2*delta (zero for the degenerate receiverless
-    instance, where length 0 is feasible)."""
+    instance, where length 0 is feasible).  `node_budget` bounds kappa's
+    search."""
     if inst.num_receivers == 0:
         return 0
-    kappa = min_rank(inst, field).kappa
+    kappa = min_rank(inst, field, node_budget).kappa
     return kappa + 2 * delta
 
 

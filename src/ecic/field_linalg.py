@@ -606,10 +606,11 @@ def _odometer_steps(changes: Sequence[Sequence[int]]) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _lane_layout(field: Field) -> tuple[int, int, tuple[int, ...], tuple[int, ...], int]:
+def _lane_layout(field: Field) -> tuple[int, int, tuple[int, ...], dict, tuple[int, ...], int]:
     """How `PackedRows` packs GF(q): (lane bits w, symbol bits width, the
-    packed digits of each label, the label of c - (c+1) for each c, and
-    how many digits the precomputed odometer block spans)."""
+    packed digits of each label, the label of each packed digit pattern,
+    the label of c - (c+1) for each c, and how many digits the precomputed
+    odometer block spans)."""
     q, p, e = field.q, field.p, field.e
     w = 1 if p == 2 else p.bit_length() + 1  # an odd-p lane holds two digits' sum
     width = e + (e > 1) if p == 2 else e * w
@@ -619,7 +620,7 @@ def _lane_layout(field: Field) -> tuple[int, int, tuple[int, ...], tuple[int, ..
     block_digits = 0
     while q ** (block_digits + 1) <= _BLOCK:
         block_digits += 1
-    return w, width, digits, step_labels, block_digits
+    return w, width, digits, {d: x for x, d in enumerate(digits)}, step_labels, block_digits
 
 
 class PackedRows:
@@ -628,12 +629,15 @@ class PackedRows:
     reduced mod p all at once (a plain XOR when p = 2, where a spare bit
     tops each symbol of an extension field), and a weight is one
     `bit_count` over the symbols' nonzero flags.  Every multiple a*row of a
-    row is packed on the row's first use and kept."""
+    row is packed on the row's first use and kept.  The receiver decoder
+    packs vectors of `ncols` symbols in the same lanes, with no rows:
+    `pack_columns` and `scaled` build them, `lane_sum` adds them and
+    `unpack` reads them back."""
 
     def __init__(self, field: Field, rows: Sequence[Sequence[int]], ncols: int):
         p = field.p
         self.field, self.rows, self.ncols = field, rows, ncols
-        self._w, self._width, self._digits, self._step_labels, self._block_digits = (
+        self._w, self._width, self._digits, self._labels, self._step_labels, self._block_digits = (
             _lane_layout(field)
         )
         self._multiples: list[list[int] | None] = [None] * len(rows)
@@ -653,6 +657,49 @@ class PackedRows:
         """Lane sum of two unbiased packed vectors, p odd."""
         s = a + b + self._bias
         return s - self._bias - ((s & self._top) >> (self._w - 1)) * self.field.p
+
+    def pack_columns(self, rows: Sequence[Sequence[int]], scale: Sequence[int]) -> list[int]:
+        """Each column of a matrix of one or more rows, its entries x
+        replaced by scale[x], packed: row i's entry from bit i*width."""
+        digits, width = self._digits, self._width
+        out = [0] * len(rows[0])
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if x:
+                    out[j] |= digits[scale[x]] << i * width
+        return out
+
+    def unpack(self, packed: int, n: int) -> tuple[int, ...]:
+        """The first n entries of a packed (unbiased) vector."""
+        labels, width = self._labels, self._width
+        mask = (1 << width) - 1
+        return tuple([labels[packed >> j * width & mask] for j in range(n)])
+
+    def lane_sum(self, terms: Iterable[int]) -> int:
+        """Sum of packed (unbiased) vectors, every lane reduced mod p."""
+        p = self.field.p
+        if p == 2:
+            return functools.reduce(operator.xor, terms, 0)
+        acc = bias = self._bias
+        top, sh = self._top, self._w - 1
+        for t in terms:
+            s = acc + t
+            acc = s - ((s & top) >> sh) * p
+        return acc - bias
+
+    def scaled(self, powers: Sequence[Sequence[int]]) -> list[list[int]]:
+        """Every multiple of each of several packed vectors v_k at once:
+        out[a][k] is a*v_k, given powers[b][k] = x^b * v_k.  The label p^b
+        stands for x^b, and labels add digit by digit, so each label a
+        strictly between p^b and p^(b+1) is the multiple at a - p^b plus
+        the one at p^b: one lane add per vector."""
+        p, lane_add, out = self.field.p, self._add, [[0] * len(powers[0])]
+        for b, packed in enumerate(powers):
+            step = p**b
+            out.append(list(packed))
+            for a in range(step + 1, step * p):
+                out.append(list(map(lane_add, out[a - step], packed)))
+        return out
 
     def multiples(self, j: int) -> list[int]:
         """Row j scaled by each field element a, packed, at index a."""

@@ -243,7 +243,6 @@ def reference_decoder(code, i):
     `build_receiver_decoder` is checked against; it decodes with the same
     `decode`, so outcomes can be compared call by call."""
     from ecic import FVector, ReceiverDecoder, parity_check_matrix
-    from ecic.decoder import _sparse
     from ecic.errors import InternalContradiction
     from ecic.field_linalg import row_basis, solve_linear
     from ecic.instance import receiver_frame
@@ -264,10 +263,6 @@ def reference_decoder(code, i):
         code, frame, parity, side_rows, unknown_rows,
         demand_functional=lam,
         complement_parity=complement_parity,
-        sparse_parity=_sparse(parity.rows),
-        sparse_complement_parity=_sparse(complement_parity.rows),
-        sparse_side_rows=_sparse(side_rows.rows),
-        sparse_demand=None if lam is None else _sparse([lam.entries])[0],
     )
 
 

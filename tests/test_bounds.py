@@ -21,7 +21,7 @@ from ecic import (
     singleton_bound,
     sphere_volume,
 )
-from ecic.errors import UnknownCodeLength
+from ecic.errors import BudgetExceeded, UnknownCodeLength
 
 from helpers import F2, random_instance
 
@@ -166,6 +166,16 @@ def test_bounds_at_delta_zero_collapse_to_parameters():
         assert alpha_bound(inst, F2, 0) == alpha
         assert kappa_bound(inst, F2, 0) == kappa
         assert singleton_bound(inst, F2, 0) == kappa
+
+
+def test_singleton_bound_takes_a_node_budget():
+    """kappa's search may spend 2^27 nodes by default (seconds on the
+    pentagon over GF(9)); a budget of 1000 nodes stops it with the bracket
+    proved so far."""
+    with pytest.raises(BudgetExceeded) as info:
+        singleton_bound(pentagon(), make_field(9), 2, node_budget=1000)
+    exc = info.value
+    assert (exc.nodes, exc.infeasible_below, exc.feasible_at) == (1001, 2, 3)
 
 
 def test_example1_bounds_delta_one():

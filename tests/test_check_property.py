@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ecic import (  # noqa: E402
     FMatrix,
-    FVector,
     IcsiInstance,
     LinearIndexCode,
     coset_leader,
@@ -89,14 +88,15 @@ def test_check_matches_the_per_decode_reference(case):
     else:
         assert report == expected
     assert report.ok == (correction_radius(code) is not None and delta <= correction_radius(code))
-    field = code.field
     for dec in built:
-        for syndrome, (leader, weight, value) in dec.leaders.items():
-            assert leader == coset_leader(dec.parity, FVector(field, syndrome), delta)
+        for key, (leader, weight, value) in dec.leaders.items():
+            syndrome = dec.parity.mul_col(leader)
+            assert dec.lanes.unpack(key, dec.parity.nrows) == syndrome.entries
+            assert leader == coset_leader(dec.parity, syndrome, delta)
             assert weight == leader.weight()
             lam = dec.demand_functional
             assert value == (0 if lam is None else leader.dot(lam))
             if weight:
-                side = [0] * len(dec.sparse_side_rows)
+                side = [0] * dec.side_rows.nrows
                 with pytest.raises(WeightCapExceeded):
                     decode(dec, leader, side, weight - 1)

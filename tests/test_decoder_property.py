@@ -1,7 +1,10 @@
-"""Differential property test of the one-elimination receiver decoder
-against the four-elimination reference in `helpers.reference_decoder`, on
-random codes.  Skipped when hypothesis is not installed; `tests/conftest.py`
-makes it deterministic in CI."""
+"""Differential property tests of the one-elimination receiver decoder
+against the four-elimination reference in `helpers.reference_decoder`, and
+of its packed reading against dense products, on random codes.  Skipped
+when hypothesis is not installed; `tests/conftest.py` makes them
+deterministic in CI."""
+
+from operator import getitem
 
 import pytest
 
@@ -25,7 +28,7 @@ from helpers import reference_decoder  # noqa: E402
 
 # longest code per field order, so that a leader search below any cap stays
 # within q^N candidates of about a thousand
-MAX_LENGTH = {2: 8, 3: 6, 4: 5, 5: 4, 7: 3}
+MAX_LENGTH = {2: 8, 3: 6, 4: 5, 5: 4, 7: 3, 8: 3, 9: 3}
 
 
 @st.composite
@@ -83,3 +86,21 @@ def test_one_elimination_decoder_matches_the_four_elimination_reference(code, da
         side = [data.draw(st.integers(0, field.q - 1)) for _ in code.inst.side_info[i]]
         for cap in range(N + 1):
             assert _outcome(dec, received, side, cap) == _outcome(ref, received, side, cap), cap
+
+
+@settings(deadline=None)
+@given(codes(), st.data())
+def test_packed_reading_equals_the_dense_products(code, data):
+    """A word and side values read through the packed columns and side
+    images, unpacked, give lambda . a and H a for a = word - side @ side_rows
+    (lane 0 reads 0 when the demand is undetermined)."""
+    field, N = code.field, code.length
+    for i in range(code.inst.num_receivers):
+        dec = build_receiver_decoder(code, i)
+        word = data.draw(st.tuples(*[st.integers(0, field.q - 1)] * N))
+        side = data.draw(st.tuples(*[st.integers(0, field.q - 1)] * dec.side_rows.nrows))
+        terms = [*map(getitem, dec.columns, word), *map(getitem, dec.sides, side)]
+        reading = dec.lanes.unpack(dec.lanes.lane_sum(terms), 1 + dec.parity.nrows)
+        a = FVector(field, word).sub(dec.side_rows.left_mul(FVector(field, side)))
+        lam = dec.demand_functional
+        assert reading == (0 if lam is None else lam.dot(a), *dec.parity.mul_col(a).entries)

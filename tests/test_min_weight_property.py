@@ -1,5 +1,5 @@
 """Property tests for the minimum-weight kernel, the decoder's
-coset-leader memo and the decoder's sparse-row fast path against its
+coset-leader memo and the decoder's packed-lane fast path against its
 references, on random small inputs.  Skipped when hypothesis is not
 installed; `tests/conftest.py` makes them deterministic in CI."""
 
@@ -112,7 +112,7 @@ def receiver_codes(draw, qs=(2, 3, 4, 5)):
 
 
 @settings(deadline=None)
-@given(receiver_codes(), st.data())
+@given(receiver_codes(qs=(2, 3, 4, 5, 7, 8, 9)), st.data())
 def test_fast_decode_and_relevant_set_match_their_references(case, data):
     """`decode` recovers what the full `recover_demand` solve recovers with
     the same estimate, and `in_relevant_error_set` agrees with the dense
