@@ -278,10 +278,11 @@ def _cmd_simulate(args) -> int:
             err = _seeded_vector(field, N, args.seed or 0, "err", t, max_weight=args.delta)
             rounds.append((x, err))
     cap = args.weight_cap if args.weight_cap is not None else args.delta
-    decoders = [decoder.build_receiver_decoder(code, i) for i in range(inst.num_receivers)]
+    reading, build = decoder.code_reading(code), decoder.build_receiver_decoder
+    decoders = [build(code, i, _reading=reading) for i in range(inst.num_receivers)]
     # a receiver whose demanded row lies in the span of its complement rows
     # has no symbol to decode: the matrix is not an index code, as in `check`
-    stuck = next((i for i, dec in enumerate(decoders) if dec.demand_functional is None), None)
+    stuck = next((i for i, dec in enumerate(decoders) if not dec.determined), None)
     if stuck is not None:
         ce = {"kind": "undetermined-demand", "receiver": stuck + 1}
         _emit({"rounds": [], "counterexample": ce}, args.format,

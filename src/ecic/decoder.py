@@ -1,31 +1,26 @@
 """Syndrome decoding for linear index codes, with exhaustive checking.
 
-Each receiver precomputes, once, a parity check of the span of the rows
-it cannot cancel (its demanded row plus the rows it neither holds nor
-demands), a parity check of the complement rows alone, and the demand
-functional: a column vector lambda with unknown_rows @ lambda = e_0,
-which reads the demanded symbol off any word of the span.  All three come
-from one elimination, of the complement rows (see
-`build_receiver_decoder`).  Decoding subtracts the known side-information
-contribution, reads off the syndrome, takes a minimum-weight error
-estimate from the coset, and applies lambda to what is left.  Any basis of
-the span's dual cuts out the same coset, so the leader found does not
-depend on which parity check is kept.  The estimate need not equal the
-true error; it only has to land in the true error's translate of the
-unwanted-row span, and then the demanded symbol comes out right whenever
-the true error weight is within the code's radius.
+A code is read once, from one elimination of [L | I_n] (`code_reading`).
+A word's reading has n message lanes, its coefficients over L's rows when
+it lies in L's row space (unique modulo a basis Lambda of L's left
+kernel), and N - r parity lanes, the whole code's parity check.  It is
+packed by column in the lanes of `PackedRows`, with every multiple of each
+column and of each row's reading, so reading a word and its side values is
+one lane sum (an XOR in characteristic 2).
 
-Making a decoder packs, once, the matrix R whose lane 0 is lambda (zero
-when the demand is undetermined) and whose lanes 1..r are the parity
-check's rows, column by column in the lanes of `PackedRows`, with every
-multiple of each column and of each side row's image.  Reading a word and
-its side values is then one lane sum (an XOR in characteristic 2): above
-lane 0 lies the packed syndrome, in lane 0 lambda applied to the word less
-its side contribution.  The same sum over the unknown rows checks H,
-lambda and their packing when the decoder is made.  `decode` validates
-its inputs at the boundary and builds no `FVector` except a leader on a
-memo miss.  `exhaustive_correctness_check` checks its inputs once per
-check and runs the relevant-set test on raw entries.
+Each receiver's decoder is a view on that reading (`build_receiver_decoder`).
+A received word less its side rows is a combination of the unknown rows
+(the demanded row and the complement rows) plus the error.  Its syndrome is
+the parity lanes and the side set's message lanes, these reduced modulo
+Lambda's projection on the side set (at full row rank, a mask alone; else
+the linear reduction is applied once to the receiver's packed terms); the
+demand lane reads the demanded symbol off any word of the unknown rows'
+span.  Decoding takes a minimum-weight error estimate from the coset and
+subtracts its demand reading.  Any basis of the span's dual cuts out the
+same coset, so the leader does not depend on the lanes that read it.  The
+estimate need not equal the true error; it only has to land in the true
+error's translate of the unwanted-row span, and then the demanded symbol
+comes out right whenever the true error weight is within the code's radius.
 
 Found coset leaders are remembered per packed syndrome.  The memo is exact
 for every weight cap because the leader search tries weights 0, 1, 2, ...
@@ -34,13 +29,10 @@ miss walks `coset_leader`'s own order through the packed columns, so its
 first match is the leader `coset_leader` would return; a walk that comes
 up empty goes to `coset_leader`, which raises WeightCapExceeded or
 NoSolution itself.  Before decoding, the exhaustive check fills the memo
-as a leader table: one pass per decoder over its weight-ordered error
-list, keeping the first error seen for each syndrome, so each entry is the
-leader the search would return; every entry is checked against the dense
-parity check like a searched one.  A received word less its side rows is
-a combination of the unknown rows, which the parity check annihilates,
-plus the error; so every syndrome the check meets is in the table, and
-the check never searches.
+as a leader table: it reads each error of its weight-ordered list once per
+code and keeps, per decoder, the first error seen for each syndrome (the
+leader the search would return, checked like a searched one), so every
+syndrome the check meets is in the table and the check never searches.
 """
 
 from __future__ import annotations
@@ -53,19 +45,14 @@ from operator import getitem
 from typing import NamedTuple, Optional, Sequence
 
 from .bounds import sphere_volume
-from .errors import (
-    BudgetExceeded,
-    IndexOutOfRange,
-    InternalContradiction,
-    LengthMismatch,
-    WeightCapExceeded,
-)
+from .errors import BudgetExceeded, InternalContradiction, LengthMismatch
 from .field_linalg import (
     DEFAULT_ENUM_BUDGET,
-    Field,
     FMatrix,
     FVector,
     PackedRows,
+    _kernel_rows,
+    _rref,
     _weight_ordered,
     all_vectors,
     coset_leader,
@@ -76,117 +63,166 @@ from .index_codes import LinearIndexCode, _check_delta, encode
 from .instance import ReceiverFrame, receiver_frame
 
 
-@dataclass(frozen=True)
-class ReceiverDecoder:
-    """Precomputed decoding state for one receiver.
+class CodeReading(NamedTuple):
+    """A code read once (`code_reading`): lanes 0..n-1 are message lanes,
+    the rest parity lanes; matrix[l] is what lane l reads, columns[j][a] the
+    packed reading of a * e_j, side_images[k][c] that of -c * (row k of L),
+    and left_kernel a reduced echelon basis of L's left kernel."""
 
-    parity: a parity check H of the span of the demanded row and the
-    complement rows; side_rows: the rows the receiver can cancel, ordered by
-    ascending message index; demand_functional: lambda with
-    unknown_rows @ lambda = e_0, or None when the demanded row lies in the
-    span of the complement rows (the symbol is then not determined);
-    complement_parity: a parity check of the complement rows' span.  The
-    rest is derived: with R = (lambda or 0; H) packed in `lanes`,
-    columns[j][a] reads a times column j of R and sides[k][c] reads
-    -c * (R @ side row k); leaders maps a packed syndrome to (leader, its
-    weight, lambda . leader).
-    """
+    lanes: PackedRows
+    matrix: tuple
+    columns: tuple
+    side_images: tuple
+    left_kernel: tuple
+
+
+def _negated_multiples(lanes: PackedRows, entries) -> list[int]:
+    """At index a, -a times the vector with x in lane l per (l, x), packed."""
+    field, digits, width, entries = lanes.field, lanes._digits, lanes._width, list(entries)
+    negated = [field._mul[field._neg[a]] for a in range(field.q)]
+    return [sum(digits[m[x]] << lane * width for lane, x in entries) for m in negated]
+
+
+def _reduce(lanes: PackedRows, acc: int, reduction: tuple) -> int:
+    """acc less v * mu for each (pivot, multiples of -mu) of `reduction`, v
+    acc's pivot lane: one pass, as each mu is zero on the others' pivots."""
+    labels, width, mask = lanes._labels, lanes._width, (1 << lanes._width) - 1
+    return lanes.lane_sum([acc, *[t[labels[acc >> p * width & mask]] for p, t in reduction]])
+
+
+def code_reading(code: LinearIndexCode) -> CodeReading:
+    """One elimination of [L | I_n]: its rows with pivots q_t among L's N
+    columns are the row-space basis and its row-operation record T, the
+    others (0 | Lambda).  Message lane m reads b_m(w) = sum_t T[t][m]
+    w_{q_t}; the parity lanes are the row space's standard kernel basis.
+    Checked when made: row k of L reads e_k modulo Lambda."""
+    field, L, n, N = code.field, code.matrix, code.inst.num_messages, code.length
+    augmented = [(*row, *[int(k == m) for k in range(n)]) for m, row in enumerate(L.rows)]
+    reduced, pivots = _rref(augmented, N + n, field)
+    r = sum(p < N for p in pivots)
+    basis = dict(zip(pivots[:r], reduced))
+    M = [[basis[j][N + m] if j in basis else 0 for j in range(N)] for m in range(n)]
+    M += _kernel_rows(reduced, pivots[:r], N, field)
+    lanes, neg, mul = PackedRows(field, (), len(M)), field._neg, field._mul
+    units = [mul[field.p**b] for b in range(field.e)]  # times x^b, label p^b
+    columns = tuple(zip(*lanes.scaled([lanes.pack_columns(M, m) for m in units])))
+    images = lanes.scaled([  # each row of L read at x^b: one lane sum of columns
+        [lanes.lane_sum([columns[j][m[x]] for j, x in enumerate(row) if x]) for row in L.rows]
+        for m in units
+    ])
+    side_images = tuple(zip(*[images[neg[c]] for c in range(field.q)]))
+    left_kernel = tuple(row[N:] for row in reduced[r:])
+    reduction = [(p - N, _negated_multiples(lanes, enumerate(lam)))
+                 for lam, p in zip(left_kernel, pivots[r:])]
+    for k, row in enumerate(side_images):
+        less_e_k = lanes.lane_sum([row[neg[1]], lanes._digits[neg[1]] << k * lanes._width])
+        if _reduce(lanes, less_e_k, reduction):
+            raise InternalContradiction(f"row {k} does not read e_{k} modulo the left kernel")
+    return CodeReading(lanes, tuple(map(tuple, M)), columns, side_images, left_kernel)
+
+
+def _on_first_use(make):
+    """A property made on first use and kept in the decoder's `dense` dict:
+    adding it to the instance's own dict would slow every field read."""
+    def get(dec):
+        if make.__name__ not in dec.dense:
+            dec.dense[make.__name__] = make(dec)
+        return dec.dense[make.__name__]
+    return property(get, doc=make.__doc__)
+
+
+@dataclass(frozen=True, eq=False)
+class ReceiverDecoder:
+    """One receiver's view on its code's reading.  A word's syndrome is its
+    reading under `mask`, side lanes reduced by `reduction` (empty at full row
+    rank, else folded into `columns` and `sides`); `syndrome_lanes` are those
+    it leaves free.  The demand lane, read when `determined`, is at bit
+    `shift`.  sides[k][c] reads -c * (side row k); leaders maps a syndrome to
+    (leader, weight, lambda . leader)."""
 
     code: LinearIndexCode
     frame: ReceiverFrame
-    parity: FMatrix
-    side_rows: FMatrix
-    unknown_rows: FMatrix  # demanded row first, then sorted complement rows
-    demand_functional: Optional[FVector]
-    complement_parity: FMatrix
-    lanes: PackedRows = dataclasses.field(init=False, compare=False, repr=False)
-    columns: tuple = dataclasses.field(init=False, compare=False, repr=False)
-    sides: tuple = dataclasses.field(init=False, compare=False, repr=False)
-    leaders: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
+    lanes: PackedRows
+    matrix: tuple
+    columns: tuple
+    sides: tuple
+    mask: int
+    shift: int
+    reduction: tuple
+    determined: bool
+    syndrome_lanes: tuple
+    leaders: dict = dataclasses.field(default_factory=dict)
+    dense: dict = dataclasses.field(default_factory=dict)
 
-    def __post_init__(self):
-        """Pack R by column and read every unknown row through the packed
-        columns: the demanded row must read 1 in lane 0 and every other
-        lane 0 (all zero without lambda), which checks the derivation of H
-        and lambda and their packing at once."""
-        field, lam, N = self.code.field, self.demand_functional, self.code.length
-        mul, neg = field._mul, field._neg
-        units = [mul[field.p**b] for b in range(field.e)]  # times x^b, label p^b
-        lanes = PackedRows(field, (), 1 + self.parity.nrows)
-        R = ((0,) * N if lam is None else lam.entries, *self.parity.rows)
-        columns = tuple(zip(*lanes.scaled([lanes.pack_columns(R, m) for m in units])))
-        width = lanes._width
-        for t, row in enumerate(self.unknown_rows.rows):
-            reading = lanes.lane_sum(map(getitem, columns, row))
-            if reading >> width:
-                raise InternalContradiction("parity check does not annihilate the unknown rows")
-            if reading != (lam is not None and t == 0):
-                raise InternalContradiction("demand functional does not read the demanded row")
-        images = lanes.scaled([  # R @ (x^b * side row), one lane sum of columns each
-            [lanes.lane_sum([columns[j][m[x]] for j, x in enumerate(row) if x])
-             for row in self.side_rows.rows]
-            for m in units
-        ])
-        sides = tuple(zip(*[images[neg[c]] for c in range(field.q)]))
-        for name, value in (("lanes", lanes), ("columns", columns), ("sides", sides)):
-            object.__setattr__(self, name, value)
+    @_on_first_use
+    def unknown_rows(self) -> FMatrix:  # demanded row first, then sorted complement rows
+        return self.code.matrix.rows_at([self.frame.demand, *sorted(self.frame.complement)])
 
-    @functools.cached_property
-    def sparse_complement_parity(self) -> tuple:
-        """The complement parity check's rows as (position, value) pairs of
-        their nonzero entries, made on the first relevant-set test."""
-        return _sparse(self.complement_parity.rows)
+    @_on_first_use
+    def side_rows(self) -> FMatrix:
+        return self.code.matrix.rows_at(sorted(self.frame.side_info))
 
+    @_on_first_use
+    def complement_parity(self) -> FMatrix:  # its own elimination: independent of the reading
+        return parity_check_matrix(self.code.matrix.rows_at(sorted(self.frame.complement)))
 
-def _sparse(rows) -> tuple:
-    """Each row as the (position, value) pairs of its nonzero entries."""
-    return tuple([tuple([(j, v) for j, v in enumerate(row) if v]) for row in rows])
+    @_on_first_use
+    def sparse_complement_parity(self) -> tuple:  # each row's nonzero (position, value) pairs
+        rows = self.complement_parity.rows
+        return tuple([tuple([(j, v) for j, v in enumerate(h) if v]) for h in rows])
 
+    def _lane_rows(self, lanes: Sequence[int]) -> list[tuple[int, ...]]:
+        """What the given lanes read after reduction, as dense rows."""
+        add, mul, out = self.code.field._add, self.code.field._mul, []
+        for lane in lanes:
+            row = self.matrix[lane]
+            for p, table in self.reduction:  # plus -mu[lane] times the pivot's row
+                m = mul[self.lanes.unpack(table[1], [lane])[0]]
+                row = tuple([add[a][m[b]] for a, b in zip(row, self.matrix[p])])
+            out.append(row)
+        return out
 
-def _dot(field: Field, sparse_row: tuple, entries: Sequence[int]) -> int:
-    add, mul = field._add, field._mul
-    acc = 0
-    for j, v in sparse_row:
-        acc = add[acc][mul[v][entries[j]]]
-    return acc
+    @_on_first_use
+    def parity(self) -> FMatrix:  # a parity check of the unknown rows' span
+        rows = tuple(self._lane_rows(self.syndrome_lanes))
+        return FMatrix._unchecked(self.code.field, rows, self.code.length)
+
+    @_on_first_use
+    def demand_functional(self) -> Optional[FVector]:
+        """lambda with unknown_rows @ lambda = e_0, or None when the demanded
+        row lies in the complement rows' span."""
+        lam = FVector._unchecked(self.code.field, self._lane_rows([self.frame.demand])[0])
+        return lam if self.determined else None
 
 
-def build_receiver_decoder(code: LinearIndexCode, i: int) -> ReceiverDecoder:
-    """One elimination, of the complement rows C, gives everything: its
-    kernel basis h_1..h_r is the complement parity check, and s_j = u . h_j
-    for the demanded row u decides the rest.  All s_j = 0 puts u in span(C):
-    no functional, and the parity check of span(u, C) is the kernel itself.
-    Otherwise, with j0 the first j where s_j != 0, lambda = h_j0 / s_j0 reads
-    u's coefficient, and h_j - (s_j / s_j0) h_j0 for j != j0 span the dual
-    of span(u, C).  Both are checked against the unknown rows when the
-    decoder is made."""
-    if not (0 <= i < code.inst.num_receivers):
-        raise IndexOutOfRange(f"receiver index {i} out of range")
-    field, N = code.field, code.length
-    add, mul, neg = field._add, field._mul, field._neg
-    frame = receiver_frame(code.inst, i)
-    complement = sorted(frame.complement)
-    unknown_rows = code.matrix.rows_at([frame.demand] + complement)
-    complement_parity = parity_check_matrix(code.matrix.rows_at(complement))
-    kernel = complement_parity.rows
-    u = _sparse(unknown_rows.rows[:1])[0]
-    s = [_dot(field, u, h) for h in kernel]
-    j0 = next((j for j, v in enumerate(s) if v), None)
-    if j0 is None:
-        lam, parity = None, kernel
-    else:
-        h0, inv = kernel[j0], field._inv[s[j0]]
-        lam = FVector._unchecked(field, tuple([mul[inv][v] for v in h0]))
-        parity = []
-        for j, h in enumerate(kernel):
-            if j != j0:
-                m = mul[neg[mul[s[j]][inv]]]  # h_j - (s_j / s_j0) h_j0
-                parity.append(tuple([add[a][m[b]] for a, b in zip(h, h0)]))
-    return ReceiverDecoder(
-        code, frame, FMatrix._unchecked(field, tuple(parity), N),
-        code.matrix.rows_at(sorted(frame.side_info)), unknown_rows,
-        demand_functional=lam, complement_parity=complement_parity,
-    )
+def build_receiver_decoder(
+    code: LinearIndexCode, i: int, _reading: Optional[CodeReading] = None
+) -> ReceiverDecoder:
+    """Receiver i's view on the code's reading (`_reading` passes in one a
+    code's decoders share).  A word less its side rows is in the unknown
+    rows' span exactly when its parity lanes are zero and its side lanes
+    lie in Lambda's projection on them.  Reducing by that projection, the
+    demand lane carried along, leaves the syndrome and the demanded
+    coefficient, unless a projected row is zero but in the demand lane."""
+    frame, reading = receiver_frame(code.inst, i), _reading or code_reading(code)
+    lanes, side, n = reading.lanes, sorted(frame.side_info), code.inst.num_messages
+    width, reduction, determined, pivots = lanes._width, (), True, []
+    if reading.left_kernel:
+        cols = [*side, frame.demand]  # Lambda's projection on the side set, then the demand lane
+        projected = [[lam[k] for k in cols] for lam in reading.left_kernel]
+        proj, pivots = _rref(projected, len(cols), code.field)
+        determined = not pivots or pivots[-1] < len(side)
+        reduction = tuple((side[p], _negated_multiples(lanes, zip(cols, row)))
+                          for row, p in zip(proj, pivots) if p < len(side))
+    symbol, parity = (1 << width) - 1, range(n, lanes.ncols)
+    mask = sum(symbol << k * width for k in (*side, *parity))
+    free = (*[k for j, k in enumerate(side) if j not in pivots], *parity)
+    columns, sides = reading.columns, tuple([reading.side_images[k] for k in side])
+    if reduction:  # reduce each packed term once, not each word: the reduction is linear
+        columns = [[_reduce(lanes, a, reduction) for a in t] for t in columns]
+        sides = tuple([[_reduce(lanes, a, reduction) for a in t] for t in sides])
+    return ReceiverDecoder(code, frame, lanes, reading.matrix, columns, sides, mask,
+                           frame.demand * width, reduction, determined, free)
 
 
 class DecodeOutcome(NamedTuple):
@@ -230,7 +266,7 @@ def recover_demand(
 def _remember(dec: ReceiverDecoder, key: int, leader: FVector) -> tuple:
     """Check that leader has the packed syndrome key, then memoise (leader,
     weight, lambda . leader) under it."""
-    if dec.parity.mul_col(leader).entries != dec.lanes.unpack(key, dec.parity.nrows):
+    if dec.parity.mul_col(leader).entries != dec.lanes.unpack(key, dec.syndrome_lanes):
         raise InternalContradiction("coset leader does not reproduce the syndrome")
     lam = dec.demand_functional
     entry = (leader, leader.weight(), 0 if lam is None else leader.dot(lam))
@@ -241,17 +277,16 @@ def _remember(dec: ReceiverDecoder, key: int, leader: FVector) -> tuple:
 def _search(dec: ReceiverDecoder, key: int, weight_cap: int) -> tuple:
     """Memoise and return the leader of packed syndrome key under
     weight_cap: the first vector of `coset_leader`'s weight-ordered walk
-    whose packed reading has these syndrome lanes, so the one it would
-    return.  When none does, `coset_leader` walks again and decides
-    between WeightCapExceeded and NoSolution."""
-    field, lanes, columns = dec.code.field, dec.lanes, dec.columns
-    width = lanes._width
-    for e in _weight_ordered(field.q, len(columns), weight_cap):
-        if lanes.lane_sum([columns[j][v] for j, v in enumerate(e) if v]) >> width == key:
-            leader = FVector._unchecked(field, e)
+    whose reading has this syndrome, so the one it would return.  When none
+    does, `coset_leader` walks again and decides between WeightCapExceeded
+    and NoSolution."""
+    lanes, columns, mask = dec.lanes, dec.columns, dec.mask
+    for e in _weight_ordered(dec.code.field.q, len(columns), weight_cap):
+        if lanes.lane_sum([columns[j][v] for j, v in enumerate(e) if v]) & mask == key:
+            leader = FVector._unchecked(dec.code.field, e)
             break
     else:
-        syndrome = FVector._unchecked(field, lanes.unpack(key, dec.parity.nrows))
+        syndrome = FVector._unchecked(dec.code.field, lanes.unpack(key, dec.syndrome_lanes))
         coset_leader(dec.parity, syndrome, weight_cap)  # raises, as its walk found nothing
         raise InternalContradiction("the packed walk missed a coset leader")
     return _remember(dec, key, leader)
@@ -267,8 +302,8 @@ def decode(
     """Syndrome-decode one received word.
 
     Read the word less its side contribution through the packed columns:
-    the syndrome, and lambda applied to it.  Take the minimum-weight coset
-    solution under `weight_cap` and subtract lambda applied to it.  Raises
+    the syndrome and the demand lane.  Take the minimum-weight coset
+    solution under `weight_cap` and subtract its demand reading.  Raises
     WeightCapExceeded when even the lightest coset member is heavier than
     the cap (more channel errors than allowed for).
     """
@@ -286,15 +321,14 @@ def decode(
             raise ValueError("vector entry outside field range")
     lanes = dec.lanes
     acc = lanes.lane_sum(chain(map(getitem, columns, word), map(getitem, sides, side_values)))
-    width = lanes._width
-    key = acc >> width
+    key = acc & dec.mask
     entry = dec.leaders.get(key)
     if entry is None or entry[1] > weight_cap:  # not decided at this cap: search
         entry = _search(dec, key, weight_cap)
     estimate, weight, estimate_value = entry
-    if dec.demand_functional is None:
+    if not dec.determined:
         raise InternalContradiction("demanded symbol is not uniquely determined")
-    value = lanes._labels[acc & ((1 << width) - 1)]
+    value = lanes._labels[acc >> dec.shift & ((1 << lanes._width) - 1)]
     recovered = field._add[value][field._neg[estimate_value]]
     return _outcome((recovered, estimate, weight, None if truth is None else recovered == truth))
 
@@ -342,7 +376,8 @@ def simulate_round(
     against the true demanded symbols.
     """
     _check_delta(delta)
-    decoders = [build_receiver_decoder(code, i) for i in range(code.inst.num_receivers)]
+    reading, m = code_reading(code), code.inst.num_receivers
+    decoders = [build_receiver_decoder(code, i, _reading=reading) for i in range(m)]
     return _decode_round(code, decoders, x, error, delta if weight_cap is None else weight_cap)
 
 
@@ -359,16 +394,16 @@ def _decode_round(
     inst = code.inst
     y = encode(code, x)
     if isinstance(error, FVector):
-        errors = [error] * inst.num_receivers
+        received = [y.add(error)] * inst.num_receivers
     else:
-        errors = list(error)
-        if len(errors) != inst.num_receivers:
+        received = [y.add(e) for e in error]
+        if len(received) != inst.num_receivers:
             raise LengthMismatch("need one error vector per receiver")
     outcomes = []
     for i, dec in enumerate(decoders):
         side = [x.entries[j] for j in sorted(inst.side_info[i])]
         outcomes.append(
-            decode(dec, y.add(errors[i]), side, weight_cap, truth=x.entries[inst.demands[i]])
+            decode(dec, received[i], side, weight_cap, truth=x.entries[inst.demands[i]])
         )
     return outcomes
 
@@ -399,23 +434,27 @@ def exhaustive_correctness_check(
     combination and confirm the demanded symbol always comes back right and
     the error estimate always lands in the true error's relevant set.  A
     receiver whose demanded symbol no decoder can read fails at its first
-    combination, x = 0 and error 0, before it is decoded."""
+    combination, x = 0 and error 0, before it is decoded.  With no
+    receivers there is nothing to decode."""
     _check_delta(delta)
     inst, field = code.inst, code.field
     n, N, m = inst.num_messages, code.length, inst.num_receivers
+    if not m:
+        return CheckReport(True, 0, None)
     total = field.q**n * sphere_volume(field.q, N, delta) * m
     if total > enum_budget:
         raise BudgetExceeded(f"{total} decodes exceed enumeration budget {enum_budget}")
-    decoders = [build_receiver_decoder(code, i) for i in range(m)]
+    reading = code_reading(code)
+    decoders = [build_receiver_decoder(code, i, _reading=reading) for i in range(m)]
     errors = [(e, FVector._unchecked(field, e)) for e in _weight_ordered(field.q, N, delta)]
-    supports = [[(j, v) for j, v in enumerate(e) if v] for e, _ in errors]
+    lanes, columns = reading.lanes, reading.columns
+    readings = [lanes.lane_sum([columns[j][v] for j, v in enumerate(e) if v]) for e, _ in errors]
     for dec in decoders:  # the leader table: the first error seen per syndrome
-        columns, lane_sum, width = dec.columns, dec.lanes.lane_sum, dec.lanes._width
-        for (e, err), support in zip(errors, supports):
-            key = lane_sum([columns[j][v] for j, v in support]) >> width
+        for (e, err), acc in zip(errors, readings):
+            key = (_reduce(lanes, acc, dec.reduction) if dec.reduction else acc) & dec.mask
             if key not in dec.leaders:
                 _remember(dec, key, err)
-    determined = next((i for i, dec in enumerate(decoders) if dec.demand_functional is None), m)
+    determined = next((i for i, dec in enumerate(decoders) if not dec.determined), m)
     receivers = list(enumerate(decoders[:determined]))
     sides = [sorted(inst.side_info[i]) for i in range(m)]
     add = field._add

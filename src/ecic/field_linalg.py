@@ -373,12 +373,12 @@ class FMatrix:
         if len(v) != self.ncols or v.field != self.field:
             raise LengthMismatch(f"expected column vector of length {self.ncols}")
         f = self.field
-        add, mul = f._add, f._mul
+        add, support = f._add, [(j, f._mul[b]) for j, b in enumerate(v.entries) if b]
         out = []
         for row in self.rows:
             acc = 0
-            for a, b in zip(row, v.entries):
-                acc = add[acc][mul[a][b]]
+            for j, m in support:  # v's nonzero entries only
+                acc = add[acc][m[row[j]]]
             out.append(acc)
         return FVector(f, tuple(out))
 
@@ -659,21 +659,21 @@ class PackedRows:
         return s - self._bias - ((s & self._top) >> (self._w - 1)) * self.field.p
 
     def pack_columns(self, rows: Sequence[Sequence[int]], scale: Sequence[int]) -> list[int]:
-        """Each column of a matrix of one or more rows, its entries x
+        """Each column of a matrix (none without rows), its entries x
         replaced by scale[x], packed: row i's entry from bit i*width."""
         digits, width = self._digits, self._width
-        out = [0] * len(rows[0])
+        out = [0] * len(rows[0]) if rows else []
         for i, row in enumerate(rows):
             for j, x in enumerate(row):
                 if x:
                     out[j] |= digits[scale[x]] << i * width
         return out
 
-    def unpack(self, packed: int, n: int) -> tuple[int, ...]:
-        """The first n entries of a packed (unbiased) vector."""
+    def unpack(self, packed: int, lanes: Iterable[int]) -> tuple[int, ...]:
+        """The entries in the given lanes of a packed (unbiased) vector."""
         labels, width = self._labels, self._width
         mask = (1 << width) - 1
-        return tuple([labels[packed >> j * width & mask] for j in range(n)])
+        return tuple([labels[packed >> j * width & mask] for j in lanes])
 
     def lane_sum(self, terms: Iterable[int]) -> int:
         """Sum of packed (unbiased) vectors, every lane reduced mod p."""

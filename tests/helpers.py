@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import NamedTuple
 
 from ecic import FMatrix, LinearIndexCode, make_field, pentagon, example1
 
@@ -235,14 +236,45 @@ def direct_reference(code, delta):
     return EcicVerdict(True, delta, None, None)
 
 
-def reference_decoder(code, i):
+class ReferenceDecoder(NamedTuple):
+    """The dense state `reference_decoder` builds: a parity check of the
+    span of the demanded and complement rows, the side rows, the unknown
+    rows (demanded row first), the demand functional lambda (None when the
+    demand is undetermined) and a parity check of the complement rows."""
+
+    parity: FMatrix
+    side_rows: FMatrix
+    unknown_rows: FMatrix
+    demand_functional: object
+    complement_parity: FMatrix
+
+    def decode(self, received, side_values, weight_cap, truth=None):
+        """Dense syndrome decoding: y' = received less the side rows, the
+        leader `coset_leader` returns for the syndrome of y', then
+        lambda . (y' - leader).  Raises what `decode` raises on a valid
+        word, in the same order: the weight cap first, then an
+        undetermined demand."""
+        from ecic import DecodeOutcome, FVector, coset_leader
+        from ecic.errors import InternalContradiction
+
+        field = received.field
+        adjusted = received.sub(self.side_rows.left_mul(FVector(field, tuple(side_values))))
+        leader = coset_leader(self.parity, self.parity.mul_col(adjusted), weight_cap)
+        if self.demand_functional is None:
+            raise InternalContradiction("demanded symbol is not uniquely determined")
+        recovered = adjusted.sub(leader).dot(self.demand_functional)
+        success = None if truth is None else recovered == truth
+        return DecodeOutcome(recovered, leader, leader.weight(), success)
+
+
+def reference_decoder(code, i) -> ReferenceDecoder:
     """A receiver decoder built by four separate eliminations: a row basis of
     the demanded and complement rows, the parity check of that basis, the
     demand functional from `solve_linear`, and a parity check of the
-    complement rows alone.  The reference the one-elimination
-    `build_receiver_decoder` is checked against; it decodes with the same
-    `decode`, so outcomes can be compared call by call."""
-    from ecic import FVector, ReceiverDecoder, parity_check_matrix
+    complement rows alone.  The reference the receiver views on one
+    elimination per code are checked against; it decodes densely on its
+    own, so outcomes can be compared call by call."""
+    from ecic import FVector, parity_check_matrix
     from ecic.errors import InternalContradiction
     from ecic.field_linalg import row_basis, solve_linear
     from ecic.instance import receiver_frame
@@ -259,11 +291,7 @@ def reference_decoder(code, i):
     solution = solve_linear(unknown_rows, FVector.unit(code.field, unknown_rows.nrows, 0))
     lam = None if solution is None else solution[0]
     complement_parity = parity_check_matrix(code.matrix.rows_at(complement))
-    return ReceiverDecoder(
-        code, frame, parity, side_rows, unknown_rows,
-        demand_functional=lam,
-        complement_parity=complement_parity,
-    )
+    return ReferenceDecoder(parity, side_rows, unknown_rows, lam, complement_parity)
 
 
 def full_walk_direct(code, delta):

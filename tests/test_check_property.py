@@ -73,7 +73,9 @@ def test_check_matches_the_per_decode_reference(case):
     built, searched = [], []
     with pytest.MonkeyPatch.context() as mp:
         build, search = decoder.build_receiver_decoder, decoder.coset_leader
-        mp.setattr(decoder, "build_receiver_decoder", lambda *a: built.append(build(*a)) or built[-1])
+        mp.setattr(
+            decoder, "build_receiver_decoder", lambda *a, **k: built.append(build(*a, **k)) or built[-1]
+        )
         mp.setattr(decoder, "coset_leader", lambda *a: searched.append(a) or search(*a))
         report = exhaustive_correctness_check(code, delta)
     assert searched == []  # every syndrome met is in the leader table
@@ -91,7 +93,7 @@ def test_check_matches_the_per_decode_reference(case):
     for dec in built:
         for key, (leader, weight, value) in dec.leaders.items():
             syndrome = dec.parity.mul_col(leader)
-            assert dec.lanes.unpack(key, dec.parity.nrows) == syndrome.entries
+            assert dec.lanes.unpack(key, dec.syndrome_lanes) == syndrome.entries
             assert leader == coset_leader(dec.parity, syndrome, delta)
             assert weight == leader.weight()
             lam = dec.demand_functional

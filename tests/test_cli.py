@@ -209,21 +209,28 @@ def test_simulate(capsys, example1_file):
 
 
 def test_simulate_builds_each_decoder_once(capsys, monkeypatch, pentagon_file):
-    """Every round decodes on the same m decoders, and the output is the
-    four-elimination decoder's, byte for byte (its sha256 is pinned)."""
-    built = []
+    """Every round decodes on the same m decoders, views on one reading of
+    the code, and the output is the four-elimination decoder's, byte for
+    byte (its sha256 is pinned)."""
+    built, readings = [], []
     original = decoder.build_receiver_decoder
-    monkeypatch.setattr(
-        decoder, "build_receiver_decoder", lambda code, i: built.append(i) or original(code, i)
-    )
+
+    def build(code, i, _reading=None):
+        built.append(i)
+        readings.append(_reading)
+        return original(code, i, _reading=_reading)
+
+    monkeypatch.setattr(decoder, "build_receiver_decoder", build)
     for rounds in ("1", "20"):
         built.clear()
+        readings.clear()
         code, out, _ = run(
             capsys, "simulate", "--instance", "pentagon", "--matrix", pentagon_file,
             "--delta", "2", "--random-errors", rounds, "--seed", "7",
         )
         assert code == 0
         assert built == [0, 1, 2, 3, 4]
+        assert readings[0] is not None and all(r is readings[0] for r in readings)
     assert len(json.loads(out)["rounds"]) == 100
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "5d336b753d616cab786cd66546e0d99fe1b243e5d40b9364ae10f13d23968aed"
@@ -251,6 +258,31 @@ def test_params_node_budget(capsys):
     )
     assert code == 0
     assert '"kappa": 3' in out
+
+
+def test_check_and_simulate_on_a_rank_deficient_code(capsys, tmp_path):
+    """The pentagon concat code at delta 1 over GF(2) has rank 3 < 5: its
+    decoders reduce by the left kernel, and check and simulate give the
+    outputs the per-receiver decoders gave, byte for byte."""
+    p = tmp_path / "concat.txt"
+    p.write_text("2 5 6\n1 1 0 0 1 0\n1 0 0 1 1 1\n1 0 0 1 1 1\n0 0 1 1 1 0\n0 0 1 1 1 0\n")
+    base = ("--instance", "pentagon", "--matrix", str(p))
+    code, out, _ = run(capsys, "check", *base, "--delta", "1")
+    assert code == 0 and json.loads(out) == {"delta": 1, "ok": True, "decodes": 1120}
+    code, out, _ = run(capsys, "check", *base, "--delta", "2")
+    doc = json.loads(out)
+    ce = doc["counterexample"]
+    assert code == 1 and doc["decodes"] == 36
+    assert (ce["kind"], ce["receiver"], ce["error"], ce["recovered"]) == (
+        "wrong-output", 1, [1, 1, 0, 0, 0, 0], 1
+    )
+    code, out, _ = run(
+        capsys, "simulate", *base, "--delta", "1", "--random-errors", "50", "--seed", "7"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0c8a7aae075728c779be94afe7160efe0fa7c7548dcecc6ca01f45875e7239b8"
+    )
 
 
 def test_check(capsys, example1_file, pentagon_file):

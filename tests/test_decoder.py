@@ -7,6 +7,7 @@ from ecic import (
     Field,
     FMatrix,
     FVector,
+    IcsiInstance,
     LinearIndexCode,
     build_receiver_decoder,
     decode,
@@ -26,7 +27,8 @@ from ecic.errors import (
     LengthMismatch,
     WeightCapExceeded,
 )
-from ecic import field_linalg
+from ecic import decoder, field_linalg
+from ecic.decoder import CheckReport
 from ecic.field_linalg import row_basis
 
 from helpers import F2, F3, example1_code, pentagon_code, random_instance, random_matrix
@@ -59,16 +61,50 @@ def test_build_pentagon_receiver():
 
 
 def test_build_runs_one_elimination(monkeypatch):
-    """Parity check, demand functional and complement parity all come from
-    one reduction of the complement rows."""
+    """One reduction of [L | I_n] reads a code of full row rank, and every
+    receiver's decoder is a view on that reading, its dense parity check
+    and demand functional included: no build eliminates again.  The
+    complement parity check comes from its own elimination, on first use;
+    a build without a reading makes its own, with one elimination."""
     calls = []
     original = field_linalg._rref
-    monkeypatch.setattr(field_linalg, "_rref", lambda *a: calls.append(a) or original(*a))
+    counting = lambda *a: calls.append(a) or original(*a)  # noqa: E731
+    monkeypatch.setattr(field_linalg, "_rref", counting)
+    monkeypatch.setattr(decoder, "_rref", counting)
     for code in (example1_code(), pentagon_code()):
+        calls.clear()
+        reading = decoder.code_reading(code)
+        assert not reading.left_kernel  # full row rank
         for i in range(code.inst.num_receivers):
-            calls.clear()
-            build_receiver_decoder(code, i)
-            assert len(calls) == 1
+            dec = build_receiver_decoder(code, i, _reading=reading)
+            assert dec.columns is reading.columns and not dec.reduction and dec.determined
+            dec.parity, dec.demand_functional
+        assert len(calls) == 1
+        dec.complement_parity
+        assert len(calls) == 2
+        calls.clear()
+        build_receiver_decoder(code, 0)
+        assert len(calls) == 1
+
+
+def test_rank_deficient_views_reduce_by_the_left_kernel(monkeypatch):
+    """Below full row rank each view reduces its side lanes by the left
+    kernel's projection, one small elimination per receiver; the repeated
+    rows of this pentagon code (rank 3 of 5) leave every demand
+    determined."""
+    calls = []
+    original = decoder._rref
+    monkeypatch.setattr(decoder, "_rref", lambda *a: calls.append(a) or original(*a))
+    rows = ((1, 1, 0, 0, 1, 0), (1, 0, 0, 1, 1, 1), (1, 0, 0, 1, 1, 1),
+            (0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 1, 0))
+    code = LinearIndexCode(pentagon_code().inst, F2, FMatrix(F2, rows, 6))
+    reading = decoder.code_reading(code)
+    assert len(reading.left_kernel) == 2 and len(calls) == 1
+    decs = [build_receiver_decoder(code, i, _reading=reading) for i in range(5)]
+    assert len(calls) == 6
+    assert all(dec.determined for dec in decs)
+    assert any(dec.reduction for dec in decs)
+    assert exhaustive_correctness_check(code, 1) == CheckReport(True, 1120, None)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +334,17 @@ def test_exhaustive_check_example1():
     report = exhaustive_correctness_check(example1_code(), 1)
     assert report.ok
     assert report.decodes == 120  # 8 messages x 5 errors x 3 receivers
+
+
+def test_exhaustive_check_without_receivers_decodes_nothing(monkeypatch):
+    """No receiver, nothing to decode: the check returns at once instead of
+    walking all 2^40 message vectors."""
+    monkeypatch.setattr(decoder, "all_vectors", lambda *a: pytest.fail("walked the messages"))
+    inst = IcsiInstance(0, 40, (), ())
+    code = LinearIndexCode(inst, F2, FMatrix(F2, tuple((1,) for _ in range(40)), 1))
+    assert exhaustive_correctness_check(code, 1) == CheckReport(True, 0, None)
+    empty = LinearIndexCode(IcsiInstance(0, 0, (), ()), F2, FMatrix(F2, (), 0))
+    assert simulate_round(empty, FVector(F2, ()), FVector(F2, ()), 1) == []
 
 
 def test_exhaustive_check_budget():
