@@ -21,12 +21,7 @@ from typing import Optional
 from ._cover import DEFAULT_NODE_BUDGET, class_table, classes_matrix, multiset_cover_search
 from .errors import BudgetExceeded, CapExceeded, UnknownCodeLength
 from .field_linalg import Field, FMatrix, make_field
-from .index_codes import (
-    DEFAULT_ALPHA_VERTEX_CAP,
-    _check_delta,
-    generalized_independence_number,
-    min_rank,
-)
+from .index_codes import _check_delta, generalized_independence_number, min_rank
 from .instance import IcsiInstance
 
 
@@ -110,12 +105,11 @@ def alpha_bound(
     inst: IcsiInstance,
     field: Field,
     delta: int,
-    vertex_cap: int = DEFAULT_ALPHA_VERTEX_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> int:
     """Lower bound: the shortest code of dimension alpha and distance
     2*delta + 1."""
-    alpha, _ = generalized_independence_number(inst, vertex_cap)
+    alpha, _ = generalized_independence_number(inst)
     return shortest_code_length(field.q, alpha, 2 * delta + 1, node_budget=node_budget)
 
 
@@ -218,7 +212,6 @@ def bounds_report(
     inst: IcsiInstance,
     field: Field,
     delta: int,
-    vertex_cap: int = DEFAULT_ALPHA_VERTEX_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> BoundsReport:
     """Assemble every bound, leaving fields unknown (None) rather than
@@ -227,7 +220,7 @@ def bounds_report(
     d = 2 * delta + 1
     alpha = kappa = None
     try:
-        alpha, _ = generalized_independence_number(inst, vertex_cap)
+        alpha, _ = generalized_independence_number(inst)
     except (BudgetExceeded, CapExceeded):
         pass
     try:

@@ -45,7 +45,7 @@ from .errors import (
     OuterDistanceTooSmall,
     UnknownCodeLength,
 )
-from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FMatrix, all_vectors
+from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FMatrix, code_min_distance, mat_rank
 from .index_codes import (
     LinearIndexCode,
     _Analysis,
@@ -117,8 +117,8 @@ def concatenate_construction(
 
     `ic_matrix` (n x kappa) must be a valid plain index code for the
     instance; `outer` (kappa x N') must generate a code of dimension kappa
-    and minimum distance >= 2*delta + 1 (checked over all q^kappa nonzero
-    messages, which also rejects rank-deficient outers).  The product is
+    and minimum distance >= 2*delta + 1 (checked by its rank and by
+    `code_min_distance`, within `enum_budget` >= q^kappa).  The product is
     re-verified before being returned.
     """
     _check_delta(delta)
@@ -132,13 +132,8 @@ def concatenate_construction(
     if k:
         if field.q**k > enum_budget:
             raise BudgetExceeded(f"outer check needs {field.q}^{k} messages")
-        for msg in all_vectors(field, k):
-            if msg.is_zero():
-                continue
-            if outer.left_mul(msg).weight() < need:
-                raise OuterDistanceTooSmall(
-                    f"outer code has a nonzero word of weight < {need}"
-                )
+        if mat_rank(outer) < k or code_min_distance(outer, enum_budget) < need:
+            raise OuterDistanceTooSmall(f"outer code has a nonzero word of weight < {need}")
     product = ic_matrix.matmul(outer)
     code = LinearIndexCode(inst, field, product)
     verdict = verify_ecic(code, delta, enum_budget)

@@ -16,10 +16,11 @@ coefficient tuples in lexicographic order.  Rows are packed once, with
 all their multiples, as base-p digit lanes in one integer, so each step
 is one integer add of a precomputed change with every lane reduced mod p
 at once (one XOR in characteristic 2), and a weight is one `bit_count`.
-Receiver margins pack a code's rows once, `code_min_distance` its basis,
-and `lightest_combination` packs the rows it is given.  The test suite
-checks the kernel against brute force and, on GF(2), against an XOR
-walk over suffix sums.  `mat_rank` on GF(2) runs on packed words too.
+Receiver margins pack a code's rows once and `code_min_distance` its
+basis.  The test suite checks the kernel against brute force and, on
+GF(2), against an XOR walk over suffix sums.  Every elimination (rank,
+row basis, parity check, linear solve) is one reduced row echelon form,
+`_rref`.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def _lowest_irreducible(p: int, e: int) -> tuple[int, ...]:
 
 
 class Field:
-    """Arithmetic tables for GF(q), q = p^e <= cap.
+    """Arithmetic tables for GF(q), q = p^e <= DEFAULT_FIELD_CAP.
 
     Elements are integers 0..q-1.  For e > 1, the integer is the base-p
     encoding of the polynomial coefficients; `modulus` holds the reduction
@@ -120,9 +121,9 @@ class Field:
 
     __slots__ = ("q", "p", "e", "modulus", "_add", "_mul", "_neg", "_inv")
 
-    def __init__(self, q: int, cap: int = DEFAULT_FIELD_CAP):
-        if q > cap:
-            raise CapExceeded(f"field order {q} exceeds cap {cap}")
+    def __init__(self, q: int):
+        if q > DEFAULT_FIELD_CAP:
+            raise CapExceeded(f"field order {q} exceeds cap {DEFAULT_FIELD_CAP}")
         pe = _prime_power(q)
         if pe is None:
             raise NotPrimePower(f"{q} is not a prime power")
@@ -225,13 +226,14 @@ class Field:
 
 
 @functools.lru_cache(maxsize=None)
-def make_field(q: int, cap: int = DEFAULT_FIELD_CAP) -> Field:
+def make_field(q: int) -> Field:
     """Build (and cache) the GF(q) arithmetic tables.
 
-    Raises NotPrimePower if q is not a prime power, CapExceeded if q > cap.
-    Table construction verifies that every nonzero element has an inverse.
+    Raises NotPrimePower if q is not a prime power, CapExceeded if q >
+    DEFAULT_FIELD_CAP.  Table construction verifies that every nonzero
+    element has an inverse.
     """
-    return Field(q, cap)
+    return Field(q)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +254,6 @@ class FVector:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, x in enumerate(self.entries) if x)
 
     def weight(self) -> int:
         return sum(1 for x in self.entries if x)
@@ -280,9 +279,6 @@ class FVector:
             acc = f._add[acc][f._mul[a][b]]
         return acc
 
-    def take(self, positions: Sequence[int]) -> FVector:
-        return FVector(self.field, tuple(self.entries[i] for i in positions))
-
     def _check(self, other: FVector) -> None:
         if self.field != other.field or len(self) != len(other):
             raise LengthMismatch("vector field/length mismatch")
@@ -295,14 +291,6 @@ class FVector:
         object.__setattr__(v, "field", field)
         object.__setattr__(v, "entries", entries)
         return v
-
-    @staticmethod
-    def zero(field: Field, n: int) -> FVector:
-        return FVector(field, (0,) * n)
-
-    @staticmethod
-    def unit(field: Field, n: int, i: int) -> FVector:
-        return FVector(field, tuple(1 if j == i else 0 for j in range(n)))
 
 
 @dataclass(frozen=True)
@@ -461,36 +449,9 @@ def _kernel_rows(
     return rows
 
 
-def _pack_bits(entries: Sequence[int]) -> int:
-    mask = 0
-    for i, x in enumerate(entries):
-        if x:
-            mask |= 1 << i
-    return mask
-
-
-def _rank_gf2(masks: Iterable[int]) -> int:
-    basis: dict[int, int] = {}
-    for m in masks:
-        while m:
-            top = m.bit_length() - 1
-            if top in basis:
-                m ^= basis[top]
-            else:
-                basis[top] = m
-                break
-    return len(basis)
-
-
-def _rank_generic(M: FMatrix) -> int:
-    return len(_rref(M.rows, M.ncols, M.field)[0])
-
-
 def mat_rank(M: FMatrix) -> int:
     """Rank of M over its field."""
-    if M.field.q == 2:
-        return _rank_gf2(_pack_bits(r) for r in M.rows)
-    return _rank_generic(M)
+    return len(_rref(M.rows, M.ncols, M.field)[0])
 
 
 def row_basis(M: FMatrix) -> FMatrix:
@@ -547,8 +508,8 @@ def solve_row_combination(M: FMatrix, target: FVector) -> tuple[FVector, list[FV
 def _weight_ordered(q: int, n: int, w: int) -> Iterator[tuple[int, ...]]:
     """Entry tuples of length n over GF(q) with weight <= w, in ascending
     weight, then lexicographic support, then lexicographic nonzero values.
-    `coset_leader`, `vectors_of_weight_at_most` and the decoder's leader
-    table all walk this one order."""
+    `coset_leader` and the decoder's leader table both walk this one
+    order."""
     yield (0,) * n
     nonzero = range(1, q)
     for weight in range(1, min(w, n) + 1):
@@ -782,16 +743,6 @@ class PackedRows:
         return acc, (best_w, best_i)
 
 
-def lightest_combination(
-    field: Field, target_row: Sequence[int], rows: Sequence[Sequence[int]]
-) -> tuple[int, tuple[int, ...]]:
-    """Least weight of target_row - sum_j c_j * rows[j], with the coefficient
-    tuple c that first attains it in lexicographic order; the walk stops at
-    weight 0.  Packs the rows and runs `PackedRows.lightest` on them."""
-    packed = PackedRows(field, [target_row, *rows], len(target_row))
-    return packed.lightest(0, range(1, len(rows) + 1))
-
-
 def code_min_distance(G: FMatrix, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Minimum weight of a nonzero codeword in the row space of G.
 
@@ -828,7 +779,7 @@ def format_matrix(M: FMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(text: str, cap: int = DEFAULT_FIELD_CAP) -> FMatrix:
+def parse_matrix(text: str) -> FMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MalformedDocument("empty matrix document")
@@ -843,7 +794,7 @@ def parse_matrix(text: str, cap: int = DEFAULT_FIELD_CAP) -> FMatrix:
         raise MalformedDocument("matrix dimensions must be nonnegative")
     if len(lines) - 1 != n:
         raise MalformedDocument(f"expected {n} matrix rows, found {len(lines) - 1}")
-    field = make_field(q, cap)
+    field = make_field(q)
     rows = []
     for ln in lines[1:]:
         try:
@@ -862,9 +813,3 @@ def all_vectors(field: Field, n: int) -> Iterator[FVector]:
     """Every vector of F_q^n in lexicographic entry order."""
     for entries in itertools.product(field.elements(), repeat=n):
         yield FVector(field, entries)
-
-
-def vectors_of_weight_at_most(field: Field, n: int, w: int) -> Iterator[FVector]:
-    """Vectors of weight <= w, ascending weight, lexicographic support/values."""
-    for e in _weight_ordered(field.q, n, w):
-        yield FVector._unchecked(field, e)

@@ -155,17 +155,17 @@ def verify_ecic_direct(
     code: LinearIndexCode, delta: int, enum_budget: int = DEFAULT_ENUM_BUDGET
 ) -> EcicVerdict:
     """Same verdict as `verify_ecic`, by checking weight(z @ L) >= 2*delta+1
-    for every confusable z, with the first failing z in stream order as
-    certificate.  Scaling z keeps weight(z @ L), so only the stream's walk
-    up to scaling is checked (`ErrorVectorStream.receiver_walks`); the first
-    failing z has demand entry 1 and is met there first.  Shares no code
-    with the margin kernel: each odometer step of the walk adds a
+    for every confusable z, with the first failing z, receiver by receiver
+    in odometer order, as certificate.  Scaling z keeps weight(z @ L), so
+    only the walk up to scaling is checked (`enumerate_error_vectors`); the
+    first failing z has demand entry 1 and is met there first.  Shares no
+    code with the margin kernel: each odometer step of the walk adds a
     precomputed change to z @ L, kept as base-p digit lanes of w bits
     (symbol j's from bit j*e*w) and reduced mod p in all lanes at once."""
     _check_delta(delta)
     inst, field, L = code.inst, code.field, code.matrix
     need = 2 * delta + 1
-    walks = enumerate_error_vectors(inst, field, enum_budget).receiver_walks()
+    walks = enumerate_error_vectors(inst, field, enum_budget)
     q, p, e, n, N = field.q, field.p, field.e, inst.num_messages, L.ncols
     add, mul, neg = field._add, field._mul, field._neg
     w = p.bit_length() + 1  # a lane holds the sum of two digits below p
@@ -255,20 +255,19 @@ def _decoding_combinations(code: LinearIndexCode) -> Iterator[Optional[FVector]]
 # generalized independence number
 
 
-def generalized_independence_number(
-    inst: IcsiInstance, vertex_cap: int = DEFAULT_ALPHA_VERTEX_CAP
-) -> tuple[int, tuple[int, ...]]:
+def generalized_independence_number(inst: IcsiInstance) -> tuple[int, tuple[int, ...]]:
     """Size of a maximum set of messages all of whose nonempty subsets lie
     in the instance's support family, plus the lexicographically smallest
     maximum witness (0-based, sorted).
 
     Generalized independence is closed downward, so the search extends
     candidates vertex by vertex, testing only the subsets that contain the
-    newly added vertex.
+    newly added vertex.  Instances over more than DEFAULT_ALPHA_VERTEX_CAP
+    messages raise CapExceeded.
     """
     n = inst.num_messages
-    if n > vertex_cap:
-        raise CapExceeded(f"{n} messages exceed the search cap {vertex_cap}")
+    if n > DEFAULT_ALPHA_VERTEX_CAP:
+        raise CapExceeded(f"{n} messages exceed the search cap {DEFAULT_ALPHA_VERTEX_CAP}")
     candidates = [v for v in range(n) if in_support_family(inst, {v})]
     best: tuple[int, ...] = ()
 
@@ -323,11 +322,16 @@ class _Analysis:
 
 
 def _analyse(inst: IcsiInstance, field: Field, enum_budget: int) -> _Analysis:
-    """The analysis, targets sorted for determinism.  Both the confusable
-    vectors and the hit-set table are bounded by `enum_budget`."""
-    targets = sorted(
-        {canonical_class(z.entries, field) for z in enumerate_error_vectors(inst, field, enum_budget)}
-    )
+    """The analysis, targets sorted for determinism: the projective
+    classes of the keys walked by `enumerate_error_vectors`.  Both that
+    walk and the hit-set table are bounded by `enum_budget`."""
+    q, n = field.q, inst.num_messages
+    places = [q ** (n - 1 - j) for j in range(n)]
+    targets = sorted({
+        canonical_class([key // place % q for place in places], field)
+        for _, steps in enumerate_error_vectors(inst, field, enum_budget)
+        for _, _, key in steps
+    })
     if not targets:  # no receivers: every matrix works, columns are moot
         return _Analysis(inst, targets, [], [], [])
     columns, hit_sets = class_table(field, inst.num_messages, targets, enum_budget)
@@ -482,9 +486,8 @@ class InstanceParams:
 def instance_params(
     inst: IcsiInstance,
     field: Field,
-    vertex_cap: int = DEFAULT_ALPHA_VERTEX_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> InstanceParams:
-    alpha, witness = generalized_independence_number(inst, vertex_cap)
+    alpha, witness = generalized_independence_number(inst)
     mr = min_rank(inst, field, node_budget)
     return InstanceParams(field, alpha, witness, mr.kappa, mr.witness)

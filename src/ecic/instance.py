@@ -7,7 +7,8 @@ X_i, and a demand map f with f(i) never inside X_i.  All indices are
 The "confusable" vectors of an instance over GF(q) are those z that vanish
 on some receiver's side information while being nonzero at that receiver's
 demand; their supports form a family that depends only on the instance,
-not on q.
+not on q.  `enumerate_error_vectors` walks them up to scaling, receiver by
+receiver, with an odometer over base-q keys.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     IndexOutOfRange,
     MalformedDocument,
 )
-from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FVector
+from .field_linalg import DEFAULT_ENUM_BUDGET, Field
 
 
 @dataclass(frozen=True)
@@ -314,66 +315,32 @@ def _odometer(q: int, n: int, positions: Sequence[int]) -> Iterator[tuple[int, i
             return
 
 
-class ErrorVectorStream:
-    """Iterator over the confusable vectors of an instance over GF(q).
-
-    Receiver by receiver, in `_odometer` order; duplicates (vectors
-    confusable for several receivers) are suppressed with a visited set of
-    odometer keys.  The sum over receivers of (q-1) * q^|complement| bounds
-    both the vectors yielded and the visited set, and BudgetExceeded is
-    raised up front when it exceeds `budget`.
-    """
-
-    def __init__(self, inst: IcsiInstance, field: Field, budget: int = DEFAULT_ENUM_BUDGET):
-        total = sum(
-            (field.q - 1) * field.q ** len(inst.complement(i)) for i in range(inst.num_receivers)
-        )
-        if total > budget:
-            raise BudgetExceeded(f"receivers contribute {total} vectors, over budget {budget}")
-        self._inst, self._q = inst, field.q
-        self._iter = self._generate(field)
-
-    def receiver_walks(self) -> Iterator[tuple[tuple[int, ...], Iterator[tuple[int, int, int]]]]:
-        """The stream's walk up to scaling, for callers that keep their own
-        state instead of taking vectors.  Per receiver j, its positions
-        (demand, then the sorted complement) and the `_odometer` steps that
-        keep the demand entry at 1.  A position is dropped where an earlier
-        receiver i with side_i inside side_j demands it (every vector
-        nonzero there is confusable for i), and j is skipped when such an i
-        demands what j does.  So every vector the stream yields is a scaling
-        of one walked no later in stream order."""
-        inst, q, n = self._inst, self._q, self._inst.num_messages
-        for j in range(inst.num_receivers):
-            side = inst.side_info[j]
-            earlier = {inst.demands[i] for i in range(j) if inst.side_info[i] <= side}
-            if inst.demands[j] in earlier:
-                continue
-            positions = (inst.demands[j], *sorted(inst.complement(j) - earlier))
-            yield positions, itertools.islice(
-                _odometer(q, n, positions), q ** (len(positions) - 1)
-            )
-
-    def _generate(self, field: Field) -> Iterator[FVector]:
-        inst, q, n = self._inst, self._q, self._inst.num_messages
-        places = [q ** (n - 1 - j) for j in range(n)]
-        seen: set[int] = set()
-        for i in range(inst.num_receivers):
-            for _, _, key in _odometer(q, n, (inst.demands[i], *sorted(inst.complement(i)))):
-                if key not in seen:
-                    seen.add(key)
-                    yield FVector(field, tuple(key // place % q for place in places))
-
-    def __iter__(self) -> Iterator[FVector]:
-        return self._iter
-
-    def __next__(self) -> FVector:
-        return next(self._iter)
-
-
 def enumerate_error_vectors(
     inst: IcsiInstance, field: Field, budget: int = DEFAULT_ENUM_BUDGET
-) -> ErrorVectorStream:
-    """Stream every vector over GF(q) that some receiver can confuse with
-    zero: nonzero at that receiver's demand, zero across its side
-    information, arbitrary elsewhere outside both."""
-    return ErrorVectorStream(inst, field, budget)
+) -> Iterator[tuple[tuple[int, ...], Iterator[tuple[int, int, int]]]]:
+    """The vectors over GF(q) that some receiver can confuse with zero --
+    nonzero at its demand, zero across its side information, arbitrary
+    elsewhere -- walked up to scaling.  Per receiver j, its positions
+    (demand, then the sorted complement) and the `_odometer` steps that
+    keep the demand entry at 1.  A position is dropped where an earlier
+    receiver i with side_i inside side_j demands it (every vector nonzero
+    there is confusable for i), and j is skipped when such an i demands
+    what j does.  So every confusable vector is a scaling of one walked no
+    later in receiver order.  The sum over receivers of
+    (q-1) * q^|complement| counts the confusable vectors with multiplicity,
+    and BudgetExceeded is raised up front, before any step, when it exceeds
+    `budget`."""
+    q, n = field.q, inst.num_messages
+    total = sum((q - 1) * q ** len(inst.complement(i)) for i in range(inst.num_receivers))
+    if total > budget:
+        raise BudgetExceeded(f"receivers contribute {total} vectors, over budget {budget}")
+    walks = []
+    for j in range(inst.num_receivers):
+        side = inst.side_info[j]
+        earlier = {inst.demands[i] for i in range(j) if inst.side_info[i] <= side}
+        if inst.demands[j] not in earlier:
+            walks.append((inst.demands[j], *sorted(inst.complement(j) - earlier)))
+    return (
+        (positions, itertools.islice(_odometer(q, n, positions), q ** (len(positions) - 1)))
+        for positions in walks
+    )

@@ -12,6 +12,7 @@ import random
 from typing import NamedTuple
 
 from ecic import FMatrix, LinearIndexCode, make_field, pentagon, example1
+from ecic.field_linalg import DEFAULT_ENUM_BUDGET, PackedRows
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -134,6 +135,11 @@ def brute_min_distance(field, rows, n):
     return min(weights)
 
 
+def lightest_combination(field, target, rows):
+    """`PackedRows.lightest` of target - sum_j c_j * rows[j], all packed together."""
+    return PackedRows(field, [target, *rows], len(target)).lightest(0, range(1, len(rows) + 1))
+
+
 def lightest_gf2_xor(target, rows):
     """(weight, coefficients) of the first lightest target + sum c_j rows_j
     over GF(2), on packed words: stepping from tuple i-1 to i flips the
@@ -212,6 +218,58 @@ def upward_scan(inst, field, delta):
         length += 1
 
 
+def confusable_oracle(inst, field):
+    """Every z in F_q^n that is nonzero at some receiver's demand and zero on
+    its side information, mapped to the first such receiver: the
+    definition, by brute force over all q^n vectors."""
+    out = {}
+    for z in itertools.product(range(field.q), repeat=inst.num_messages):
+        for i in range(inst.num_receivers):
+            if z[inst.demands[i]] and not any(z[x] for x in inst.side_info[i]):
+                out[z] = i
+                break
+    return out
+
+
+def walked(inst, field, budget=DEFAULT_ENUM_BUDGET):
+    """The walks of `enumerate_error_vectors`, as (positions, vectors) with
+    each step's key decoded to its entry tuple."""
+    from ecic import enumerate_error_vectors
+
+    q, n = field.q, inst.num_messages
+    return [
+        (positions, [tuple(key // q ** (n - 1 - j) % q for j in range(n)) for _, _, key in steps])
+        for positions, steps in enumerate_error_vectors(inst, field, budget)
+    ]
+
+
+def check_walks(inst, field):
+    """The walk up to scaling against `confusable_oracle`: every walked
+    vector is confusable and has demand entry 1, and every confusable z
+    has a scaling walked no later in receiver order -- each walk is
+    assigned the first receiver after the previous walk's that confuses
+    all of its vectors, and z's scaling lies in a walk whose receiver is
+    at most the first receiver confusing z.  Returns the oracle."""
+    oracle = confusable_oracle(inst, field)
+    first_walk = {}  # walked vector -> receiver of the first walk meeting it
+    receiver = -1
+    for positions, vectors in walked(inst, field):
+        for z in vectors:
+            assert z in oracle and z[positions[0]] == 1, (positions, z)
+        receiver = next((
+            i for i in range(receiver + 1, inst.num_receivers)
+            if inst.demands[i] == positions[0]
+            and all(not any(z[x] for x in inst.side_info[i]) for z in vectors)
+        ), None)
+        assert receiver is not None, ("no receiver in order for the walk", positions)
+        for z in vectors:
+            first_walk.setdefault(z, receiver)
+    for z, i in oracle.items():
+        scalings = {tuple(field.mul(a, x) for x in z) for a in field.nonzero()}
+        assert any(first_walk[w] <= i for w in scalings & first_walk.keys()), z
+    return oracle
+
+
 def direct_reference(code, delta):
     """The error-correction verdict by definition, rebuilt per vector: every
     confusable z in stream order (receiver by receiver, the demand value,
@@ -288,7 +346,8 @@ def reference_decoder(code, i) -> ReferenceDecoder:
         if not parity.mul_col(basis.row(r)).is_zero():
             raise InternalContradiction("parity check does not annihilate the code space")
     side_rows = code.matrix.rows_at(sorted(frame.side_info))
-    solution = solve_linear(unknown_rows, FVector.unit(code.field, unknown_rows.nrows, 0))
+    unit = FVector(code.field, (1,) + (0,) * (unknown_rows.nrows - 1))
+    solution = solve_linear(unknown_rows, unit)
     lam = None if solution is None else solution[0]
     complement_parity = parity_check_matrix(code.matrix.rows_at(complement))
     return ReferenceDecoder(parity, side_rows, unknown_rows, lam, complement_parity)
@@ -352,7 +411,7 @@ def check_reference(code, delta):
     from ecic.decoder import CheckReport, Counterexample
 
     inst, field, N = code.inst, code.field, code.length
-    errors = [FVector.zero(field, N)]
+    errors = [FVector(field, (0,) * N)]
     for w in range(1, min(delta, N) + 1):
         for supp in itertools.combinations(range(N), w):
             for values in itertools.product(range(1, field.q), repeat=w):

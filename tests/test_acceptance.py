@@ -10,6 +10,7 @@ import pytest
 
 from ecic import (
     FMatrix,
+    FVector,
     LinearIndexCode,
     bounds_report,
     build_receiver_decoder,
@@ -32,7 +33,7 @@ from ecic import (
     verify_ecic,
     verify_ecic_direct,
 )
-from ecic.field_linalg import vectors_of_weight_at_most
+from ecic.field_linalg import _weight_ordered
 
 from helpers import (
     F2,
@@ -60,7 +61,8 @@ def run_all_decodes(code: LinearIndexCode, delta: int):
     results = []
     for x in all_vectors(field, inst.num_messages):
         y = encode(code, x)
-        for err in vectors_of_weight_at_most(field, code.length, delta):
+        for entries in _weight_ordered(field.q, code.length, delta):
+            err = FVector(field, entries)
             received = y.add(err)
             for i in range(inst.num_receivers):
                 out = decode(

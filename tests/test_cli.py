@@ -175,6 +175,13 @@ def test_cap_exit_is_not_a_budget(capsys):
     assert err == "cap exceeded: field order 8192 exceeds cap 256\n"
 
 
+def test_alpha_vertex_cap_exits_3(capsys):
+    code, out, err = run(capsys, "params", "--instance", "no-side-info:25", "--q", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("cap exceeded:")
+
+
 def test_construct_strategies(capsys):
     for strategy in ("concat", "mds-concat"):
         code, out, _ = run(

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -129,6 +131,47 @@ def test_concatenation_rejects_rank_deficient_outer():
     outer = FMatrix(F2, ((0, 0, 0),), 3)
     with pytest.raises(OuterDistanceTooSmall):
         concatenate_construction(example1(), F2, 1, inner, outer)
+
+
+def test_outer_check_matches_a_brute_force_walk():
+    """On seeded k x N outers over GF(2), GF(3) and GF(4), a third of them
+    rank deficient (a zero row or a multiple of another row), the outer
+    check raises OuterDistanceTooSmall exactly when some nonzero message
+    encodes to a word of weight below 2*delta + 1.  The inner code is the
+    identity of no-side-info:k, so an accepted outer comes back as the
+    code."""
+    rng = random.Random(71)
+    seen = {"rejected": 0, "accepted": 0, "deficient": 0}
+    for field in (F2, F3, make_field(4)):
+        for _ in range(60):
+            k, N, delta = rng.randint(1, 3), rng.randint(0, 7), rng.randint(0, 2)
+            rows = [[rng.randrange(field.q) for _ in range(N)] for _ in range(k)]
+            if k > 1 and rng.random() < 1 / 3:
+                c = rng.randrange(field.q)
+                rows[-1] = [field.mul(c, x) for x in rows[rng.randrange(k - 1)]]
+                seen["deficient"] += 1
+            lightest = min(
+                sum(1 for col in zip(*rows) if functools.reduce(
+                    field.add, (field.mul(a, x) for a, x in zip(msg, col)), 0))
+                for msg in itertools.product(range(field.q), repeat=k) if any(msg)
+            )
+            inst, outer = no_side_info(k), FMatrix(field, tuple(map(tuple, rows)), N)
+            inner = FMatrix.identity(field, k)
+            if lightest < 2 * delta + 1:
+                with pytest.raises(OuterDistanceTooSmall):
+                    concatenate_construction(inst, field, delta, inner, outer)
+                seen["rejected"] += 1
+            else:
+                assert concatenate_construction(inst, field, delta, inner, outer).matrix == outer
+                seen["accepted"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_outer_check_budget_comes_first():
+    outer = FMatrix.identity(F2, 3)
+    with pytest.raises(BudgetExceeded, match=r"outer check needs 2\^3 messages"):
+        concatenate_construction(no_side_info(3), F2, 0, outer, outer, enum_budget=7)
+    assert concatenate_construction(no_side_info(3), F2, 0, outer, outer, enum_budget=8)
 
 
 def test_concatenation_property_random_valid_inputs():

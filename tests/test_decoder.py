@@ -125,7 +125,7 @@ def test_worked_decode_trace():
 def test_zero_error_decodes_with_zero_estimate():
     code = pentagon_code()
     x = FVector(F2, (1, 0, 1, 1, 0))
-    for out in simulate_round(code, x, FVector.zero(F2, 9), delta=2):
+    for out in simulate_round(code, x, FVector(F2, (0,) * 9), delta=2):
         assert out.success
         assert out.error_estimate.is_zero()
 

@@ -1,8 +1,9 @@
 """Property tests: the packed direct route (`verify_ecic_direct`) against
 the per-vector reference, the margin route and the decoder, and its walk
-up to scaling against the full walk, on random small instances over q in
-{2, 3, 4, 5, 7, 8, 9}.  Skipped when hypothesis is not installed;
-`tests/conftest.py` makes it deterministic in CI."""
+up to scaling against the full walk and the brute-force confusable set,
+on random small instances over q in {2, 3, 4, 5, 7, 8, 9}.  Skipped when
+hypothesis is not installed; `tests/conftest.py` makes it deterministic in
+CI."""
 
 import pytest
 
@@ -14,7 +15,6 @@ from ecic import (  # noqa: E402
     FMatrix,
     IcsiInstance,
     LinearIndexCode,
-    enumerate_error_vectors,
     exhaustive_correctness_check,
     make_field,
     sphere_volume,
@@ -22,7 +22,7 @@ from ecic import (  # noqa: E402
     verify_ecic_direct,
 )
 
-from helpers import direct_reference, full_walk_direct  # noqa: E402
+from helpers import check_walks, direct_reference, full_walk_direct  # noqa: E402
 
 # decodes the exhaustive check may spend on one code
 CHECK_LIMIT = 3000
@@ -74,18 +74,8 @@ def test_walk_up_to_scaling_matches_the_full_walk(case):
 
 @settings(deadline=None)
 @given(codes())
-def test_walk_up_to_scaling_meets_every_stream_vector_first(case):
-    """Each walked vector is confusable with demand entry 1, and each vector
-    of the stream has a scaling walked no later in stream order."""
-    inst, field = case[0].inst, case[0].field
-    q, n = field.q, inst.num_messages
-    order = {v.entries: k for k, v in enumerate(enumerate_error_vectors(inst, field))}
-    walked = set()
-    for positions, steps in enumerate_error_vectors(inst, field).receiver_walks():
-        for _, _, key in steps:
-            z = tuple(key // q ** (n - 1 - j) % q for j in range(n))
-            assert z in order and z[positions[0]] == 1
-            walked.add(z)
-    for z, k in order.items():
-        scalings = {tuple(field.mul(a, x) for x in z) for a in field.nonzero()}
-        assert any(order[w] <= k for w in scalings & walked), z
+def test_walk_up_to_scaling_meets_every_confusable_vector_first(case):
+    """Each walked vector is confusable with demand entry 1, and each
+    confusable vector of the brute-force oracle has a scaling walked no
+    later in receiver order (`helpers.check_walks`)."""
+    check_walks(case[0].inst, case[0].field)

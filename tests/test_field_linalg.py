@@ -23,7 +23,6 @@ from ecic.errors import (
     WeightCapExceeded,
 )
 from ecic import field_linalg
-from ecic.field_linalg import _pack_bits, _rank_generic, _rank_gf2
 
 from helpers import (
     F2,
@@ -147,10 +146,6 @@ def test_triangle_inequality_small_sample():
             assert u.sub(w).weight() <= u.sub(v).weight() + v.sub(w).weight()
 
 
-def test_support():
-    assert FVector(F3, (0, 2, 0, 1)).support() == (1, 3)
-
-
 # ---------------------------------------------------------------------------
 # rank
 
@@ -169,13 +164,6 @@ def test_rank_against_span_oracle():
         for _ in range(25):
             m = random_matrix(field, rng.randint(1, 4), rng.randint(1, 4), rng)
             assert mat_rank(m) == brute_rank(field, list(m.rows), m.ncols)
-
-
-def test_packed_and_generic_rank_agree():
-    rng = random.Random(7)
-    for _ in range(50):
-        m = random_matrix(F2, rng.randint(1, 6), rng.randint(1, 8), rng)
-        assert _rank_gf2(_pack_bits(r) for r in m.rows) == _rank_generic(m)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ from ecic import (
     example1,
     in_support_family,
     instance_to_doc,
+    make_field,
     no_side_info,
     odd_cycle_complement,
     parse_instance,
     pentagon,
     receiver_frame,
 )
+from ecic import instance
 from ecic.errors import (
     BudgetExceeded,
     DemandInSideInfo,
@@ -24,7 +26,9 @@ from ecic.errors import (
     MalformedDocument,
 )
 
-from helpers import F2, F3, random_instance
+from helpers import F2, F3, check_walks, random_instance, walked
+
+F4 = make_field(4)
 
 
 PENTAGON_DOC = {
@@ -126,35 +130,28 @@ def test_support_family_examples():
 
 
 def test_error_vectors_example1():
-    vecs = {v.entries for v in enumerate_error_vectors(example1(), F2)}
+    check_walks(example1(), F2)
+    vecs = {z for _, vectors in walked(example1(), F2) for z in vectors}
     assert vecs == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
 def test_error_vectors_no_side_info_are_all_nonzero_vectors():
+    inst = no_side_info(3)
     for field in (F2, F3):
-        inst = no_side_info(3)
-        vecs = {v.entries for v in enumerate_error_vectors(inst, field)}
-        everything = {
-            t for t in itertools.product(field.elements(), repeat=3) if any(t)
-        }
-        assert vecs == everything
+        everything = {t for t in itertools.product(field.elements(), repeat=3) if any(t)}
+        assert check_walks(inst, field).keys() == everything
+        # one walk per receiver, each past the earlier demands: every
+        # projective class exactly once
+        vecs = [z for _, vectors in walked(inst, field) for z in vectors]
+        assert len(vecs) == len(set(vecs)) == len(everything) // (field.q - 1)
 
 
 def test_error_vectors_pentagon_count_matches_predicate_oracle():
-    # oracle: test all 31 nonzero GF(2) vectors against the definition
     pent = pentagon()
-    expected = set()
-    for t in itertools.product((0, 1), repeat=5):
-        if not any(t):
-            continue
-        for i in range(5):
-            if t[pent.demands[i]] and not any(t[j] for j in pent.side_info[i]):
-                expected.add(t)
-                break
-    got = [v.entries for v in enumerate_error_vectors(pent, F2)]
-    assert len(got) == len(set(got)), "stream must deduplicate"
-    assert set(got) == expected
-    assert len(expected) == 15
+    oracle = check_walks(pent, F2)
+    assert len(oracle) == 15
+    # over GF(2) the walk up to scaling meets every confusable vector
+    assert {z for _, vectors in walked(pent, F2) for z in vectors} == oracle.keys()
 
 
 def test_supports_match_family_and_are_field_independent():
@@ -164,33 +161,37 @@ def test_supports_match_family_and_are_field_independent():
     ]
     for inst in insts:
         n = inst.num_messages
-        by_field = []
-        for field in (F2, F3):
+        predicate = {
+            frozenset(k)
+            for r in range(1, n + 1)
+            for k in itertools.combinations(range(n), r)
+            if in_support_family(inst, k)
+        }
+        for field in (F2, F3, F4):
+            oracle = check_walks(inst, field)
             supports = {
-                frozenset(v.support())
-                for v in enumerate_error_vectors(inst, field)
-            }
-            by_field.append(supports)
-            predicate = {
-                frozenset(k)
-                for r in range(1, n + 1)
-                for k in itertools.combinations(range(n), r)
-                if in_support_family(inst, k)
+                frozenset(j for j, x in enumerate(z) if x)
+                for _, vectors in walked(inst, field)
+                for z in vectors
             }
             assert supports == predicate
-        assert by_field[0] == by_field[1]
+            assert {frozenset(j for j, x in enumerate(z) if x) for z in oracle} == predicate
 
 
-def test_error_vector_budget():
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_error_vectors(no_side_info(8), F3, budget=100))
+def test_error_vector_budget(monkeypatch):
+    # raised by the call itself, before the odometer takes a step
+    monkeypatch.setattr(instance, "_odometer", lambda *a: pytest.fail("stepped the odometer"))
+    with pytest.raises(BudgetExceeded, match="receivers contribute 34992 vectors, over budget 100"):
+        enumerate_error_vectors(no_side_info(8), F3, budget=100)
 
 
-def test_error_vector_budget_is_total_over_receivers():
+def test_error_vector_budget_is_total_over_receivers(monkeypatch):
     # each of the 4 receivers contributes 2^3 = 8 vectors; together 32
-    with pytest.raises(BudgetExceeded):
-        enumerate_error_vectors(no_side_info(4), F2, budget=31)
-    assert len(list(enumerate_error_vectors(no_side_info(4), F2, budget=32))) == 15
+    with monkeypatch.context() as patched:
+        patched.setattr(instance, "_odometer", lambda *a: pytest.fail("stepped the odometer"))
+        with pytest.raises(BudgetExceeded, match="receivers contribute 32 vectors, over budget 31"):
+            enumerate_error_vectors(no_side_info(4), F2, budget=31)
+    assert sum(len(vectors) for _, vectors in walked(no_side_info(4), F2, budget=32)) == 15
 
 
 def test_instance_validation():

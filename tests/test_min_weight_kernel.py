@@ -1,7 +1,8 @@
 """The minimum-weight kernel against brute-force oracles.
 
-`lightest_combination` walks coefficient tuples with an odometer on
-packed digit lanes; the oracle here rebuilds every combination from
+`PackedRows.lightest` walks coefficient tuples with an odometer on
+packed digit lanes (`helpers.lightest_combination` packs a target and
+rows together for it); the oracle here rebuilds every combination from
 scratch with plain field operations and takes the first lightest one in
 lexicographic order.  The fields cover odd p with e = 1 and 2 (q = 3, 5,
 7, 9) and p = 2 with e = 1, 2 and 3 (q = 2, 4, 8).
@@ -22,12 +23,12 @@ from ecic import (
     verify_ecic,
 )
 from ecic import field_linalg
-from ecic.field_linalg import lightest_combination
 from ecic.index_codes import _margins_with_minimizers
 
 from helpers import (
     F2,
     brute_min_distance,
+    lightest_combination,
     lightest_gf2_xor,
     pentagon_code,
     random_instance,

@@ -25,9 +25,8 @@ from ecic import (  # noqa: E402
 )
 from ecic.errors import InternalContradiction, WeightCapExceeded  # noqa: E402
 from ecic.index_codes import _margins_with_minimizers  # noqa: E402
-from ecic.field_linalg import lightest_combination  # noqa: E402
 
-from helpers import brute_min_distance, lightest_gf2_xor  # noqa: E402
+from helpers import brute_min_distance, lightest_combination, lightest_gf2_xor  # noqa: E402
 from test_min_weight_kernel import max_rows, oracle  # noqa: E402
 
 
