@@ -28,11 +28,17 @@ in a fixed order: a leader of weight w is what every cap >= w returns.  A
 miss walks `coset_leader`'s own order through the packed columns, so its
 first match is the leader `coset_leader` would return; a walk that comes
 up empty goes to `coset_leader`, which raises WeightCapExceeded or
-NoSolution itself.  Before decoding, the exhaustive check fills the memo
-as a leader table: it reads each error of its weight-ordered list once per
-code and keeps, per decoder, the first error seen for each syndrome (the
-leader the search would return, checked like a searched one), so every
-syndrome the check meets is in the table and the check never searches.
+NoSolution itself.
+
+The exhaustive check reads by linearity.  Before decoding it reads each
+error of its weight-ordered list once per code and once more per view
+below full rank (the reduction), and fills the memo as a leader table
+with the first error seen for each syndrome (the leader the search would
+return, checked like a searched one), so every syndrome the check meets
+is in the table and the check never searches.  Per message vector x and
+receiver it reads y = xL with x's side values once; y + e then reads as
+that plus e's reading, one lane add handed to `decode` per (x, e,
+receiver) in place of a lane sum over the word.
 """
 
 from __future__ import annotations
@@ -292,12 +298,22 @@ def _search(dec: ReceiverDecoder, key: int, weight_cap: int) -> tuple:
     return _remember(dec, key, leader)
 
 
+def _word_reading(dec: ReceiverDecoder, word: Sequence[int], side_values: Sequence[int]) -> int:
+    """The packed reading of a word less its side contribution, through the
+    receiver's own columns and side images: one lane sum."""
+    return dec.lanes.lane_sum(
+        chain(map(getitem, dec.columns, word), map(getitem, dec.sides, side_values))
+    )
+
+
 def decode(
     dec: ReceiverDecoder,
-    received: FVector,
-    side_values: Sequence[int],
+    received: Optional[FVector],
+    side_values: Optional[Sequence[int]],
     weight_cap: int,
     truth: Optional[int] = None,
+    *,
+    _read: Optional[int] = None,
 ) -> DecodeOutcome:
     """Syndrome-decode one received word.
 
@@ -305,30 +321,31 @@ def decode(
     the syndrome and the demand lane.  Take the minimum-weight coset
     solution under `weight_cap` and subtract its demand reading.  Raises
     WeightCapExceeded when even the lightest coset member is heavier than
-    the cap (more channel errors than allowed for).
+    the cap (more channel errors than allowed for).  `_read` passes in
+    that reading already taken (the exhaustive check adds a message
+    vector's and an error's); `received` and `side_values` are then unread
+    and may be None.
     """
-    word, columns, sides = received.entries, dec.columns, dec.sides
-    if len(word) != len(columns):
-        raise LengthMismatch("received word length mismatch")
-    if len(side_values) != len(sides):
-        raise LengthMismatch("side-information values must match the side set size")
-    field = dec.code.field
-    if received.field is not field and received.field != field:
-        raise LengthMismatch("vector field/length mismatch")
-    q = field.q
-    for c in side_values:  # a negative c would index sides from the end
-        if not 0 <= c < q:
-            raise ValueError("vector entry outside field range")
-    lanes = dec.lanes
-    acc = lanes.lane_sum(chain(map(getitem, columns, word), map(getitem, sides, side_values)))
-    key = acc & dec.mask
+    field, lanes = dec.code.field, dec.lanes
+    if _read is None:
+        if len(received.entries) != len(dec.columns):
+            raise LengthMismatch("received word length mismatch")
+        if len(side_values) != len(dec.sides):
+            raise LengthMismatch("side-information values must match the side set size")
+        if received.field is not field and received.field != field:
+            raise LengthMismatch("vector field/length mismatch")
+        for c in side_values:  # a negative c would index sides from the end
+            if not 0 <= c < field.q:
+                raise ValueError("vector entry outside field range")
+        _read = _word_reading(dec, received.entries, side_values)
+    key = _read & dec.mask
     entry = dec.leaders.get(key)
     if entry is None or entry[1] > weight_cap:  # not decided at this cap: search
         entry = _search(dec, key, weight_cap)
     estimate, weight, estimate_value = entry
     if not dec.determined:
         raise InternalContradiction("demanded symbol is not uniquely determined")
-    value = lanes._labels[acc >> dec.shift & ((1 << lanes._width) - 1)]
+    value = lanes._labels[_read >> dec.shift & ((1 << lanes._width) - 1)]
     recovered = field._add[value][field._neg[estimate_value]]
     return _outcome((recovered, estimate, weight, None if truth is None else recovered == truth))
 
@@ -449,24 +466,28 @@ def exhaustive_correctness_check(
     errors = [(e, FVector._unchecked(field, e)) for e in _weight_ordered(field.q, N, delta)]
     lanes, columns = reading.lanes, reading.columns
     readings = [lanes.lane_sum([columns[j][v] for j, v in enumerate(e) if v]) for e, _ in errors]
-    for dec in decoders:  # the leader table: the first error seen per syndrome
-        for (e, err), acc in zip(errors, readings):
-            key = (_reduce(lanes, acc, dec.reduction) if dec.reduction else acc) & dec.mask
+    error_reads = []  # per decoder, each error's reading through its view
+    for dec in decoders:  # and the leader table: the first error seen per syndrome
+        reads = [_reduce(lanes, a, dec.reduction) for a in readings] if dec.reduction else readings
+        for (e, err), acc in zip(errors, reads):
+            key = acc & dec.mask
             if key not in dec.leaders:
                 _remember(dec, key, err)
+        error_reads.append(reads)
     determined = next((i for i, dec in enumerate(decoders) if not dec.determined), m)
-    receivers = list(enumerate(decoders[:determined]))
+    receivers = list(zip(decoders[:determined], error_reads))
     sides = [sorted(inst.side_info[i]) for i in range(m)]
-    add = field._add
-    decodes = 0
+    add, decodes = lanes._add, 0
     for x in all_vectors(field, n):
-        plus = [add[a] for a in encode(code, x).entries]  # plus[j][b] = y_j + b
-        side_values = [[x.entries[j] for j in side] for side in sides]
-        truths = [x.entries[d] for d in inst.demands]
-        for e, err in errors:
-            received = FVector._unchecked(field, tuple(map(getitem, plus, e)))
-            for i, dec in receivers:
-                outcome = decode(dec, received, side_values[i], delta, truths[i])
+        y, xs = encode(code, x).entries, x.entries
+        # x's reading per receiver: y = xL read with x's side values, so that
+        # y + e reads as this plus e's reading (the reading is linear)
+        bases = [_word_reading(dec, y, [xs[j] for j in sides[i]])
+                 for i, (dec, _) in enumerate(receivers)]
+        truths = [xs[d] for d in inst.demands]
+        for t, (e, err) in enumerate(errors):
+            for i, ((dec, reads), base) in enumerate(zip(receivers, bases)):
+                outcome = decode(dec, None, None, delta, truths[i], _read=add(base, reads[t]))
                 decodes += 1
                 if not outcome.success:
                     return CheckReport(

@@ -507,9 +507,11 @@ def solve_row_combination(M: FMatrix, target: FVector) -> tuple[FVector, list[FV
 
 def _weight_ordered(q: int, n: int, w: int) -> Iterator[tuple[int, ...]]:
     """Entry tuples of length n over GF(q) with weight <= w, in ascending
-    weight, then lexicographic support, then lexicographic nonzero values.
-    `coset_leader` and the decoder's leader table both walk this one
-    order."""
+    weight, then lexicographic support, then lexicographic nonzero values
+    (none when w < 0).  `coset_leader` and the decoder's leader table both
+    walk this one order."""
+    if w < 0:
+        return
     yield (0,) * n
     nonzero = range(1, q)
     for weight in range(1, min(w, n) + 1):

@@ -1,8 +1,9 @@
-"""Differential property test of `exhaustive_correctness_check` against
+"""Differential property tests of `exhaustive_correctness_check` against
 the per-decode reference in `helpers.check_reference`, on random codes
-that pass and fail, and of the leader table the check fills.  Skipped when
-hypothesis is not installed; `tests/conftest.py` makes it deterministic in
-CI."""
+that pass and fail, of the leader table the check fills, and of the
+reading it hands `decode` against the public `decode`'s.  Skipped when
+hypothesis is not installed; `tests/conftest.py` makes them deterministic
+in CI."""
 
 import pytest
 
@@ -12,35 +13,60 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ecic import (  # noqa: E402
     FMatrix,
+    FVector,
     IcsiInstance,
     LinearIndexCode,
     coset_leader,
     correction_radius,
     decode,
+    encode,
     exhaustive_correctness_check,
     make_field,
+    mat_rank,
 )
 from ecic import decoder  # noqa: E402
+from ecic.field_linalg import _weight_ordered, all_vectors  # noqa: E402
 from ecic.errors import InternalContradiction, WeightCapExceeded  # noqa: E402
 
 from helpers import check_reference  # noqa: E402
 
-# (most messages, longest code) per field order, so that the reference's
-# q^n * V_q(N, 2) * m decodes stay within a few thousand
-LIMITS = {2: (4, 7), 3: (3, 4), 4: (2, 4), 5: (2, 3)}
+# (most messages, longest code, largest delta) per field order, so that the
+# reference's q^n * V_q(N, delta) * m decodes stay within a few thousand (at
+# most 8,100); q >= 7 stops at delta 1 to afford a second message, without
+# which no receiver holds side information
+LIMITS = {
+    2: (4, 7, 2), 3: (3, 4, 2), 4: (2, 4, 2), 5: (2, 3, 2),
+    7: (2, 3, 1), 8: (2, 3, 1), 9: (2, 3, 1),
+}
+
+
+def _reads_demand(field, rows, demand, complement):
+    """Whether the demanded row lies outside the complement rows' span."""
+    span, N = [rows[j] for j in sorted(complement)], len(rows[demand])
+    rank = mat_rank(FMatrix(field, tuple(span), N))
+    return mat_rank(FMatrix(field, (*span, rows[demand]), N)) > rank
 
 
 @st.composite
-def checks(draw):
-    """(code, delta): a random code over GF(2..5) with up to four receivers,
-    and delta in 0..2, cut to the code's correction radius when asked so
-    that passing codes are drawn too.  Half the codes start with an
-    identity block, which keeps every demanded row out of the others'
-    span; then, one time in four, receiver 0's demanded row is redrawn
-    inside the span of its complement rows."""
-    q = draw(st.sampled_from(sorted(LIMITS)))
+def checks(draw, fields=tuple(LIMITS)):
+    """(code, delta): a random code over GF(q), q in `fields`, with up to
+    four receivers, and delta up to the field's limit, cut to the code's
+    correction radius when asked so that passing codes are drawn too.  A
+    third of the codes start with an identity block and a third have rows
+    nonzero at a drawn pivot and zero at the earlier rows' pivots; either
+    keeps every demanded row out of the others' span.  The last third have
+    free random rows, so that codes of rank n - 2 or lower and undetermined
+    receivers after determined ones are drawn too.  Then, one time in four,
+    the rows after the first `keep` (drawn in 1..n-1) are redrawn as
+    combinations of those, row 0's coefficient nonzero (rank deficient,
+    down to rank 1, so that views reduce by several rows), and each
+    receiver whose demanded row this puts in its complement rows' span
+    holds every other message instead; or else, one time in four, a drawn
+    receiver's demanded row is redrawn inside the span of its complement
+    rows."""
+    q = draw(st.sampled_from(fields))
     field = make_field(q)
-    max_n, max_N = LIMITS[q]
+    max_n, max_N, max_delta = LIMITS[q]
     n = draw(st.integers(1, max_n))
     m = draw(st.integers(1, 4))
     demands = tuple(draw(st.integers(0, n - 1)) for _ in range(m))
@@ -49,17 +75,40 @@ def checks(draw):
     )
     inst = IcsiInstance(m, n, demands, side)
     N = draw(st.integers(n, max_N))
-    head = n if draw(st.booleans()) else 0
+    shape = draw(st.sampled_from(("identity", "pivoted", "free")))
+    head = n if shape == "identity" else 0
     tail = st.tuples(*[st.integers(0, q - 1)] * (N - head))
     rows = [tuple(int(j == r) for j in range(head)) + draw(tail) for r in range(n)]
-    if draw(st.integers(0, 3)) == 0:
+    if shape == "pivoted":
+        pivots = draw(st.permutations(range(N)))[:n]
+        for r, c in enumerate(pivots):
+            lead = draw(st.integers(1, q - 1))
+            rows[r] = tuple(
+                lead if k == c else 0 if k in pivots[:r] else x for k, x in enumerate(rows[r])
+            )
+    redraw = draw(st.integers(0, 3))
+    if n > 1 and redraw == 0:
+        keep = draw(st.integers(1, n - 1))
+        for r in range(keep, n):
+            combo = [0] * N
+            for j, row in enumerate(rows[:keep]):
+                c = draw(st.integers(int(j == 0), q - 1))
+                combo = [field.add(a, field.mul(c, b)) for a, b in zip(combo, row)]
+            rows[r] = tuple(combo)
+        side = tuple(
+            s if _reads_demand(field, rows, d, inst.complement(i)) else frozenset(range(n)) - {d}
+            for i, (d, s) in enumerate(zip(demands, side))
+        )
+        inst = IcsiInstance(m, n, demands, side)
+    elif redraw == 1:
+        k = draw(st.integers(0, m - 1))
         combo = [0] * N
-        for j in sorted(inst.complement(0)):
+        for j in sorted(inst.complement(k)):
             c = draw(st.integers(0, q - 1))
             combo = [field.add(a, field.mul(c, b)) for a, b in zip(combo, rows[j])]
-        rows[demands[0]] = tuple(combo)
+        rows[demands[k]] = tuple(combo)
     code = LinearIndexCode(inst, field, FMatrix(field, tuple(rows), N))
-    delta = draw(st.integers(0, 2))
+    delta = draw(st.integers(0, max_delta))
     radius = correction_radius(code)
     if radius is not None and draw(st.booleans()):
         delta = min(delta, radius)
@@ -102,3 +151,36 @@ def test_check_matches_the_per_decode_reference(case):
                 side = [0] * dec.side_rows.nrows
                 with pytest.raises(WeightCapExceeded):
                     decode(dec, leader, side, weight - 1)
+
+
+@pytest.mark.parametrize("q", sorted(LIMITS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_check_reads_each_word_as_the_public_decode_does(q, data):
+    """The check hands `decode` a reading taken by linearity (x's reading
+    plus the error's, each through the receiver's own view): for every
+    (x, error, receiver) it decodes, that is what the public `decode`
+    reads off the received word y + e and x's side values, and the public
+    outcome is the one the check got."""
+    code, delta = data.draw(checks((q,)))
+    calls = []
+
+    def record(dec, *args, _read=None, **kwargs):
+        outcome = decode(dec, *args, _read=_read, **kwargs)
+        calls.append((dec, _read, outcome))
+        return outcome
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoder, "decode", record)
+        report = exhaustive_correctness_check(code, delta)
+    assert len(calls) == report.decodes
+    field, inst = code.field, code.inst
+    words = ((x, e) for x in all_vectors(field, inst.num_messages)
+             for e in _weight_ordered(field.q, code.length, delta))
+    for dec, read, outcome in calls:
+        if dec.frame.index == 0:
+            x, e = next(words)
+        side = [x.entries[j] for j in sorted(dec.frame.side_info)]
+        received = encode(code, x).add(FVector(field, e))
+        assert read == decoder._word_reading(dec, received.entries, side)
+        assert decode(dec, received, side, delta, x.entries[dec.frame.demand]) == outcome

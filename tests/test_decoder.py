@@ -31,7 +31,15 @@ from ecic import decoder, field_linalg
 from ecic.decoder import CheckReport
 from ecic.field_linalg import row_basis
 
-from helpers import F2, F3, example1_code, pentagon_code, random_instance, random_matrix
+from helpers import (
+    F2,
+    F3,
+    check_reference,
+    example1_code,
+    pentagon_code,
+    random_instance,
+    random_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +200,23 @@ def test_weight_cap_exceeded():
         decode(dec, y, side_values=(0, 1), weight_cap=0)
 
 
+def test_negative_weight_cap_is_exceeded_even_by_the_zero_error():
+    """No vector has weight <= -1, so a negative cap is exceeded at every
+    entry point, a remembered weight-0 leader included."""
+    code = pentagon_code()
+    dec = build_receiver_decoder(code, 0)
+    assert list(field_linalg._weight_ordered(2, 9, -1)) == []
+    with pytest.raises(WeightCapExceeded):
+        field_linalg.coset_leader(dec.parity, FVector(F2, (0,) * dec.parity.nrows), -1)
+    x = FVector(F2, (1, 0, 1, 1, 0))
+    y, side = encode(code, x), [x.entries[j] for j in sorted(code.inst.side_info[0])]
+    assert decode(dec, y, side, 0).estimate_weight == 0
+    with pytest.raises(WeightCapExceeded):
+        decode(dec, y, side, -1)
+    with pytest.raises(WeightCapExceeded):
+        simulate_round(code, x, FVector(F2, (0,) * 9), delta=0, weight_cap=-1)
+
+
 def test_beyond_radius_can_be_wrong_but_is_flagged():
     report = exhaustive_correctness_check(example1_code(), 2)
     assert not report.ok
@@ -345,6 +370,21 @@ def test_exhaustive_check_without_receivers_decodes_nothing(monkeypatch):
     assert exhaustive_correctness_check(code, 1) == CheckReport(True, 0, None)
     empty = LinearIndexCode(IcsiInstance(0, 0, (), ()), F2, FMatrix(F2, (), 0))
     assert simulate_round(empty, FVector(F2, ()), FVector(F2, ()), 1) == []
+
+
+def test_estimate_outside_the_relevant_set_is_a_counterexample(monkeypatch):
+    """With the relevance test answering no, the first decode whose
+    estimate is not the true error fails the check: at x = 0, error
+    e_1 + e_4 and receiver 1, as the per-decode reference finds too."""
+    monkeypatch.setattr(decoder, "_relevant", lambda *a: False)
+    report = exhaustive_correctness_check(pentagon_code(), 2)
+    ce = report.counterexample
+    assert (report.ok, report.decodes, ce.kind, ce.receiver) == (
+        False, 102, "estimate-outside-relevant-set", 1
+    )
+    assert ce.x.is_zero() and ce.error.entries == (0, 1, 0, 0, 1, 0, 0, 0, 0)
+    assert ce.outcome.success and ce.outcome.error_estimate != ce.error
+    assert report == check_reference(pentagon_code(), 2)
 
 
 def test_exhaustive_check_budget():
