@@ -10,14 +10,15 @@ budget.
 
 The hit table is packed once, by `class_table`: class c's row is one int
 whose byte t is 1 if c hits target t and 0 if not, so a row's `bit_count()`
-is the number of targets it hits.  Every search reads these rows as they
-are.  Per-target hit counts and quotas use the same eight-bit lanes, so a
-pick adds its row to the counts, and the per-target prune ("some target
-cannot reach its quota even if every remaining pick hits it, counting only
-classes still allowed") is a single SWAR comparison.  Counts, quotas and
-prune bounds never exceed the multiset size, so that size is capped at 120
-to keep every packed byte below 128, where the byte-wise comparison is
-exact.
+is the number of targets it hits.  `PackedRows` computes the products, as
+it does every other GF(q) combination.  Every search reads these rows as
+they are.  Per-target hit counts and quotas use the same eight-bit lanes,
+so a pick adds its row to the counts, and the per-target prune ("some
+target cannot reach its quota even if every remaining pick hits it,
+counting only classes still allowed") is a single SWAR comparison.
+Counts, quotas and prune bounds never exceed the multiset size, so that
+size is capped at 120 to keep every packed byte below 128, where the
+byte-wise comparison is exact.
 
 Deficit bound: the deficit D = sum_t max(0, quota_t - hits_t) is carried
 down the search, exactly (a pick lowers it by the number of still-short
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, CapExceeded
-from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FMatrix
+from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FMatrix, PackedRows
 
 _WIDTH = 8
 _MAX_SIZE = 120
@@ -81,42 +82,28 @@ def projective_classes(field: Field, n: int) -> list[tuple[int, ...]]:
     return reps
 
 
-def class_hit_sets(
-    field: Field, columns: Sequence[tuple[int, ...]], targets: Sequence[tuple[int, ...]]
-) -> list[int]:
-    """For each column class, its packed hit row: an int whose byte t is 1
-    if the class has a nonzero inner product with target t, else 0."""
-    add, mul = field._add, field._mul
-    out = []
-    for col in columns:
-        support = [(j, a) for j, a in enumerate(col) if a]
-        row = bytearray(len(targets))
-        for ti, z in enumerate(targets):
-            acc = 0
-            for j, a in support:
-                if z[j]:
-                    acc = add[acc][mul[a][z[j]]]
-            if acc:
-                row[ti] = 1
-        out.append(int.from_bytes(row, "little"))
-    return out
-
-
 def class_table(
     field: Field, n: int, targets: Sequence[tuple[int, ...]] | None = None,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """The projective classes of F_q^n and each one's packed hit row over
-    the targets (the classes themselves when `targets` is None), one byte
-    per target.  BudgetExceeded is raised before anything is built when
-    classes x targets exceeds `budget`, so the rows hold at most `budget`
-    bytes."""
+    the targets (the classes themselves when `targets` is None): an int
+    whose byte t is 1 if the class has a nonzero inner product with target
+    t, else 0.  Row j of the packed rows holds every target's j-th entry,
+    so a class's products with all targets are one lane sum, and its hit
+    row is that sum's support.  BudgetExceeded is raised before anything
+    is built when classes x targets exceeds `budget`, so the rows hold at
+    most `budget` bytes."""
     count = (field.q**n - 1) // (field.q - 1)
     width = count if targets is None else len(targets)
     if count * width > budget:
         raise BudgetExceeded(f"{count} column classes x {width} targets exceed budget {budget}")
     columns = projective_classes(field, n)
-    return columns, class_hit_sets(field, columns, columns if targets is None else targets)
+    targets = columns if targets is None else targets
+    lanes = PackedRows(field, [[z[j] for z in targets] for j in range(n)], len(targets))
+    multiples = [lanes.multiples(j) for j in range(n)]
+    sums = (lanes.lane_sum([multiples[j][a] for j, a in enumerate(col) if a]) for col in columns)
+    return columns, [int.from_bytes(lanes.support(s), "little") for s in sums]
 
 
 def classes_matrix(
@@ -192,7 +179,7 @@ def multiset_cover_search(
     """Decide whether some size-`size` multiset of classes hits every
     target t at least quotas[t] >= 0 times.
 
-    hit_sets[c] is class c's packed hit row (see `class_hit_sets`).
+    hit_sets[c] is class c's packed hit row (see `class_table`).
     Exhaustive unless the node budget trips (then BudgetExceeded carries
     the node count); a returned found=False is a proof of infeasibility.
     `orbits`, if given, labels each class with its orbit under a group of

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from ._cover import DEFAULT_NODE_BUDGET, class_table, classes_matrix, multiset_cover_search
@@ -175,19 +175,7 @@ class BoundsReport:
     upper: Optional[int]
 
     def to_doc(self) -> dict:
-        return {
-            "q": self.q,
-            "delta": self.delta,
-            "alpha": self.alpha,
-            "kappa": self.kappa,
-            "alpha_bound": self.alpha_bound,
-            "kappa_bound": self.kappa_bound,
-            "singleton": self.singleton,
-            "random_coding": self.random_coding,
-            "mds_equality": self.mds_equality,
-            "lower": self.lower,
-            "upper": self.upper,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         rows = [

@@ -16,11 +16,12 @@ coefficient tuples in lexicographic order.  Rows are packed once, with
 all their multiples, as base-p digit lanes in one integer, so each step
 is one integer add of a precomputed change with every lane reduced mod p
 at once (one XOR in characteristic 2), and a weight is one `bit_count`.
-Receiver margins pack a code's rows once and `code_min_distance` its
-basis.  The test suite checks the kernel against brute force and, on
-GF(2), against an XOR walk over suffix sums.  Every elimination (rank,
-row basis, parity check, linear solve) is one reduced row echelon form,
-`_rref`.
+Receiver margins pack a code's rows once, `code_min_distance` its basis
+and the cover search's hit table its targets (a hit row is a lane sum's
+`support`, the nonzero flags a weight counts).  The test suite checks the
+kernel against brute force and, on GF(2), against an XOR walk over suffix
+sums.  Every elimination (rank, row basis, parity check, linear solve) is
+one reduced row echelon form, `_rref`.
 """
 
 from __future__ import annotations
@@ -552,6 +553,7 @@ def coset_leader(H: FMatrix, s: FVector, weight_cap: int) -> FVector:
     raise WeightCapExceeded(f"no solution of weight <= {weight_cap}")
 
 
+_FLAG_BYTES = bytes.maketrans(b"01", b"\0\1")  # a binary digit string as 0/1 bytes
 _BLOCK = 1 << 12  # the fastest digits' odometer steps, precomputed as one list
 
 
@@ -637,6 +639,15 @@ class PackedRows:
         labels, width = self._labels, self._width
         mask = (1 << width) - 1
         return tuple([labels[packed >> j * width & mask] for j in lanes])
+
+    def support(self, packed: int) -> bytes:
+        """One byte per symbol of a packed (unbiased) vector: 1 where the
+        symbol is nonzero, else 0."""
+        width = self._width
+        flags = (packed + self._bias + self._sym_bias) & self._sym_top
+        # a leading 1 above the last symbol fixes the string's length
+        digits = format(flags >> (width - 1) | 1 << self.ncols * width, "b")
+        return digits[:0:-width].encode().translate(_FLAG_BYTES)
 
     def lane_sum(self, terms: Iterable[int]) -> int:
         """Sum of packed (unbiased) vectors, every lane reduced mod p."""

@@ -305,7 +305,7 @@ class _Analysis:
     """What the cover searches need from one (instance, q), whatever delta
     and length: the confusable vectors up to scaling (the targets), the
     projective column classes, each column class's packed hit row over the
-    targets (`_cover.class_hit_sets`), and the class orbits under the
+    targets (`_cover.class_table`), and the class orbits under the
     instance's automorphisms."""
 
     inst: IcsiInstance

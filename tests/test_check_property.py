@@ -115,10 +115,10 @@ def checks(draw, fields=tuple(LIMITS)):
     return code, delta
 
 
-@settings(deadline=None)
-@given(checks())
-def test_check_matches_the_per_decode_reference(case):
-    code, delta = case
+def _assert_matches_reference(code, delta):
+    """The check's report is the per-decode reference's, every syndrome it
+    meets is in the leader table, and the table's entries are the coset
+    leaders `decode` would search for."""
     built, searched = [], []
     with pytest.MonkeyPatch.context() as mp:
         build, search = decoder.build_receiver_decoder, decoder.coset_leader
@@ -151,6 +151,21 @@ def test_check_matches_the_per_decode_reference(case):
                 side = [0] * dec.side_rows.nrows
                 with pytest.raises(WeightCapExceeded):
                     decode(dec, leader, side, weight - 1)
+
+
+@settings(deadline=None)
+@given(checks())
+def test_check_matches_the_per_decode_reference(case):
+    _assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("q", sorted(LIMITS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_check_matches_the_per_decode_reference_at_each_q(q, data):
+    """The same comparison with every example at one field order, so that
+    no q gets few codes or none."""
+    _assert_matches_reference(*data.draw(checks((q,))))
 
 
 @pytest.mark.parametrize("q", sorted(LIMITS))

@@ -86,6 +86,19 @@ def test_bounds_json(capsys):
     assert (doc["lower"], doc["upper"], doc["singleton"]) == (8, 10, 7)
 
 
+def test_bounds_json_stdout_is_pinned(capsys):
+    """Every field of the report, in declaration order."""
+    code, out, _ = run(
+        capsys, "bounds", "--instance", "pentagon", "--q", "2", "--delta", "2", "--format", "json"
+    )
+    assert code == 0
+    assert out == (
+        '{\n  "q": 2,\n  "delta": 2,\n  "alpha": 2,\n  "kappa": 3,\n  "alpha_bound": 8,\n'
+        '  "kappa_bound": 10,\n  "singleton": 7,\n  "random_coding": 16,\n'
+        '  "mds_equality": false,\n  "lower": 8,\n  "upper": 10\n}\n'
+    )
+
+
 def test_verify_pass_and_fail(capsys, pentagon_file, example1_file):
     code, out, _ = run(
         capsys, "verify", "--instance", "pentagon",

@@ -329,6 +329,18 @@ def test_min_distance_of_zero_code_rejected():
         code_min_distance(FMatrix(F2, ((0, 0),), 2))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 256])
+def test_packed_support_is_one_byte_per_symbol(q):
+    """Every lane layout: GF(2)'s bits, p = 2 extensions with a spare top
+    bit, odd-prime lanes and odd-p extensions; no symbols give no bytes."""
+    field, rng = make_field(q), random.Random(q)
+    for ncols in (0, 1, 2, 7, 40):
+        for _ in range(5):
+            row = [rng.choice((0, rng.randrange(q))) for _ in range(ncols)]
+            packed = field_linalg.PackedRows(field, [row], ncols)
+            assert packed.support(packed.multiples(0)[1]) == bytes(int(x != 0) for x in row)
+
+
 # ---------------------------------------------------------------------------
 # matrix text format
 

@@ -20,9 +20,9 @@ from ecic import (
     shortest_code_length,
 )
 from ecic._cover import (
-    class_hit_sets,
     class_orbits,
     class_permutation,
+    class_table,
     classes_matrix,
     multiset_cover_search,
     projective_classes,
@@ -62,8 +62,7 @@ def test_systematic_search_agrees_with_unrestricted_search():
     for q in (2, 3, 4):
         field = make_field(q)
         for k in range(1, 5):
-            classes = projective_classes(field, k)
-            hit_sets = class_hit_sets(field, classes, classes)
+            classes, hit_sets = class_table(field, k)
             units = {tuple(int(r == i) for r in range(k)) for i in range(k)}
             for d in range(1, 6):
                 for n in range(max(k, d), griesmer(q, k, d) + 2):
