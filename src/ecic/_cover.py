@@ -33,15 +33,31 @@ counted as nodes.  First picks are always counted.  The bound removes only
 subtrees that hold no feasible multiset, so the first feasible multiset in
 visit order, and with it the witness, is the one an unpruned scan returns.
 
-Symmetry: when a group of class permutations maps hit sets onto hit sets
-(under a matching permutation of targets with equal quotas), a multiset is
-feasible iff its image is.  Given the group's class orbits, the scan skips
-every first pick that has an earlier class (in visit order) in its orbit.
-This stays exhaustive: if some feasible multiset has smallest class c0 and
-g maps c0 to an earlier class, the feasible image g(M) has a smaller first
-pick, so the earliest first pick whose subtree holds a feasible multiset is
-always an orbit representative.  For the same reason the witness returned
-is the one the unpruned scan returns.
+Symmetry (isomorph rejection at every depth, as in code classification:
+Kaski & Östergård 2006): a symmetry is a class permutation g that maps hit
+sets onto hit sets under a permutation of targets with equal quotas, so a
+multiset M is feasible iff g(M) is.  Given a list of symmetries, a child c
+below picks P is skipped when some listed g fixes every class of P and
+sends c to an earlier class in visit order.  At the root P is empty and
+this skips every first pick that is not the earliest of its orbit.  The
+rule keeps the first feasible multiset M in visit order: if g fixes M's
+first d picks and sent its pick c_d earlier, the feasible g(M) would
+contain those picks and a class before c_d, so sorted it would come before
+M.  Nothing in that argument needs the list to be a group, so any subset
+of the symmetries is exact too: the answer, the witness and every proof
+stay those of the unpruned scan, and only node counts fall.  The work is
+bounded by the list's length, never by a stabilizer's size: per visit
+position two bitmasks over the list mark the symmetries that fix the
+class and those that send it earlier (made once per hit table and list,
+with the visit order: `VisitOrder`), and a node carries the bitmask of
+those fixing all its picks (the pointwise stabilizer, as one int).  The
+first time a search meets a stabilizer it ANDs it with every class's mask
+into one byte per class, kept for the search, and a node with that
+stabilizer reads its children through those bytes.  Stabilizers are
+few: at most 120 in one search of the questions measured, 0.3 MB with
+their keys (N_2[12, 8, 3] under the 40,319 permutations of S_8).  The callers cut their lists at the enumeration budget
+(`class_symmetries`); the rule runs at every depth, which measured faster
+than stopping it at depth 1, 2, 3 or 4.
 
 `local_cover_search` is the heuristic beside this exhaustive kernel: a
 tabu search on the same packed rows, counts and deficit that finds witnesses
@@ -54,6 +70,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
+import struct
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -124,38 +142,85 @@ def canonical_class(vec: Sequence[int], field: Field) -> tuple[int, ...]:
     return tuple(mul[c][x] for x in vec)
 
 
-def class_permutation(
-    field: Field, classes: Sequence[tuple[int, ...]], perm: Sequence[int]
-) -> list[int]:
-    """Where each class goes when coordinate j is moved to perm[j].  The
-    class list must be closed under that coordinate permutation."""
-    index = {c: i for i, c in enumerate(classes)}
+def class_permutations(
+    field: Field, classes: Sequence[tuple[int, ...]], perms: Iterable[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """Where each class goes when coordinate j is moved to perm[j], one
+    tuple per perm.  The class list must be closed under each of them.
+
+    Coordinate j of every class is one byte of a column, so moving the
+    coordinates reorders the columns.  Each moved vector is then scaled by
+    the inverse of its first nonzero symbol: per symbol value a, one byte
+    translation of each column, kept on the classes whose lead is a."""
+    count = len(classes)
+    columns = [bytes(col) for col in zip(*classes)]
+    index = dict(zip(classes, range(count)))
+    nonzero = bytes(1) + b"\xff" * 255
+    # per nonzero symbol a: 0xff where a byte is a, and the product by 1/a
+    scalings = [
+        (bytes(255 * (x == a) for x in range(256)),
+         bytes(field._mul[field.inv(a)]) + bytes(256 - field.q))
+        for a in range(1, field.q)
+    ]
     out = []
-    for c in classes:
-        moved = [0] * len(c)
-        for j, x in enumerate(c):
-            moved[perm[j]] = x
-        out.append(index[canonical_class(moved, field)])
+    for perm in perms:
+        moved = [b""] * len(perm)
+        for j, to in enumerate(perm):
+            moved[to] = columns[j]
+        lead = 0  # byte c: class c's first nonzero moved symbol
+        for col in reversed(moved):
+            keep = int.from_bytes(col.translate(nonzero), "little")
+            lead = lead & ~keep | int.from_bytes(col, "little") & keep
+        leads = lead.to_bytes(count, "little")
+        scaled = [0] * len(moved)
+        for lead_is, times in scalings:
+            mine = int.from_bytes(leads.translate(lead_is), "little")
+            for t, col in enumerate(moved):
+                scaled[t] |= int.from_bytes(col.translate(times), "little") & mine
+        out.append(tuple(map(index.__getitem__, zip(*(x.to_bytes(count, "little") for x in scaled)))))
     return out
 
 
-def class_orbits(num_classes: int, permutations: Iterable[Sequence[int]]) -> list[int]:
-    """Orbit label per class under the group the permutations generate: the
-    smallest class index in its orbit."""
-    parent = list(range(num_classes))
-
-    def root(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for perm in permutations:
-        for c, image in enumerate(perm):
-            a, b = root(c), root(image)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    return [root(c) for c in range(num_classes)]
+def class_symmetries(
+    field: Field, classes: Sequence[tuple[int, ...]],
+    generators: Iterable[Sequence[int]], budget: int,
+) -> list[Sequence[int]]:
+    """The group that the coordinate permutations `generators` generate,
+    as permutations of `classes` (see `class_permutations`), identity left
+    out, in breadth-first order from the generators.  Each element is a
+    bytes when there are at most 256 classes, else a tuple, and the list
+    stops at `budget` bytes (a class is one byte, or eight as a tuple
+    slot): any subset of the group serves `multiset_cover_search` exactly.
+    """
+    count = len(classes)
+    small = count <= 256
+    room = budget // (count * (1 if small else 8)) if count else 0
+    identity = tuple(range(count))
+    gens = set(class_permutations(field, classes, generators)) - {identity}
+    if small:
+        pad = bytes(range(count, 256))
+        identity = bytes(identity)
+        steps = [bytes(g) + pad for g in sorted(gens)]
+        compose = bytes.translate  # p.translate(t)[c] = t[p[c]]
+    else:
+        steps = sorted(gens)
+        compose = lambda p, g: operator.itemgetter(*p)(g)  # [g[p[c]] for c]
+    seen = {identity}
+    out: list[Sequence[int]] = []
+    frontier = [identity]
+    while frontier and len(out) < room:
+        later = []
+        for p in frontier:
+            for t in steps:
+                g = compose(p, t)
+                if g not in seen:
+                    seen.add(g)
+                    later.append(g)
+                    out.append(g)
+                    if len(out) == room:
+                        return out
+        frontier = later
+    return out
 
 
 def _lanes(values: Sequence[int]) -> int:
@@ -168,13 +233,80 @@ def _visit_order(hit_sets: Sequence[int]) -> list[int]:
     return sorted(range(len(hit_sets)), key=lambda c: (-hit_sets[c].bit_count(), c))
 
 
+def _stabilizer_masks(
+    symmetries: Sequence[Sequence[int]], order: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Per visit position i, two bitmasks over the symmetries: bit j of
+    fixes[i] is set if symmetry j maps class order[i] to itself, and bit j
+    of earlier[i] if it maps that class to one earlier in visit order.
+
+    Each symmetry is read once: the visit positions of every class and of
+    its image sit in 32-bit lanes of two ints, whose top bits guard the
+    subtractions that compare all the lanes at once.  Eight symmetries fill
+    a byte per class, written into that class's lane of bytes."""
+    count = len(order)
+    pos = [0] * count
+    for i, c in enumerate(order):
+        pos[c] = i
+    pack = struct.Struct(f"<{count}I").pack
+    top = int.from_bytes(b"\0\0\0\x80" * count, "little")
+    at = int.from_bytes(pack(*pos), "little") | top
+    width = (len(symmetries) + 7) // 8
+    lanes = (bytearray(width * count), bytearray(width * count))
+    for k in range(0, len(symmetries), 8):
+        same = sooner = 0  # bit j of lane c: symmetry k + j fixes c, or sends it earlier
+        for j, g in enumerate(symmetries[k:k + 8]):
+            to = int.from_bytes(pack(*map(pos.__getitem__, g)), "little")
+            up = (at - to) & top  # top bit of lane c: pos[c] >= pos[g[c]]
+            down = ((to | top) - (at ^ top)) & top  # pos[g[c]] >= pos[c]
+            same |= (up & down) >> (31 - j)
+            sooner |= (up & ~down) >> (31 - j)
+        lanes[0][k // 8::width] = same.to_bytes(4 * count, "little")[::4]
+        lanes[1][k // 8::width] = sooner.to_bytes(4 * count, "little")[::4]
+
+    def by_visit(buf: bytearray) -> list[int]:
+        return [int.from_bytes(buf[c * width:(c + 1) * width], "little") for c in order]
+
+    return by_visit(lanes[0]), by_visit(lanes[1])
+
+
+@dataclass(frozen=True)
+class VisitOrder:
+    """What `multiset_cover_search` reads of one hit table and symmetry
+    list, whatever the quotas and the size, listed by visit position: so
+    a caller that searches one table many times builds it once."""
+
+    order: list[int]  # class indices, high-coverage first (`_visit_order`)
+    adds: list[int]  # their hit rows
+    # the rows' sizes: non-increasing, so a deficit bound at one class holds
+    # for every later one
+    sizes: list[int]
+    # live_low[s]: packed 1 per target hit by some class at position >= s
+    live_low: list[int]
+    fixes: list[int]  # see `_stabilizer_masks`
+    earlier: list[int]
+    everyone: int  # the bitmask of every symmetry
+
+    @classmethod
+    def build(cls, hit_sets: Sequence[int], symmetries: Sequence[Sequence[int]] = ()) -> "VisitOrder":
+        order = _visit_order(hit_sets)
+        adds = [hit_sets[c] for c in order]
+        live_low = [0] * (len(order) + 1)
+        for s in range(len(order) - 1, -1, -1):
+            live_low[s] = live_low[s + 1] | adds[s]
+        fixes, earlier = _stabilizer_masks(symmetries, order)
+        return cls(order, adds, [h.bit_count() for h in adds], live_low,
+                   fixes, earlier, (1 << len(symmetries)) - 1)
+
+
 def multiset_cover_search(
     hit_sets: Sequence[int],
     quotas: Sequence[int],
     size: int,
     node_budget: int,
     *,
-    orbits: Sequence[int] | None = None,
+    symmetries: Sequence[Sequence[int]] = (),
+    _visit: VisitOrder | None = None,
 ) -> CoverResult:
     """Decide whether some size-`size` multiset of classes hits every
     target t at least quotas[t] >= 0 times.
@@ -182,10 +314,13 @@ def multiset_cover_search(
     hit_sets[c] is class c's packed hit row (see `class_table`).
     Exhaustive unless the node budget trips (then BudgetExceeded carries
     the node count); a returned found=False is a proof of infeasibility.
-    `orbits`, if given, labels each class with its orbit under a group of
-    symmetries of the instance (see the module docstring); first picks
-    that are not orbit representatives are skipped, and the outcome and
-    witness do not change.
+    `symmetries`, if given, are class permutations that each map hit rows
+    onto hit rows under a permutation of targets with equal quotas (see
+    the module docstring); a child that one of them fixing every pick so
+    far sends to an earlier class is skipped, and the outcome and witness
+    do not change.  `_visit` passes in `VisitOrder.build(hit_sets,
+    symmetries)`, made once by a caller that searches one table many
+    times; `symmetries` is not read then.
     """
     need = max(quotas, default=0)
     if need <= 0:
@@ -196,25 +331,32 @@ def multiset_cover_search(
     if need > size:
         return CoverResult(False, None, 0)  # each target gets at most one hit per pick
 
-    order = _visit_order(hit_sets)
-    adds = [hit_sets[c] for c in order]
-    # non-increasing along visit order, so a deficit bound at one class holds
-    # for every later one
-    sizes = [h.bit_count() for h in adds]
+    visit = VisitOrder.build(hit_sets, symmetries) if _visit is None else _visit
+    adds, sizes, live_low = visit.adds, visit.sizes, visit.live_low
+    fixes, earlier = visit.fixes, visit.earlier
     high = _lanes([0x80] * len(quotas))
     thresh_low = _lanes(quotas)
-    # live_low[s]: packed 1 per target hit by some class with index >= s
-    live_low = [0] * (len(order) + 1)
-    for s in range(len(order) - 1, -1, -1):
-        live_low[s] = live_low[s + 1] | adds[s]
     nodes = 0
     path: list[int] = []
+    everywhere = range(len(adds))
+    # per stabilizer met, a byte per visit position: 1 where no symmetry of
+    # it sends the class earlier
+    kept: dict[int, memoryview] = {}
 
-    def dfs(picks: Iterable[int], rem: int, cnt: int, deficit: int, cut: bool = True) -> bool:
-        """Try each class of `picks` as the next of `rem` picks below a node
-        with hit counts `cnt` that passed every check.  With `cut`, stop at
-        the first class from which no `rem` picks close the deficit."""
+    def dfs(start: int, stab: int, rem: int, cnt: int, deficit: int,
+            cut: bool = True) -> bool:
+        """Try each class from visit position `start` on as the next of
+        `rem` picks below a node with hit counts `cnt` that passed every
+        check, and whose picks every symmetry in the bitmask `stab` fixes.
+        With `cut`, stop at the first class from which no `rem` picks close
+        the deficit."""
         nonlocal nodes
+        picks: Iterable[int] = everywhere[start:]
+        if stab:  # skip each class that a symmetry fixing every pick sends earlier
+            keep = kept.get(stab)
+            if keep is None:
+                keep = kept[stab] = memoryview(bytes(not stab & e for e in earlier))
+            picks = itertools.compress(picks, keep[start:])
         # (cnt | high) - thresh_low never borrows across bytes, so this marks
         # exactly the targets still short of their quota.
         short_low = (high ^ (((cnt | high) - thresh_low) & high)) >> (_WIDTH - 1)
@@ -237,24 +379,17 @@ def multiset_cover_search(
             if ((ub | high) - thresh_low) & high != high:
                 continue
             path.append(c)
-            if dfs(range(c, len(adds)), below, child, left):
+            if dfs(c, stab & fixes[c], below, child, left):
                 return True
             path.pop()
         return False
 
-    # First picks: one class per orbit, the earliest in visit order.  The
-    # root is not cut: every one of them counts as a node, so orbit pruning
-    # shows in the count even where the bound refutes the whole scan.
-    seen: set[int] = set()
-    firsts = []
-    for i, c in enumerate(order):
-        label = c if orbits is None else orbits[c]
-        if label not in seen:
-            firsts.append(i)
-            seen.add(label)
-    if not dfs(firsts, size, 0, sum(quotas), cut=False):
+    # The root is not cut: every first pick that survives the symmetries
+    # counts as a node, so they show in the count even where the bound
+    # refutes the whole scan.
+    if not dfs(0, visit.everyone, size, 0, sum(quotas), cut=False):
         return CoverResult(False, None, nodes)
-    return CoverResult(True, tuple(sorted(order[i] for i in path)), nodes)
+    return CoverResult(True, tuple(sorted(visit.order[i] for i in path)), nodes)
 
 
 def _trivial_fill(hit_sets: Sequence, size: int) -> tuple[int, ...] | None:

@@ -18,9 +18,16 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from ._cover import DEFAULT_NODE_BUDGET, class_table, classes_matrix, multiset_cover_search
+from ._cover import (
+    DEFAULT_NODE_BUDGET,
+    VisitOrder,
+    class_symmetries,
+    class_table,
+    classes_matrix,
+    multiset_cover_search,
+)
 from .errors import BudgetExceeded, CapExceeded, UnknownCodeLength
-from .field_linalg import Field, FMatrix, make_field
+from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FMatrix, make_field
 from .index_codes import _check_delta, generalized_independence_number, min_rank
 from .instance import IcsiInstance
 
@@ -32,14 +39,41 @@ def sphere_volume(q: int, length: int, radius: int) -> int:
     return sum(math.comb(length, i) * (q - 1) ** i for i in range(radius + 1))
 
 
-def code_exists(q: int, k: int, d: int, length: int, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+def code_exists(
+    q: int, k: int, d: int, length: int, node_budget: int = DEFAULT_NODE_BUDGET,
+    *, _table: Optional[_CodeTable] = None,
+) -> bool:
     """Exhaustively decide whether a linear [length, k, >= d] code over GF(q)
     exists, via column-multiset search."""
-    return find_code_generator(q, k, d, length, node_budget) is not None
+    return find_code_generator(q, k, d, length, node_budget, _table=_table) is not None
+
+
+@dataclass(frozen=True)
+class _CodeTable:
+    """The (q, k) classes shared by every length of a code scan: the
+    projective classes of F_q^k, their packed hit rows over the same
+    classes as messages, the coordinate permutations of F_q^k as class
+    permutations, listed within DEFAULT_ENUM_BUDGET bytes, and the
+    kernel's `VisitOrder` of the two."""
+
+    field: Field
+    classes: list[tuple[int, ...]]
+    hit_sets: list[int]
+    symmetries: list
+    visit: VisitOrder
+
+    @classmethod
+    def build(cls, q: int, k: int) -> "_CodeTable":
+        field = make_field(q)
+        classes, hit_sets = class_table(field, k)
+        moves = [(1, 0) + tuple(range(2, k)), tuple(range(1, k)) + (0,)] if k > 1 else []
+        symmetries = class_symmetries(field, classes, moves, DEFAULT_ENUM_BUDGET)
+        return cls(field, classes, hit_sets, symmetries, VisitOrder.build(hit_sets, symmetries))
 
 
 def find_code_generator(
-    q: int, k: int, d: int, length: int, node_budget: int = DEFAULT_NODE_BUDGET
+    q: int, k: int, d: int, length: int, node_budget: int = DEFAULT_NODE_BUDGET,
+    *, _table: Optional[_CodeTable] = None,
 ) -> Optional[FMatrix]:
     """A k x length generator of minimum distance >= d, or None if none
     exists (exhaustively established).  Both the columns and the nonzero
@@ -50,21 +84,25 @@ def find_code_generator(
     class z at least d - wt(z) further nonzero coordinates.  Nothing is
     lost, since a generator with d >= 1 has full rank and so has k
     independent columns B; B^-1 times it is a systematic generator of a
-    code with the same weights.  A returned generator contains the unit
-    columns.
+    code with the same weights.  A permutation of the k coordinates maps
+    the unit columns onto themselves and keeps every weight and inner
+    product, so the coordinate permutations are the search's
+    `symmetries`: they prune isomorphic branches and change neither the
+    answer nor the generator.  A returned generator contains the unit
+    columns.  `_table` passes in the (q, k) table a length scan shares.
     """
     if k < 1:
         raise ValueError("dimension must be positive")
     if length < k or length < d:
         return None
-    field = make_field(q)
-    classes, hit_sets = class_table(field, k)
+    table = _table or _CodeTable.build(q, k)
+    classes = table.classes
     units = [classes.index(tuple(int(r == i) for r in range(k))) for i in range(k)]
     residual = [max(0, d - sum(1 for x in z if x)) for z in classes]
-    res = multiset_cover_search(hit_sets, residual, length - k, node_budget)
+    res = multiset_cover_search(table.hit_sets, residual, length - k, node_budget, _visit=table.visit)
     if not res.found:
         return None
-    return classes_matrix(field, classes, sorted(units + list(res.classes)), k)
+    return classes_matrix(table.field, classes, sorted(units + list(res.classes)), k)
 
 
 def _griesmer_length(q: int, k: int, d: int) -> int:
@@ -73,7 +111,10 @@ def _griesmer_length(q: int, k: int, d: int) -> int:
     return sum(-(-d // q**i) for i in range(k))
 
 
-def shortest_code_length(q: int, k: int, d: int, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
+def shortest_code_length(
+    q: int, k: int, d: int, node_budget: int = DEFAULT_NODE_BUDGET,
+    *, _table: Optional[_CodeTable] = None,
+) -> int:
     """Exact length of the shortest [N, k, d'] linear code with d' >= d.
 
     Scans lengths upward from the Griesmer bound sum_{i<k} ceil(d / q^i),
@@ -84,6 +125,8 @@ def shortest_code_length(q: int, k: int, d: int, node_budget: int = DEFAULT_NODE
     attained (by the empty, repetition and identity codes) and is returned
     without search.
     Raises UnknownCodeLength when the node budget runs out mid-scan.
+    The scan builds one (q, k) table for all its lengths, or reads
+    `_table`, one a caller shares with `find_code_generator`.
     """
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
@@ -93,8 +136,9 @@ def shortest_code_length(q: int, k: int, d: int, node_budget: int = DEFAULT_NODE
     # identity columns repeated d times give an [k*d, k, d] code, so the
     # scan below terminates
     try:
+        table = _table or _CodeTable.build(q, k)
         for length in range(griesmer, k * d + 1):
-            if code_exists(q, k, d, length, node_budget):
+            if code_exists(q, k, d, length, node_budget, _table=table):
                 return length
     except (BudgetExceeded, CapExceeded) as exc:
         raise UnknownCodeLength(q, k, d, str(exc)) from exc

@@ -212,13 +212,14 @@ def _cmd_construct(args) -> int:
         if args.strategy == "mds-concat":
             outer = construct_search.mds_generator(field, kappa, kappa + 2 * args.delta)
         else:  # concat with a shortest distance-(2*delta+1) outer code
+            table = bounds_mod._CodeTable.build(field.q, kappa)  # one for the scan and the code
             length = args.length
             if length is None:
                 length = bounds_mod.shortest_code_length(
-                    field.q, kappa, need, node_budget=args.node_budget
+                    field.q, kappa, need, node_budget=args.node_budget, _table=table
                 )
             outer = bounds_mod.find_code_generator(
-                field.q, kappa, need, length, node_budget=args.node_budget
+                field.q, kappa, need, length, node_budget=args.node_budget, _table=table
             )
             if outer is None:
                 raise EcicError(f"no [{length}, {kappa}, {need}] outer code exists")

@@ -215,11 +215,13 @@ def exists_ecic(
     column classes with quota-based pruning.  It is also invariant under
     the instance's automorphisms (message permutations carrying receivers
     to receivers), which permute both the column classes and the
-    confusable classes, so the search tries only one first column class
-    per automorphism orbit, which changes the node count but neither the
-    answer nor the witness.  An infeasible answer is a proof by
-    exhaustion; BudgetExceeded means unknown, never infeasible.  A
-    returned witness has been re-verified through the margin route.
+    confusable classes, so the search skips every column class that an
+    automorphism fixing the columns picked so far sends to an earlier
+    class (`_Analysis.symmetries`; see `_cover`), which changes the node
+    count but neither the answer nor the witness.  An infeasible answer
+    is a proof by exhaustion; BudgetExceeded means unknown, never
+    infeasible.  A returned witness has been re-verified through the
+    margin route.
     `_analysis` passes in the (instance, q) analysis a length scan shares.
     """
     _check_delta(delta)
@@ -230,7 +232,7 @@ def exists_ecic(
         witness = LinearIndexCode(inst, field, FMatrix.zero(field, inst.num_messages, length))
         return ExistsResult(True, witness, 0)
     res = multiset_cover_search(
-        an.hit_sets, [2 * delta + 1] * len(an.targets), length, node_budget, orbits=an.orbits
+        an.hit_sets, [2 * delta + 1] * len(an.targets), length, node_budget, _visit=an.visit
     )
     if not res.found:
         return ExistsResult(False, None, res.nodes)

@@ -25,9 +25,9 @@ from typing import Iterator, Optional, Sequence
 
 from ._cover import (
     DEFAULT_NODE_BUDGET,
+    VisitOrder,
     canonical_class,
-    class_orbits,
-    class_permutation,
+    class_symmetries,
     class_table,
     classes_matrix,
     descend,
@@ -304,21 +304,39 @@ def generalized_independence_number(inst: IcsiInstance) -> tuple[int, tuple[int,
 class _Analysis:
     """What the cover searches need from one (instance, q), whatever delta
     and length: the confusable vectors up to scaling (the targets), the
-    projective column classes, each column class's packed hit row over the
-    targets (`_cover.class_table`), and the class orbits under the
-    instance's automorphisms."""
+    projective column classes, and each column class's packed hit row over
+    the targets (`_cover.class_table`).  The automorphisms, as class
+    permutations for the kernel's `symmetries`, are listed on first use
+    within `enum_budget` bytes, and the kernel's `VisitOrder` of the rows
+    and that list is built with them."""
 
     inst: IcsiInstance
+    field: Field
+    enum_budget: int
     targets: list[tuple[int, ...]]
     columns: list[tuple[int, ...]]
     hit_sets: list[int]
-    orbits: list[int]
 
     @cached_property
     def alpha(self) -> int:
         """The instance's alpha, computed once for every search sharing
         this analysis."""
         return generalized_independence_number(self.inst)[0]
+
+    @cached_property
+    def symmetries(self) -> list:
+        """The instance's automorphisms (message permutations carrying
+        receivers to receivers) as column class permutations; each maps
+        hit rows onto hit rows, permuting the targets, which share one
+        quota."""
+        gens, _ = automorphisms(self.inst)
+        return class_symmetries(self.field, self.columns, gens, self.enum_budget)
+
+    @cached_property
+    def visit(self) -> VisitOrder:
+        """The kernel's visit order and symmetry masks, shared by every
+        search of this analysis."""
+        return VisitOrder.build(self.hit_sets, self.symmetries)
 
 
 def _analyse(inst: IcsiInstance, field: Field, enum_budget: int) -> _Analysis:
@@ -333,11 +351,9 @@ def _analyse(inst: IcsiInstance, field: Field, enum_budget: int) -> _Analysis:
         for _, _, key in steps
     })
     if not targets:  # no receivers: every matrix works, columns are moot
-        return _Analysis(inst, targets, [], [], [])
+        return _Analysis(inst, field, enum_budget, targets, [], [])
     columns, hit_sets = class_table(field, inst.num_messages, targets, enum_budget)
-    gens, _ = automorphisms(inst)
-    orbits = class_orbits(len(columns), (class_permutation(field, columns, g) for g in gens))
-    return _Analysis(inst, targets, columns, hit_sets, orbits)
+    return _Analysis(inst, field, enum_budget, targets, columns, hit_sets)
 
 
 def _min_rank_parts(inst: IcsiInstance) -> list[tuple[list[int], IcsiInstance]]:
@@ -404,9 +420,9 @@ def min_rank(
     each solved on its own and placed as a diagonal block of the code.  In
     a part every message is demanded, and its identity matrix is a code;
     below that length `_cover.descend` walks down to the part's alpha <=
-    its kappa (tabu codes, and the exhaustive `multiset_cover_search` with
-    first picks skipped by orbit as the one proof; its docstring holds the
-    policy).  `node_budget` bounds the exhaustive nodes, tripped probes
+    its kappa (tabu codes, and the exhaustive `multiset_cover_search`
+    under the part's automorphisms as the one proof; its docstring holds
+    the policy).  `node_budget` bounds the exhaustive nodes, tripped probes
     included, summed over the parts; BudgetExceeded carries that sum and
     means kappa is unknown, with kappa's bracket: the settled parts' kappa
     plus the open part's bracket plus each later part's alpha (below) or
@@ -429,7 +445,7 @@ def min_rank(
             quotas = [1] * len(an.targets)
 
             def exhaustive(length: int, budget: int) -> tuple[Optional[tuple[int, ...]], int]:
-                res = multiset_cover_search(an.hit_sets, quotas, length, budget, orbits=an.orbits)
+                res = multiset_cover_search(an.hit_sets, quotas, length, budget, _visit=an.visit)
                 return res.classes, res.nodes
 
             try:

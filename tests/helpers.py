@@ -441,3 +441,110 @@ def check_reference(code, delta):
                         Counterexample("estimate-outside-relevant-set", x, err, i, outcome),
                     )
     return CheckReport(True, decodes, None)
+
+
+# ---------------------------------------------------------------------------
+# the first-pick cover search
+
+
+def class_orbits(num_classes, permutations):
+    """Orbit label per class under the group the permutations generate: the
+    smallest class index in its orbit."""
+    parent = list(range(num_classes))
+
+    def root(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for perm in permutations:
+        for c, image in enumerate(perm):
+            a, b = root(c), root(image)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [root(c) for c in range(num_classes)]
+
+
+def first_pick_cover_search(hit_sets, quotas, size, node_budget, orbits=None):
+    """The cover search with symmetry at the root only: the same kernel,
+    bounds and node count as `multiset_cover_search`, but only first picks
+    that are not the earliest (in visit order) of their orbit under
+    `orbits` (see `class_orbits`) are skipped, and nothing below them.  The
+    oracle for the every-depth rule: same answer and witness, and never
+    fewer nodes where the symmetries listed there generate the group whose
+    orbits are given here."""
+    from ecic._cover import (
+        _MAX_SIZE, _WIDTH, BudgetExceeded, CapExceeded, CoverResult, _lanes, _trivial_fill,
+        _visit_order,
+    )
+
+    need = max(quotas, default=0)
+    if need <= 0:
+        fill = _trivial_fill(hit_sets, size)
+        return CoverResult(fill is not None, fill, 0)
+    if size > _MAX_SIZE:
+        raise CapExceeded(f"multiset size {size} exceeds packed-count cap {_MAX_SIZE}")
+    if need > size:
+        return CoverResult(False, None, 0)
+    order = _visit_order(hit_sets)
+    adds = [hit_sets[c] for c in order]
+    sizes = [h.bit_count() for h in adds]
+    high = _lanes([0x80] * len(quotas))
+    thresh_low = _lanes(quotas)
+    live_low = [0] * (len(order) + 1)
+    for s in range(len(order) - 1, -1, -1):
+        live_low[s] = live_low[s + 1] | adds[s]
+    nodes = 0
+    path = []
+
+    def dfs(picks, rem, cnt, deficit, cut=True):
+        nonlocal nodes
+        short_low = (high ^ (((cnt | high) - thresh_low) & high)) >> (_WIDTH - 1)
+        below = rem - 1
+        for c in picks:
+            if cut and deficit > rem * sizes[c]:
+                break
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceeded("cover search node budget exhausted", nodes=nodes)
+            left = deficit - (short_low & adds[c]).bit_count()
+            if not left:
+                path.extend([c] * rem)
+                return True
+            if left > below * sizes[c]:
+                continue
+            child = cnt + adds[c]
+            ub = child + below * live_low[c]
+            if ((ub | high) - thresh_low) & high != high:
+                continue
+            path.append(c)
+            if dfs(range(c, len(adds)), below, child, left):
+                return True
+            path.pop()
+        return False
+
+    seen, firsts = set(), []
+    for i, c in enumerate(order):
+        label = c if orbits is None else orbits[c]
+        if label not in seen:
+            firsts.append(i)
+            seen.add(label)
+    if not dfs(firsts, size, 0, sum(quotas), cut=False):
+        return CoverResult(False, None, nodes)
+    return CoverResult(True, tuple(sorted(order[i] for i in path)), nodes)
+
+
+def class_permutation_reference(field, classes, perm):
+    """Where each class goes when coordinate j is moved to perm[j], one
+    class at a time: move the coordinates, scale the first nonzero symbol
+    to 1, look the class up."""
+    index = {c: i for i, c in enumerate(classes)}
+    out = []
+    for c in classes:
+        moved = [0] * len(c)
+        for j, x in enumerate(c):
+            moved[perm[j]] = x
+        lead = next(x for x in moved if x)
+        out.append(index[tuple(field.div(x, lead) for x in moved)])
+    return tuple(out)

@@ -327,13 +327,13 @@ def always_miss(hit_sets, quotas, size, iterations, stream):
 
 def test_node_budget_is_shared_by_the_whole_scan(monkeypatch):
     """Without local-search witnesses the scan decides pentagon q=2 delta=2
-    by exhaustion at N = 10, 9 (feasible) and 8 (infeasible): 191,057 +
-    56,647 + 311 nodes.  Each call fits a budget one node short of the
+    by exhaustion at N = 10, 9 (feasible) and 8 (infeasible): 134,739 +
+    45,172 + 230 nodes.  Each call fits a budget one node short of the
     total, but the scan does not."""
     from ecic import _cover
 
     monkeypatch.setattr(_cover, "local_cover_search", always_miss)
-    total = 191_057 + 56_647 + 311
+    total = 134_739 + 45_172 + 230
     out = optimal_length_search(pentagon(), F2, 2, node_budget=total)
     assert (out.optimal_length, out.stats.nodes, out.stats.local_iterations) == (9, total, 0)
     assert verify_ecic(out.witness, 2).ok
@@ -365,10 +365,10 @@ def test_scan_starts_at_the_cover_cap_when_the_upper_bound_is_beyond_it(monkeypa
 # the bottom length is infeasible and its probe is the proof, so no tabu
 # move is made there
 PROBE_PROOFS = [
-    ("pentagon", 2, 1, 6, 287, 0),
-    ("pentagon", 2, 2, 9, 311, 2),
-    ("pentagon", 2, 3, 12, 670, 44),
-    ("odd-cycle-complement:3", 2, 1, 6, 11_961, 0),
+    ("pentagon", 2, 1, 6, 165, 0),
+    ("pentagon", 2, 2, 9, 230, 2),
+    ("pentagon", 2, 3, 12, 485, 44),
+    ("odd-cycle-complement:3", 2, 1, 6, 3_822, 0),
 ]
 
 
@@ -390,14 +390,14 @@ def test_probe_finds_the_witness_at_a_feasible_lower_bound():
 
     inst, field = pentagon(), make_field(3)
     out = optimal_length_search(inst, field, 1)
-    assert (out.optimal_length, out.infeasible_below, out.stats.nodes) == (5, 4, 259)
+    assert (out.optimal_length, out.infeasible_below, out.stats.nodes) == (5, 4, 155)
     assert out.witness == exists_ecic(inst, field, 1, 5).witness
     assert verify_ecic_direct(out.witness, 1).ok
 
 
 def test_tripped_probe_falls_back_to_tabu_and_the_full_proof(monkeypatch):
     """With 4 tabu moves per length the probe at odd-cycle-complement:3
-    q=2 delta=1 N=5 gets 4 x 127 nodes, short of the 11,961-node proof: it
+    q=2 delta=1 N=5 gets 4 x 127 nodes, short of the 3,822-node proof: it
     trips, its nodes are charged, and the tabu run and the full proof
     decide."""
     from ecic import _cover, builtin_instance
@@ -428,10 +428,10 @@ def test_probe_capped_by_the_node_budget_raises_at_once(monkeypatch):
 
     monkeypatch.setattr(_cover, "local_cover_search", recorded)
     with pytest.raises(BudgetExceeded) as err:
-        optimal_length_search(inst, F2, 1, node_budget=11_960)
-    assert (err.value.infeasible_below, err.value.feasible_at, err.value.nodes) == (5, 6, 11_961)
+        optimal_length_search(inst, F2, 1, node_budget=3_821)
+    assert (err.value.infeasible_below, err.value.feasible_at, err.value.nodes) == (5, 6, 3_822)
     assert lengths == [6]
-    assert optimal_length_search(inst, F2, 1, node_budget=11_961).stats.nodes == 11_961
+    assert optimal_length_search(inst, F2, 1, node_budget=3_822).stats.nodes == 3_822
 
 
 # (instance, q, delta, optimum): questions the exhaustive upward scan could

@@ -297,7 +297,7 @@ def test_min_rank_budget():
 
 def test_min_rank_budget_counts_every_part():
     """Two disjoint pentagons over GF(2) are two parts, each settled by a
-    108-node probe at alpha = 2; one node short of both, the second probe
+    56-node probe at alpha = 2; one node short of both, the second probe
     trips, and the error carries the nodes of both parts and kappa's
     bracket: the first part's kappa 3 plus the second's [2, 3].  Tripped in
     the first part, the bracket adds the second part's alpha 2 below and
@@ -308,10 +308,10 @@ def test_min_rank_budget_counts_every_part():
         p.side_info + tuple(frozenset(x + 5 for x in side) for side in p.side_info),
     )
     assert [msgs for msgs, _ in _min_rank_parts(inst)] == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
-    assert min_rank(inst, F2, node_budget=216).kappa == 6
+    assert min_rank(inst, F2, node_budget=112).kappa == 6
     with pytest.raises(BudgetExceeded, match=r"messages \[6, 7, 8, 9, 10\]") as err:
-        min_rank(inst, F2, node_budget=215)
-    assert err.value.nodes == 216
+        min_rank(inst, F2, node_budget=111)
+    assert err.value.nodes == 112
     assert (err.value.infeasible_below, err.value.feasible_at) == (5, 6)
     with pytest.raises(BudgetExceeded, match=r"messages \[1, 2, 3, 4, 5\]") as err:
         min_rank(inst, F2, node_budget=10)

@@ -1,6 +1,7 @@
 """Exact symmetry breaking in the cover search: systematic-form code
-searches and automorphism-orbit first picks, each checked against the
-unrestricted search it replaces."""
+searches, and isomorph rejection at every depth under the instance's
+automorphisms and the coordinate permutations of a code scan, each checked
+against the unrestricted search or the first-pick oracle it replaces."""
 
 import itertools
 
@@ -20,8 +21,8 @@ from ecic import (
     shortest_code_length,
 )
 from ecic._cover import (
-    class_orbits,
-    class_permutation,
+    class_permutations,
+    class_symmetries,
     class_table,
     classes_matrix,
     multiset_cover_search,
@@ -30,7 +31,16 @@ from ecic._cover import (
 from ecic.index_codes import _analyse
 from ecic.instance import automorphisms
 
-from helpers import F2, F3, pack, random_instance, reference_hit_sets
+from helpers import (
+    F2,
+    F3,
+    class_orbits,
+    class_permutation_reference,
+    first_pick_cover_search,
+    pack,
+    random_instance,
+    reference_hit_sets,
+)
 
 
 def relabel(inst, perm):
@@ -139,15 +149,34 @@ def test_class_permutations_map_hit_sets_onto_hit_sets(inst, field):
     gens, _ = automorphisms(inst)
     assert gens
     for g in gens:
-        sigma = class_permutation(field, columns, g)
-        tau = class_permutation(field, zs, g)
+        sigma, = class_permutations(field, columns, [g])
+        tau, = class_permutations(field, zs, [g])
         assert sorted(sigma) == list(range(len(columns)))
         assert sorted(tau) == list(range(len(zs)))
         for c, hits in enumerate(hit_sets):
             assert hit_sets[sigma[c]] == frozenset(tau[t] for t in hits)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 256])
+def test_class_permutations_match_the_per_class_reference(q):
+    """Every coordinate permutation of F_q^n for n up to 4 (or the largest
+    n with at most 5,000 classes), on all classes and on the classes whose
+    nonzero symbols are all 1 (a subset closed under the permutations)."""
+    field = make_field(q)
+    n = 1
+    while n < 4 and (q ** (n + 1) - 1) // (q - 1) <= 5_000:
+        n += 1
+    for m in range(1, n + 1):
+        classes = projective_classes(field, m)
+        plain = [c for c in classes if set(c) <= {0, 1}]
+        perms = list(itertools.permutations(range(m)))
+        for subset in (classes, plain):
+            want = [class_permutation_reference(field, subset, p) for p in perms]
+            assert class_permutations(field, subset, perms) == want
+
+
 def test_class_orbits_are_labelled_by_their_smallest_class():
+    """The first-pick oracle's orbit labels (`helpers.class_orbits`)."""
     assert class_orbits(5, [[1, 0, 2, 3, 4], [0, 1, 3, 4, 2]]) == [0, 0, 2, 2, 2]
     assert class_orbits(3, []) == [0, 1, 2]
 
@@ -161,20 +190,44 @@ def test_cover_search_quotas_are_per_target():
 
 
 def test_cover_search_orbits_skip_first_picks_only():
-    # each class hits one of two targets; swapping the targets swaps them
+    """Each class hits one of two targets, and swapping the targets swaps
+    them.  The swap fixes no class, so no pick has a symmetry fixing it and
+    only first picks are skipped, as the first-pick oracle skips them."""
     hit_sets = pack([{0}, {1}])
     for size, found in ((3, False), (4, True)):
         plain = multiset_cover_search(hit_sets, [2, 2], size, 1000)
-        pruned = multiset_cover_search(hit_sets, [2, 2], size, 1000, orbits=[0, 0])
+        pruned = multiset_cover_search(hit_sets, [2, 2], size, 1000, symmetries=[bytes([1, 0])])
+        oracle = first_pick_cover_search(hit_sets, [2, 2], size, 1000, orbits=[0, 0])
         assert plain.found == pruned.found == found
         assert plain.classes == pruned.classes
+        assert pruned == oracle
         if not found:
             assert pruned.nodes < plain.nodes
     assert pruned.classes == (0, 0, 1, 1)
 
 
+def test_cover_search_rejects_isomorphs_below_the_root():
+    """Classes A = {0, 1}, B = {0, 2} and C = {0, 3}, each target once.
+    Swapping targets 2 and 3 swaps B and C and fixes A.  At the root C is
+    skipped, as the first-pick oracle skips it; below the first pick A the
+    swap still applies (it fixes A), so C is skipped there too, where the
+    oracle tries it."""
+    hit_sets = pack([{0, 1}, {0, 2}, {0, 3}])
+    swap = bytes([0, 2, 1])
+    for size, found, nodes, oracle_nodes in ((2, False, 4, 5), (3, True, 7, 8)):
+        plain = multiset_cover_search(hit_sets, [1] * 4, size, 1000)
+        pruned = multiset_cover_search(hit_sets, [1] * 4, size, 1000, symmetries=[swap])
+        oracle = first_pick_cover_search(
+            hit_sets, [1] * 4, size, 1000, orbits=class_orbits(3, [swap])
+        )
+        assert plain.found == pruned.found == oracle.found == found
+        assert plain.classes == pruned.classes == oracle.classes
+        assert (pruned.nodes, oracle.nodes) == (nodes, oracle_nodes)
+    assert pruned.classes == (0, 1, 2)
+
+
 # ---------------------------------------------------------------------------
-# first-pick orbit skipping in exists_ecic
+# isomorph rejection in exists_ecic
 
 
 @pytest.mark.parametrize(
@@ -185,12 +238,92 @@ def test_orbit_skipping_keeps_answers_and_witnesses(inst, delta, optimum):
     an = _analyse(inst, F2, 1 << 20)
     for length in (optimum - 1, optimum):
         pruned = exists_ecic(inst, F2, delta, length)
-        plain = multiset_cover_search(
-            an.hit_sets, [2 * delta + 1] * len(an.targets), length, 1 << 27, orbits=None
-        )
+        plain = multiset_cover_search(an.hit_sets, [2 * delta + 1] * len(an.targets), length, 1 << 27)
         assert pruned.feasible == plain.found == (length == optimum)
         if pruned.feasible:
             plain_matrix = classes_matrix(F2, an.columns, plain.classes, inst.num_messages)
             assert pruned.witness.matrix == plain_matrix
         else:
             assert pruned.nodes < plain.nodes
+
+
+# ---------------------------------------------------------------------------
+# the listed symmetries
+
+
+@pytest.mark.parametrize(
+    "inst, field",
+    [(pentagon(), F2), (pentagon(), F3), (odd_cycle_complement(3), F2), (no_side_info(3), F3)],
+)
+def test_listed_symmetries_are_the_automorphism_group(inst, field):
+    """Every automorphism but the identity, once each, as a column class
+    permutation that maps hit sets onto hit sets."""
+    an = _analyse(inst, field, 1 << 20)
+    columns, zs = an.columns, an.targets
+    hit_sets = reference_hit_sets(field, columns, zs)
+    _, order = automorphisms(inst)
+    listed = [tuple(g) for g in an.symmetries]
+    assert len(set(listed)) == len(listed) == order - 1
+    assert tuple(range(len(columns))) not in listed
+    where = {columns.index(z): t for t, z in enumerate(zs)}
+    for g in listed:
+        tau = {t: where[g[c]] for c, t in where.items()}
+        for c, hits in enumerate(hit_sets):
+            assert hit_sets[g[c]] == frozenset(tau[t] for t in hits)
+
+
+def test_code_scan_lists_the_coordinate_permutations():
+    from ecic.bounds import _CodeTable
+
+    field = make_field(3)
+    table = _CodeTable.build(3, 3)
+    assert table.classes == projective_classes(field, 3)
+    perms = itertools.permutations(range(3))
+    want = set(class_permutations(field, table.classes, perms))
+    assert {tuple(g) for g in table.symmetries} == want - {tuple(range(13))}
+    assert len(table.symmetries) == 5
+    assert _CodeTable.build(2, 1).symmetries == []
+
+
+def test_symmetry_list_stops_at_the_budget():
+    """Each listed element of S_4 on the 15 classes of F_2^4 costs 15
+    bytes; a shorter list is a prefix of the full one."""
+    classes = projective_classes(F2, 4)
+    gens = [(1, 0, 2, 3), (1, 2, 3, 0)]
+    full = class_symmetries(F2, classes, gens, 1 << 20)
+    assert len(full) == 23
+    assert class_symmetries(F2, classes, gens, 15 * 5 + 14) == full[:5]
+    assert class_symmetries(F2, classes, gens, 14) == []
+
+
+@pytest.mark.parametrize("count", [1, 5, 256, 257, 600])
+@pytest.mark.parametrize("m", [1, 8, 9, 17, 65])
+def test_stabilizer_masks_match_a_per_class_loop(count, m):
+    """The kernel's per-position bitmasks against a plain loop, for
+    symmetries listed as tuples and, up to 256 classes, as bytes (the two
+    layouts of `class_symmetries`), across lane widths of 1 to 9 bytes."""
+    import random
+
+    from ecic._cover import _stabilizer_masks
+
+    rng = random.Random(count * 100 + m)
+    order = list(range(count))
+    rng.shuffle(order)
+    symmetries = []
+    for _ in range(m):
+        g = list(range(count))
+        for _ in range(3):  # a few swaps, so that some classes stay fixed
+            a, b = rng.randrange(count), rng.randrange(count)
+            g[a], g[b] = g[b], g[a]
+        symmetries.append(tuple(g))
+    pos = {c: i for i, c in enumerate(order)}
+    fixes, earlier = [0] * count, [0] * count
+    for j, g in enumerate(symmetries):
+        for i, c in enumerate(order):
+            if pos[g[c]] < i:
+                earlier[i] |= 1 << j
+            elif pos[g[c]] == i:
+                fixes[i] |= 1 << j
+    assert _stabilizer_masks(symmetries, order) == (fixes, earlier)
+    if count <= 256:
+        assert _stabilizer_masks([bytes(g) for g in symmetries], order) == (fixes, earlier)

@@ -1,5 +1,5 @@
-"""Property test: first-pick orbit skipping never changes what
-`exists_ecic` answers, on random small instances under random relabelling.
+"""Property test: isomorph rejection under the automorphisms never changes
+what `exists_ecic` answers, on random small instances under random relabelling.
 Skipped when hypothesis is not installed."""
 
 import pytest
@@ -63,9 +63,7 @@ def test_pruned_search_matches_unpruned_search(question):
     for case in (inst, moved):
         pruned = exists_ecic(case, field, delta, length, node_budget=1 << 22)
         an = _analyse(case, field, 1 << 20)
-        plain = multiset_cover_search(
-            an.hit_sets, [2 * delta + 1] * len(an.targets), length, 1 << 22, orbits=None
-        )
+        plain = multiset_cover_search(an.hit_sets, [2 * delta + 1] * len(an.targets), length, 1 << 22)
         assert pruned.feasible == plain.found
         assert pruned.nodes <= plain.nodes
         if pruned.feasible:
