@@ -8,17 +8,20 @@ non-decreasing class order, so every multiset is visited exactly once, by
 one serial depth-first search whose every node is charged to one node
 budget.
 
-The hit table is packed once, by `class_table`: class c's row is one int
-whose byte t is 1 if c hits target t and 0 if not, so a row's `bit_count()`
-is the number of targets it hits.  `PackedRows` computes the products, as
-it does every other GF(q) combination.  Every search reads these rows as
-they are.  Per-target hit counts and quotas use the same eight-bit lanes,
-so a pick adds its row to the counts, and the per-target prune ("some
-target cannot reach its quota even if every remaining pick hits it,
-counting only classes still allowed") is a single SWAR comparison.
-Counts, quotas and prune bounds never exceed the multiset size, so that
-size is capped at 120 to keep every packed byte below 128, where the
-byte-wise comparison is exact.
+Every search reads one `CoverTable`, built once per (instance, q) and per
+(q, k) of a code scan by `cover_table`: the column classes, their hit rows
+and the symmetries, with the kernel's visit order and masks made on its
+first search.  Class c's row is
+one int whose byte t is 1 if c hits target t and 0 if not, so a row's
+`bit_count()` is the number of targets it hits; `PackedRows` computes the
+products, as it does every other GF(q) combination (`class_table`).
+Per-target hit counts and quotas use the same eight-bit lanes, so a pick
+adds its row to the counts, and the per-target prune ("some target cannot
+reach its quota even if every remaining pick hits it, counting only
+classes still allowed") is a single SWAR comparison.  Counts, quotas and
+prune bounds never exceed the multiset size, so that size is capped at 120
+to keep every packed byte below 128, where the byte-wise comparison is
+exact.
 
 Deficit bound: the deficit D = sum_t max(0, quota_t - hits_t) is carried
 down the search, exactly (a pick lowers it by the number of still-short
@@ -48,16 +51,16 @@ of the symmetries is exact too: the answer, the witness and every proof
 stay those of the unpruned scan, and only node counts fall.  The work is
 bounded by the list's length, never by a stabilizer's size: per visit
 position two bitmasks over the list mark the symmetries that fix the
-class and those that send it earlier (made once per hit table and list,
-with the visit order: `VisitOrder`), and a node carries the bitmask of
-those fixing all its picks (the pointwise stabilizer, as one int).  The
-first time a search meets a stabilizer it ANDs it with every class's mask
-into one byte per class, kept for the search, and a node with that
-stabilizer reads its children through those bytes.  Stabilizers are
-few: at most 120 in one search of the questions measured, 0.3 MB with
-their keys (N_2[12, 8, 3] under the 40,319 permutations of S_8).  The callers cut their lists at the enumeration budget
-(`class_symmetries`); the rule runs at every depth, which measured faster
-than stopping it at depth 1, 2, 3 or 4.
+class and those that send it earlier (made once per table, with the
+visit order), and a node carries the bitmask of those fixing all its
+picks (the pointwise stabilizer, as one int).  The first time a search
+meets a stabilizer it ANDs it with every class's mask into one byte per
+class, kept for the search, and a node with that stabilizer reads its
+children through those bytes.  Stabilizers are few: at most 120 in one
+search of the questions measured, 0.3 MB with their keys (N_2[12, 8, 3]
+under the 40,319 permutations of S_8).  `cover_table` cuts the list at
+its enumeration budget (`class_symmetries`); the rule runs at every
+depth, which measured faster than stopping it at depth 1, 2, 3 or 4.
 
 `local_cover_search` is the heuristic beside this exhaustive kernel: a
 tabu search on the same packed rows, counts and deficit that finds witnesses
@@ -73,6 +76,7 @@ import itertools
 import operator
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, CapExceeded
@@ -228,11 +232,6 @@ def _lanes(values: Sequence[int]) -> int:
     return int.from_bytes(bytes(values), "little")
 
 
-def _visit_order(hit_sets: Sequence[int]) -> list[int]:
-    """High-coverage classes first; ties by original index."""
-    return sorted(range(len(hit_sets)), key=lambda c: (-hit_sets[c].bit_count(), c))
-
-
 def _stabilizer_masks(
     symmetries: Sequence[Sequence[int]], order: Sequence[int]
 ) -> tuple[list[int], list[int]]:
@@ -271,69 +270,71 @@ def _stabilizer_masks(
 
 
 @dataclass(frozen=True)
-class VisitOrder:
-    """What `multiset_cover_search` reads of one hit table and symmetry
-    list, whatever the quotas and the size, listed by visit position: so
-    a caller that searches one table many times builds it once."""
+class CoverTable:
+    """One hit table as every cover search reads it, whatever the quotas
+    and the size: the column classes' packed hit rows in class order, the
+    symmetries listed for them and the classes themselves (none for a
+    table of bare rows).  The kernel's arrays are made from these on the
+    first search and kept for every later one (`visit`)."""
 
-    order: list[int]  # class indices, high-coverage first (`_visit_order`)
-    adds: list[int]  # their hit rows
-    # the rows' sizes: non-increasing, so a deficit bound at one class holds
-    # for every later one
-    sizes: list[int]
-    # live_low[s]: packed 1 per target hit by some class at position >= s
-    live_low: list[int]
-    fixes: list[int]  # see `_stabilizer_masks`
-    earlier: list[int]
-    everyone: int  # the bitmask of every symmetry
+    hit_sets: Sequence[int]
+    symmetries: Sequence[Sequence[int]] = ()  # class permutations (see the module docstring)
+    columns: Sequence[tuple[int, ...]] = ()
 
-    @classmethod
-    def build(cls, hit_sets: Sequence[int], symmetries: Sequence[Sequence[int]] = ()) -> "VisitOrder":
-        order = _visit_order(hit_sets)
-        adds = [hit_sets[c] for c in order]
+    @cached_property
+    def visit(self) -> tuple[list[int], ...]:
+        """By visit position: the class indices (high-coverage first, ties
+        by index), their hit rows, the rows' sizes (non-increasing, so a
+        deficit bound at one class holds for every later one), live_low[s]
+        (packed 1 per target hit by some class at position >= s), and the
+        masks fixes and earlier (`_stabilizer_masks`).  Made on first use:
+        a table that no search reads, as in kappa's descent on a directed
+        cycle, where tabu's code ends it, never builds them."""
+        rows = self.hit_sets
+        order = sorted(range(len(rows)), key=lambda c: (-rows[c].bit_count(), c))
+        adds = [rows[c] for c in order]
         live_low = [0] * (len(order) + 1)
         for s in range(len(order) - 1, -1, -1):
             live_low[s] = live_low[s + 1] | adds[s]
-        fixes, earlier = _stabilizer_masks(symmetries, order)
-        return cls(order, adds, [h.bit_count() for h in adds], live_low,
-                   fixes, earlier, (1 << len(symmetries)) - 1)
+        return (order, adds, [h.bit_count() for h in adds], live_low,
+                *_stabilizer_masks(self.symmetries, order))
+
+
+def cover_table(
+    field: Field, n: int, targets: Sequence[tuple[int, ...]] | None,
+    generators: Iterable[Sequence[int]], budget: int,
+) -> CoverTable:
+    """The table of the projective classes of F_q^n over `targets`
+    (`class_table`) under the group that the coordinate permutations
+    `generators` generate (`class_symmetries`), within `budget` bytes."""
+    columns, hit_sets = class_table(field, n, targets, budget)
+    symmetries = class_symmetries(field, columns, generators, budget)
+    return CoverTable(hit_sets, symmetries, columns)
 
 
 def multiset_cover_search(
-    hit_sets: Sequence[int],
-    quotas: Sequence[int],
-    size: int,
-    node_budget: int,
-    *,
-    symmetries: Sequence[Sequence[int]] = (),
-    _visit: VisitOrder | None = None,
+    table: CoverTable, quotas: Sequence[int], size: int, node_budget: int
 ) -> CoverResult:
-    """Decide whether some size-`size` multiset of classes hits every
-    target t at least quotas[t] >= 0 times.
+    """Decide whether some size-`size` multiset of the table's classes
+    hits every target t at least quotas[t] >= 0 times.
 
-    hit_sets[c] is class c's packed hit row (see `class_table`).
     Exhaustive unless the node budget trips (then BudgetExceeded carries
     the node count); a returned found=False is a proof of infeasibility.
-    `symmetries`, if given, are class permutations that each map hit rows
-    onto hit rows under a permutation of targets with equal quotas (see
-    the module docstring); a child that one of them fixing every pick so
-    far sends to an earlier class is skipped, and the outcome and witness
-    do not change.  `_visit` passes in `VisitOrder.build(hit_sets,
-    symmetries)`, made once by a caller that searches one table many
-    times; `symmetries` is not read then.
+    Each of `table.symmetries` must map hit rows onto hit rows under a
+    permutation of targets with equal quotas (see the module docstring); a
+    child that one of them fixing every pick so far sends to an earlier
+    class is skipped, and the outcome and witness do not change.
     """
     need = max(quotas, default=0)
     if need <= 0:
-        fill = _trivial_fill(hit_sets, size)
+        fill = _trivial_fill(table.hit_sets, size)
         return CoverResult(fill is not None, fill, 0)
     if size > _MAX_SIZE:
         raise CapExceeded(f"multiset size {size} exceeds packed-count cap {_MAX_SIZE}")
     if need > size:
         return CoverResult(False, None, 0)  # each target gets at most one hit per pick
 
-    visit = VisitOrder.build(hit_sets, symmetries) if _visit is None else _visit
-    adds, sizes, live_low = visit.adds, visit.sizes, visit.live_low
-    fixes, earlier = visit.fixes, visit.earlier
+    order, adds, sizes, live_low, fixes, earlier = table.visit
     high = _lanes([0x80] * len(quotas))
     thresh_low = _lanes(quotas)
     nodes = 0
@@ -387,9 +388,9 @@ def multiset_cover_search(
     # The root is not cut: every first pick that survives the symmetries
     # counts as a node, so they show in the count even where the bound
     # refutes the whole scan.
-    if not dfs(0, visit.everyone, size, 0, sum(quotas), cut=False):
+    if not dfs(0, (1 << len(table.symmetries)) - 1, size, 0, sum(quotas), cut=False):
         return CoverResult(False, None, nodes)
-    return CoverResult(True, tuple(sorted(visit.order[i] for i in path)), nodes)
+    return CoverResult(True, tuple(sorted(order[i] for i in path)), nodes)
 
 
 def _trivial_fill(hit_sets: Sequence, size: int) -> tuple[int, ...] | None:

@@ -20,10 +20,9 @@ from typing import Optional
 
 from ._cover import (
     DEFAULT_NODE_BUDGET,
-    VisitOrder,
-    class_symmetries,
-    class_table,
+    CoverTable,
     classes_matrix,
+    cover_table,
     multiset_cover_search,
 )
 from .errors import BudgetExceeded, CapExceeded, UnknownCodeLength
@@ -41,39 +40,25 @@ def sphere_volume(q: int, length: int, radius: int) -> int:
 
 def code_exists(
     q: int, k: int, d: int, length: int, node_budget: int = DEFAULT_NODE_BUDGET,
-    *, _table: Optional[_CodeTable] = None,
+    *, _table: Optional[CoverTable] = None,
 ) -> bool:
     """Exhaustively decide whether a linear [length, k, >= d] code over GF(q)
     exists, via column-multiset search."""
     return find_code_generator(q, k, d, length, node_budget, _table=_table) is not None
 
 
-@dataclass(frozen=True)
-class _CodeTable:
-    """The (q, k) classes shared by every length of a code scan: the
-    projective classes of F_q^k, their packed hit rows over the same
-    classes as messages, the coordinate permutations of F_q^k as class
-    permutations, listed within DEFAULT_ENUM_BUDGET bytes, and the
-    kernel's `VisitOrder` of the two."""
-
-    field: Field
-    classes: list[tuple[int, ...]]
-    hit_sets: list[int]
-    symmetries: list
-    visit: VisitOrder
-
-    @classmethod
-    def build(cls, q: int, k: int) -> "_CodeTable":
-        field = make_field(q)
-        classes, hit_sets = class_table(field, k)
-        moves = [(1, 0) + tuple(range(2, k)), tuple(range(1, k)) + (0,)] if k > 1 else []
-        symmetries = class_symmetries(field, classes, moves, DEFAULT_ENUM_BUDGET)
-        return cls(field, classes, hit_sets, symmetries, VisitOrder.build(hit_sets, symmetries))
+def _code_table(q: int, k: int) -> CoverTable:
+    """The cover table every length of a (q, k) code scan shares: the
+    projective classes of F_q^k as columns and as messages, and the
+    coordinate permutations of F_q^k, generated by a transposition and a
+    k-cycle, as its symmetries."""
+    moves = [(1, 0) + tuple(range(2, k)), tuple(range(1, k)) + (0,)] if k > 1 else []
+    return cover_table(make_field(q), k, None, moves, DEFAULT_ENUM_BUDGET)
 
 
 def find_code_generator(
     q: int, k: int, d: int, length: int, node_budget: int = DEFAULT_NODE_BUDGET,
-    *, _table: Optional[_CodeTable] = None,
+    *, _table: Optional[CoverTable] = None,
 ) -> Optional[FMatrix]:
     """A k x length generator of minimum distance >= d, or None if none
     exists (exhaustively established).  Both the columns and the nonzero
@@ -86,23 +71,23 @@ def find_code_generator(
     independent columns B; B^-1 times it is a systematic generator of a
     code with the same weights.  A permutation of the k coordinates maps
     the unit columns onto themselves and keeps every weight and inner
-    product, so the coordinate permutations are the search's
-    `symmetries`: they prune isomorphic branches and change neither the
-    answer nor the generator.  A returned generator contains the unit
-    columns.  `_table` passes in the (q, k) table a length scan shares.
+    product, so the coordinate permutations are the table's symmetries:
+    they prune isomorphic branches and change neither the answer nor the
+    generator.  A returned generator contains the unit columns.  `_table`
+    passes in the (q, k) table (`_code_table`) a length scan shares.
     """
     if k < 1:
         raise ValueError("dimension must be positive")
     if length < k or length < d:
         return None
-    table = _table or _CodeTable.build(q, k)
-    classes = table.classes
+    table = _table or _code_table(q, k)
+    classes = table.columns
     units = [classes.index(tuple(int(r == i) for r in range(k))) for i in range(k)]
     residual = [max(0, d - sum(1 for x in z if x)) for z in classes]
-    res = multiset_cover_search(table.hit_sets, residual, length - k, node_budget, _visit=table.visit)
+    res = multiset_cover_search(table, residual, length - k, node_budget)
     if not res.found:
         return None
-    return classes_matrix(table.field, classes, sorted(units + list(res.classes)), k)
+    return classes_matrix(make_field(q), classes, sorted(units + list(res.classes)), k)
 
 
 def _griesmer_length(q: int, k: int, d: int) -> int:
@@ -125,8 +110,9 @@ def shortest_code_length(
     attained (by the empty, repetition and identity codes) and is returned
     without search.
     Raises UnknownCodeLength when the node budget runs out mid-scan.
-    The scan builds one (q, k) table for all its lengths, or reads
-    `_table`, one a caller shares with `find_code_generator`.
+    The scan builds one (q, k) cover table (`_code_table`) for all its
+    lengths, or reads `_table`, one a caller shares with
+    `find_code_generator`.
     """
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
@@ -136,7 +122,7 @@ def shortest_code_length(
     # identity columns repeated d times give an [k*d, k, d] code, so the
     # scan below terminates
     try:
-        table = _table or _CodeTable.build(q, k)
+        table = _table or _code_table(q, k)
         for length in range(griesmer, k * d + 1):
             if code_exists(q, k, d, length, node_budget, _table=table):
                 return length
@@ -276,7 +262,8 @@ def bounds_report(
         mds = None
     else:
         singleton = 0 if inst.num_receivers == 0 else kappa + 2 * delta
-        mds = field.q >= kappa + 2 * delta - 1
+        # the regimes of `mds_generator`: identity, repetition, extended RS
+        mds = kappa >= 1 and (delta == 0 or kappa == 1 or kappa + 2 * delta <= field.q + 1)
     random_len = random_coding_length(inst, field, delta)
     lower_candidates = [v for v in (a_bound, singleton) if v is not None]
     lower = max(lower_candidates) if lower_candidates else None

@@ -212,7 +212,7 @@ def _cmd_construct(args) -> int:
         if args.strategy == "mds-concat":
             outer = construct_search.mds_generator(field, kappa, kappa + 2 * args.delta)
         else:  # concat with a shortest distance-(2*delta+1) outer code
-            table = bounds_mod._CodeTable.build(field.q, kappa)  # one for the scan and the code
+            table = bounds_mod._code_table(field.q, kappa)  # one for the scan and the code
             length = args.length
             if length is None:
                 length = bounds_mod.shortest_code_length(

@@ -189,7 +189,7 @@ def _verified(
     """The code whose columns are the picked classes, re-verified through
     the margin route."""
     code = LinearIndexCode(
-        inst, field, classes_matrix(field, an.columns, classes, inst.num_messages)
+        inst, field, classes_matrix(field, an.table.columns, classes, inst.num_messages)
     )
     if not verify_ecic(code, delta, enum_budget).ok:
         raise InternalContradiction("search witness failed margin verification")
@@ -217,11 +217,11 @@ def exists_ecic(
     to receivers), which permute both the column classes and the
     confusable classes, so the search skips every column class that an
     automorphism fixing the columns picked so far sends to an earlier
-    class (`_Analysis.symmetries`; see `_cover`), which changes the node
-    count but neither the answer nor the witness.  An infeasible answer
-    is a proof by exhaustion; BudgetExceeded means unknown, never
-    infeasible.  A returned witness has been re-verified through the
-    margin route.
+    class (the symmetries of the analysis's cover table; see `_cover`),
+    which changes the node count but neither the answer nor the witness.
+    An infeasible answer is a proof by exhaustion; BudgetExceeded means
+    unknown, never infeasible.  A returned witness has been re-verified
+    through the margin route.
     `_analysis` passes in the (instance, q) analysis a length scan shares.
     """
     _check_delta(delta)
@@ -231,9 +231,7 @@ def exists_ecic(
     if not an.targets:
         witness = LinearIndexCode(inst, field, FMatrix.zero(field, inst.num_messages, length))
         return ExistsResult(True, witness, 0)
-    res = multiset_cover_search(
-        an.hit_sets, [2 * delta + 1] * len(an.targets), length, node_budget, _visit=an.visit
-    )
+    res = multiset_cover_search(an.table, [2 * delta + 1] * len(an.targets), length, node_budget)
     if not res.found:
         return ExistsResult(False, None, res.nodes)
     return ExistsResult(True, _verified(inst, field, delta, an, res.classes, enum_budget), res.nodes)
@@ -326,7 +324,7 @@ def optimal_length_search(
         return res.witness, res.nodes
 
     out = descend(
-        an.hit_sets, [d] * len(an.targets), min(upper, _MAX_SIZE), lower, upper, node_budget,
+        an.table.hit_sets, [d] * len(an.targets), min(upper, _MAX_SIZE), lower, upper, node_budget,
         "ecic:local", lambda classes: _verified(inst, field, delta, an, classes, enum_budget),
         exhaustive,
     )

@@ -25,11 +25,10 @@ from typing import Iterator, Optional, Sequence
 
 from ._cover import (
     DEFAULT_NODE_BUDGET,
-    VisitOrder,
+    CoverTable,
     canonical_class,
-    class_symmetries,
-    class_table,
     classes_matrix,
+    cover_table,
     descend,
     multiset_cover_search,
 )
@@ -303,19 +302,15 @@ def generalized_independence_number(inst: IcsiInstance) -> tuple[int, tuple[int,
 @dataclass(frozen=True)
 class _Analysis:
     """What the cover searches need from one (instance, q), whatever delta
-    and length: the confusable vectors up to scaling (the targets), the
-    projective column classes, and each column class's packed hit row over
-    the targets (`_cover.class_table`).  The automorphisms, as class
-    permutations for the kernel's `symmetries`, are listed on first use
-    within `enum_budget` bytes, and the kernel's `VisitOrder` of the rows
-    and that list is built with them."""
+    and length: the confusable vectors up to scaling (the targets) and the
+    cover table over them, whose symmetries are the instance's
+    automorphisms (message permutations carrying receivers to receivers)
+    as column class permutations; each maps hit rows onto hit rows,
+    permuting the targets, which share one quota."""
 
     inst: IcsiInstance
-    field: Field
-    enum_budget: int
     targets: list[tuple[int, ...]]
-    columns: list[tuple[int, ...]]
-    hit_sets: list[int]
+    table: CoverTable
 
     @cached_property
     def alpha(self) -> int:
@@ -323,26 +318,11 @@ class _Analysis:
         this analysis."""
         return generalized_independence_number(self.inst)[0]
 
-    @cached_property
-    def symmetries(self) -> list:
-        """The instance's automorphisms (message permutations carrying
-        receivers to receivers) as column class permutations; each maps
-        hit rows onto hit rows, permuting the targets, which share one
-        quota."""
-        gens, _ = automorphisms(self.inst)
-        return class_symmetries(self.field, self.columns, gens, self.enum_budget)
-
-    @cached_property
-    def visit(self) -> VisitOrder:
-        """The kernel's visit order and symmetry masks, shared by every
-        search of this analysis."""
-        return VisitOrder.build(self.hit_sets, self.symmetries)
-
 
 def _analyse(inst: IcsiInstance, field: Field, enum_budget: int) -> _Analysis:
     """The analysis, targets sorted for determinism: the projective
-    classes of the keys walked by `enumerate_error_vectors`.  Both that
-    walk and the hit-set table are bounded by `enum_budget`."""
+    classes of the keys walked by `enumerate_error_vectors`.  That walk,
+    the hit rows and the automorphism list are bounded by `enum_budget`."""
     q, n = field.q, inst.num_messages
     places = [q ** (n - 1 - j) for j in range(n)]
     targets = sorted({
@@ -351,9 +331,9 @@ def _analyse(inst: IcsiInstance, field: Field, enum_budget: int) -> _Analysis:
         for _, _, key in steps
     })
     if not targets:  # no receivers: every matrix works, columns are moot
-        return _Analysis(inst, field, enum_budget, targets, [], [])
-    columns, hit_sets = class_table(field, inst.num_messages, targets, enum_budget)
-    return _Analysis(inst, field, enum_budget, targets, columns, hit_sets)
+        return _Analysis(inst, targets, CoverTable([]))
+    gens, _ = automorphisms(inst)
+    return _Analysis(inst, targets, cover_table(field, n, targets, gens, enum_budget))
 
 
 def _min_rank_parts(inst: IcsiInstance) -> list[tuple[list[int], IcsiInstance]]:
@@ -420,9 +400,9 @@ def min_rank(
     each solved on its own and placed as a diagonal block of the code.  In
     a part every message is demanded, and its identity matrix is a code;
     below that length `_cover.descend` walks down to the part's alpha <=
-    its kappa (tabu codes, and the exhaustive `multiset_cover_search`
-    under the part's automorphisms as the one proof; its docstring holds
-    the policy).  `node_budget` bounds the exhaustive nodes, tripped probes
+    its kappa (tabu codes, and the exhaustive `multiset_cover_search` on
+    the part's cover table, under its automorphisms, as the one proof; its
+    docstring holds the policy).  `node_budget` bounds the exhaustive nodes, tripped probes
     included, summed over the parts; BudgetExceeded carries that sum and
     means kappa is unknown, with kappa's bracket: the settled parts' kappa
     plus the open part's bracket plus each later part's alpha (below) or
@@ -445,12 +425,12 @@ def min_rank(
             quotas = [1] * len(an.targets)
 
             def exhaustive(length: int, budget: int) -> tuple[Optional[tuple[int, ...]], int]:
-                res = multiset_cover_search(an.hit_sets, quotas, length, budget, _visit=an.visit)
+                res = multiset_cover_search(an.table, quotas, length, budget)
                 return res.classes, res.nodes
 
             try:
                 out = descend(
-                    an.hit_sets, quotas, len(msgs) - 1, alpha, len(msgs), node_budget - nodes,
+                    an.table.hit_sets, quotas, len(msgs) - 1, alpha, len(msgs), node_budget - nodes,
                     "ecic:kappa", tuple, exhaustive,  # witnesses stay class multisets
                 )
             except BudgetExceeded as exc:
@@ -467,7 +447,7 @@ def min_rank(
                 ) from exc
             nodes += out.nodes
             if out.witness is not None:
-                code = classes_matrix(field, an.columns, out.witness, len(msgs))
+                code = classes_matrix(field, an.table.columns, out.witness, len(msgs))
         blocks.append((msgs, code))
     kappa = sum(code.ncols for _, code in blocks)
     rows = [[0] * kappa for _ in range(n)]

@@ -476,7 +476,6 @@ def first_pick_cover_search(hit_sets, quotas, size, node_budget, orbits=None):
     orbits are given here."""
     from ecic._cover import (
         _MAX_SIZE, _WIDTH, BudgetExceeded, CapExceeded, CoverResult, _lanes, _trivial_fill,
-        _visit_order,
     )
 
     need = max(quotas, default=0)
@@ -487,7 +486,7 @@ def first_pick_cover_search(hit_sets, quotas, size, node_budget, orbits=None):
         raise CapExceeded(f"multiset size {size} exceeds packed-count cap {_MAX_SIZE}")
     if need > size:
         return CoverResult(False, None, 0)
-    order = _visit_order(hit_sets)
+    order = sorted(range(len(hit_sets)), key=lambda c: (-hit_sets[c].bit_count(), c))
     adds = [hit_sets[c] for c in order]
     sizes = [h.bit_count() for h in adds]
     high = _lanes([0x80] * len(quotas))

@@ -5,12 +5,14 @@ import pytest
 from ecic import (
     alpha_bound,
     bounds_report,
+    builtin_instance,
     code_exists,
     code_min_distance,
     find_code_generator,
     kappa_bound,
     make_field,
     mat_rank,
+    mds_generator,
     min_rank,
     no_side_info,
     odd_cycle_complement,
@@ -21,7 +23,7 @@ from ecic import (
     singleton_bound,
     sphere_volume,
 )
-from ecic.errors import BudgetExceeded, UnknownCodeLength
+from ecic.errors import BudgetExceeded, OutOfRegime, UnknownCodeLength
 
 from helpers import F2, random_instance
 
@@ -243,6 +245,43 @@ def test_bounds_report_mds_equality():
     rep = bounds_report(pentagon(), make_field(5), 1)
     assert rep.mds_equality is True
     assert rep.lower == rep.upper == rep.kappa + 2
+
+
+def test_bounds_report_mds_equality_in_the_repetition_and_identity_regimes():
+    """kappa = 1 (the repetition code) and delta = 0 (the identity) are MDS
+    concatenations at any q, as `mds_generator` builds them."""
+    rep = bounds_report(example1(), F2, 2)
+    assert rep.kappa == 1 and rep.lower == rep.upper == 5
+    assert rep.mds_equality is True
+    rep = bounds_report(no_side_info(5), F2, 0)
+    assert rep.kappa == 5 and rep.lower == rep.upper == 5
+    assert rep.mds_equality is True
+
+
+MDS_BUILT_INS = [
+    (name, q)
+    for name in ("example1", "pentagon", "no-side-info:1", "no-side-info:2",
+                 "no-side-info:3", "no-side-info:4", "odd-cycle-complement:3")
+    for q in (2, 3, 4, 5, 7)
+    if name != "odd-cycle-complement:3" or q <= 3  # kappa's search grows fast in q
+]
+
+
+@pytest.mark.parametrize("name, q", MDS_BUILT_INS)
+def test_mds_equality_is_exactly_the_mds_generator_regime(name, q):
+    """`mds_equality` holds exactly when `mds_generator` builds the
+    [kappa + 2*delta, kappa] outer code, and then the bounds meet there."""
+    field = make_field(q)
+    for delta in (0, 1, 2):
+        rep = bounds_report(builtin_instance(name), field, delta)
+        try:
+            mds_generator(field, rep.kappa, rep.kappa + 2 * delta)
+            built = True
+        except OutOfRegime:
+            built = False
+        assert rep.mds_equality is built, delta
+        if built:
+            assert rep.lower == rep.upper == rep.kappa + 2 * delta
 
 
 def test_bounds_monotone_in_delta():

@@ -17,6 +17,7 @@ from ecic import (
 from ecic import _cover
 from ecic._cover import (
     CoverResult,
+    CoverTable,
     Descent,
     descend,
     local_cover_search,
@@ -45,7 +46,7 @@ def oracle(hit_sets, quotas, size):
 
 
 def check_against_oracle(hit_sets, quotas, size):
-    res = multiset_cover_search(pack(hit_sets), quotas, size, 1 << 20)
+    res = multiset_cover_search(CoverTable(pack(hit_sets)), quotas, size, 1 << 20)
     found, classes = oracle(hit_sets, quotas, size)
     assert res.found == found
     if max(quotas) > 0:
@@ -109,23 +110,25 @@ def test_local_search_finds_the_easy_cases():
 
 
 def test_zero_quotas_without_classes_have_no_multiset():
-    assert multiset_cover_search([], [0], 2, 10) == CoverResult(False, None, 0)
-    assert multiset_cover_search([], [0], 0, 10) == CoverResult(True, (), 0)
+    empty = CoverTable([])
+    assert multiset_cover_search(empty, [0], 2, 10) == CoverResult(False, None, 0)
+    assert multiset_cover_search(empty, [0], 0, 10) == CoverResult(True, (), 0)
     assert local_cover_search([], [0], 2, 10, iter(())) == (None, 0)
 
 
 # two classes, each hitting one of two targets: a multiset meets quotas
 # (2, 2) from length 4 on
 TWO = pack([{0}, {1}])
+TWO_TABLE = CoverTable(TWO)
 
 
 def kernel_decides(length, budget):
-    res = multiset_cover_search(TWO, [2, 2], length, budget)
+    res = multiset_cover_search(TWO_TABLE, [2, 2], length, budget)
     return res.classes, res.nodes
 
 
 def test_descent_returns_known_when_top_is_infeasible():
-    proof = multiset_cover_search(TWO, [2, 2], 3, 100).nodes
+    proof = multiset_cover_search(TWO_TABLE, [2, 2], 3, 100).nodes
     out = descend(TWO, [2, 2], 3, 1, 4, 100, "t", tuple, kernel_decides)
     assert out == Descent(4, None, proof, _cover.LOCAL_SEARCH_ITERATIONS)
 
@@ -136,7 +139,7 @@ def test_descent_charges_every_length_to_one_budget(monkeypatch):
     bottom spends what is left and the descent raises with every node and
     the bracket."""
     monkeypatch.setattr(_cover, "local_cover_search", lambda *args: (None, 0))
-    spent = [multiset_cover_search(TWO, [2, 2], n, 100).nodes for n in (5, 4, 3)]
+    spent = [multiset_cover_search(TWO_TABLE, [2, 2], n, 100).nodes for n in (5, 4, 3)]
     total = sum(spent)
     assert total < _cover.LOCAL_SEARCH_ITERATIONS * len(TWO)  # the probe is not capped
     out = descend(TWO, [2, 2], 5, 3, 6, total, "t", tuple, kernel_decides)
@@ -204,7 +207,7 @@ def test_odd_cycle_complement_3_delta_2_needs_more_than_8_columns():
 def test_analysis_table_is_the_packed_reference(name, q):
     field = make_field(q)
     an = _analyse(builtin_instance(name), field, 1 << 20)
-    assert an.hit_sets == pack(reference_hit_sets(field, an.columns, an.targets))
+    assert an.table.hit_sets == pack(reference_hit_sets(field, an.table.columns, an.targets))
 
 
 def test_analysis_table_is_the_packed_reference_on_random_instances():
@@ -213,4 +216,5 @@ def test_analysis_table_is_the_packed_reference_on_random_instances():
         field = make_field(q)
         for _ in range(10):
             an = _analyse(random_instance(rng), field, 1 << 20)
-            assert an.hit_sets == pack(reference_hit_sets(field, an.columns, an.targets))
+            want = reference_hit_sets(field, an.table.columns, an.targets)
+            assert an.table.hit_sets == pack(want)

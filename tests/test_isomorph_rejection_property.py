@@ -5,7 +5,8 @@ automorphisms and on shortest-code questions under the coordinate
 permutations, both searches give the same answer and the same witness, and
 the every-depth rule never visits more nodes.  Any subset of the listed
 symmetries gives the same answer and witness too, and a search through the
-table's shared `VisitOrder` is the search that builds its own.  Skipped
+shared table is the search through a table rebuilt from its rows and its
+symmetry list.  Skipped
 when hypothesis is not installed; `tests/conftest.py` makes them
 deterministic in CI."""
 
@@ -18,8 +19,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ecic import IcsiInstance, builtin_instance, make_field  # noqa: E402
-from ecic._cover import class_permutations, multiset_cover_search  # noqa: E402
-from ecic.bounds import _CodeTable  # noqa: E402
+from ecic._cover import CoverTable, class_permutations, multiset_cover_search  # noqa: E402
+from ecic.bounds import _code_table  # noqa: E402
 from ecic.errors import BudgetExceeded  # noqa: E402
 from ecic.index_codes import _analyse  # noqa: E402
 from ecic.instance import automorphisms  # noqa: E402
@@ -67,7 +68,7 @@ _TABLES = {}
 
 def code_table(q, k):
     if (q, k) not in _TABLES:
-        _TABLES[q, k] = _CodeTable.build(q, k)
+        _TABLES[q, k] = _code_table(q, k)
     return _TABLES[q, k]
 
 
@@ -83,24 +84,26 @@ def code_questions(draw):
     return q, k, d, length
 
 
-def _compare(hit_sets, quotas, size, symmetries, orbits, visit):
-    """The every-depth search against the oracle, or None when the oracle
-    runs out of budget; the same search through `visit`, the table's
-    shared order and masks, returns the same result."""
+def _compare(table, quotas, size, orbits):
+    """The every-depth search against the oracle on the table's raw rows,
+    or None when the oracle runs out of budget; the same search through
+    the shared `table` returns the same result."""
+    hit_sets = table.hit_sets
     try:
         oracle = first_pick_cover_search(hit_sets, quotas, size, BUDGET, orbits=orbits)
     except BudgetExceeded:
         return None
-    res = multiset_cover_search(hit_sets, quotas, size, BUDGET, symmetries=symmetries)
+    rebuilt = CoverTable(hit_sets, table.symmetries)
+    res = multiset_cover_search(rebuilt, quotas, size, BUDGET)
     assert (res.found, res.classes) == (oracle.found, oracle.classes)
     assert res.nodes <= oracle.nodes
-    assert multiset_cover_search(hit_sets, quotas, size, BUDGET, _visit=visit) == res
+    assert multiset_cover_search(table, quotas, size, BUDGET) == res
     return res
 
 
 def _code_search(q, k, d, length):
     table = code_table(q, k)
-    residual = [max(0, d - sum(1 for x in z if x)) for z in table.classes]
+    residual = [max(0, d - sum(1 for x in z if x)) for z in table.columns]
     return table, residual, length - k
 
 
@@ -110,9 +113,10 @@ def test_every_depth_matches_the_first_pick_oracle_on_ecic_questions(question):
     inst, field, delta, length = question
     an = _analyse(inst, field, 1 << 20)
     gens, _ = automorphisms(inst)
-    orbits = class_orbits(len(an.columns), class_permutations(field, an.columns, gens))
+    columns = an.table.columns
+    orbits = class_orbits(len(columns), class_permutations(field, columns, gens))
     quotas = [2 * delta + 1] * len(an.targets)
-    _compare(an.hit_sets, quotas, length, an.symmetries, orbits, an.visit)
+    _compare(an.table, quotas, length, orbits)
 
 
 @settings(deadline=None)
@@ -122,8 +126,8 @@ def test_every_depth_matches_the_first_pick_oracle_on_code_questions(question):
     table, residual, size = _code_search(q, k, d, length)
     field = make_field(q)
     gens = [(1, 0) + tuple(range(2, k)), tuple(range(1, k)) + (0,)]
-    orbits = class_orbits(len(table.classes), class_permutations(field, table.classes, gens))
-    _compare(table.hit_sets, residual, size, table.symmetries, orbits, table.visit)
+    orbits = class_orbits(len(table.columns), class_permutations(field, table.columns, gens))
+    _compare(table, residual, size, orbits)
 
 
 @settings(deadline=None)
@@ -134,27 +138,27 @@ def test_any_subset_of_the_symmetries_gives_the_same_answer(question, seed):
     if len(question) == 4 and isinstance(question[0], IcsiInstance):
         inst, field, delta, length = question
         an = _analyse(inst, field, 1 << 20)
-        hit_sets, quotas, size, listed = (
-            an.hit_sets, [2 * delta + 1] * len(an.targets), length, an.symmetries
-        )
-        gens = class_permutations(field, an.columns, automorphisms(inst)[0])
+        table, quotas, size = an.table, [2 * delta + 1] * len(an.targets), length
+        gens = class_permutations(field, table.columns, automorphisms(inst)[0])
     else:
         q, k, d, length = question
         table, quotas, size = _code_search(q, k, d, length)
-        hit_sets, listed = table.hit_sets, table.symmetries
         moves = [(1, 0) + tuple(range(2, k)), tuple(range(1, k)) + (0,)]
-        gens = class_permutations(table.field, table.classes, moves)
+        gens = class_permutations(make_field(q), table.columns, moves)
+    hit_sets, listed = table.hit_sets, table.symmetries
     identity = tuple(range(len(hit_sets)))
     gens = [g for g in gens if g != identity]
     rng = random.Random(seed)
     half = rng.sample(listed, len(listed) // 2)
     try:
-        full = multiset_cover_search(hit_sets, quotas, size, BUDGET, symmetries=listed)
+        full = multiset_cover_search(table, quotas, size, BUDGET)
     except BudgetExceeded:
         return
     for subset in (gens, half):
         try:
-            res = multiset_cover_search(hit_sets, quotas, size, 4 * BUDGET, symmetries=subset)
+            res = multiset_cover_search(
+                CoverTable(hit_sets, subset), quotas, size, 4 * BUDGET
+            )
         except BudgetExceeded:
             continue
         assert (res.found, res.classes) == (full.found, full.classes)

@@ -4,6 +4,7 @@ automorphisms and the coordinate permutations of a code scan, each checked
 against the unrestricted search or the first-pick oracle it replaces."""
 
 import itertools
+import math
 
 import pytest
 
@@ -21,6 +22,7 @@ from ecic import (
     shortest_code_length,
 )
 from ecic._cover import (
+    CoverTable,
     class_permutations,
     class_symmetries,
     class_table,
@@ -28,6 +30,7 @@ from ecic._cover import (
     multiset_cover_search,
     projective_classes,
 )
+from ecic.bounds import _code_table, _griesmer_length
 from ecic.index_codes import _analyse
 from ecic.instance import automorphisms
 
@@ -73,6 +76,7 @@ def test_systematic_search_agrees_with_unrestricted_search():
         field = make_field(q)
         for k in range(1, 5):
             classes, hit_sets = class_table(field, k)
+            unpruned = CoverTable(hit_sets)
             units = {tuple(int(r == i) for r in range(k)) for i in range(k)}
             for d in range(1, 6):
                 for n in range(max(k, d), griesmer(q, k, d) + 2):
@@ -81,7 +85,7 @@ def test_systematic_search_agrees_with_unrestricted_search():
                     if n < griesmer(q, k, d):
                         assert G is None, (q, k, d, n)
                     if (q, k) != (4, 4):
-                        plain = multiset_cover_search(hit_sets, [d] * len(classes), n, 1 << 27)
+                        plain = multiset_cover_search(unpruned, [d] * len(classes), n, 1 << 27)
                         assert plain.found == (G is not None), (q, k, d, n)
                     if G is None:
                         continue
@@ -142,10 +146,10 @@ def test_automorphisms_match_brute_force_on_random_instances():
 )
 def test_class_permutations_map_hit_sets_onto_hit_sets(inst, field):
     an = _analyse(inst, field, 1 << 20)
-    columns, zs = an.columns, an.targets
+    columns, zs = an.table.columns, an.targets
     assert columns == projective_classes(field, inst.num_messages)
     hit_sets = reference_hit_sets(field, columns, zs)
-    assert an.hit_sets == pack(hit_sets)
+    assert an.table.hit_sets == pack(hit_sets)
     gens, _ = automorphisms(inst)
     assert gens
     for g in gens:
@@ -182,11 +186,11 @@ def test_class_orbits_are_labelled_by_their_smallest_class():
 
 
 def test_cover_search_quotas_are_per_target():
-    hit_sets = pack([{0}, {1}])
-    assert multiset_cover_search(hit_sets, [0, 0], 2, 1000).classes == (0, 0)
-    assert not multiset_cover_search(hit_sets, [3, 1], 3, 1000).found
-    assert multiset_cover_search(hit_sets, [3, 1], 4, 1000).classes == (0, 0, 0, 1)
-    assert not multiset_cover_search(hit_sets, [5, 0], 4, 1000).found
+    table = CoverTable(pack([{0}, {1}]))
+    assert multiset_cover_search(table, [0, 0], 2, 1000).classes == (0, 0)
+    assert not multiset_cover_search(table, [3, 1], 3, 1000).found
+    assert multiset_cover_search(table, [3, 1], 4, 1000).classes == (0, 0, 0, 1)
+    assert not multiset_cover_search(table, [5, 0], 4, 1000).found
 
 
 def test_cover_search_orbits_skip_first_picks_only():
@@ -194,9 +198,11 @@ def test_cover_search_orbits_skip_first_picks_only():
     them.  The swap fixes no class, so no pick has a symmetry fixing it and
     only first picks are skipped, as the first-pick oracle skips them."""
     hit_sets = pack([{0}, {1}])
+    unpruned = CoverTable(hit_sets)
+    swapped = CoverTable(hit_sets, [bytes([1, 0])])
     for size, found in ((3, False), (4, True)):
-        plain = multiset_cover_search(hit_sets, [2, 2], size, 1000)
-        pruned = multiset_cover_search(hit_sets, [2, 2], size, 1000, symmetries=[bytes([1, 0])])
+        plain = multiset_cover_search(unpruned, [2, 2], size, 1000)
+        pruned = multiset_cover_search(swapped, [2, 2], size, 1000)
         oracle = first_pick_cover_search(hit_sets, [2, 2], size, 1000, orbits=[0, 0])
         assert plain.found == pruned.found == found
         assert plain.classes == pruned.classes
@@ -214,9 +220,10 @@ def test_cover_search_rejects_isomorphs_below_the_root():
     oracle tries it."""
     hit_sets = pack([{0, 1}, {0, 2}, {0, 3}])
     swap = bytes([0, 2, 1])
+    unpruned, swapped = CoverTable(hit_sets), CoverTable(hit_sets, [swap])
     for size, found, nodes, oracle_nodes in ((2, False, 4, 5), (3, True, 7, 8)):
-        plain = multiset_cover_search(hit_sets, [1] * 4, size, 1000)
-        pruned = multiset_cover_search(hit_sets, [1] * 4, size, 1000, symmetries=[swap])
+        plain = multiset_cover_search(unpruned, [1] * 4, size, 1000)
+        pruned = multiset_cover_search(swapped, [1] * 4, size, 1000)
         oracle = first_pick_cover_search(
             hit_sets, [1] * 4, size, 1000, orbits=class_orbits(3, [swap])
         )
@@ -236,12 +243,13 @@ def test_cover_search_rejects_isomorphs_below_the_root():
 )
 def test_orbit_skipping_keeps_answers_and_witnesses(inst, delta, optimum):
     an = _analyse(inst, F2, 1 << 20)
+    unpruned = CoverTable(an.table.hit_sets)
     for length in (optimum - 1, optimum):
         pruned = exists_ecic(inst, F2, delta, length)
-        plain = multiset_cover_search(an.hit_sets, [2 * delta + 1] * len(an.targets), length, 1 << 27)
+        plain = multiset_cover_search(unpruned, [2 * delta + 1] * len(an.targets), length, 1 << 27)
         assert pruned.feasible == plain.found == (length == optimum)
         if pruned.feasible:
-            plain_matrix = classes_matrix(F2, an.columns, plain.classes, inst.num_messages)
+            plain_matrix = classes_matrix(F2, an.table.columns, plain.classes, inst.num_messages)
             assert pruned.witness.matrix == plain_matrix
         else:
             assert pruned.nodes < plain.nodes
@@ -259,10 +267,10 @@ def test_listed_symmetries_are_the_automorphism_group(inst, field):
     """Every automorphism but the identity, once each, as a column class
     permutation that maps hit sets onto hit sets."""
     an = _analyse(inst, field, 1 << 20)
-    columns, zs = an.columns, an.targets
+    columns, zs = an.table.columns, an.targets
     hit_sets = reference_hit_sets(field, columns, zs)
     _, order = automorphisms(inst)
-    listed = [tuple(g) for g in an.symmetries]
+    listed = [tuple(g) for g in an.table.symmetries]
     assert len(set(listed)) == len(listed) == order - 1
     assert tuple(range(len(columns))) not in listed
     where = {columns.index(z): t for t, z in enumerate(zs)}
@@ -273,16 +281,69 @@ def test_listed_symmetries_are_the_automorphism_group(inst, field):
 
 
 def test_code_scan_lists_the_coordinate_permutations():
-    from ecic.bounds import _CodeTable
-
     field = make_field(3)
-    table = _CodeTable.build(3, 3)
-    assert table.classes == projective_classes(field, 3)
+    table = _code_table(3, 3)
+    assert table.columns == projective_classes(field, 3)
     perms = itertools.permutations(range(3))
-    want = set(class_permutations(field, table.classes, perms))
+    want = set(class_permutations(field, table.columns, perms))
     assert {tuple(g) for g in table.symmetries} == want - {tuple(range(13))}
     assert len(table.symmetries) == 5
-    assert _CodeTable.build(2, 1).symmetries == []
+    assert _code_table(2, 1).symmetries == []
+
+
+# N, k, d over GF(q) with the kernel's nodes at each length of the scan
+# from the Griesmer bound up: infeasible below the last, found at it
+CODE_SCAN_NODES = [
+    (2, 4, 5, {11: 2_073}),
+    (2, 4, 7, {14: 10_803}),
+    (3, 4, 4, {8: 829}),
+    (2, 5, 3, {8: 111, 9: 153}),
+    (4, 3, 5, {8: 354}),
+    (2, 3, 7, {13: 343}),
+    (2, 8, 3, {11: 549, 12: 22_999}),  # the byte listing of S_8
+]
+
+
+@pytest.mark.parametrize(
+    "q, k, d, nodes", CODE_SCAN_NODES, ids=[f"{q}-{k}-{d}" for q, k, d, _ in CODE_SCAN_NODES]
+)
+def test_code_scan_node_counts_are_pinned(q, k, d, nodes):
+    """The systematic residual search of `find_code_generator` on the
+    shared (q, k) table, node for node, so that a change to the table, its
+    symmetry listing or the kernel's pruning shows here."""
+    table = _code_table(q, k)
+    residual = [max(0, d - sum(1 for x in z if x)) for z in table.columns]
+    assert min(nodes) == _griesmer_length(q, k, d)
+    for length, want in nodes.items():
+        res = multiset_cover_search(table, residual, length - k, 1 << 27)
+        assert (res.found, res.nodes) == (length == max(nodes), want), length
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_code_table_is_the_ecic_table_without_side_information(q, k):
+    """The paper's reduction of the shortest classical code to the
+    shortest ECIC: without side information every nonzero vector is
+    confusable, so the table of no-side-info:k is the (q, k) code table
+    with its targets in another order, and its automorphisms (all k!
+    message permutations) are the code scan's coordinate permutations,
+    neither list cut."""
+    field = make_field(q)
+    code = _code_table(q, k)
+    an = _analyse(no_side_info(k), field, 1 << 20)
+    assert an.table.columns == code.columns
+    assert sorted(an.targets) == sorted(code.columns)
+
+    def hit(row, targets):
+        return frozenset(z for t, z in enumerate(targets) if row >> (8 * t) & 1)
+
+    ecic_rows = [hit(row, an.targets) for row in an.table.hit_sets]
+    code_rows = [hit(row, code.columns) for row in code.hit_sets]
+    assert sorted(ecic_rows, key=sorted) == sorted(code_rows, key=sorted)
+    assert ecic_rows == code_rows  # class by class, as the columns agree
+    ecic_symmetries = {tuple(g) for g in an.table.symmetries}
+    assert ecic_symmetries == {tuple(g) for g in code.symmetries}
+    assert len(ecic_symmetries) == len(code.symmetries) == math.factorial(k) - 1
 
 
 def test_symmetry_list_stops_at_the_budget():

@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ecic import IcsiInstance, exists_ecic, make_field  # noqa: E402
-from ecic._cover import classes_matrix, multiset_cover_search  # noqa: E402
+from ecic._cover import CoverTable, classes_matrix, multiset_cover_search  # noqa: E402
 from ecic.index_codes import _analyse  # noqa: E402
 from ecic.instance import automorphisms  # noqa: E402
 
@@ -63,11 +63,12 @@ def test_pruned_search_matches_unpruned_search(question):
     for case in (inst, moved):
         pruned = exists_ecic(case, field, delta, length, node_budget=1 << 22)
         an = _analyse(case, field, 1 << 20)
-        plain = multiset_cover_search(an.hit_sets, [2 * delta + 1] * len(an.targets), length, 1 << 22)
+        unpruned = CoverTable(an.table.hit_sets)
+        plain = multiset_cover_search(unpruned, [2 * delta + 1] * len(an.targets), length, 1 << 22)
         assert pruned.feasible == plain.found
         assert pruned.nodes <= plain.nodes
         if pruned.feasible:
-            plain_matrix = classes_matrix(field, an.columns, plain.classes, case.num_messages)
+            plain_matrix = classes_matrix(field, an.table.columns, plain.classes, case.num_messages)
             assert pruned.witness.matrix == plain_matrix
         answers.add(pruned.feasible)
     assert len(answers) == 1  # relabelling messages cannot change feasibility
