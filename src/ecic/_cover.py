@@ -9,9 +9,9 @@ one serial depth-first search whose every node is charged to one node
 budget.
 
 Every search reads one `CoverTable`, built once per (instance, q) and per
-(q, k) of a code scan by `cover_table`: the column classes, their hit rows
-and the symmetries, with the kernel's visit order and masks made on its
-first search.  Class c's row is
+(q, k) of a code scan by `cover_table`: the column classes, the targets,
+their hit rows and the symmetries, with the kernel's visit order and masks
+made on its first search.  Class c's row is
 one int whose byte t is 1 if c hits target t and 0 if not, so a row's
 `bit_count()` is the number of targets it hits; `PackedRows` computes the
 products, as it does every other GF(q) combination (`class_table`).
@@ -273,13 +273,15 @@ def _stabilizer_masks(
 class CoverTable:
     """One hit table as every cover search reads it, whatever the quotas
     and the size: the column classes' packed hit rows in class order, the
-    symmetries listed for them and the classes themselves (none for a
-    table of bare rows).  The kernel's arrays are made from these on the
-    first search and kept for every later one (`visit`)."""
+    symmetries listed for them, the classes and the targets (none for a
+    table of bare rows).  The (instance, q) table (`index_codes._analyse`)
+    is all the ECIC search and kappa share.  The kernel's arrays are made
+    from these on the first search and kept for every later one (`visit`)."""
 
     hit_sets: Sequence[int]
     symmetries: Sequence[Sequence[int]] = ()  # class permutations (see the module docstring)
     columns: Sequence[tuple[int, ...]] = ()
+    targets: Sequence[tuple[int, ...]] = ()
 
     @cached_property
     def visit(self) -> tuple[list[int], ...]:
@@ -287,15 +289,19 @@ class CoverTable:
         by index), their hit rows, the rows' sizes (non-increasing, so a
         deficit bound at one class holds for every later one), live_low[s]
         (packed 1 per target hit by some class at position >= s), and the
-        masks fixes and earlier (`_stabilizer_masks`).  Made on first use:
-        a table that no search reads, as in kappa's descent on a directed
-        cycle, where tabu's code ends it, never builds them."""
+        masks fixes and earlier (`_stabilizer_masks`); the unions saturate
+        after a few classes, and each distinct one is one int.  Made on
+        first use: a table that no search reads, as in kappa's descent on a
+        directed cycle, where tabu's code ends it, never builds them."""
         rows = self.hit_sets
         order = sorted(range(len(rows)), key=lambda c: (-rows[c].bit_count(), c))
         adds = [rows[c] for c in order]
         live_low = [0] * (len(order) + 1)
+        union = 0
         for s in range(len(order) - 1, -1, -1):
-            live_low[s] = live_low[s + 1] | adds[s]
+            if adds[s] | union != union:
+                union |= adds[s]
+            live_low[s] = union
         return (order, adds, [h.bit_count() for h in adds], live_low,
                 *_stabilizer_masks(self.symmetries, order))
 
@@ -304,12 +310,13 @@ def cover_table(
     field: Field, n: int, targets: Sequence[tuple[int, ...]] | None,
     generators: Iterable[Sequence[int]], budget: int,
 ) -> CoverTable:
-    """The table of the projective classes of F_q^n over `targets`
-    (`class_table`) under the group that the coordinate permutations
-    `generators` generate (`class_symmetries`), within `budget` bytes."""
+    """The table of the projective classes of F_q^n over `targets` (the
+    classes themselves when None; `class_table`) under the group that the
+    coordinate permutations `generators` generate (`class_symmetries`),
+    within `budget` bytes."""
     columns, hit_sets = class_table(field, n, targets, budget)
     symmetries = class_symmetries(field, columns, generators, budget)
-    return CoverTable(hit_sets, symmetries, columns)
+    return CoverTable(hit_sets, symmetries, columns, columns if targets is None else targets)
 
 
 def multiset_cover_search(

@@ -13,7 +13,6 @@ arithmetic is exact big-integer; nothing here rounds through floats.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -83,7 +82,7 @@ def find_code_generator(
     table = _table or _code_table(q, k)
     classes = table.columns
     units = [classes.index(tuple(int(r == i) for r in range(k))) for i in range(k)]
-    residual = [max(0, d - sum(1 for x in z if x)) for z in classes]
+    residual = [max(0, d - sum(1 for x in z if x)) for z in table.targets]
     res = multiset_cover_search(table, residual, length - k, node_budget)
     if not res.found:
         return None
@@ -98,7 +97,7 @@ def _griesmer_length(q: int, k: int, d: int) -> int:
 
 def shortest_code_length(
     q: int, k: int, d: int, node_budget: int = DEFAULT_NODE_BUDGET,
-    *, _table: Optional[_CodeTable] = None,
+    *, _table: Optional[CoverTable] = None,
 ) -> int:
     """Exact length of the shortest [N, k, d'] linear code with d' >= d.
 
@@ -129,6 +128,18 @@ def shortest_code_length(
     except (BudgetExceeded, CapExceeded) as exc:
         raise UnknownCodeLength(q, k, d, str(exc)) from exc
     raise AssertionError("shortest-length scan passed its guaranteed upper end")
+
+
+def _code_length_bracket(q: int, k: int, d: int, node_budget: int) -> tuple[int, int]:
+    """N_q[k, d] as (lower, upper): the exact length twice, or, when the
+    node budget does not settle it, the Griesmer bound and k * d (each
+    identity column repeated d times).  The ends meet only when the length
+    is known: the scan searches only at k, d >= 2, where Griesmer < k * d."""
+    try:
+        length = shortest_code_length(q, k, d, node_budget=node_budget)
+    except UnknownCodeLength:
+        return _griesmer_length(q, k, d), k * d
+    return length, length
 
 
 def alpha_bound(
@@ -187,9 +198,10 @@ def random_coding_length(inst: IcsiInstance, field: Field, delta: int) -> int:
 class BoundsReport:
     """All length bounds for one (instance, field, delta).
 
-    Fields are None when their computation exceeded its budget.  `lower`
-    is the best lower bound available, `upper` the concatenation bound;
-    when `mds_equality` holds the two coincide at kappa + 2*delta.
+    Fields are None when their computation exceeded its budget, but an
+    unsettled code length's bracket still serves `lower`, the best lower
+    bound available, and `upper`, the concatenation bound; when
+    `mds_equality` holds the two coincide at kappa + 2*delta.
     """
 
     q: int
@@ -245,18 +257,11 @@ def bounds_report(
         kappa = min_rank(inst, field, node_budget).kappa
     except (BudgetExceeded, CapExceeded):
         pass
-
-    @functools.cache  # alpha and kappa are often equal: one scan per distinct dimension
-    def code_len(k: Optional[int]) -> Optional[int]:
-        if k is None:
-            return None
-        try:
-            return shortest_code_length(field.q, k, d, node_budget=node_budget)
-        except UnknownCodeLength:
-            return None
-
-    a_bound = code_len(alpha)
-    k_bound = code_len(kappa)
+    # alpha and kappa are often equal: one scan per distinct dimension
+    brackets = {k: _code_length_bracket(field.q, k, d, node_budget)
+                for k in sorted({alpha, kappa} - {None})}
+    a_low, a_high = brackets.get(alpha, (None, None))
+    k_low, k_high = brackets.get(kappa, (None, None))
     if kappa is None:
         singleton = None
         mds = None
@@ -265,18 +270,18 @@ def bounds_report(
         # the regimes of `mds_generator`: identity, repetition, extended RS
         mds = kappa >= 1 and (delta == 0 or kappa == 1 or kappa + 2 * delta <= field.q + 1)
     random_len = random_coding_length(inst, field, delta)
-    lower_candidates = [v for v in (a_bound, singleton) if v is not None]
+    lower_candidates = [v for v in (a_low, singleton) if v is not None]
     lower = max(lower_candidates) if lower_candidates else None
     return BoundsReport(
         q=field.q,
         delta=delta,
         alpha=alpha,
         kappa=kappa,
-        alpha_bound=a_bound,
-        kappa_bound=k_bound,
+        alpha_bound=a_low if a_low == a_high else None,
+        kappa_bound=k_low if k_low == k_high else None,
         singleton=singleton,
         random_coding=random_len,
         mds_equality=mds,
         lower=lower,
-        upper=k_bound,
+        upper=k_high,
     )

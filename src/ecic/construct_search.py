@@ -20,6 +20,7 @@ from typing import Optional
 from ._cover import (
     _MAX_SIZE,
     DEFAULT_NODE_BUDGET,
+    CoverTable,
     _seeded_bytes,
     classes_matrix,
     descend,
@@ -29,10 +30,9 @@ from ._cover import (
 # no longer called here, but bench/tracing.py wraps them under this module's
 # names
 from .bounds import (  # noqa: F401
-    _griesmer_length,
+    _code_length_bracket,
     alpha_bound,
     kappa_bound,
-    shortest_code_length,
     singleton_bound,
 )
 from .errors import (
@@ -43,12 +43,10 @@ from .errors import (
     LengthMismatch,
     OutOfRegime,
     OuterDistanceTooSmall,
-    UnknownCodeLength,
 )
 from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FMatrix, code_min_distance, mat_rank
 from .index_codes import (
     LinearIndexCode,
-    _Analysis,
     _analyse,
     _check_delta,
     _margins_with_minimizers,
@@ -183,13 +181,13 @@ class ExistsResult:
 
 
 def _verified(
-    inst: IcsiInstance, field: Field, delta: int, an: _Analysis, classes: tuple[int, ...],
+    inst: IcsiInstance, field: Field, delta: int, table: CoverTable, classes: tuple[int, ...],
     enum_budget: int,
 ) -> LinearIndexCode:
     """The code whose columns are the picked classes, re-verified through
     the margin route."""
     code = LinearIndexCode(
-        inst, field, classes_matrix(field, an.table.columns, classes, inst.num_messages)
+        inst, field, classes_matrix(field, table.columns, classes, inst.num_messages)
     )
     if not verify_ecic(code, delta, enum_budget).ok:
         raise InternalContradiction("search witness failed margin verification")
@@ -204,7 +202,7 @@ def exists_ecic(
     node_budget: int = DEFAULT_NODE_BUDGET,
     *,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
-    _analysis: Optional[_Analysis] = None,
+    _table: Optional[CoverTable] = None,
 ) -> ExistsResult:
     """Exhaustively decide whether any n x length matrix corrects delta
     errors for the instance.
@@ -217,24 +215,26 @@ def exists_ecic(
     to receivers), which permute both the column classes and the
     confusable classes, so the search skips every column class that an
     automorphism fixing the columns picked so far sends to an earlier
-    class (the symmetries of the analysis's cover table; see `_cover`),
+    class (the symmetries of the (instance, q) cover table; see `_cover`),
     which changes the node count but neither the answer nor the witness.
     An infeasible answer is a proof by exhaustion; BudgetExceeded means
     unknown, never infeasible.  A returned witness has been re-verified
     through the margin route.
-    `_analysis` passes in the (instance, q) analysis a length scan shares.
+    `_table` passes in the (instance, q) cover table (`_analyse`) a length
+    scan shares.
     """
     _check_delta(delta)
     if length < 0:
         raise LengthMismatch("length must be nonnegative")
-    an = _analysis or _analyse(inst, field, enum_budget)
-    if not an.targets:
+    table = _table or _analyse(inst, field, enum_budget)
+    if not table.targets:
         witness = LinearIndexCode(inst, field, FMatrix.zero(field, inst.num_messages, length))
         return ExistsResult(True, witness, 0)
-    res = multiset_cover_search(an.table, [2 * delta + 1] * len(an.targets), length, node_budget)
+    res = multiset_cover_search(table, [2 * delta + 1] * len(table.targets), length, node_budget)
     if not res.found:
         return ExistsResult(False, None, res.nodes)
-    return ExistsResult(True, _verified(inst, field, delta, an, res.classes, enum_budget), res.nodes)
+    witness = _verified(inst, field, delta, table, res.classes, enum_budget)
+    return ExistsResult(True, witness, res.nodes)
 
 
 @dataclass(frozen=True)
@@ -272,13 +272,13 @@ def optimal_length_search(
     re-verified, and one exhaustive proof by `exists_ecic`; its docstring
     holds the policy), walking down from the concatenation bound (or from
     the cover search's cap, if that is lower) to the best lower bound.
-    Kappa comes from `min_rank` on the same analysis, with the node budget
-    to itself; if the budgets leave it unsettled, the bounds drop it and
-    concatenate the unit columns of the distinct demands instead.  When a
-    shortest outer code is not settled within the node budget, the scan
-    falls back to bounds that need no search: the Griesmer bound at alpha
-    below, and k * (2*delta + 1) above (the outer code that repeats each
-    identity column).  The node budget is shared by the whole descent.
+    Kappa comes from `min_rank` on the same cover table, with the node
+    budget to itself; if the budgets leave it unsettled, the bounds drop it
+    and concatenate the unit columns of the distinct demands instead.  A
+    shortest outer code the node budget does not settle is bracketed by
+    bounds that need no search (`bounds._code_length_bracket`): the lower
+    end serves at alpha, the upper end at the concatenated code's width.
+    The node budget is shared by the whole descent.
     On its exhaustion the raised error carries the bracket proved so far:
     every length below `infeasible_below` is infeasible, and `feasible_at`
     has a verified witness (or is the concatenation bound).
@@ -286,31 +286,21 @@ def optimal_length_search(
     _check_delta(delta)
     started = time.perf_counter()
     d = 2 * delta + 1
-    an = kappa = None
+    table = kappa = None
     try:
-        an = _analyse(inst, field, enum_budget)
-        kappa = min_rank(inst, field, node_budget, _analysis=an).kappa
+        table = _analyse(inst, field, enum_budget)
+        kappa = min_rank(inst, field, node_budget, _table=table).kappa
     except BudgetExceeded as exc:
         unsettled = exc
-    alpha = generalized_independence_number(inst)[0] if an is None else an.alpha
+    alpha = generalized_independence_number(inst)[0]
     inner = len(set(inst.demands)) if kappa is None else kappa  # the concatenated code's width
-    shortest: dict[int, Optional[int]] = {}  # N_q[k, d]; None if the budget does not settle it
-    for k in sorted({alpha, inner}):
-        try:
-            shortest[k] = shortest_code_length(field.q, k, d, node_budget=node_budget)
-        except UnknownCodeLength:
-            shortest[k] = None
-    a_bound = shortest[alpha]
-    if a_bound is None:
-        a_bound = _griesmer_length(field.q, alpha, d)
-    lower = a_bound
+    brackets = {k: _code_length_bracket(field.q, k, d, node_budget) for k in sorted({alpha, inner})}
+    lower = brackets[alpha][0]
     if kappa is not None and inst.num_receivers:
         lower = max(lower, kappa + 2 * delta)
-    upper = shortest[inner]
-    if upper is None:
-        upper = inner * d
+    upper = brackets[inner][1]
 
-    if an is None:
+    if table is None:
         raise BudgetExceeded(
             f"budget exhausted analysing the instance; infeasible below {lower}, "
             f"feasible at {upper}",
@@ -319,13 +309,13 @@ def optimal_length_search(
 
     def exhaustive(length: int, budget: int) -> tuple[Optional[LinearIndexCode], int]:
         res = exists_ecic(
-            inst, field, delta, length, node_budget=budget, enum_budget=enum_budget, _analysis=an
+            inst, field, delta, length, node_budget=budget, enum_budget=enum_budget, _table=table
         )
         return res.witness, res.nodes
 
     out = descend(
-        an.table.hit_sets, [d] * len(an.targets), min(upper, _MAX_SIZE), lower, upper, node_budget,
-        "ecic:local", lambda classes: _verified(inst, field, delta, an, classes, enum_budget),
+        table.hit_sets, [d] * len(table.targets), min(upper, _MAX_SIZE), lower, upper, node_budget,
+        "ecic:local", lambda classes: _verified(inst, field, delta, table, classes, enum_budget),
         exhaustive,
     )
     if out.witness is None:

@@ -13,14 +13,13 @@ cross-checking (`verify_ecic_direct`).
 
 Kappa is the length of a shortest delta = 0 code, so `min_rank` finds it
 with the descent of the optimal-length scan (`_cover.descend`) at quota 1,
-on the per-(instance, q) analysis (`_analyse`) the scan shares.
+on the (instance, q) cover table (`_analyse`) the scan shares.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from ._cover import (
@@ -296,32 +295,17 @@ def generalized_independence_number(inst: IcsiInstance) -> tuple[int, tuple[int,
 
 
 # ---------------------------------------------------------------------------
-# the (instance, q) analysis and min-rank
+# the (instance, q) cover table and min-rank
 
 
-@dataclass(frozen=True)
-class _Analysis:
+def _analyse(inst: IcsiInstance, field: Field, enum_budget: int) -> CoverTable:
     """What the cover searches need from one (instance, q), whatever delta
-    and length: the confusable vectors up to scaling (the targets) and the
-    cover table over them, whose symmetries are the instance's
-    automorphisms (message permutations carrying receivers to receivers)
-    as column class permutations; each maps hit rows onto hit rows,
-    permuting the targets, which share one quota."""
-
-    inst: IcsiInstance
-    targets: list[tuple[int, ...]]
-    table: CoverTable
-
-    @cached_property
-    def alpha(self) -> int:
-        """The instance's alpha, computed once for every search sharing
-        this analysis."""
-        return generalized_independence_number(self.inst)[0]
-
-
-def _analyse(inst: IcsiInstance, field: Field, enum_budget: int) -> _Analysis:
-    """The analysis, targets sorted for determinism: the projective
-    classes of the keys walked by `enumerate_error_vectors`.  That walk,
+    and length: the cover table whose targets are the confusable vectors
+    up to scaling, sorted for determinism (the projective classes of the
+    keys walked by `enumerate_error_vectors`), and whose symmetries are
+    the instance's automorphisms (message permutations carrying receivers
+    to receivers) as column class permutations; each maps hit rows onto
+    hit rows, permuting the targets, which share one quota.  That walk,
     the hit rows and the automorphism list are bounded by `enum_budget`."""
     q, n = field.q, inst.num_messages
     places = [q ** (n - 1 - j) for j in range(n)]
@@ -331,9 +315,9 @@ def _analyse(inst: IcsiInstance, field: Field, enum_budget: int) -> _Analysis:
         for _, _, key in steps
     })
     if not targets:  # no receivers: every matrix works, columns are moot
-        return _Analysis(inst, targets, CoverTable([]))
+        return CoverTable([])
     gens, _ = automorphisms(inst)
-    return _Analysis(inst, targets, cover_table(field, n, targets, gens, enum_budget))
+    return cover_table(field, n, targets, gens, enum_budget)
 
 
 def _min_rank_parts(inst: IcsiInstance) -> list[tuple[list[int], IcsiInstance]]:
@@ -389,7 +373,7 @@ def min_rank(
     field: Field,
     node_budget: int = DEFAULT_NODE_BUDGET,
     *,
-    _analysis: Optional[_Analysis] = None,
+    _table: Optional[CoverTable] = None,
 ) -> MinRankResult:
     """Minimum rank over all side-information completions of the demand
     rows, found as the length of a shortest plain index code: a delta = 0
@@ -409,28 +393,28 @@ def min_rank(
     size (above).
     Row i of the witness is L @ lambda_i for the found code L, where
     lambda_i solves receiver i's decoding system (see `verify_ic`).
-    `_analysis` passes in the (instance, q) analysis a length scan shares;
-    it is used when the instance is one part as it stands.
+    `_table` passes in the (instance, q) cover table (`_analyse`) a
+    length scan shares; it is used when the instance is one part as it
+    stands.
     """
     n = inst.num_messages
     blocks = []
     nodes = 0
     parts = _min_rank_parts(inst)
     for at, (msgs, part) in enumerate(parts):
-        an = _analysis if part == inst else None
-        alpha = generalized_independence_number(part)[0] if an is None else an.alpha
+        alpha = generalized_independence_number(part)[0]
         code = FMatrix.identity(field, len(msgs))
         if alpha < len(msgs):
-            an = an or _analyse(part, field, DEFAULT_ENUM_BUDGET)
-            quotas = [1] * len(an.targets)
+            table = (_table if part == inst else None) or _analyse(part, field, DEFAULT_ENUM_BUDGET)
+            quotas = [1] * len(table.targets)
 
             def exhaustive(length: int, budget: int) -> tuple[Optional[tuple[int, ...]], int]:
-                res = multiset_cover_search(an.table, quotas, length, budget)
+                res = multiset_cover_search(table, quotas, length, budget)
                 return res.classes, res.nodes
 
             try:
                 out = descend(
-                    an.table.hit_sets, quotas, len(msgs) - 1, alpha, len(msgs), node_budget - nodes,
+                    table.hit_sets, quotas, len(msgs) - 1, alpha, len(msgs), node_budget - nodes,
                     "ecic:kappa", tuple, exhaustive,  # witnesses stay class multisets
                 )
             except BudgetExceeded as exc:
@@ -447,7 +431,7 @@ def min_rank(
                 ) from exc
             nodes += out.nodes
             if out.witness is not None:
-                code = classes_matrix(field, an.table.columns, out.witness, len(msgs))
+                code = classes_matrix(field, table.columns, out.witness, len(msgs))
         blocks.append((msgs, code))
     kappa = sum(code.ncols for _, code in blocks)
     rows = [[0] * kappa for _ in range(n)]

@@ -145,6 +145,17 @@ def test_radius(capsys, example1_file):
     assert json.loads(out)["radius"] == 1
 
 
+def test_radius_without_receivers_is_the_length(capsys, tmp_path):
+    """With no receiver to fail, every cap up to the code length works."""
+    inst = tmp_path / "receiverless.json"
+    inst.write_text('{"m": 0, "n": 2, "f": [], "X": []}')
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("2 2 3\n1 0 1\n0 1 1\n")
+    code, out, _ = run(capsys, "radius", "--instance", str(inst), "--matrix", str(matrix))
+    assert code == 0
+    assert json.loads(out) == {"radius": 3, "margins": []}
+
+
 def test_search_json_and_determinism(capsys):
     args = ("search", "--instance", "example1", "--q", "2", "--delta", "1")
     code, out1, _ = run(capsys, *args)
@@ -209,6 +220,43 @@ def test_construct_strategies(capsys):
         "--strategy", "random", "--length", "4", "--trials", "60", "--seed", "3",
     )
     assert code == 0
+
+
+PENTAGON_Q2_D2 = ("--instance", "pentagon", "--q", "2", "--delta", "2")
+
+
+def test_construct_exits(capsys):
+    """The random strategy needs a length and exits 1 when no trial
+    verifies; the concatenation exits 2 when no outer code has the given
+    length (N_2[3, 5] = 10)."""
+    code, out, err = run(capsys, "construct", *PENTAGON_Q2_D2, "--strategy", "random")
+    assert (code, out) == (2, "")
+    assert err == "error: --length is required for the random strategy\n"
+    argv = ("construct", *PENTAGON_Q2_D2, "--strategy", "random", "--length", "5", "--trials", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"delta": 2, "strategy": "random", "matrix": None}
+    code, out, err = run(capsys, "construct", *PENTAGON_Q2_D2, "--strategy", "concat", "--length", "6")
+    assert (code, out) == (2, "")
+    assert err == "error: no [6, 3, 5] outer code exists\n"
+
+
+def test_bounds_and_search_agree_on_the_bracket_under_a_budget(capsys):
+    """alpha = kappa = 5 and d = 5: 5,000 nodes do not settle N_2[5, 5]
+    (the N = 12 proof alone takes 63,778), so both commands bracket it by
+    the Griesmer bound 12 and the repetition of the identity, 25.  The
+    search then proves what it can and exits 3 at 12 with a witness at 13."""
+    args = ("--instance", "no-side-info:5", "--q", "2", "--delta", "2", "--node-budget", "5000")
+    code, out, _ = run(capsys, "bounds", *args)
+    assert code == 0
+    assert out == (
+        '{\n  "q": 2,\n  "delta": 2,\n  "alpha": 5,\n  "kappa": 5,\n  "alpha_bound": null,\n'
+        '  "kappa_bound": null,\n  "singleton": 9,\n  "random_coding": 19,\n'
+        '  "mds_equality": false,\n  "lower": 12,\n  "upper": 25\n}\n'
+    )
+    code, out, _ = run(capsys, "search", *args)
+    assert code == 3
+    assert json.loads(out) == {"status": "budget", "infeasible_below": 12, "feasible_at": 13, "nodes": 5001}
 
 
 def test_simulate(capsys, example1_file):
@@ -364,6 +412,17 @@ def test_validate(capsys, tmp_path):
     code, _, err = run(capsys, "validate", "--instance", str(bad))
     assert code == 2
     assert "holds" in err or "error" in err
+
+
+def test_validate_with_a_matrix(capsys, pentagon_file):
+    code, out, _ = run(capsys, "validate", "--instance", "pentagon", "--matrix", pentagon_file)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ok"] is True and doc["matrix"] == {"q": 2, "rows": 5, "cols": 9}
+    argv = ("validate", "--instance", "pentagon", "--matrix", pentagon_file, "--q", "3")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: --q 3 conflicts with matrix field order 2\n"
 
 
 def test_negative_matrix_dimensions_exit_two(capsys, tmp_path):

@@ -1,7 +1,9 @@
 """The cover kernel and the local search against a brute-force oracle,
 and the optima and witnesses the kernel's pruning must not move."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -23,7 +25,8 @@ from ecic._cover import (
     local_cover_search,
     multiset_cover_search,
 )
-from ecic.errors import BudgetExceeded
+from ecic.bounds import _code_table
+from ecic.errors import BudgetExceeded, CapExceeded
 from ecic.construct_search import _seeded_bytes
 from ecic.index_codes import _analyse
 
@@ -116,6 +119,31 @@ def test_zero_quotas_without_classes_have_no_multiset():
     assert local_cover_search([], [0], 2, 10, iter(())) == (None, 0)
 
 
+def test_multiset_size_above_the_packed_count_cap_is_refused():
+    """Counts of up to 120 picks fit the packed bytes; 121 would not."""
+    with pytest.raises(CapExceeded):
+        multiset_cover_search(CoverTable(pack([{0}])), [1], 121, 10)
+    assert multiset_cover_search(CoverTable(pack([{0}])), [1], 120, 10).found
+
+
+SUFFIX_TABLES = {
+    "pentagon-3": lambda: _analyse(builtin_instance("pentagon"), make_field(3), 1 << 20),
+    "odd-cycle-complement:3-2":
+        lambda: _analyse(builtin_instance("odd-cycle-complement:3"), make_field(2), 1 << 20),
+    "code-2-5": lambda: _code_table(2, 5),
+}
+
+
+@pytest.mark.parametrize("name", SUFFIX_TABLES)
+def test_visit_keeps_each_suffix_union_once(name):
+    """live_low[s] is the union of the hit rows from visit position s on,
+    and positions holding the same union share one int."""
+    visit = SUFFIX_TABLES[name]().visit
+    adds, live_low = visit[1], visit[3]
+    assert live_low == [functools.reduce(operator.or_, adds[s:], 0) for s in range(len(adds) + 1)]
+    assert len({id(union) for union in live_low}) == len(set(live_low)) < len(live_low)
+
+
 # two classes, each hitting one of two targets: a multiset meets quotas
 # (2, 2) from length 4 on
 TWO = pack([{0}, {1}])
@@ -206,8 +234,8 @@ def test_odd_cycle_complement_3_delta_2_needs_more_than_8_columns():
 )
 def test_analysis_table_is_the_packed_reference(name, q):
     field = make_field(q)
-    an = _analyse(builtin_instance(name), field, 1 << 20)
-    assert an.table.hit_sets == pack(reference_hit_sets(field, an.table.columns, an.targets))
+    table = _analyse(builtin_instance(name), field, 1 << 20)
+    assert table.hit_sets == pack(reference_hit_sets(field, table.columns, table.targets))
 
 
 def test_analysis_table_is_the_packed_reference_on_random_instances():
@@ -215,6 +243,6 @@ def test_analysis_table_is_the_packed_reference_on_random_instances():
     for q in (2, 3, 4):
         field = make_field(q)
         for _ in range(10):
-            an = _analyse(random_instance(rng), field, 1 << 20)
-            want = reference_hit_sets(field, an.table.columns, an.targets)
-            assert an.table.hit_sets == pack(want)
+            table = _analyse(random_instance(rng), field, 1 << 20)
+            want = reference_hit_sets(field, table.columns, table.targets)
+            assert table.hit_sets == pack(want)

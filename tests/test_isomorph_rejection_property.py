@@ -111,12 +111,12 @@ def _code_search(q, k, d, length):
 @given(ecic_questions())
 def test_every_depth_matches_the_first_pick_oracle_on_ecic_questions(question):
     inst, field, delta, length = question
-    an = _analyse(inst, field, 1 << 20)
+    table = _analyse(inst, field, 1 << 20)
     gens, _ = automorphisms(inst)
-    columns = an.table.columns
+    columns = table.columns
     orbits = class_orbits(len(columns), class_permutations(field, columns, gens))
-    quotas = [2 * delta + 1] * len(an.targets)
-    _compare(an.table, quotas, length, orbits)
+    quotas = [2 * delta + 1] * len(table.targets)
+    _compare(table, quotas, length, orbits)
 
 
 @settings(deadline=None)
@@ -137,8 +137,8 @@ def test_any_subset_of_the_symmetries_gives_the_same_answer(question, seed):
     place of the whole list."""
     if len(question) == 4 and isinstance(question[0], IcsiInstance):
         inst, field, delta, length = question
-        an = _analyse(inst, field, 1 << 20)
-        table, quotas, size = an.table, [2 * delta + 1] * len(an.targets), length
+        table = _analyse(inst, field, 1 << 20)
+        quotas, size = [2 * delta + 1] * len(table.targets), length
         gens = class_permutations(field, table.columns, automorphisms(inst)[0])
     else:
         q, k, d, length = question

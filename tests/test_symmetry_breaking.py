@@ -145,11 +145,11 @@ def test_automorphisms_match_brute_force_on_random_instances():
     [(pentagon(), F2), (pentagon(), F3), (odd_cycle_complement(3), F2), (no_side_info(3), F3)],
 )
 def test_class_permutations_map_hit_sets_onto_hit_sets(inst, field):
-    an = _analyse(inst, field, 1 << 20)
-    columns, zs = an.table.columns, an.targets
+    table = _analyse(inst, field, 1 << 20)
+    columns, zs = table.columns, table.targets
     assert columns == projective_classes(field, inst.num_messages)
     hit_sets = reference_hit_sets(field, columns, zs)
-    assert an.table.hit_sets == pack(hit_sets)
+    assert table.hit_sets == pack(hit_sets)
     gens, _ = automorphisms(inst)
     assert gens
     for g in gens:
@@ -242,14 +242,14 @@ def test_cover_search_rejects_isomorphs_below_the_root():
     [(pentagon(), 1, 6), (pentagon(), 2, 9), (odd_cycle_complement(3), 1, 6)],
 )
 def test_orbit_skipping_keeps_answers_and_witnesses(inst, delta, optimum):
-    an = _analyse(inst, F2, 1 << 20)
-    unpruned = CoverTable(an.table.hit_sets)
+    table = _analyse(inst, F2, 1 << 20)
+    unpruned = CoverTable(table.hit_sets)
     for length in (optimum - 1, optimum):
         pruned = exists_ecic(inst, F2, delta, length)
-        plain = multiset_cover_search(unpruned, [2 * delta + 1] * len(an.targets), length, 1 << 27)
+        plain = multiset_cover_search(unpruned, [2 * delta + 1] * len(table.targets), length, 1 << 27)
         assert pruned.feasible == plain.found == (length == optimum)
         if pruned.feasible:
-            plain_matrix = classes_matrix(F2, an.table.columns, plain.classes, inst.num_messages)
+            plain_matrix = classes_matrix(F2, table.columns, plain.classes, inst.num_messages)
             assert pruned.witness.matrix == plain_matrix
         else:
             assert pruned.nodes < plain.nodes
@@ -266,11 +266,11 @@ def test_orbit_skipping_keeps_answers_and_witnesses(inst, delta, optimum):
 def test_listed_symmetries_are_the_automorphism_group(inst, field):
     """Every automorphism but the identity, once each, as a column class
     permutation that maps hit sets onto hit sets."""
-    an = _analyse(inst, field, 1 << 20)
-    columns, zs = an.table.columns, an.targets
+    table = _analyse(inst, field, 1 << 20)
+    columns, zs = table.columns, table.targets
     hit_sets = reference_hit_sets(field, columns, zs)
     _, order = automorphisms(inst)
-    listed = [tuple(g) for g in an.table.symmetries]
+    listed = [tuple(g) for g in table.symmetries]
     assert len(set(listed)) == len(listed) == order - 1
     assert tuple(range(len(columns))) not in listed
     where = {columns.index(z): t for t, z in enumerate(zs)}
@@ -330,18 +330,19 @@ def test_code_table_is_the_ecic_table_without_side_information(q, k):
     neither list cut."""
     field = make_field(q)
     code = _code_table(q, k)
-    an = _analyse(no_side_info(k), field, 1 << 20)
-    assert an.table.columns == code.columns
-    assert sorted(an.targets) == sorted(code.columns)
+    table = _analyse(no_side_info(k), field, 1 << 20)
+    assert table.columns == code.columns
+    assert sorted(table.targets) == sorted(code.targets)
+    assert code.targets == code.columns
 
     def hit(row, targets):
         return frozenset(z for t, z in enumerate(targets) if row >> (8 * t) & 1)
 
-    ecic_rows = [hit(row, an.targets) for row in an.table.hit_sets]
+    ecic_rows = [hit(row, table.targets) for row in table.hit_sets]
     code_rows = [hit(row, code.columns) for row in code.hit_sets]
     assert sorted(ecic_rows, key=sorted) == sorted(code_rows, key=sorted)
     assert ecic_rows == code_rows  # class by class, as the columns agree
-    ecic_symmetries = {tuple(g) for g in an.table.symmetries}
+    ecic_symmetries = {tuple(g) for g in table.symmetries}
     assert ecic_symmetries == {tuple(g) for g in code.symmetries}
     assert len(ecic_symmetries) == len(code.symmetries) == math.factorial(k) - 1
 

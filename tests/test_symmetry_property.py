@@ -62,13 +62,13 @@ def test_pruned_search_matches_unpruned_search(question):
     answers = set()
     for case in (inst, moved):
         pruned = exists_ecic(case, field, delta, length, node_budget=1 << 22)
-        an = _analyse(case, field, 1 << 20)
-        unpruned = CoverTable(an.table.hit_sets)
-        plain = multiset_cover_search(unpruned, [2 * delta + 1] * len(an.targets), length, 1 << 22)
+        table = _analyse(case, field, 1 << 20)
+        unpruned = CoverTable(table.hit_sets)
+        plain = multiset_cover_search(unpruned, [2 * delta + 1] * len(table.targets), length, 1 << 22)
         assert pruned.feasible == plain.found
         assert pruned.nodes <= plain.nodes
         if pruned.feasible:
-            plain_matrix = classes_matrix(field, an.table.columns, plain.classes, case.num_messages)
+            plain_matrix = classes_matrix(field, table.columns, plain.classes, case.num_messages)
             assert pruned.witness.matrix == plain_matrix
         answers.add(pruned.feasible)
     assert len(answers) == 1  # relabelling messages cannot change feasibility
