@@ -34,7 +34,6 @@ from .decoder import (
     decode,
     exhaustive_correctness_check,
     in_relevant_error_set,
-    recover_demand,
     simulate_round,
 )
 from .errors import EcicError

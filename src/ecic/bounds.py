@@ -201,7 +201,9 @@ class BoundsReport:
     Fields are None when their computation exceeded its budget, but an
     unsettled code length's bracket still serves `lower`, the best lower
     bound available, and `upper`, the concatenation bound; when
-    `mds_equality` holds the two coincide at kappa + 2*delta.
+    `mds_equality` holds the two coincide at kappa + 2*delta.  With kappa
+    unknown, `upper` concatenates the unit columns of the distinct demands,
+    as `optimal_length_search` does.
     """
 
     q: int
@@ -257,9 +259,11 @@ def bounds_report(
         kappa = min_rank(inst, field, node_budget).kappa
     except (BudgetExceeded, CapExceeded):
         pass
+    # without kappa, concatenate the unit columns of the distinct demands
+    inner = len(set(inst.demands)) if kappa is None else kappa
     # alpha and kappa are often equal: one scan per distinct dimension
     brackets = {k: _code_length_bracket(field.q, k, d, node_budget)
-                for k in sorted({alpha, kappa} - {None})}
+                for k in sorted({alpha, inner} - {None})}
     a_low, a_high = brackets.get(alpha, (None, None))
     k_low, k_high = brackets.get(kappa, (None, None))
     if kappa is None:
@@ -283,5 +287,5 @@ def bounds_report(
         random_coding=random_len,
         mds_equality=mds,
         lower=lower,
-        upper=k_high,
+        upper=brackets[inner][1],
     )

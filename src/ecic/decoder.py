@@ -22,13 +22,14 @@ estimate need not equal the true error; it only has to land in the true
 error's translate of the unwanted-row span, and then the demanded symbol
 comes out right whenever the true error weight is within the code's radius.
 
-Found coset leaders are remembered per packed syndrome.  The memo is exact
-for every weight cap because the leader search tries weights 0, 1, 2, ...
-in a fixed order: a leader of weight w is what every cap >= w returns.  A
-miss walks `coset_leader`'s own order through the packed columns, so its
-first match is the leader `coset_leader` would return; a walk that comes
-up empty goes to `coset_leader`, which raises WeightCapExceeded or
-NoSolution itself.
+Found coset leaders are remembered per packed syndrome, each with the
+demand lane of its own reading (the value `decode` subtracts).  The memo
+is exact for every weight cap because the leader search tries weights 0,
+1, 2, ... in a fixed order: a leader of weight w is what every cap >= w
+returns.  A miss walks `coset_leader`'s own order through the packed
+columns, so its first match is the leader `coset_leader` would return; a
+walk that comes up empty goes to `coset_leader`, which raises
+WeightCapExceeded or NoSolution itself.
 
 The exhaustive check reads by linearity.  Before decoding it reads each
 error of its weight-ordered list once per code and once more per view
@@ -63,8 +64,9 @@ from .field_linalg import (
     all_vectors,
     coset_leader,
     parity_check_matrix,
-    solve_row_combination,
 )
+# no longer called here, but bench/tracing.py wraps it under this module's name
+from .field_linalg import solve_row_combination  # noqa: F401
 from .index_codes import LinearIndexCode, _check_delta, encode
 from .instance import ReceiverFrame, receiver_frame
 
@@ -144,7 +146,7 @@ class ReceiverDecoder:
     rank, else folded into `columns` and `sides`); `syndrome_lanes` are those
     it leaves free.  The demand lane, read when `determined`, is at bit
     `shift`.  sides[k][c] reads -c * (side row k); leaders maps a syndrome to
-    (leader, weight, lambda . leader)."""
+    (leader, weight, the leader's demand reading)."""
 
     code: LinearIndexCode
     frame: ReceiverFrame
@@ -161,14 +163,6 @@ class ReceiverDecoder:
     dense: dict = dataclasses.field(default_factory=dict)
 
     @_on_first_use
-    def unknown_rows(self) -> FMatrix:  # demanded row first, then sorted complement rows
-        return self.code.matrix.rows_at([self.frame.demand, *sorted(self.frame.complement)])
-
-    @_on_first_use
-    def side_rows(self) -> FMatrix:
-        return self.code.matrix.rows_at(sorted(self.frame.side_info))
-
-    @_on_first_use
     def complement_parity(self) -> FMatrix:  # its own elimination: independent of the reading
         return parity_check_matrix(self.code.matrix.rows_at(sorted(self.frame.complement)))
 
@@ -177,28 +171,18 @@ class ReceiverDecoder:
         rows = self.complement_parity.rows
         return tuple([tuple([(j, v) for j, v in enumerate(h) if v]) for h in rows])
 
-    def _lane_rows(self, lanes: Sequence[int]) -> list[tuple[int, ...]]:
-        """What the given lanes read after reduction, as dense rows."""
-        add, mul, out = self.code.field._add, self.code.field._mul, []
-        for lane in lanes:
+    @_on_first_use
+    def parity(self) -> FMatrix:
+        """A parity check of the unknown rows' span: what the syndrome lanes
+        read after reduction, as dense rows."""
+        add, mul, rows = self.code.field._add, self.code.field._mul, []
+        for lane in self.syndrome_lanes:
             row = self.matrix[lane]
             for p, table in self.reduction:  # plus -mu[lane] times the pivot's row
                 m = mul[self.lanes.unpack(table[1], [lane])[0]]
                 row = tuple([add[a][m[b]] for a, b in zip(row, self.matrix[p])])
-            out.append(row)
-        return out
-
-    @_on_first_use
-    def parity(self) -> FMatrix:  # a parity check of the unknown rows' span
-        rows = tuple(self._lane_rows(self.syndrome_lanes))
-        return FMatrix._unchecked(self.code.field, rows, self.code.length)
-
-    @_on_first_use
-    def demand_functional(self) -> Optional[FVector]:
-        """lambda with unknown_rows @ lambda = e_0, or None when the demanded
-        row lies in the complement rows' span."""
-        lam = FVector._unchecked(self.code.field, self._lane_rows([self.frame.demand])[0])
-        return lam if self.determined else None
+            rows.append(row)
+        return FMatrix._unchecked(self.code.field, tuple(rows), self.code.length)
 
 
 def build_receiver_decoder(
@@ -243,40 +227,14 @@ class DecodeOutcome(NamedTuple):
 _outcome = functools.partial(tuple.__new__, DecodeOutcome)
 
 
-def _side_contribution(dec: ReceiverDecoder, side_values: Sequence[int]) -> FVector:
-    field = dec.code.field
-    if len(side_values) != dec.side_rows.nrows:
-        raise LengthMismatch("side-information values must match the side set size")
-    return dec.side_rows.left_mul(FVector(field, tuple(side_values)))
-
-
-def recover_demand(
-    dec: ReceiverDecoder, received: FVector, side_values: Sequence[int], error_estimate: FVector
-) -> int:
-    """Final solving step alone: given any error estimate in the right
-    coset, subtract it and the side contribution and solve for the demanded
-    symbol.  The demanded coordinate of the solution is required to be
-    unique (its alternatives differ only across the complement rows).
-    `decode` reads the same symbol off the precomputed demand functional;
-    this full solve is kept as the independent route."""
-    adjusted = received.sub(error_estimate).sub(_side_contribution(dec, side_values))
-    sol = solve_row_combination(dec.unknown_rows, adjusted)
-    if sol is None:
-        raise InternalContradiction("residual left the receiver's code space")
-    particular, kernel = sol
-    if any(v.entries[0] for v in kernel):
-        raise InternalContradiction("demanded symbol is not uniquely determined")
-    return particular.entries[0]
-
-
-def _remember(dec: ReceiverDecoder, key: int, leader: FVector) -> tuple:
-    """Check that leader has the packed syndrome key, then memoise (leader,
-    weight, lambda . leader) under it."""
-    if dec.parity.mul_col(leader).entries != dec.lanes.unpack(key, dec.syndrome_lanes):
+def _remember(dec: ReceiverDecoder, leader: FVector, read: int) -> tuple:
+    """Check that leader has the syndrome of its packed reading `read`, then
+    memoise (leader, weight, its demand reading) under that syndrome."""
+    lanes, key = dec.lanes, read & dec.mask
+    if dec.parity.mul_col(leader).entries != lanes.unpack(key, dec.syndrome_lanes):
         raise InternalContradiction("coset leader does not reproduce the syndrome")
-    lam = dec.demand_functional
-    entry = (leader, leader.weight(), 0 if lam is None else leader.dot(lam))
-    dec.leaders[key] = entry
+    value = lanes._labels[read >> dec.shift & ((1 << lanes._width) - 1)]
+    entry = dec.leaders[key] = (leader, leader.weight(), value)
     return entry
 
 
@@ -288,14 +246,12 @@ def _search(dec: ReceiverDecoder, key: int, weight_cap: int) -> tuple:
     and NoSolution."""
     lanes, columns, mask = dec.lanes, dec.columns, dec.mask
     for e in _weight_ordered(dec.code.field.q, len(columns), weight_cap):
-        if lanes.lane_sum([columns[j][v] for j, v in enumerate(e) if v]) & mask == key:
-            leader = FVector._unchecked(dec.code.field, e)
-            break
-    else:
-        syndrome = FVector._unchecked(dec.code.field, lanes.unpack(key, dec.syndrome_lanes))
-        coset_leader(dec.parity, syndrome, weight_cap)  # raises, as its walk found nothing
-        raise InternalContradiction("the packed walk missed a coset leader")
-    return _remember(dec, key, leader)
+        read = lanes.lane_sum([columns[j][v] for j, v in enumerate(e) if v])
+        if read & mask == key:
+            return _remember(dec, FVector._unchecked(dec.code.field, e), read)
+    syndrome = FVector._unchecked(dec.code.field, lanes.unpack(key, dec.syndrome_lanes))
+    coset_leader(dec.parity, syndrome, weight_cap)  # raises, as its walk found nothing
+    raise InternalContradiction("the packed walk missed a coset leader")
 
 
 def _word_reading(dec: ReceiverDecoder, word: Sequence[int], side_values: Sequence[int]) -> int:
@@ -470,9 +426,8 @@ def exhaustive_correctness_check(
     for dec in decoders:  # and the leader table: the first error seen per syndrome
         reads = [_reduce(lanes, a, dec.reduction) for a in readings] if dec.reduction else readings
         for (e, err), acc in zip(errors, reads):
-            key = acc & dec.mask
-            if key not in dec.leaders:
-                _remember(dec, key, err)
+            if acc & dec.mask not in dec.leaders:
+                _remember(dec, err, acc)
         error_reads.append(reads)
     determined = next((i for i, dec in enumerate(decoders) if not dec.determined), m)
     receivers = list(zip(decoders[:determined], error_reads))

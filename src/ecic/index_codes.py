@@ -18,6 +18,7 @@ on the (instance, q) cover table (`_analyse`) the scan shares.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -253,10 +254,12 @@ def _decoding_combinations(code: LinearIndexCode) -> Iterator[Optional[FVector]]
 # generalized independence number
 
 
+@functools.lru_cache(maxsize=None)
 def generalized_independence_number(inst: IcsiInstance) -> tuple[int, tuple[int, ...]]:
     """Size of a maximum set of messages all of whose nonempty subsets lie
     in the instance's support family, plus the lexicographically smallest
-    maximum witness (0-based, sorted).
+    maximum witness (0-based, sorted).  Cached per instance, so that the
+    bounds, min-rank and the length search of one question share one run.
 
     Generalized independence is closed downward, so the search extends
     candidates vertex by vertex, testing only the subsets that contain the

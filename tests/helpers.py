@@ -353,6 +353,40 @@ def reference_decoder(code, i) -> ReferenceDecoder:
     return ReferenceDecoder(parity, side_rows, unknown_rows, lam, complement_parity)
 
 
+def recover_demand(ref: ReferenceDecoder, received, side_values, error_estimate) -> int:
+    """The dense solve of the demanded symbol on a `reference_decoder`:
+    subtract any error estimate in the right coset and the side
+    contribution, and solve for the unknown rows' coefficients.  The
+    demanded coefficient must be unique (its alternatives differ only
+    across the complement rows)."""
+    from ecic import FVector
+    from ecic.errors import InternalContradiction
+    from ecic.field_linalg import solve_row_combination
+
+    side = ref.side_rows.left_mul(FVector(received.field, tuple(side_values)))
+    sol = solve_row_combination(ref.unknown_rows, received.sub(error_estimate).sub(side))
+    if sol is None:
+        raise InternalContradiction("residual left the receiver's code space")
+    particular, kernel = sol
+    if any(v.entries[0] for v in kernel):
+        raise InternalContradiction("demanded symbol is not uniquely determined")
+    return particular.entries[0]
+
+
+def view_demand_functional(dec):
+    """The dense row a receiver view's demand lane reads: entry j is the
+    demand lane of the view's reading of e_j.  A view reads the demanded
+    symbol off a word as this row's dot product with it; None when the
+    demand is undetermined."""
+    from ecic import FVector
+
+    if not dec.determined:
+        return None
+    lanes, symbol = dec.lanes, (1 << dec.lanes._width) - 1
+    row = [lanes._labels[column[1] >> dec.shift & symbol] for column in dec.columns]
+    return FVector(dec.code.field, tuple(row))
+
+
 def full_walk_direct(code, delta):
     """The packed direct route before it walked up to scaling: every
     receiver's whole odometer walk, demand values 1..q-1 and vectors other

@@ -307,7 +307,11 @@ def test_alpha_bound_never_exceeds_kappa_bound():
 def test_bounds_report_partial_on_budget_failure():
     inst = odd_cycle_complement(4)  # min-rank over GF(8) is out of budget
     rep = bounds_report(inst, make_field(8), 1)
-    assert rep.kappa is None and rep.singleton is None and rep.upper is None
+    assert rep.kappa is None and rep.singleton is None and rep.kappa_bound is None
+    assert rep.mds_equality is None
+    # the unit columns of the 9 distinct demands, concatenated with an outer
+    # code of N_8[9, 3], which the scan leaves unsettled in 11..27
+    assert rep.upper == 27
     assert rep.alpha is not None
     assert rep.random_coding is not None
 

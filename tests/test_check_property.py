@@ -28,7 +28,7 @@ from ecic import decoder  # noqa: E402
 from ecic.field_linalg import _weight_ordered, all_vectors  # noqa: E402
 from ecic.errors import InternalContradiction, WeightCapExceeded  # noqa: E402
 
-from helpers import check_reference  # noqa: E402
+from helpers import check_reference, view_demand_functional  # noqa: E402
 
 # (most messages, longest code, largest delta) per field order, so that the
 # reference's q^n * V_q(N, delta) * m decodes stay within a few thousand (at
@@ -133,8 +133,8 @@ def _assert_matches_reference(code, delta):
     except InternalContradiction:
         ce = report.counterexample
         assert not report.ok and ce.kind == "undetermined-demand" and ce.outcome is None
-        assert built[ce.receiver].demand_functional is None
-        assert all(dec.demand_functional is not None for dec in built[: ce.receiver])
+        assert not built[ce.receiver].determined
+        assert all(dec.determined for dec in built[: ce.receiver])
         assert ce.x.is_zero() and ce.error.is_zero() and report.decodes == ce.receiver
     else:
         assert report == expected
@@ -145,10 +145,11 @@ def _assert_matches_reference(code, delta):
             assert dec.lanes.unpack(key, dec.syndrome_lanes) == syndrome.entries
             assert leader == coset_leader(dec.parity, syndrome, delta)
             assert weight == leader.weight()
-            lam = dec.demand_functional
-            assert value == (0 if lam is None else leader.dot(lam))
+            lam = view_demand_functional(dec)
+            if lam is not None:
+                assert value == leader.dot(lam)
             if weight:
-                side = [0] * dec.side_rows.nrows
+                side = [0] * len(dec.frame.side_info)
                 with pytest.raises(WeightCapExceeded):
                     decode(dec, leader, side, weight - 1)
 

@@ -17,7 +17,6 @@ from ecic import (
     make_field,
     margins,
     no_side_info,
-    recover_demand,
     simulate_round,
     verify_ecic,
 )
@@ -39,6 +38,8 @@ from helpers import (
     pentagon_code,
     random_instance,
     random_matrix,
+    recover_demand,
+    reference_decoder,
 )
 
 
@@ -47,8 +48,9 @@ from helpers import (
 
 
 def test_build_example1_receiver():
-    dec = build_receiver_decoder(example1_code(), 0)
-    basis = row_basis(dec.unknown_rows)
+    code = example1_code()
+    dec = build_receiver_decoder(code, 0)
+    basis = row_basis(reference_decoder(code, 0).unknown_rows)
     assert basis.rows == ((1, 1, 1, 0),)
     assert dec.parity.nrows == 3
     for r in range(basis.nrows):
@@ -58,22 +60,24 @@ def test_build_example1_receiver():
 def test_build_full_space_receiver_has_empty_parity():
     code = LinearIndexCode(no_side_info(3), F2, FMatrix.identity(F2, 3))
     dec = build_receiver_decoder(code, 0)
-    assert row_basis(dec.unknown_rows).nrows == 3
+    assert row_basis(reference_decoder(code, 0).unknown_rows).nrows == 3
     assert dec.parity.nrows == 0
 
 
 def test_build_pentagon_receiver():
-    dec = build_receiver_decoder(pentagon_code(), 0)
-    assert row_basis(dec.unknown_rows).nrows == 3  # rows {1, 3, 4} of L are independent
+    code = pentagon_code()
+    dec = build_receiver_decoder(code, 0)
+    unknown_rows = reference_decoder(code, 0).unknown_rows
+    assert row_basis(unknown_rows).nrows == 3  # rows {1, 3, 4} of L are independent
     assert dec.parity.nrows == 6
 
 
 def test_build_runs_one_elimination(monkeypatch):
     """One reduction of [L | I_n] reads a code of full row rank, and every
     receiver's decoder is a view on that reading, its dense parity check
-    and demand functional included: no build eliminates again.  The
-    complement parity check comes from its own elimination, on first use;
-    a build without a reading makes its own, with one elimination."""
+    included: no build eliminates again.  The complement parity check comes
+    from its own elimination, on first use; a build without a reading makes
+    its own, with one elimination."""
     calls = []
     original = field_linalg._rref
     counting = lambda *a: calls.append(a) or original(*a)  # noqa: E731
@@ -86,7 +90,7 @@ def test_build_runs_one_elimination(monkeypatch):
         for i in range(code.inst.num_receivers):
             dec = build_receiver_decoder(code, i, _reading=reading)
             assert dec.columns is reading.columns and not dec.reduction and dec.determined
-            dec.parity, dec.demand_functional
+            dec.parity
         assert len(calls) == 1
         dec.complement_parity
         assert len(calls) == 2
@@ -141,12 +145,13 @@ def test_zero_error_decodes_with_zero_estimate():
 def test_syndrome_invariant_holds_for_every_decode():
     code = example1_code()
     dec = build_receiver_decoder(code, 1)
+    side_rows = reference_decoder(code, 1).side_rows
     rng = random.Random(3)
     for _ in range(30):
         received = FVector(F2, tuple(rng.randrange(2) for _ in range(4)))
         side = tuple(rng.randrange(2) for _ in range(2))
         out = decode(dec, received, side, weight_cap=4)
-        syndrome = dec.parity.mul_col(received.sub(dec.side_rows.left_mul(FVector(F2, side))))
+        syndrome = dec.parity.mul_col(received.sub(side_rows.left_mul(FVector(F2, side))))
         assert dec.parity.mul_col(out.error_estimate).entries == syndrome.entries
 
 
@@ -250,13 +255,13 @@ def test_leader_memo_answers_every_cap_order_like_a_fresh_decoder():
 def test_demand_in_complement_span_raises_contradiction():
     # receiver 1 demands row 0, which equals complement row 1
     code = LinearIndexCode(no_side_info(2), F2, FMatrix(F2, ((1, 0, 1), (1, 0, 1)), 3))
-    dec = build_receiver_decoder(code, 0)
-    assert dec.demand_functional is None
+    dec, ref = build_receiver_decoder(code, 0), reference_decoder(code, 0)
+    assert not dec.determined and ref.demand_functional is None
     received = FVector(F2, (1, 1, 0))
     with pytest.raises(InternalContradiction, match="not uniquely determined"):
         decode(dec, received, (), weight_cap=3)
     with pytest.raises(InternalContradiction, match="not uniquely determined"):
-        recover_demand(dec, received, (), FVector(F2, (0, 1, 1)))
+        recover_demand(ref, received, (), FVector(F2, (0, 1, 1)))
     with pytest.raises(WeightCapExceeded):  # the cap is checked first, as before
         decode(dec, received, (), weight_cap=0)
 
@@ -295,7 +300,7 @@ def test_any_relevant_member_recovers_the_demand():
     err = FVector(F2, (1, 0, 0, 0, 0, 0, 0, 1, 0))
     y = encode(code, x).add(err)
     for i in range(5):
-        dec = build_receiver_decoder(code, i)
+        ref = reference_decoder(code, i)
         side = [x.entries[j] for j in sorted(code.inst.side_info[i])]
         comp_rows = [code.matrix.row(j) for j in sorted(code.inst.complement(i))]
         for coeffs in itertools.product((0, 1), repeat=len(comp_rows)):
@@ -303,7 +308,7 @@ def test_any_relevant_member_recovers_the_demand():
             for c, row in zip(coeffs, comp_rows):
                 if c:
                     member = member.add(row)
-            assert recover_demand(dec, y, side, member) == x.entries[code.inst.demands[i]]
+            assert recover_demand(ref, y, side, member) == x.entries[code.inst.demands[i]]
 
 
 def test_decode_estimate_lands_in_relevant_set():

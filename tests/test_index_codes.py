@@ -237,6 +237,18 @@ def test_alpha_cap():
         generalized_independence_number(no_side_info(30))
 
 
+def test_alpha_is_computed_once_per_question():
+    """The bounds, min-rank and the length scan of one question share one
+    alpha run: the search and `instance_params` each miss the cache once."""
+    from ecic import optimal_length_search
+
+    for ask in (lambda: optimal_length_search(pentagon(), F2, 1),
+                lambda: instance_params(pentagon(), F2)):
+        generalized_independence_number.cache_clear()
+        ask()
+        assert generalized_independence_number.cache_info().misses == 1
+
+
 # ---------------------------------------------------------------------------
 # min-rank
 

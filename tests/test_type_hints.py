@@ -17,8 +17,8 @@ MODULES = sorted(f"ecic.{m.name}" for m in pkgutil.iter_modules(ecic.__path__))
 @pytest.mark.parametrize("name", MODULES)
 def test_every_annotation_resolves(name):
     module = importlib.import_module(name)
-    defined = [
-        obj for obj in vars(module).values()
+    defined = [  # unwrapped, so that cached functions are checked too
+        obj for obj in map(inspect.unwrap, vars(module).values())
         if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == name
     ]
     assert defined
