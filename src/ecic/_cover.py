@@ -71,7 +71,6 @@ holds the policy.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import operator
 import struct
@@ -81,6 +80,17 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, CapExceeded
 from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FMatrix, PackedRows
+
+# SHA-256 from CPython's built-in module, so no process loads OpenSSL's
+# libcrypto through `hashlib` for the seeded stream; the same function, so
+# the same bytes.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 _WIDTH = 8
 _MAX_SIZE = 120
@@ -422,16 +432,22 @@ def _seeded_bytes(key: str, q: int) -> Iterator[int]:
     uniform mod q."""
     limit = (256 // q) * q
     for counter in itertools.count():
-        block = hashlib.sha256(f"{key}:{counter}".encode()).digest()
+        block = sha256(f"{key}:{counter}".encode()).digest()
         yield from (b for b in block if b < limit)
 
 
 def _draw(stream: Iterator[int], n: int) -> int:
-    """An index below n from two stream bytes (0..255 each); near uniform
-    for the move lists the local search draws from."""
+    """An index below n from stream bytes (0..255 each) read big-endian:
+    two for n <= 2^16 (near uniform for the short move lists the local
+    search mostly draws from), else enough for (n - 1).bit_length() + 8
+    bits, so that every index is reachable and each one's probability is
+    within a factor 1 +- 2^-8 of 1/n."""
     if n == 1:
         return 0
-    return ((next(stream) << 8) | next(stream)) % n
+    if n <= 1 << 16:
+        return ((next(stream) << 8) | next(stream)) % n
+    width = ((n - 1).bit_length() + 15) // 8
+    return int.from_bytes(bytes(next(stream) for _ in range(width)), "big") % n
 
 
 def local_cover_search(

@@ -46,13 +46,14 @@ def code_exists(
     return find_code_generator(q, k, d, length, node_budget, _table=_table) is not None
 
 
-def _code_table(q: int, k: int) -> CoverTable:
+def _code_table(q: int, k: int, enum_budget: int = DEFAULT_ENUM_BUDGET) -> CoverTable:
     """The cover table every length of a (q, k) code scan shares: the
     projective classes of F_q^k as columns and as messages, and the
     coordinate permutations of F_q^k, generated by a transposition and a
-    k-cycle, as its symmetries."""
+    k-cycle, as its symmetries; BudgetExceeded when the table needs more
+    than `enum_budget` bytes."""
     moves = [(1, 0) + tuple(range(2, k)), tuple(range(1, k)) + (0,)] if k > 1 else []
-    return cover_table(make_field(q), k, None, moves, DEFAULT_ENUM_BUDGET)
+    return cover_table(make_field(q), k, None, moves, enum_budget)
 
 
 def find_code_generator(
@@ -97,7 +98,7 @@ def _griesmer_length(q: int, k: int, d: int) -> int:
 
 def shortest_code_length(
     q: int, k: int, d: int, node_budget: int = DEFAULT_NODE_BUDGET,
-    *, _table: Optional[CoverTable] = None,
+    *, enum_budget: int = DEFAULT_ENUM_BUDGET, _table: Optional[CoverTable] = None,
 ) -> int:
     """Exact length of the shortest [N, k, d'] linear code with d' >= d.
 
@@ -108,10 +109,10 @@ def shortest_code_length(
     still a proof for all linear codes).  For k <= 1 or d = 1 the bound is
     attained (by the empty, repetition and identity codes) and is returned
     without search.
-    Raises UnknownCodeLength when the node budget runs out mid-scan.
-    The scan builds one (q, k) cover table (`_code_table`) for all its
-    lengths, or reads `_table`, one a caller shares with
-    `find_code_generator`.
+    Raises UnknownCodeLength when the node budget runs out mid-scan, or
+    when the scan's one (q, k) cover table (`_code_table`, for all its
+    lengths) exceeds `enum_budget`; `_table` passes in that table, one a
+    caller shares with `find_code_generator`.
     """
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
@@ -121,7 +122,7 @@ def shortest_code_length(
     # identity columns repeated d times give an [k*d, k, d] code, so the
     # scan below terminates
     try:
-        table = _table or _code_table(q, k)
+        table = _table or _code_table(q, k, enum_budget)
         for length in range(griesmer, k * d + 1):
             if code_exists(q, k, d, length, node_budget, _table=table):
                 return length
@@ -130,13 +131,15 @@ def shortest_code_length(
     raise AssertionError("shortest-length scan passed its guaranteed upper end")
 
 
-def _code_length_bracket(q: int, k: int, d: int, node_budget: int) -> tuple[int, int]:
+def _code_length_bracket(
+    q: int, k: int, d: int, node_budget: int, *, enum_budget: int = DEFAULT_ENUM_BUDGET
+) -> tuple[int, int]:
     """N_q[k, d] as (lower, upper): the exact length twice, or, when the
-    node budget does not settle it, the Griesmer bound and k * d (each
-    identity column repeated d times).  The ends meet only when the length
-    is known: the scan searches only at k, d >= 2, where Griesmer < k * d."""
+    budgets do not settle it, the Griesmer bound and k * d (each identity
+    column repeated d times).  The ends meet only when the length is
+    known: the scan searches only at k, d >= 2, where Griesmer < k * d."""
     try:
-        length = shortest_code_length(q, k, d, node_budget=node_budget)
+        length = shortest_code_length(q, k, d, node_budget=node_budget, enum_budget=enum_budget)
     except UnknownCodeLength:
         return _griesmer_length(q, k, d), k * d
     return length, length

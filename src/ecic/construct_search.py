@@ -275,10 +275,12 @@ def optimal_length_search(
     Kappa comes from `min_rank` on the same cover table, with the node
     budget to itself; if the budgets leave it unsettled, the bounds drop it
     and concatenate the unit columns of the distinct demands instead.  A
-    shortest outer code the node budget does not settle is bracketed by
+    shortest outer code the budgets do not settle is bracketed by
     bounds that need no search (`bounds._code_length_bracket`): the lower
     end serves at alpha, the upper end at the concatenated code's width.
-    The node budget is shared by the whole descent.
+    The node budget is shared by the whole descent, and `enum_budget`
+    bounds every table the search builds: the instance's and each min-rank
+    part's cover table, the code tables of the bounds, and the margins.
     On its exhaustion the raised error carries the bracket proved so far:
     every length below `infeasible_below` is infeasible, and `feasible_at`
     has a verified witness (or is the concatenation bound).
@@ -289,12 +291,13 @@ def optimal_length_search(
     table = kappa = None
     try:
         table = _analyse(inst, field, enum_budget)
-        kappa = min_rank(inst, field, node_budget, _table=table).kappa
+        kappa = min_rank(inst, field, node_budget, enum_budget=enum_budget, _table=table).kappa
     except BudgetExceeded as exc:
         unsettled = exc
     alpha = generalized_independence_number(inst)[0]
     inner = len(set(inst.demands)) if kappa is None else kappa  # the concatenated code's width
-    brackets = {k: _code_length_bracket(field.q, k, d, node_budget) for k in sorted({alpha, inner})}
+    brackets = {k: _code_length_bracket(field.q, k, d, node_budget, enum_budget=enum_budget)
+                for k in sorted({alpha, inner})}
     lower = brackets[alpha][0]
     if kappa is not None and inst.num_receivers:
         lower = max(lower, kappa + 2 * delta)

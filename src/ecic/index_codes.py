@@ -376,6 +376,7 @@ def min_rank(
     field: Field,
     node_budget: int = DEFAULT_NODE_BUDGET,
     *,
+    enum_budget: int = DEFAULT_ENUM_BUDGET,
     _table: Optional[CoverTable] = None,
 ) -> MinRankResult:
     """Minimum rank over all side-information completions of the demand
@@ -393,7 +394,8 @@ def min_rank(
     included, summed over the parts; BudgetExceeded carries that sum and
     means kappa is unknown, with kappa's bracket: the settled parts' kappa
     plus the open part's bracket plus each later part's alpha (below) or
-    size (above).
+    size (above).  `enum_budget` bounds each part's cover table
+    (`_analyse`).
     Row i of the witness is L @ lambda_i for the found code L, where
     lambda_i solves receiver i's decoding system (see `verify_ic`).
     `_table` passes in the (instance, q) cover table (`_analyse`) a
@@ -408,7 +410,7 @@ def min_rank(
         alpha = generalized_independence_number(part)[0]
         code = FMatrix.identity(field, len(msgs))
         if alpha < len(msgs):
-            table = (_table if part == inst else None) or _analyse(part, field, DEFAULT_ENUM_BUDGET)
+            table = (_table if part == inst else None) or _analyse(part, field, enum_budget)
             quotas = [1] * len(table.targets)
 
             def exhaustive(length: int, budget: int) -> tuple[Optional[tuple[int, ...]], int]:

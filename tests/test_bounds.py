@@ -113,6 +113,21 @@ def test_shortest_length_table_over_budget_is_unknown():
         shortest_code_length(3, 10, 3)
 
 
+def test_code_tables_take_the_enumeration_budget():
+    """N_2[6, 5] = 14 needs a 63 x 63 code table: 1,000 bytes leave it
+    unknown before any search, bracketed by Griesmer 13 and 6 * 5, and
+    pentagon's min-rank part table (31 x 15) does not fit 3 bytes."""
+    from ecic.bounds import _code_length_bracket
+
+    with pytest.raises(UnknownCodeLength, match="63 column classes x 63 targets"):
+        shortest_code_length(2, 6, 5, enum_budget=1000)
+    assert _code_length_bracket(2, 6, 5, 1 << 27, enum_budget=1000) == (13, 30)
+    assert _code_length_bracket(2, 3, 3, 1 << 27, enum_budget=1000) == (6, 6)
+    with pytest.raises(BudgetExceeded):
+        min_rank(pentagon(), F2, enum_budget=3)
+    assert min_rank(pentagon(), F2).kappa == 3
+
+
 def test_code_exists_and_generator_agree():
     assert not code_exists(2, 2, 5, 7)
     assert code_exists(2, 2, 5, 8)
@@ -231,9 +246,9 @@ def test_bounds_report_scans_each_code_length_once(monkeypatch):
 
     calls = []
 
-    def counted(q, k, d, node_budget):
+    def counted(q, k, d, node_budget, **budgets):
         calls.append((q, k, d))
-        return shortest_code_length(q, k, d, node_budget=node_budget)
+        return shortest_code_length(q, k, d, node_budget=node_budget, **budgets)
 
     monkeypatch.setattr(bounds, "shortest_code_length", counted)
     rep = bounds_report(no_side_info(3), F2, 1)

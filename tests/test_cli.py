@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -593,11 +594,29 @@ def test_budget_exit_prints_the_bracket_as_data(capsys):
     code, out, _ = run(capsys, *argv, "--format", "text")
     assert code == 3 and out == "optimum in [8, 9]\n"
     # an enumeration budget that trips before any search keeps the bounds'
-    # bracket; kappa needs the enumeration too, so the upper end is the
-    # shortest code at the 5 distinct demands, N_2[5, 5] = 13
+    # bracket; kappa and the code tables need the enumeration too, so the
+    # code lengths are bracketed by Griesmer and the repeated identity:
+    # N_2[2, 5] by 8..10 at alpha, N_2[5, 5] by 12..25 at the 5 distinct
+    # demands
     code, out, _ = run(capsys, *argv[:-2], "--enum-budget", "3")
     assert code == 3
-    assert json.loads(out) == {"status": "budget", "infeasible_below": 8, "feasible_at": 13, "nodes": 0}
+    assert json.loads(out) == {"status": "budget", "infeasible_below": 8, "feasible_at": 25, "nodes": 0}
+
+
+def test_search_enum_budget_bounds_every_table(capsys):
+    """1,000 bytes fit neither no-side-info:6's cover table nor the N_2[6, 5]
+    code table behind its alpha and kappa bounds (63 x 63 classes each), so
+    the search exits 3 at once with the Griesmer bound 13 and 6 * 5 as its
+    bracket; the default budget's answer, 14, takes the ~3 s N_2[6, 5] scan
+    and is checked from the shell."""
+    started = time.perf_counter()
+    code, out, _ = run(
+        capsys, "search", "--instance", "no-side-info:6", "--q", "2", "--delta", "2",
+        "--enum-budget", "1000",
+    )
+    assert time.perf_counter() - started < 1
+    assert code == 3
+    assert json.loads(out) == {"status": "budget", "infeasible_below": 13, "feasible_at": 30, "nodes": 0}
 
 
 SEARCH_ARGS = ("--instance", "pentagon", "--q", "2", "--delta", "1")
