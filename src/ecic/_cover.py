@@ -66,7 +66,10 @@ depth, which measured faster than stopping it at depth 1, 2, 3 or 4.
 tabu search on the same packed rows, counts and deficit that finds witnesses
 fast and proves nothing when it misses.  `descend` walks lengths down with
 the two, for the optimal-length scan and for kappa alike; its docstring
-holds the policy.
+holds the policy.  The code scan (`bounds.shortest_code_length`) walks up
+from a lower bound instead, so every length it reaches is a bottom, and it
+applies `descend`'s bottom rule at each: a bounded exhaustive probe first,
+then tabu.
 """
 
 from __future__ import annotations
@@ -568,7 +571,8 @@ def descend(
     first there under one tabu run's work of nodes
     (LOCAL_SEARCH_ITERATIONS x classes); tabu and the full search follow
     only if that probe trips.  A probe cut short by the budget itself ends
-    the descent at once.
+    the descent at once.  The upward code scan (`bounds.shortest_code_length`)
+    applies this bottom rule at every length it reaches.
 
     Every exhaustive node, a tripped probe's included, is charged to
     `node_budget`.  On its exhaustion the raised BudgetExceeded carries

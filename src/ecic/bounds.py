@@ -4,10 +4,11 @@ Four length bounds for correcting delta errors: two derived from the
 shortest classical code of a given dimension and distance (applied at the
 generalized independence number and at the min-rank), the Singleton-style
 bound kappa + 2*delta, and the smallest length at which a uniformly random
-matrix works with positive probability.  Shortest code lengths come from an
-exhaustive scan over systematic generators that starts at the Griesmer
-bound, so every length below the answer is ruled out by that bound or by
-exhaustion.  All threshold
+matrix works with positive probability.  Shortest code lengths come from a
+scan over systematic generators upward from the Griesmer bound: every
+length below the answer is ruled out by that bound, by the residual-code
+bound or by an exhaustive proof, and the answer's witness comes from a
+bounded exhaustive probe or from a re-verified tabu run.  All threshold
 arithmetic is exact big-integer; nothing here rounds through floats.
 """
 
@@ -19,13 +20,16 @@ from typing import Optional
 
 from ._cover import (
     DEFAULT_NODE_BUDGET,
+    LOCAL_SEARCH_ITERATIONS,
     CoverTable,
+    _seeded_bytes,
     classes_matrix,
     cover_table,
+    local_cover_search,
     multiset_cover_search,
 )
-from .errors import BudgetExceeded, CapExceeded, UnknownCodeLength
-from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FMatrix, make_field
+from .errors import BudgetExceeded, CapExceeded, InternalContradiction, UnknownCodeLength
+from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FMatrix, code_min_distance, make_field
 from .index_codes import _check_delta, generalized_independence_number, min_rank
 from .instance import IcsiInstance
 
@@ -81,13 +85,19 @@ def find_code_generator(
     if length < k or length < d:
         return None
     table = _table or _code_table(q, k)
-    classes = table.columns
-    units = [classes.index(tuple(int(r == i) for r in range(k))) for i in range(k)]
-    residual = [max(0, d - sum(1 for x in z if x)) for z in table.targets]
+    units, residual = _systematic(table, k, d)
     res = multiset_cover_search(table, residual, length - k, node_budget)
     if not res.found:
         return None
-    return classes_matrix(make_field(q), classes, sorted(units + list(res.classes)), k)
+    return classes_matrix(make_field(q), table.columns, sorted(units + list(res.classes)), k)
+
+
+def _systematic(table: CoverTable, k: int, d: int) -> tuple[list[int], list[int]]:
+    """The class indices of the k unit columns of a (q, k) code table, and
+    the residual quotas d - wt(z) that the other columns of a systematic
+    generator must meet on each message class z."""
+    units = [table.columns.index(tuple(int(r == i) for r in range(k))) for i in range(k)]
+    return units, [max(0, d - sum(1 for x in z if x)) for z in table.targets]
 
 
 def _griesmer_length(q: int, k: int, d: int) -> int:
@@ -102,29 +112,71 @@ def shortest_code_length(
 ) -> int:
     """Exact length of the shortest [N, k, d'] linear code with d' >= d.
 
-    Scans lengths upward from the Griesmer bound sum_{i<k} ceil(d / q^i),
-    which holds for every linear code, deciding each by exhaustive
-    column-multiset search over systematic generators (see
-    `find_code_generator`: every code with d >= 1 has one, so each "no" is
-    still a proof for all linear codes).  For k <= 1 or d = 1 the bound is
-    attained (by the empty, repetition and identity codes) and is returned
-    without search.
-    Raises UnknownCodeLength when the node budget runs out mid-scan, or
-    when the scan's one (q, k) cover table (`_code_table`, for all its
-    lengths) exceeds `enum_budget`; `_table` passes in that table, one a
-    caller shares with `find_code_generator`.
+    For k <= 1 or d <= 2 the Griesmer bound sum_{i<k} ceil(d / q^i) is
+    attained (by the empty, repetition and identity codes, and by [I_k | 1])
+    and is returned without search.  Otherwise each length from that bound
+    up is settled over systematic generators (see `find_code_generator`:
+    every code with d >= 1 has one, so each "no" holds for all linear
+    codes), in up to four steps:
+    1. a probe, `code_exists` under LOCAL_SEARCH_ITERATIONS x classes nodes:
+       `_cover.descend`'s rule at a bottom, which every length the scan
+       reaches is;
+    2. if it trips, tabu (`local_cover_search`, stream
+       `ecic:code:{q}:{k}:{d}:{length}`), its generator re-verified;
+    3. at the scan's first tabu miss, the residual-code bound
+       N_q[k, d] >= d + N_q[k - 1, ceil(d / q)] (Huffman & Pless, Thm
+       2.7.1; the inner term by this scan under the same budgets, or its
+       Griesmer bound) rules out every length below it with no search;
+    4. else `code_exists` under what the probe left of `node_budget`.
+    So every shorter length falls to the Griesmer bound, the residual-code
+    bound or an exhaustive proof, and the witness comes from the probe or
+    from tabu.  The node budget is per length.  Raises UnknownCodeLength
+    when it runs out, or when the scan's one (q, k) cover table
+    (`_code_table`) exceeds `enum_budget`; `_table` passes in that table,
+    one a caller shares with `find_code_generator`.
     """
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
     griesmer = _griesmer_length(q, k, d)
-    if k <= 1 or d == 1:
+    if k <= 1 or d <= 2:
         return griesmer
     # identity columns repeated d times give an [k*d, k, d] code, so the
     # scan below terminates
     try:
         table = _table or _code_table(q, k, enum_budget)
+        units, residual = _systematic(table, k, d)
+        probe = min(LOCAL_SEARCH_ITERATIONS * len(table.hit_sets), node_budget)
+        floor = 0  # the residual-code bound, computed at the first tabu miss
         for length in range(griesmer, k * d + 1):
-            if code_exists(q, k, d, length, node_budget, _table=table):
+            if length < floor:
+                continue
+            try:
+                if code_exists(q, k, d, length, probe, _table=table):
+                    return length
+                continue
+            except BudgetExceeded as exc:
+                if probe == node_budget:
+                    raise
+                spent = exc.nodes
+            picks, _ = local_cover_search(
+                table.hit_sets, residual, length - k, LOCAL_SEARCH_ITERATIONS,
+                _seeded_bytes(f"ecic:code:{q}:{k}:{d}:{length}", 256),
+            )
+            if picks is not None:
+                G = classes_matrix(make_field(q), table.columns, sorted(units + list(picks)), k)
+                if code_min_distance(G, enum_budget) < d:
+                    raise InternalContradiction(f"tabu's [{length}, {k}] code has distance < {d}")
+                return length
+            if not floor:
+                try:
+                    floor = d + shortest_code_length(
+                        q, k - 1, -(-d // q), node_budget, enum_budget=enum_budget
+                    )
+                except UnknownCodeLength:
+                    floor = griesmer  # d plus the inner term's Griesmer bound
+                if length < floor:
+                    continue
+            if code_exists(q, k, d, length, node_budget - spent, _table=table):
                 return length
     except (BudgetExceeded, CapExceeded) as exc:
         raise UnknownCodeLength(q, k, d, str(exc)) from exc

@@ -206,17 +206,21 @@ def _cmd_construct(args) -> int:
             _emit(doc, args.format, "no verifying matrix found within the trial budget")
             return EXIT_FAIL
     else:
-        inner = index_codes.min_rank(inst, field, args.node_budget).ic_matrix
+        inner = index_codes.min_rank(
+            inst, field, args.node_budget, enum_budget=args.enum_budget
+        ).ic_matrix
         kappa = inner.ncols
         need = 2 * args.delta + 1
         if args.strategy == "mds-concat":
             outer = construct_search.mds_generator(field, kappa, kappa + 2 * args.delta)
         else:  # concat with a shortest distance-(2*delta+1) outer code
-            table = bounds_mod._code_table(field.q, kappa)  # one for the scan and the code
+            # one table for the scan and the code
+            table = bounds_mod._code_table(field.q, kappa, args.enum_budget)
             length = args.length
             if length is None:
                 length = bounds_mod.shortest_code_length(
-                    field.q, kappa, need, node_budget=args.node_budget, _table=table
+                    field.q, kappa, need, node_budget=args.node_budget,
+                    enum_budget=args.enum_budget, _table=table,
                 )
             outer = bounds_mod.find_code_generator(
                 field.q, kappa, need, length, node_budget=args.node_budget, _table=table

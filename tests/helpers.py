@@ -218,6 +218,21 @@ def upward_scan(inst, field, delta):
         length += 1
 
 
+def upward_code_scan(q, k, d, node_budget=1 << 27):
+    """N_q[k, d] by the exhaustive scan upward from the Griesmer bound: the
+    first length `code_exists` decides feasible, with no probe, tabu run or
+    residual-code bound.  The reference `shortest_code_length` is checked
+    against."""
+    from ecic import code_exists
+
+    length = sum(-(-d // q**i) for i in range(k))
+    if k <= 1 or d == 1:
+        return length
+    while not code_exists(q, k, d, length, node_budget):
+        length += 1
+    return length
+
+
 def confusable_oracle(inst, field):
     """Every z in F_q^n that is nonzero at some receiver's demand and zero on
     its side information, mapped to the first such receiver: the

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -25,7 +26,7 @@ from ecic import (
 )
 from ecic.errors import BudgetExceeded, OutOfRegime, UnknownCodeLength
 
-from helpers import F2, random_instance
+from helpers import F2, random_instance, upward_code_scan
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +162,117 @@ def test_found_generators_hit_exact_distance():
         assert G is not None
         assert mat_rank(G) == k
         assert code_min_distance(G) >= d
+
+
+# ---------------------------------------------------------------------------
+# the witness-first scan: probe, tabu witness, residual-code bound, proof
+
+
+def test_shortest_length_at_distance_two_is_k_plus_one():
+    """[I_k | 1] attains the Griesmer bound k + 1 at d = 2: the closed form
+    equals the exhaustive scan, and needs no table even where one of
+    2^30 - 1 classes could not be built."""
+    for q in (2, 3, 4):
+        for k in range(1, 6):
+            assert shortest_code_length(q, k, 2) == k + 1 == upward_code_scan(q, k, 2)
+    assert shortest_code_length(2, 30, 2) == 31
+
+
+def scan_route(monkeypatch, q, k, d, **budgets):
+    """(answer, log) of one scan: each `code_exists` call as ("exists", k,
+    length, node budget, outcome, nodes), the outcome True, False or "trip",
+    and each tabu run as ("tabu", its stream key, moves, found)."""
+    from ecic import bounds
+
+    log = []
+    nodes = []
+    keys = []
+    real_exists, real_tabu, real_cover, real_stream = (
+        bounds.code_exists, bounds.local_cover_search, bounds.multiset_cover_search,
+        bounds._seeded_bytes,
+    )
+
+    def cover(table, quotas, size, node_budget):
+        res = real_cover(table, quotas, size, node_budget)
+        nodes.append(res.nodes)
+        return res
+
+    def exists(q, k, d, length, node_budget, **kw):
+        try:
+            found = real_exists(q, k, d, length, node_budget, **kw)
+        except BudgetExceeded as exc:
+            log.append(("exists", k, length, node_budget, "trip", exc.nodes))
+            raise
+        log.append(("exists", k, length, node_budget, found, nodes.pop()))
+        return found
+
+    def stream(key, q):
+        keys.append(key)
+        return real_stream(key, q)
+
+    def tabu(hit_sets, quotas, size, iterations, stream):
+        picks, moves = real_tabu(hit_sets, quotas, size, iterations, stream)
+        log.append(("tabu", keys.pop(), moves, picks is not None))
+        return picks, moves
+
+    monkeypatch.setattr(bounds, "code_exists", exists)
+    monkeypatch.setattr(bounds, "local_cover_search", tabu)
+    monkeypatch.setattr(bounds, "multiset_cover_search", cover)
+    monkeypatch.setattr(bounds, "_seeded_bytes", stream)
+    return bounds.shortest_code_length(q, k, d, **budgets), log
+
+
+def test_scan_route_witness_from_tabu(monkeypatch):
+    """N_2[4, 7] = 14 on its Griesmer bound: the probe (128 x 15 nodes)
+    trips, and a one-move tabu run finds the witness that the exhaustive
+    search took 10,803 nodes to reach."""
+    assert scan_route(monkeypatch, 2, 4, 7) == (14, [
+        ("exists", 4, 14, 1920, "trip", 1921),
+        ("tabu", "ecic:code:2:4:7:14", 1, True),
+    ])
+
+
+def test_scan_route_settled_by_probes(monkeypatch):
+    """N_2[5, 3] = 9: the probe proves the Griesmer bound 8 infeasible and
+    finds the witness at 9, with no tabu run."""
+    assert scan_route(monkeypatch, 2, 5, 3) == (9, [
+        ("exists", 5, 8, 3968, False, 111),
+        ("exists", 5, 9, 3968, True, 153),
+    ])
+
+
+def test_scan_route_residual_bound_rules_out_griesmer(monkeypatch):
+    """N_2[6, 5] = 14: at the Griesmer bound 13 the probe trips and tabu
+    misses, so the residual-code bound 5 + N_2[5, 3] = 14 rules 13 out with
+    no full proof (the inner scan is the route above); at 14 tabu finds the
+    witness."""
+    assert scan_route(monkeypatch, 2, 6, 5) == (14, [
+        ("exists", 6, 13, 8064, "trip", 8065),
+        ("tabu", "ecic:code:2:6:5:13", 128, False),
+        ("exists", 5, 8, 3968, False, 111),
+        ("exists", 5, 9, 3968, True, 153),
+        ("exists", 6, 14, 8064, "trip", 8065),
+        ("tabu", "ecic:code:2:6:5:14", 2, True),
+    ])
+
+
+def test_tabu_witness_is_reverified(monkeypatch):
+    from ecic import bounds
+    from ecic.errors import InternalContradiction
+
+    monkeypatch.setattr(bounds, "code_min_distance", lambda G, budget: 6)
+    with pytest.raises(InternalContradiction):
+        shortest_code_length(2, 4, 7)
+
+
+@pytest.mark.parametrize("k, answer", [(6, 14), (7, 15)])
+def test_residual_bound_settles_the_frontier(k, answer):
+    """N_2[6, 5] took a 5.8M-node scan, and N_2[7, 5] did not settle in
+    2^27 nodes; the residual-code bound and tabu witnesses answer each in
+    well under a second."""
+    started = time.perf_counter()
+    assert shortest_code_length(2, k, 5) == answer
+    assert time.perf_counter() - started < 1
 
 
 # ---------------------------------------------------------------------------

@@ -607,8 +607,7 @@ def test_search_enum_budget_bounds_every_table(capsys):
     """1,000 bytes fit neither no-side-info:6's cover table nor the N_2[6, 5]
     code table behind its alpha and kappa bounds (63 x 63 classes each), so
     the search exits 3 at once with the Griesmer bound 13 and 6 * 5 as its
-    bracket; the default budget's answer, 14, takes the ~3 s N_2[6, 5] scan
-    and is checked from the shell."""
+    bracket; the default budget's answer, 14, is checked from the shell."""
     started = time.perf_counter()
     code, out, _ = run(
         capsys, "search", "--instance", "no-side-info:6", "--q", "2", "--delta", "2",
@@ -617,6 +616,20 @@ def test_search_enum_budget_bounds_every_table(capsys):
     assert time.perf_counter() - started < 1
     assert code == 3
     assert json.loads(out) == {"status": "budget", "infeasible_below": 13, "feasible_at": 30, "nodes": 0}
+
+
+def test_construct_enum_budget_bounds_its_tables(capsys):
+    """`construct --strategy concat` builds the min-rank table and the
+    N_2[6, 5] code table under `--enum-budget`, as `search` does: 1,000
+    bytes fit neither, so it exits 3 at once."""
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "construct", "--instance", "no-side-info:6", "--q", "2", "--delta", "2",
+        "--strategy", "concat", "--enum-budget", "1000",
+    )
+    assert time.perf_counter() - started < 1
+    assert code == 3 and out == ""
+    assert "exceed budget 1000" in err
 
 
 SEARCH_ARGS = ("--instance", "pentagon", "--q", "2", "--delta", "1")
