@@ -64,12 +64,9 @@ depth, which measured faster than stopping it at depth 1, 2, 3 or 4.
 
 `local_cover_search` is the heuristic beside this exhaustive kernel: a
 tabu search on the same packed rows, counts and deficit that finds witnesses
-fast and proves nothing when it misses.  `descend` walks lengths down with
-the two, for the optimal-length scan and for kappa alike; its docstring
-holds the policy.  The code scan (`bounds.shortest_code_length`) walks up
-from a lower bound instead, so every length it reaches is a bottom, and it
-applies `descend`'s bottom rule at each: a bounded exhaustive probe first,
-then tabu.
+fast and proves nothing when it misses.  `settle` decides one length with
+the two.  `descend` walks lengths down with it, for the optimal-length scan
+and for kappa alike, and the code scan (`bounds.shortest_code_length`) up.
 """
 
 from __future__ import annotations
@@ -540,6 +537,34 @@ def local_cover_search(
 # the witness-first descent
 
 
+def settle(
+    length: int, probe: int | None, budget: int, tabu: Callable[[int], tuple[Any, int]],
+    exhaustive: Callable[[int, int], tuple[Any, int]],
+) -> tuple[Any, int, int]:
+    """Decide one length: (witness or None, exhaustive nodes, tabu moves).
+    A probe, `exhaustive(length, min(probe, budget))`, goes first when there
+    is one; `tabu(length)` follows only if it trips short of `budget`, and
+    where tabu misses, `exhaustive` decides under what is left.  Each
+    returns (witness or None, nodes or moves); only `exhaustive`'s None is a
+    proof.  Tripped probes are charged, and BudgetExceeded carries every node."""
+    spent = 0
+    if probe is not None:
+        try:
+            return (*exhaustive(length, min(probe, budget)), 0)
+        except BudgetExceeded as exc:
+            if probe >= budget:
+                raise
+            spent = exc.nodes or 0
+    found, moves = tabu(length)
+    if found is None:
+        try:
+            found, nodes = exhaustive(length, budget - spent)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(str(exc), nodes=spent + (exc.nodes or 0)) from exc
+        spent += nodes
+    return found, spent, moves
+
+
 @dataclass(frozen=True)
 class Descent:
     size: int  # the shortest length with a witness, or `known`
@@ -559,49 +584,32 @@ def descend(
     `bottom` is.  Feasibility is monotone in the length (an added pick
     lowers no count), so the answer needs one witness and one proof.
 
-    The lengths are tried from `top` down.  At each, a tabu search
-    (`local_cover_search`, LOCAL_SEARCH_ITERATIONS moves, tie-breaks from
-    the stream keyed `{key}:{length}`) looks for a multiset, which
-    `witness(classes)` turns into the caller's witness.  Where it finds
-    none, `exhaustive(length, budget)` decides the length, returning
-    (witness or None, nodes) or raising BudgetExceeded: None ends the
-    descent one length above, with this length as the proof.  Reaching
-    `bottom` ends it too.  At `bottom`, when the descent started above it,
-    a tabu miss is the common case and proves nothing, so `exhaustive` goes
-    first there under one tabu run's work of nodes
-    (LOCAL_SEARCH_ITERATIONS x classes); tabu and the full search follow
-    only if that probe trips.  A probe cut short by the budget itself ends
-    the descent at once.  The upward code scan (`bounds.shortest_code_length`)
-    applies this bottom rule at every length it reaches.
+    The lengths are tried from `top` down, each decided by `settle` with
+    a tabu run (`local_cover_search`, LOCAL_SEARCH_ITERATIONS moves, the
+    stream keyed `{key}:{length}`) whose multiset `witness(classes)` makes
+    the caller's witness, and with `exhaustive(length, budget)`.  A proof
+    ends the descent one length above, as reaching `bottom` does.  A tabu
+    miss is the common case at `bottom` and proves nothing, so `settle`
+    probes there (if the descent started above it) under one tabu run's
+    work of nodes, LOCAL_SEARCH_ITERATIONS x classes.
 
     Every exhaustive node, a tripped probe's included, is charged to
     `node_budget`.  On its exhaustion the raised BudgetExceeded carries
     every node spent and the bracket: infeasible below `bottom`, feasible
     at the shortest length found (or `known`).
     """
+
+    def tabu(length: int) -> tuple[Any, int]:
+        stream = _seeded_bytes(f"{key}:{length}", 256)
+        picks, moves = local_cover_search(hit_sets, quotas, length, LOCAL_SEARCH_ITERATIONS, stream)
+        return (None if picks is None else witness(picks)), moves
+
     size, best = known, None
     nodes = moves = 0
     for length in range(top, bottom - 1, -1):
+        probe = LOCAL_SEARCH_ITERATIONS * len(hit_sets) if bottom == length < top else None
         try:
-            spent = None  # until the length is settled
-            if bottom == length < top:
-                budget = min(LOCAL_SEARCH_ITERATIONS * len(hit_sets), node_budget - nodes)
-                try:
-                    found, spent = exhaustive(length, budget)
-                except BudgetExceeded as exc:
-                    if budget == node_budget - nodes:
-                        raise
-                    nodes += exc.nodes
-            if spent is None:
-                classes, made = local_cover_search(
-                    hit_sets, quotas, length, LOCAL_SEARCH_ITERATIONS,
-                    _seeded_bytes(f"{key}:{length}", 256),
-                )
-                moves += made
-                if classes is not None:
-                    found, spent = witness(classes), 0
-                else:
-                    found, spent = exhaustive(length, node_budget - nodes)
+            found, spent, made = settle(length, probe, node_budget - nodes, tabu, exhaustive)
         except BudgetExceeded as exc:
             raise BudgetExceeded(
                 f"budget exhausted at length {length}; "
@@ -609,6 +617,7 @@ def descend(
                 nodes=nodes + (exc.nodes or 0), infeasible_below=bottom, feasible_at=size,
             ) from exc
         nodes += spent
+        moves += made
         if found is None:
             break
         size, best = length, found

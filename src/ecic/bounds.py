@@ -5,10 +5,8 @@ shortest classical code of a given dimension and distance (applied at the
 generalized independence number and at the min-rank), the Singleton-style
 bound kappa + 2*delta, and the smallest length at which a uniformly random
 matrix works with positive probability.  Shortest code lengths come from a
-scan over systematic generators upward from the Griesmer bound: every
-length below the answer is ruled out by that bound, by the residual-code
-bound or by an exhaustive proof, and the answer's witness comes from a
-bounded exhaustive probe or from a re-verified tabu run.  All threshold
+scan upward from the Griesmer bound, where every shorter length falls to a
+bound or an exhaustive proof (`shortest_code_length`).  All threshold
 arithmetic is exact big-integer; nothing here rounds through floats.
 """
 
@@ -27,6 +25,7 @@ from ._cover import (
     cover_table,
     local_cover_search,
     multiset_cover_search,
+    settle,
 )
 from .errors import BudgetExceeded, CapExceeded, InternalContradiction, UnknownCodeLength
 from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FMatrix, code_min_distance, make_field
@@ -115,68 +114,57 @@ def shortest_code_length(
     For k <= 1 or d <= 2 the Griesmer bound sum_{i<k} ceil(d / q^i) is
     attained (by the empty, repetition and identity codes, and by [I_k | 1])
     and is returned without search.  Otherwise each length from that bound
-    up is settled over systematic generators (see `find_code_generator`:
+    up is decided over systematic generators (see `find_code_generator`:
     every code with d >= 1 has one, so each "no" holds for all linear
-    codes), in up to four steps:
-    1. a probe, `code_exists` under LOCAL_SEARCH_ITERATIONS x classes nodes:
-       `_cover.descend`'s rule at a bottom, which every length the scan
-       reaches is;
-    2. if it trips, tabu (`local_cover_search`, stream
-       `ecic:code:{q}:{k}:{d}:{length}`), its generator re-verified;
-    3. at the scan's first tabu miss, the residual-code bound
-       N_q[k, d] >= d + N_q[k - 1, ceil(d / q)] (Huffman & Pless, Thm
-       2.7.1; the inner term by this scan under the same budgets, or its
-       Griesmer bound) rules out every length below it with no search;
-    4. else `code_exists` under what the probe left of `node_budget`.
-    So every shorter length falls to the Griesmer bound, the residual-code
-    bound or an exhaustive proof, and the witness comes from the probe or
-    from tabu.  The node budget is per length.  Raises UnknownCodeLength
-    when it runs out, or when the scan's one (q, k) cover table
-    (`_code_table`) exceeds `enum_budget`; `_table` passes in that table,
-    one a caller shares with `find_code_generator`.
+    codes) by `_cover.settle`, probing at each: `code_exists` under
+    LOCAL_SEARCH_ITERATIONS x classes nodes, then tabu (`local_cover_search`,
+    stream `ecic:code:{q}:{k}:{d}:{length}`), its generator re-verified,
+    then `code_exists` under what is left of `node_budget`.  At the first
+    tabu miss, the residual-code bound N_q[k, d] >= d + N_q[k - 1,
+    ceil(d / q)] (Huffman & Pless, Thm 2.7.1; the inner term by this scan,
+    or its Griesmer bound) rules out every length below it with no search.
+
+    `node_budget` is spent afresh at each length and at each of the inner
+    scan's, since `code_exists`, which holds every kernel call, returns a
+    bool and not the nodes a finished search spent; no budget charges tabu
+    moves.  Raises NotPrimePower when q is no field order, UnknownCodeLength
+    when a length's budget runs out or the (q, k) cover table (`_code_table`)
+    exceeds `enum_budget`; `_table` passes that table in.
     """
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
+    field = make_field(q)
     griesmer = _griesmer_length(q, k, d)
     if k <= 1 or d <= 2:
         return griesmer
-    # identity columns repeated d times give an [k*d, k, d] code, so the
-    # scan below terminates
+    floor = 0  # the residual-code bound, set at the first tabu miss
+
+    def tabu(length: int) -> tuple[Optional[FMatrix], int]:
+        nonlocal floor
+        picks, moves = local_cover_search(
+            table.hit_sets, residual, length - k, LOCAL_SEARCH_ITERATIONS,
+            _seeded_bytes(f"ecic:code:{q}:{k}:{d}:{length}", 256),
+        )
+        if picks is not None:
+            G = classes_matrix(field, table.columns, sorted(units + list(picks)), k)
+            if code_min_distance(G, enum_budget) < d:
+                raise InternalContradiction(f"tabu's [{length}, {k}] code has distance < {d}")
+            return G, moves
+        if not floor:
+            inner = _code_length_bracket(q, k - 1, -(-d // q), node_budget, enum_budget=enum_budget)
+            floor = d + inner[0]
+        return None, moves
+
+    def exhaustive(length: int, budget: int) -> tuple[Optional[bool], int]:
+        return length >= floor and code_exists(q, k, d, length, budget, _table=table) or None, 0
+
     try:
         table = _table or _code_table(q, k, enum_budget)
         units, residual = _systematic(table, k, d)
-        probe = min(LOCAL_SEARCH_ITERATIONS * len(table.hit_sets), node_budget)
-        floor = 0  # the residual-code bound, computed at the first tabu miss
+        probe = LOCAL_SEARCH_ITERATIONS * len(table.hit_sets)
+        # each identity column d times is a [k*d, k, d] code: the scan ends
         for length in range(griesmer, k * d + 1):
-            if length < floor:
-                continue
-            try:
-                if code_exists(q, k, d, length, probe, _table=table):
-                    return length
-                continue
-            except BudgetExceeded as exc:
-                if probe == node_budget:
-                    raise
-                spent = exc.nodes
-            picks, _ = local_cover_search(
-                table.hit_sets, residual, length - k, LOCAL_SEARCH_ITERATIONS,
-                _seeded_bytes(f"ecic:code:{q}:{k}:{d}:{length}", 256),
-            )
-            if picks is not None:
-                G = classes_matrix(make_field(q), table.columns, sorted(units + list(picks)), k)
-                if code_min_distance(G, enum_budget) < d:
-                    raise InternalContradiction(f"tabu's [{length}, {k}] code has distance < {d}")
-                return length
-            if not floor:
-                try:
-                    floor = d + shortest_code_length(
-                        q, k - 1, -(-d // q), node_budget, enum_budget=enum_budget
-                    )
-                except UnknownCodeLength:
-                    floor = griesmer  # d plus the inner term's Griesmer bound
-                if length < floor:
-                    continue
-            if code_exists(q, k, d, length, node_budget - spent, _table=table):
+            if settle(length, probe, node_budget, tabu, exhaustive)[0] is not None:
                 return length
     except (BudgetExceeded, CapExceeded) as exc:
         raise UnknownCodeLength(q, k, d, str(exc)) from exc
@@ -217,8 +205,8 @@ def kappa_bound(
 ) -> int:
     """Upper bound: the shortest code of dimension kappa and distance
     2*delta + 1 (achieved by concatenation with an optimal plain index
-    code).  `node_budget` bounds kappa's search and the code-length scan
-    each."""
+    code).  `node_budget` bounds kappa's search, and the code-length scan
+    per length."""
     kappa = min_rank(inst, field, node_budget).kappa
     return shortest_code_length(field.q, kappa, 2 * delta + 1, node_budget=node_budget)
 
@@ -302,7 +290,9 @@ def bounds_report(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> BoundsReport:
     """Assemble every bound, leaving fields unknown (None) rather than
-    failing when an individual computation runs out of budget."""
+    failing when a computation runs out of budget.  `node_budget` bounds
+    kappa's search, and each code scan afresh per length and per inner scan
+    (`shortest_code_length`); no budget charges tabu moves."""
     _check_delta(delta)
     d = 2 * delta + 1
     alpha = kappa = None

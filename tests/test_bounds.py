@@ -24,7 +24,7 @@ from ecic import (
     singleton_bound,
     sphere_volume,
 )
-from ecic.errors import BudgetExceeded, OutOfRegime, UnknownCodeLength
+from ecic.errors import BudgetExceeded, NotPrimePower, OutOfRegime, UnknownCodeLength
 
 from helpers import F2, random_instance, upward_code_scan
 
@@ -43,6 +43,11 @@ def test_sphere_volume_examples():
 def test_sphere_volume_saturates_at_full_space():
     assert sphere_volume(2, 5, 5) == 32
     assert sphere_volume(2, 5, 9) == 32  # radius beyond length adds nothing
+
+
+def test_sphere_volume_rejects_a_negative_radius():
+    with pytest.raises(ValueError, match="negative radius"):
+        sphere_volume(2, 5, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +108,20 @@ def test_shortest_length_small_searches():
     assert assert_scan_agrees(2, 1, 4) == 4
 
 
+@pytest.mark.parametrize("k, d", [(-1, 3), (2, 0)])
+def test_shortest_length_rejects_its_parameters(k, d):
+    with pytest.raises(ValueError, match="need k >= 0 and d >= 1"):
+        shortest_code_length(2, k, d)
+
+
+@pytest.mark.parametrize("q, k, d", [(6, 3, 2), (6, 1, 5), (0, 2, 2), (6, 3, 3)])
+def test_shortest_length_needs_a_field(q, k, d):
+    """No field has 6 or 0 elements, so there is no code to measure, even
+    where a closed form (k <= 1 or d <= 2) would answer without a search."""
+    with pytest.raises(NotPrimePower):
+        shortest_code_length(q, k, d)
+
+
 def test_shortest_length_budget_to_unknown():
     with pytest.raises(UnknownCodeLength):
         shortest_code_length(2, 5, 7, node_budget=10)
@@ -136,6 +155,13 @@ def test_code_exists_and_generator_agree():
     assert mat_rank(G) == 2
     assert code_min_distance(G) >= 5
     assert find_code_generator(2, 3, 5, 9) is None
+
+
+def test_find_code_generator_input_checks():
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        find_code_generator(2, 0, 3, 5)
+    assert find_code_generator(2, 3, 3, 2) is None  # shorter than k
+    assert find_code_generator(2, 3, 5, 4) is None  # shorter than d
 
 
 def test_code_exists_agrees_with_brute_force_over_all_generators():
@@ -256,6 +282,48 @@ def test_scan_route_residual_bound_rules_out_griesmer(monkeypatch):
     ])
 
 
+def tabu_misses(hit_sets, quotas, size, iterations, stream):
+    return None, iterations
+
+
+def test_scan_route_full_proof_after_a_tabu_miss(monkeypatch):
+    """N_2[4, 7] with tabu missing: the probe at the Griesmer bound 14
+    trips, the inner scan proves N_2[3, 4] = 7 inside its 896-node probe,
+    so the residual-code bound 7 + 7 rules nothing out, and the full
+    search at 14 finds the generator under what the probe left."""
+    from ecic import bounds
+
+    monkeypatch.setattr(bounds, "local_cover_search", tabu_misses)
+    assert scan_route(monkeypatch, 2, 4, 7) == (14, [
+        ("exists", 4, 14, 1920, "trip", 1921),
+        ("tabu", "ecic:code:2:4:7:14", 128, False),
+        ("exists", 3, 7, 896, True, 14),
+        ("exists", 4, 14, (1 << 27) - 1921, True, 10803),
+    ])
+
+
+def test_scan_route_residual_floor_falls_back_to_griesmer(monkeypatch):
+    """The scan above with the inner N_2[3, 4] unknown: the residual-code
+    bound falls back to d plus the inner Griesmer bound, 7 + 7 = 14, and
+    the same full proof follows."""
+    from ecic import bounds
+
+    real_scan = bounds.shortest_code_length
+
+    def scan(q, k, d, *args, **kwargs):
+        if k == 3:
+            raise UnknownCodeLength(q, k, d)
+        return real_scan(q, k, d, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "local_cover_search", tabu_misses)
+    monkeypatch.setattr(bounds, "shortest_code_length", scan)
+    assert scan_route(monkeypatch, 2, 4, 7) == (14, [
+        ("exists", 4, 14, 1920, "trip", 1921),
+        ("tabu", "ecic:code:2:4:7:14", 128, False),
+        ("exists", 4, 14, (1 << 27) - 1921, True, 10803),
+    ])
+
+
 def test_tabu_witness_is_reverified(monkeypatch):
     from ecic import bounds
     from ecic.errors import InternalContradiction
@@ -366,6 +434,15 @@ def test_bounds_report_scans_each_code_length_once(monkeypatch):
     rep = bounds_report(no_side_info(3), F2, 1)
     assert rep.alpha_bound == rep.kappa_bound == 6
     assert calls == [(2, 3, 3)]
+
+
+def test_bounds_report_with_alpha_over_its_cap():
+    """alpha of 25 messages is over the 24-message cap, so it and its bound
+    are unknown; kappa = 25 still gives the Singleton bound 27 as the lower
+    end, and the unsettled N_2[25, 3] the upper end 25 * 3."""
+    rep = bounds_report(no_side_info(25), F2, 1)
+    assert (rep.alpha, rep.alpha_bound, rep.kappa_bound) == (None, None, None)
+    assert (rep.kappa, rep.singleton, rep.lower, rep.upper) == (25, 27, 27, 75)
 
 
 def test_bounds_report_mds_equality():

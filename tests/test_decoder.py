@@ -142,6 +142,12 @@ def test_zero_error_decodes_with_zero_estimate():
         assert out.error_estimate.is_zero()
 
 
+def test_simulate_round_needs_one_error_per_receiver():
+    x = FVector(F2, (1, 0, 1, 1, 0))
+    with pytest.raises(LengthMismatch, match="one error vector per receiver"):
+        simulate_round(pentagon_code(), x, [FVector(F2, (0,) * 9)] * 4, delta=2)
+
+
 def test_syndrome_invariant_holds_for_every_decode():
     code = example1_code()
     dec = build_receiver_decoder(code, 1)
