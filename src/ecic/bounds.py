@@ -4,10 +4,13 @@ Four length bounds for correcting delta errors: two derived from the
 shortest classical code of a given dimension and distance (applied at the
 generalized independence number and at the min-rank), the Singleton-style
 bound kappa + 2*delta, and the smallest length at which a uniformly random
-matrix works with positive probability.  Shortest code lengths come from a
-scan upward from the Griesmer bound, where every shorter length falls to a
-bound or an exhaustive proof (`shortest_code_length`).  All threshold
-arithmetic is exact big-integer; nothing here rounds through floats.
+matrix works with positive probability.  Shortest code lengths
+(`shortest_code_length`) are settled in order: a closed form, else a
+verified anticode generator on the Griesmer bound (Solomon-Stiffler,
+Belov), else a scan upward from the larger of the Griesmer and
+sphere-packing bounds, where every shorter length falls to a bound or an
+exhaustive proof.  All threshold arithmetic is exact big-integer; nothing
+here rounds through floats.
 """
 
 from __future__ import annotations
@@ -25,10 +28,13 @@ from ._cover import (
     cover_table,
     local_cover_search,
     multiset_cover_search,
+    projective_classes,
     settle,
 )
 from .errors import BudgetExceeded, CapExceeded, InternalContradiction, UnknownCodeLength
-from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FMatrix, code_min_distance, make_field
+from .field_linalg import (
+    DEFAULT_ENUM_BUDGET, Field, FMatrix, code_min_distance, make_field, mat_rank,
+)
 from .index_codes import _check_delta, generalized_independence_number, min_rank
 from .instance import IcsiInstance
 
@@ -105,6 +111,48 @@ def _griesmer_length(q: int, k: int, d: int) -> int:
     return sum(-(-d // q**i) for i in range(k))
 
 
+def _anticode_generator(field: Field, k: int, d: int, enum_budget: int) -> Optional[FMatrix]:
+    """A k x N generator of distance >= d at the Griesmer bound N by the
+    anticode construction (Solomon & Stiffler 1965; Belov; Hill, "Optimal
+    linear codes", 1992), or None where this form of it does not apply.
+
+    s = ceil(d / q^(k-1)) copies of PG(k-1, q) give every nonzero message
+    weight s * q^(k-1).  When s * q^(k-1) - d has only digits 0 and 1 in
+    base q, each 1 at digit b removes a subspace PG(b, q), which lowers
+    any weight by at most q^b.  Subspaces on disjoint coordinates meet only
+    in 0, so the sizes b + 1 are packed first-fit, largest first, into the
+    s copies of the k coordinates; None when they do not fit.  Each
+    projective class is a column as often as the copies keep it.
+    BudgetExceeded where q^k exceeds `enum_budget`, before any column is
+    built, as the distance check would."""
+    q = field.q
+    s = -(-d // q ** (k - 1))
+    excess, sizes, u = s * q ** (k - 1) - d, [], 1
+    while excess:
+        excess, digit = divmod(excess, q)
+        if digit > 1:
+            return None
+        if digit:
+            sizes.append(u)
+        u += 1
+    free = [k] * s
+    cuts = []  # (first, stop) coordinates of each subspace cut
+    for u in reversed(sizes):
+        block = next((j for j in range(s) if free[j] >= u), None)
+        if block is None:
+            return None
+        cuts.append((k - free[block], k - free[block] + u))
+        free[block] -= u
+    if q**k > enum_budget:
+        raise BudgetExceeded(f"{q}^{k} codewords exceed enumeration budget {enum_budget}")
+    classes = projective_classes(field, k)
+    picks = []
+    for i, c in enumerate(classes):
+        support = [j for j, x in enumerate(c) if x]
+        picks += [i] * (s - sum(a <= support[0] and support[-1] < b for a, b in cuts))
+    return classes_matrix(field, classes, picks, k)
+
+
 def shortest_code_length(
     q: int, k: int, d: int, node_budget: int = DEFAULT_NODE_BUDGET,
     *, enum_budget: int = DEFAULT_ENUM_BUDGET, _table: Optional[CoverTable] = None,
@@ -113,13 +161,19 @@ def shortest_code_length(
 
     For k <= 1 or d <= 2 the Griesmer bound sum_{i<k} ceil(d / q^i) is
     attained (by the empty, repetition and identity codes, and by [I_k | 1])
-    and is returned without search.  Otherwise each length from that bound
-    up is decided over systematic generators (see `find_code_generator`:
-    every code with d >= 1 has one, so each "no" holds for all linear
-    codes) by `_cover.settle`, probing at each: `code_exists` under
-    LOCAL_SEARCH_ITERATIONS x classes nodes, then tabu (`local_cover_search`,
-    stream `ecic:code:{q}:{k}:{d}:{length}`), its generator re-verified,
-    then `code_exists` under what is left of `node_budget`.  At the first
+    and is returned without search.  Where `_anticode_generator` applies,
+    its generator is re-verified (the Griesmer length, rank k and
+    `code_min_distance >= d`, InternalContradiction otherwise) and the
+    Griesmer bound is returned with no table, probe, tabu run or node.
+    Otherwise the scan starts at the larger of that bound and the
+    sphere-packing bound (the least N with q^(N-k) >= V_q(N, (d-1)//2)),
+    and each length from there up is decided over systematic generators
+    (see `find_code_generator`: every code with d >= 1 has one, so each
+    "no" holds for all linear codes) by `_cover.settle`, probing at each:
+    `code_exists` under LOCAL_SEARCH_ITERATIONS x classes nodes, then tabu
+    (`local_cover_search`, stream `ecic:code:{q}:{k}:{d}:{length}`), its
+    generator re-verified, then `code_exists` under what is left of
+    `node_budget`.  At the first
     tabu miss, the residual-code bound N_q[k, d] >= d + N_q[k - 1,
     ceil(d / q)] (Huffman & Pless, Thm 2.7.1; the inner term by this scan,
     or its Griesmer bound) rules out every length below it with no search.
@@ -129,7 +183,8 @@ def shortest_code_length(
     bool and not the nodes a finished search spent; no budget charges tabu
     moves.  Raises NotPrimePower when q is no field order, UnknownCodeLength
     when a length's budget runs out or the (q, k) cover table (`_code_table`)
-    exceeds `enum_budget`; `_table` passes that table in.
+    or the constructed generator's q^k messages exceed `enum_budget`;
+    `_table` passes that table in.
     """
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
@@ -159,11 +214,20 @@ def shortest_code_length(
         return length >= floor and code_exists(q, k, d, length, budget, _table=table) or None, 0
 
     try:
+        G = _anticode_generator(field, k, d, enum_budget)
+        if G is not None:
+            if G.ncols != griesmer or mat_rank(G) < k or code_min_distance(G, enum_budget) < d:
+                raise InternalContradiction(f"the anticode generator is no [{griesmer}, {k}, {d}] code")
+            return griesmer
         table = _table or _code_table(q, k, enum_budget)
         units, residual = _systematic(table, k, d)
         probe = LOCAL_SEARCH_ITERATIONS * len(table.hit_sets)
+        # sphere packing: q^k disjoint balls of radius (d - 1) // 2 fit in F_q^N
+        start = griesmer
+        while q ** (start - k) < sphere_volume(q, start, (d - 1) // 2):
+            start += 1
         # each identity column d times is a [k*d, k, d] code: the scan ends
-        for length in range(griesmer, k * d + 1):
+        for length in range(start, k * d + 1):
             if settle(length, probe, node_budget, tabu, exhaustive)[0] is not None:
                 return length
     except (BudgetExceeded, CapExceeded) as exc:

@@ -123,8 +123,11 @@ def test_shortest_length_needs_a_field(q, k, d):
 
 
 def test_shortest_length_budget_to_unknown():
+    """N_2[5, 6] = 14 is not constructed (16 - 6 = 1010 in base 2 asks
+    for subspaces on 2 and 4 of the 5 coordinates), and both floors are
+    13, so its scan runs out of 10 nodes in the probe at 13."""
     with pytest.raises(UnknownCodeLength):
-        shortest_code_length(2, 5, 7, node_budget=10)
+        shortest_code_length(2, 5, 6, node_budget=10)
 
 
 def test_shortest_length_table_over_budget_is_unknown():
@@ -249,33 +252,40 @@ def scan_route(monkeypatch, q, k, d, **budgets):
 
 
 def test_scan_route_witness_from_tabu(monkeypatch):
-    """N_2[4, 7] = 14 on its Griesmer bound: the probe (128 x 15 nodes)
-    trips, and a one-move tabu run finds the witness that the exhaustive
-    search took 10,803 nodes to reach."""
-    assert scan_route(monkeypatch, 2, 4, 7) == (14, [
-        ("exists", 4, 14, 1920, "trip", 1921),
-        ("tabu", "ecic:code:2:4:7:14", 1, True),
+    """N_3[3, 7] = 11 on its Griesmer bound (9 - 7 = 2 is a digit 2, so
+    no anticode construction): the probe (128 x 13 nodes) trips, and a
+    two-move tabu run finds the witness."""
+    assert scan_route(monkeypatch, 3, 3, 7) == (11, [
+        ("exists", 3, 11, 1664, "trip", 1665),
+        ("tabu", "ecic:code:3:3:7:11", 2, True),
     ])
 
 
 def test_scan_route_settled_by_probes(monkeypatch):
-    """N_2[5, 3] = 9: the probe proves the Griesmer bound 8 infeasible and
-    finds the witness at 9, with no tabu run."""
-    assert scan_route(monkeypatch, 2, 5, 3) == (9, [
-        ("exists", 5, 8, 3968, False, 111),
-        ("exists", 5, 9, 3968, True, 153),
+    """N_2[5, 4] = 10: the Griesmer bound and the sphere-packing floor
+    both start the scan at 9, and the probe proves 9 infeasible and finds
+    the witness at 10, with no tabu run."""
+    assert scan_route(monkeypatch, 2, 5, 4) == (10, [
+        ("exists", 5, 9, 3968, False, 111),
+        ("exists", 5, 10, 3968, True, 135),
     ])
+
+
+def test_scan_route_starts_at_the_sphere_packing_floor(monkeypatch):
+    """N_2[5, 3] = 9: 2^(8-5) < 1 + 8, so the sphere-packing floor rules
+    out the Griesmer bound 8 with no probe, and the probe at 9 finds the
+    witness."""
+    assert scan_route(monkeypatch, 2, 5, 3) == (9, [("exists", 5, 9, 3968, True, 153)])
 
 
 def test_scan_route_residual_bound_rules_out_griesmer(monkeypatch):
     """N_2[6, 5] = 14: at the Griesmer bound 13 the probe trips and tabu
     misses, so the residual-code bound 5 + N_2[5, 3] = 14 rules 13 out with
-    no full proof (the inner scan is the route above); at 14 tabu finds the
-    witness."""
+    no full proof (the inner scan is the sphere-packing route above); at 14
+    tabu finds the witness."""
     assert scan_route(monkeypatch, 2, 6, 5) == (14, [
         ("exists", 6, 13, 8064, "trip", 8065),
         ("tabu", "ecic:code:2:6:5:13", 128, False),
-        ("exists", 5, 8, 3968, False, 111),
         ("exists", 5, 9, 3968, True, 153),
         ("exists", 6, 14, 8064, "trip", 8065),
         ("tabu", "ecic:code:2:6:5:14", 2, True),
@@ -287,41 +297,43 @@ def tabu_misses(hit_sets, quotas, size, iterations, stream):
 
 
 def test_scan_route_full_proof_after_a_tabu_miss(monkeypatch):
-    """N_2[4, 7] with tabu missing: the probe at the Griesmer bound 14
-    trips, the inner scan proves N_2[3, 4] = 7 inside its 896-node probe,
-    so the residual-code bound 7 + 7 rules nothing out, and the full
-    search at 14 finds the generator under what the probe left."""
+    """N_3[3, 7] with tabu missing: the probe at the Griesmer bound 11
+    trips, the inner N_3[2, 3] = 4 is constructed with no search, so the
+    residual-code bound 7 + 4 rules nothing out, and the full search at
+    11 finds the generator under what the probe left."""
     from ecic import bounds
 
     monkeypatch.setattr(bounds, "local_cover_search", tabu_misses)
-    assert scan_route(monkeypatch, 2, 4, 7) == (14, [
-        ("exists", 4, 14, 1920, "trip", 1921),
-        ("tabu", "ecic:code:2:4:7:14", 128, False),
-        ("exists", 3, 7, 896, True, 14),
-        ("exists", 4, 14, (1 << 27) - 1921, True, 10803),
+    assert scan_route(monkeypatch, 3, 3, 7) == (11, [
+        ("exists", 3, 11, 1664, "trip", 1665),
+        ("tabu", "ecic:code:3:3:7:11", 128, False),
+        ("exists", 3, 11, (1 << 27) - 1665, True, 1868),
     ])
 
 
 def test_scan_route_residual_floor_falls_back_to_griesmer(monkeypatch):
-    """The scan above with the inner N_2[3, 4] unknown: the residual-code
-    bound falls back to d plus the inner Griesmer bound, 7 + 7 = 14, and
+    """The scan above with the inner N_3[2, 3] unknown: the residual-code
+    bound falls back to d plus the inner Griesmer bound, 7 + 4 = 11, and
     the same full proof follows."""
     from ecic import bounds
 
     real_scan = bounds.shortest_code_length
+    inner = []
 
     def scan(q, k, d, *args, **kwargs):
-        if k == 3:
+        if k == 2:
+            inner.append((q, k, d))
             raise UnknownCodeLength(q, k, d)
         return real_scan(q, k, d, *args, **kwargs)
 
     monkeypatch.setattr(bounds, "local_cover_search", tabu_misses)
     monkeypatch.setattr(bounds, "shortest_code_length", scan)
-    assert scan_route(monkeypatch, 2, 4, 7) == (14, [
-        ("exists", 4, 14, 1920, "trip", 1921),
-        ("tabu", "ecic:code:2:4:7:14", 128, False),
-        ("exists", 4, 14, (1 << 27) - 1921, True, 10803),
+    assert scan_route(monkeypatch, 3, 3, 7) == (11, [
+        ("exists", 3, 11, 1664, "trip", 1665),
+        ("tabu", "ecic:code:3:3:7:11", 128, False),
+        ("exists", 3, 11, (1 << 27) - 1665, True, 1868),
     ])
+    assert inner == [(3, 2, 3)]
 
 
 def test_tabu_witness_is_reverified(monkeypatch):
@@ -329,8 +341,8 @@ def test_tabu_witness_is_reverified(monkeypatch):
     from ecic.errors import InternalContradiction
 
     monkeypatch.setattr(bounds, "code_min_distance", lambda G, budget: 6)
-    with pytest.raises(InternalContradiction):
-        shortest_code_length(2, 4, 7)
+    with pytest.raises(InternalContradiction, match="tabu's"):
+        shortest_code_length(3, 3, 7)
 
 
 @pytest.mark.parametrize("k, answer", [(6, 14), (7, 15)])
@@ -341,6 +353,98 @@ def test_residual_bound_settles_the_frontier(k, answer):
     started = time.perf_counter()
     assert shortest_code_length(2, k, 5) == answer
     assert time.perf_counter() - started < 1
+
+
+# ---------------------------------------------------------------------------
+# the anticode construction: Griesmer lengths settled with no search
+
+
+def anticode_applies(q, k, d):
+    """The construction's condition by brute force: s * q^(k-1) - d, with
+    s = ceil(d / q^(k-1)), has only digits 0 and 1 in base q, and the
+    sizes b + 1 of its digits b that are 1 split into s groups of sum at
+    most k (tried over every assignment)."""
+    import itertools
+
+    s = -(-d // q ** (k - 1))
+    excess, digits = s * q ** (k - 1) - d, []
+    while excess:
+        excess, digit = divmod(excess, q)
+        digits.append(digit)
+    if any(x > 1 for x in digits):
+        return False
+    sizes = [b + 1 for b, x in enumerate(digits) if x]
+    return any(
+        all(sum(u for u, g in zip(sizes, groups) if g == j) <= k for j in range(s))
+        for groups in itertools.product(range(s), repeat=len(sizes))
+    )
+
+
+def test_anticode_generators_meet_griesmer_and_their_distance():
+    """Every generator the construction builds, for q^k <= 256, d <= 12,
+    has the Griesmer length, full rank and a brute-force minimum distance
+    >= d, and it declines exactly where a digit exceeds 1 or the subspaces
+    do not fit the copies."""
+    from ecic.bounds import _anticode_generator, _griesmer_length
+
+    from helpers import brute_min_distance, brute_rank
+
+    built = 0
+    for q in (2, 3, 4, 5):
+        field = make_field(q)
+        for k in range(2, 7):
+            if q**k > 256:
+                break
+            for d in range(3, 13):
+                G = _anticode_generator(field, k, d, 1 << 26)
+                assert (G is not None) == anticode_applies(q, k, d), (q, k, d)
+                if G is None:
+                    continue
+                built += 1
+                assert G.ncols == _griesmer_length(q, k, d)
+                assert brute_rank(field, G.rows, G.ncols) == k
+                assert brute_min_distance(field, G.rows, G.ncols) >= d
+    assert built == 58
+
+
+def test_constructed_length_spends_no_search(monkeypatch):
+    """N_2[4, 7] = 14 and N_2[3, 7] = 13 sit on the Griesmer bound and are
+    constructed: no `code_exists` call, no tabu run and no code table."""
+    from ecic import bounds
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a constructed length built a code table")
+
+    monkeypatch.setattr(bounds, "_code_table", no_table)
+    assert scan_route(monkeypatch, 2, 4, 7) == (14, [])
+    assert scan_route(monkeypatch, 2, 3, 7) == (13, [])
+
+
+def test_simplex_code_past_the_kernel_cap():
+    """N_2[8, 128] = 255, the simplex code: 255 picks exceed the cover
+    kernel's 120, so no scan could answer it; the construction does."""
+    assert shortest_code_length(2, 8, 128) == 255
+
+
+def test_construction_over_the_enumeration_budget_is_unknown():
+    """Verifying the N_2[4, 7] generator walks 2^4 messages: 15 bytes of
+    enumeration budget leave the length unknown, bracketed by Griesmer 14
+    and 4 * 7."""
+    from ecic.bounds import _code_length_bracket
+
+    with pytest.raises(UnknownCodeLength, match="2\\^4 codewords exceed"):
+        shortest_code_length(2, 4, 7, enum_budget=15)
+    assert _code_length_bracket(2, 4, 7, 1 << 27, enum_budget=15) == (14, 28)
+    assert shortest_code_length(2, 4, 7, enum_budget=16) == 14
+
+
+def test_constructed_generator_is_reverified(monkeypatch):
+    from ecic import bounds
+    from ecic.errors import InternalContradiction
+
+    monkeypatch.setattr(bounds, "code_min_distance", lambda G, budget: 6)
+    with pytest.raises(InternalContradiction, match="anticode"):
+        shortest_code_length(2, 4, 7)
 
 
 # ---------------------------------------------------------------------------

@@ -296,11 +296,14 @@ def test_search_kappa_on_an_instance_of_several_parts():
 def test_optimal_length_bound_scans_respect_budget():
     from ecic import kappa_bound, shortest_code_length
 
-    # N_2[3,5] = 10 needs more than 10 nodes, so the kappa bound is unknown
-    # and the scan starts from kappa * (2*delta + 1) = 15; local search
-    # carries the witness down to 9, and the N=8 proof runs out of budget
+    # N_2[3, 5] = 10 is constructed with no node, but N_2[5, 5], the outer
+    # code of the 5 demands' unit columns that serves while kappa is
+    # unknown, needs more than 10 nodes, so the scan starts from 5 * 5 = 25;
+    # local search carries the witness down to 9, and the N=8 proof runs
+    # out of budget
+    assert shortest_code_length(2, 3, 5, node_budget=10) == 10
     with pytest.raises(UnknownCodeLength):
-        shortest_code_length(2, 3, 5, node_budget=10)
+        shortest_code_length(2, 5, 5, node_budget=10)
     # kappa_bound spends the same budget on kappa first, whose length-2
     # proof needs more than 10 nodes
     with pytest.raises(BudgetExceeded) as err:
