@@ -13,6 +13,7 @@ from .bounds import (
     code_exists,
     find_code_generator,
     kappa_bound,
+    mds_generator,
     random_coding_length,
     shortest_code_length,
     singleton_bound,
@@ -23,7 +24,6 @@ from .construct_search import (
     SearchOutcome,
     concatenate_construction,
     exists_ecic,
-    mds_generator,
     optimal_length_search,
     random_construct,
 )

@@ -5,12 +5,14 @@ shortest classical code of a given dimension and distance (applied at the
 generalized independence number and at the min-rank), the Singleton-style
 bound kappa + 2*delta, and the smallest length at which a uniformly random
 matrix works with positive probability.  Shortest code lengths
-(`shortest_code_length`) are settled in order: a closed form, else a
-verified anticode generator on the Griesmer bound (Solomon-Stiffler,
-Belov), else a scan upward from the larger of the Griesmer and
-sphere-packing bounds, where every shorter length falls to a bound or an
-exhaustive proof.  All threshold arithmetic is exact big-integer; nothing
-here rounds through floats.
+(`shortest_code_length`) are settled in order: a closed form; else a
+verified classical generator on the floor, the larger of the Griesmer and
+sphere-packing bounds (the anticode code of Solomon-Stiffler and Belov,
+the shortened Hamming code at d = 3, the extended Reed-Solomon code up to
+length q + 1); else, over GF(2) at even d, one more than at d - 1; else a
+scan upward from the floor, where every shorter length falls to a bound or
+an exhaustive proof.  All threshold arithmetic is exact big-integer;
+nothing here rounds through floats.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from ._cover import (
     projective_classes,
     settle,
 )
-from .errors import BudgetExceeded, CapExceeded, InternalContradiction, UnknownCodeLength
+from .errors import (
+    BudgetExceeded, CapExceeded, InternalContradiction, OutOfRegime, UnknownCodeLength,
+)
 from .field_linalg import (
     DEFAULT_ENUM_BUDGET, Field, FMatrix, code_min_distance, make_field, mat_rank,
 )
@@ -111,6 +115,77 @@ def _griesmer_length(q: int, k: int, d: int) -> int:
     return sum(-(-d // q**i) for i in range(k))
 
 
+def _code_floor(q: int, k: int, d: int) -> int:
+    """The larger of the Griesmer and sphere-packing bounds (the least N
+    with q^(N-k) >= V_q(N, (d-1)//2)): no linear [N, k, >= d] code over
+    GF(q) is shorter."""
+    length = _griesmer_length(q, k, d)
+    # sphere packing: q^k disjoint balls of radius (d - 1) // 2 fit in F_q^N
+    while q ** (length - k) < sphere_volume(q, length, (d - 1) // 2):
+        length += 1
+    return length
+
+
+def mds_generator(field: Field, k: int, length: int) -> FMatrix:
+    """Generator of an MDS [length, k, length - k + 1] code.
+
+    Regimes: length == k (identity), k == 1 (repetition, any length), and
+    k <= length <= q + 1 (extended Reed-Solomon on the fixed evaluation
+    sequence 0, 1, g, g^2, ... with g the smallest primitive element, plus
+    the point at infinity when length == q + 1).
+    """
+    if k < 1 or length < k:
+        raise OutOfRegime(f"need 1 <= k <= length, got k={k}, length={length}")
+    if length == k:
+        return FMatrix.identity(field, k)
+    if k == 1:
+        return FMatrix(field, ((1,) * length,), length)
+    if length > field.q + 1:
+        raise OutOfRegime(
+            f"length {length} exceeds q + 1 = {field.q + 1} for dimension {k}"
+        )
+    g = _smallest_primitive(field)
+    points = [0, 1]
+    x = g
+    while len(points) < field.q:
+        points.append(x)
+        x = field.mul(x, g)
+    rows = []
+    for r in range(k):
+        row = [field.pow(pt, r) for pt in points[: min(length, field.q)]]
+        if length == field.q + 1:
+            row.append(1 if r == k - 1 else 0)
+        rows.append(tuple(row))
+    return FMatrix(field, tuple(rows), length)
+
+
+def _smallest_primitive(field: Field) -> int:
+    for g in field.nonzero():
+        x = g
+        order = 1
+        while x != 1:
+            x = field.mul(x, g)
+            order += 1
+        if order == field.q - 1:
+            return g
+    raise AssertionError("no primitive element found")
+
+
+def _hamming_generator(field: Field, k: int) -> FMatrix:
+    """The shortened Hamming code [k + r, k, 3] with r least such that
+    (q^r - 1)/(q - 1) - r >= k: G = [I_k | -B^T], where B's columns are the
+    first k points of PG(r-1, q) of weight >= 2.  Its parity check [B | I_r]
+    has k + r distinct projective points as columns, so no two of them are
+    dependent."""
+    q, r = field.q, 1
+    while (q**r - 1) // (q - 1) - r < k:
+        r += 1
+    points = [c for c in projective_classes(field, r) if sum(1 for x in c if x) >= 2][:k]
+    rows = (tuple(int(i == j) for j in range(k)) + tuple(field.neg(x) for x in b)
+            for i, b in enumerate(points))
+    return FMatrix(field, tuple(rows), k + r)
+
+
 def _anticode_generator(field: Field, k: int, d: int, enum_budget: int) -> Optional[FMatrix]:
     """A k x N generator of distance >= d at the Griesmer bound N by the
     anticode construction (Solomon & Stiffler 1965; Belov; Hill, "Optimal
@@ -153,30 +228,53 @@ def _anticode_generator(field: Field, k: int, d: int, enum_budget: int) -> Optio
     return classes_matrix(field, classes, picks, k)
 
 
+def _constructed_generator(
+    field: Field, k: int, d: int, enum_budget: int
+) -> Optional[tuple[str, FMatrix]]:
+    """(family, generator) of a classical code on the floor `_code_floor`,
+    for k >= 2 and d >= 3, or None where no family below applies: the
+    anticode construction on the Griesmer bound, the shortened Hamming code
+    on the sphere-packing bound at d = 3, and the extended Reed-Solomon code
+    on the Singleton bound k + d - 1 <= q + 1 (which is Griesmer's there)."""
+    G = _anticode_generator(field, k, d, enum_budget)
+    if G is not None:
+        return "anticode", G
+    if d == 3:
+        return "shortened Hamming", _hamming_generator(field, k)
+    if k + d - 1 <= field.q + 1:
+        return "extended Reed-Solomon", mds_generator(field, k, k + d - 1)
+    return None
+
+
 def shortest_code_length(
     q: int, k: int, d: int, node_budget: int = DEFAULT_NODE_BUDGET,
     *, enum_budget: int = DEFAULT_ENUM_BUDGET, _table: Optional[CoverTable] = None,
 ) -> int:
     """Exact length of the shortest [N, k, d'] linear code with d' >= d.
 
-    For k <= 1 or d <= 2 the Griesmer bound sum_{i<k} ceil(d / q^i) is
-    attained (by the empty, repetition and identity codes, and by [I_k | 1])
-    and is returned without search.  Where `_anticode_generator` applies,
-    its generator is re-verified (the Griesmer length, rank k and
-    `code_min_distance >= d`, InternalContradiction otherwise) and the
-    Griesmer bound is returned with no table, probe, tabu run or node.
-    Otherwise the scan starts at the larger of that bound and the
-    sphere-packing bound (the least N with q^(N-k) >= V_q(N, (d-1)//2)),
-    and each length from there up is decided over systematic generators
-    (see `find_code_generator`: every code with d >= 1 has one, so each
-    "no" holds for all linear codes) by `_cover.settle`, probing at each:
-    `code_exists` under LOCAL_SEARCH_ITERATIONS x classes nodes, then tabu
-    (`local_cover_search`, stream `ecic:code:{q}:{k}:{d}:{length}`), its
-    generator re-verified, then `code_exists` under what is left of
-    `node_budget`.  At the first
-    tabu miss, the residual-code bound N_q[k, d] >= d + N_q[k - 1,
-    ceil(d / q)] (Huffman & Pless, Thm 2.7.1; the inner term by this scan,
-    or its Griesmer bound) rules out every length below it with no search.
+    Every answer is at least the floor `_code_floor`, the larger of the
+    Griesmer bound sum_{i<k} ceil(d / q^i) and the sphere-packing bound.
+    Questions are settled in this order, each with no table, probe, tabu
+    run or node until the scan:
+    - k <= 1 or d <= 2: the floor, attained by the empty, repetition and
+      identity codes and by [I_k | 1];
+    - a classical generator on the floor (`_constructed_generator`: the
+      anticode, shortened Hamming or extended Reed-Solomon code), returned
+      once re-verified: the floor's length, rank k and `code_min_distance
+      >= d`, InternalContradiction naming the family otherwise;
+    - q = 2 and even d: N_2[k, d - 1] + 1, since puncturing an [N, k, d]
+      code leaves [N - 1, k, d - 1] and a parity bit lifts an odd distance
+      by one;
+    - a scan from the floor up.  Each length is decided over systematic
+      generators (see `find_code_generator`: every code with d >= 1 has
+      one, so each "no" holds for all linear codes) by `_cover.settle`,
+      probing at each: `code_exists` under LOCAL_SEARCH_ITERATIONS x
+      classes nodes, then tabu (`local_cover_search`, stream
+      `ecic:code:{q}:{k}:{d}:{length}`), its generator re-verified, then
+      `code_exists` under what is left of `node_budget`.  At the first tabu
+      miss, the residual-code bound N_q[k, d] >= d + N_q[k - 1, ceil(d /
+      q)] (Huffman & Pless, Thm 2.7.1; the inner term by this function, or
+      its floor) rules out every length below it with no search.
 
     `node_budget` is spent afresh at each length and at each of the inner
     scan's, since `code_exists`, which holds every kernel call, returns a
@@ -189,13 +287,13 @@ def shortest_code_length(
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
     field = make_field(q)
-    griesmer = _griesmer_length(q, k, d)
+    floor = _code_floor(q, k, d)
     if k <= 1 or d <= 2:
-        return griesmer
-    floor = 0  # the residual-code bound, set at the first tabu miss
+        return floor
+    residual_bound = 0  # set at the first tabu miss
 
     def tabu(length: int) -> tuple[Optional[FMatrix], int]:
-        nonlocal floor
+        nonlocal residual_bound
         picks, moves = local_cover_search(
             table.hit_sets, residual, length - k, LOCAL_SEARCH_ITERATIONS,
             _seeded_bytes(f"ecic:code:{q}:{k}:{d}:{length}", 256),
@@ -205,29 +303,34 @@ def shortest_code_length(
             if code_min_distance(G, enum_budget) < d:
                 raise InternalContradiction(f"tabu's [{length}, {k}] code has distance < {d}")
             return G, moves
-        if not floor:
+        if not residual_bound:
             inner = _code_length_bracket(q, k - 1, -(-d // q), node_budget, enum_budget=enum_budget)
-            floor = d + inner[0]
+            residual_bound = d + inner[0]
         return None, moves
 
     def exhaustive(length: int, budget: int) -> tuple[Optional[bool], int]:
-        return length >= floor and code_exists(q, k, d, length, budget, _table=table) or None, 0
+        found = length >= residual_bound and code_exists(q, k, d, length, budget, _table=table)
+        return found or None, 0
 
     try:
-        G = _anticode_generator(field, k, d, enum_budget)
-        if G is not None:
-            if G.ncols != griesmer or mat_rank(G) < k or code_min_distance(G, enum_budget) < d:
-                raise InternalContradiction(f"the anticode generator is no [{griesmer}, {k}, {d}] code")
-            return griesmer
+        built = _constructed_generator(field, k, d, enum_budget)
+        if built is not None:
+            family, G = built
+            if G.ncols != floor or mat_rank(G) < k or code_min_distance(G, enum_budget) < d:
+                raise InternalContradiction(f"the {family} generator is no [{floor}, {k}, {d}] code")
+            return floor
+        if q == 2 and d % 2 == 0:
+            try:
+                return 1 + shortest_code_length(
+                    q, k, d - 1, node_budget, enum_budget=enum_budget, _table=_table
+                )
+            except UnknownCodeLength as exc:
+                raise UnknownCodeLength(q, k, d, str(exc)) from exc
         table = _table or _code_table(q, k, enum_budget)
         units, residual = _systematic(table, k, d)
         probe = LOCAL_SEARCH_ITERATIONS * len(table.hit_sets)
-        # sphere packing: q^k disjoint balls of radius (d - 1) // 2 fit in F_q^N
-        start = griesmer
-        while q ** (start - k) < sphere_volume(q, start, (d - 1) // 2):
-            start += 1
         # each identity column d times is a [k*d, k, d] code: the scan ends
-        for length in range(start, k * d + 1):
+        for length in range(floor, k * d + 1):
             if settle(length, probe, node_budget, tabu, exhaustive)[0] is not None:
                 return length
     except (BudgetExceeded, CapExceeded) as exc:
@@ -239,13 +342,14 @@ def _code_length_bracket(
     q: int, k: int, d: int, node_budget: int, *, enum_budget: int = DEFAULT_ENUM_BUDGET
 ) -> tuple[int, int]:
     """N_q[k, d] as (lower, upper): the exact length twice, or, when the
-    budgets do not settle it, the Griesmer bound and k * d (each identity
-    column repeated d times).  The ends meet only when the length is
-    known: the scan searches only at k, d >= 2, where Griesmer < k * d."""
+    budgets do not settle it, the floor `_code_floor` and k * d (each
+    identity column repeated d times).  The ends meet only when the length
+    is known: the scan searches only at k, d >= 2, where the floor is below
+    k * d."""
     try:
         length = shortest_code_length(q, k, d, node_budget=node_budget, enum_budget=enum_budget)
     except UnknownCodeLength:
-        return _griesmer_length(q, k, d), k * d
+        return _code_floor(q, k, d), k * d
     return length, length
 
 

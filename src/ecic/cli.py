@@ -212,7 +212,7 @@ def _cmd_construct(args) -> int:
         kappa = inner.ncols
         need = 2 * args.delta + 1
         if args.strategy == "mds-concat":
-            outer = construct_search.mds_generator(field, kappa, kappa + 2 * args.delta)
+            outer = bounds_mod.mds_generator(field, kappa, kappa + 2 * args.delta)
         else:  # concat with a shortest distance-(2*delta+1) outer code
             # one table for the scan and the code
             table = bounds_mod._code_table(field.q, kappa, args.enum_budget)

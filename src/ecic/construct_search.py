@@ -3,7 +3,8 @@ optimal-length search.
 
 Three constructions: concatenating an optimal plain index code with a
 distance-(2*delta+1) outer code, extended Reed-Solomon generators for the
-MDS regime, and seeded random sampling.  The exact search reduces the
+MDS regime (`bounds.mds_generator`, which the code-length scan shares),
+and seeded random sampling.  The exact search reduces the
 candidate space to multisets of projective column classes -- the
 verification predicate only sees columns up to order and nonzero scaling
 -- and walks candidate lengths down from the concatenation bound with
@@ -28,11 +29,12 @@ from ._cover import (
 )
 # alpha_bound, kappa_bound, singleton_bound and enumerate_error_vectors are
 # no longer called here, but bench/tracing.py wraps them under this module's
-# names
+# names; mds_generator is re-exported from its home in bounds
 from .bounds import (  # noqa: F401
     _code_length_bracket,
     alpha_bound,
     kappa_bound,
+    mds_generator,
     singleton_bound,
 )
 from .errors import (
@@ -41,7 +43,6 @@ from .errors import (
     InternalContradiction,
     InvalidInnerIC,
     LengthMismatch,
-    OutOfRegime,
     OuterDistanceTooSmall,
 )
 from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FMatrix, code_min_distance, mat_rank
@@ -56,51 +57,6 @@ from .index_codes import (
     verify_ic,
 )
 from .instance import IcsiInstance, enumerate_error_vectors  # noqa: F401
-
-
-def mds_generator(field: Field, k: int, length: int) -> FMatrix:
-    """Generator of an MDS [length, k, length - k + 1] code.
-
-    Regimes: length == k (identity), k == 1 (repetition, any length), and
-    k <= length <= q + 1 (extended Reed-Solomon on the fixed evaluation
-    sequence 0, 1, g, g^2, ... with g the smallest primitive element, plus
-    the point at infinity when length == q + 1).
-    """
-    if k < 1 or length < k:
-        raise OutOfRegime(f"need 1 <= k <= length, got k={k}, length={length}")
-    if length == k:
-        return FMatrix.identity(field, k)
-    if k == 1:
-        return FMatrix(field, ((1,) * length,), length)
-    if length > field.q + 1:
-        raise OutOfRegime(
-            f"length {length} exceeds q + 1 = {field.q + 1} for dimension {k}"
-        )
-    g = _smallest_primitive(field)
-    points = [0, 1]
-    x = g
-    while len(points) < field.q:
-        points.append(x)
-        x = field.mul(x, g)
-    rows = []
-    for r in range(k):
-        row = [field.pow(pt, r) for pt in points[: min(length, field.q)]]
-        if length == field.q + 1:
-            row.append(1 if r == k - 1 else 0)
-        rows.append(tuple(row))
-    return FMatrix(field, tuple(rows), length)
-
-
-def _smallest_primitive(field: Field) -> int:
-    for g in field.nonzero():
-        x = g
-        order = 1
-        while x != 1:
-            x = field.mul(x, g)
-            order += 1
-        if order == field.q - 1:
-            return g
-    raise AssertionError("no primitive element found")
 
 
 def concatenate_construction(

@@ -124,16 +124,20 @@ def test_shortest_length_needs_a_field(q, k, d):
 
 def test_shortest_length_budget_to_unknown():
     """N_2[5, 6] = 14 is not constructed (16 - 6 = 1010 in base 2 asks
-    for subspaces on 2 and 4 of the 5 coordinates), and both floors are
-    13, so its scan runs out of 10 nodes in the probe at 13."""
-    with pytest.raises(UnknownCodeLength):
+    for subspaces on 2 and 4 of the 5 coordinates), so it is N_2[5, 5] + 1,
+    whose scan runs out of 10 nodes in the probe at its floor 12."""
+    with pytest.raises(UnknownCodeLength, match="d=6 unknown .*d=5 unknown") as err:
         shortest_code_length(2, 5, 6, node_budget=10)
+    assert (err.value.q, err.value.k, err.value.d) == (2, 5, 6)
 
 
 def test_shortest_length_table_over_budget_is_unknown():
-    # 29,524 column classes x 29,524 message classes: refused before any is built
+    """N_3[10, 4] is not constructed, and its 29,524 column classes x
+    29,524 message classes are refused before any is built; N_3[10, 3] =
+    13 is the shortened Hamming code, verified with no table."""
     with pytest.raises(UnknownCodeLength, match="29524 column classes"):
-        shortest_code_length(3, 10, 3)
+        shortest_code_length(3, 10, 4)
+    assert shortest_code_length(3, 10, 3) == 13
 
 
 def test_code_tables_take_the_enumeration_budget():
@@ -262,31 +266,33 @@ def test_scan_route_witness_from_tabu(monkeypatch):
 
 
 def test_scan_route_settled_by_probes(monkeypatch):
-    """N_2[5, 4] = 10: the Griesmer bound and the sphere-packing floor
-    both start the scan at 9, and the probe proves 9 infeasible and finds
-    the witness at 10, with no tabu run."""
-    assert scan_route(monkeypatch, 2, 5, 4) == (10, [
-        ("exists", 5, 9, 3968, False, 111),
-        ("exists", 5, 10, 3968, True, 135),
+    """N_4[4, 4] = 8, which no construction covers: the Griesmer bound and
+    the sphere-packing floor both start the scan at 7, and the probe proves
+    7 infeasible and finds the witness at 8, with no tabu run."""
+    assert scan_route(monkeypatch, 4, 4, 4) == (8, [
+        ("exists", 4, 7, 10880, False, 84),
+        ("exists", 4, 8, 10880, True, 30),
     ])
 
 
 def test_scan_route_starts_at_the_sphere_packing_floor(monkeypatch):
-    """N_2[5, 3] = 9: 2^(8-5) < 1 + 8, so the sphere-packing floor rules
-    out the Griesmer bound 8 with no probe, and the probe at 9 finds the
-    witness."""
-    assert scan_route(monkeypatch, 2, 5, 3) == (9, [("exists", 5, 9, 3968, True, 153)])
+    """N_2[9, 5] = 17, which no construction covers: 2^(16-9) < 1 + 16 +
+    120, so the sphere-packing floor rules out the Griesmer bound 16 with
+    no probe; the probe at 17 trips and a tabu run finds the witness."""
+    assert scan_route(monkeypatch, 2, 9, 5) == (17, [
+        ("exists", 9, 17, 65408, "trip", 65409),
+        ("tabu", "ecic:code:2:9:5:17", 55, True),
+    ])
 
 
 def test_scan_route_residual_bound_rules_out_griesmer(monkeypatch):
     """N_2[6, 5] = 14: at the Griesmer bound 13 the probe trips and tabu
     misses, so the residual-code bound 5 + N_2[5, 3] = 14 rules 13 out with
-    no full proof (the inner scan is the sphere-packing route above); at 14
-    tabu finds the witness."""
+    no full proof (the inner length is the shortened Hamming code, with no
+    search); at 14 tabu finds the witness."""
     assert scan_route(monkeypatch, 2, 6, 5) == (14, [
         ("exists", 6, 13, 8064, "trip", 8065),
         ("tabu", "ecic:code:2:6:5:13", 128, False),
-        ("exists", 5, 9, 3968, True, 153),
         ("exists", 6, 14, 8064, "trip", 8065),
         ("tabu", "ecic:code:2:6:5:14", 2, True),
     ])
@@ -447,6 +453,133 @@ def test_constructed_generator_is_reverified(monkeypatch):
         shortest_code_length(2, 4, 7)
 
 
+def test_budget_bracket_starts_at_the_sphere_packing_floor():
+    """10 nodes do not settle N_2[9, 5] = 17, and its bracket starts at
+    the scan's floor: the Griesmer bound is 16, but 2^(16-9) < V_2(16, 2) =
+    137 rules 16 out."""
+    from ecic.bounds import _code_floor, _code_length_bracket, _griesmer_length
+
+    assert (_griesmer_length(2, 9, 5), _code_floor(2, 9, 5)) == (16, 17)
+    assert _code_length_bracket(2, 9, 5, 10) == (17, 45)
+
+
+# ---------------------------------------------------------------------------
+# shortened Hamming and extended Reed-Solomon codes, the binary parity
+# extension
+
+
+def test_hamming_generators_meet_the_sphere_packing_bound():
+    """The shortened Hamming generator has the sphere-packing length at
+    d = 3 (which is the floor), full rank and a brute-force minimum
+    distance of 3 wherever q^k <= 2,401."""
+    from ecic.bounds import _code_floor, _hamming_generator
+
+    from helpers import brute_min_distance, brute_rank
+
+    for q in (2, 3, 4, 5, 7):
+        field = make_field(q)
+        for k in range(2, 12):
+            if q**k > 2401:
+                break
+            G = _hamming_generator(field, k)
+            assert G.ncols == _code_floor(q, k, 3), (q, k)
+            assert brute_rank(field, G.rows, G.ncols) == k
+            assert brute_min_distance(field, G.rows, G.ncols) == 3
+
+
+def test_reed_solomon_generators_meet_the_singleton_bound():
+    """Every extended Reed-Solomon generator of the MDS range k >= 2,
+    d >= 3, k + d - 1 <= q + 1 with q^k <= 2,401 has the floor's length
+    k + d - 1, full rank and a brute-force minimum distance of d."""
+    from ecic.bounds import _code_floor, mds_generator
+
+    from helpers import brute_min_distance, brute_rank
+
+    built = 0
+    for q in (3, 4, 5, 7):
+        field = make_field(q)
+        for k in range(2, q + 1):
+            if q**k > 2401:
+                break
+            for d in range(3, q + 3 - k):
+                G = mds_generator(field, k, k + d - 1)
+                assert G.ncols == _code_floor(q, k, d), (q, k, d)
+                assert brute_rank(field, G.rows, G.ncols) == k
+                assert brute_min_distance(field, G.rows, G.ncols) == d
+                built += 1
+    assert built == 22
+
+
+@pytest.mark.parametrize("family, q, k, d", [
+    ("shortened Hamming", 2, 5, 3),
+    ("extended Reed-Solomon", 5, 3, 4),
+])
+def test_classical_generators_are_reverified(monkeypatch, family, q, k, d):
+    from ecic import bounds
+    from ecic.errors import InternalContradiction
+
+    monkeypatch.setattr(bounds, "code_min_distance", lambda G, budget: d - 1)
+    with pytest.raises(InternalContradiction, match=f"the {family} generator is no"):
+        shortest_code_length(q, k, d)
+
+
+@pytest.mark.parametrize("q, k, d, length", [
+    (2, 12, 3, 17), (4, 7, 3, 10), (5, 7, 3, 10), (7, 6, 3, 8), (11, 5, 5, 9),
+])
+def test_classical_lengths_spend_no_search(monkeypatch, q, k, d, length):
+    """N_2[12, 3] and N_4[7, 3] took a scan of seconds; N_5[7, 3],
+    N_7[6, 3] and N_11[5, 5] were unknown, their tables over the
+    enumeration budget.  Each is now a constructed length: no `code_exists`
+    call, no tabu run and no code table."""
+    from ecic import bounds
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a constructed length built a code table")
+
+    monkeypatch.setattr(bounds, "_code_table", no_table)
+    assert scan_route(monkeypatch, q, k, d) == (length, [])
+
+
+def test_classical_construction_over_the_enumeration_budget_is_unknown():
+    """Verifying the [17, 12, 3] Hamming generator walks 2^12 messages."""
+    from ecic.bounds import _code_length_bracket
+
+    with pytest.raises(UnknownCodeLength, match="2\\^12 codewords exceed"):
+        shortest_code_length(2, 12, 3, enum_budget=4095)
+    assert _code_length_bracket(2, 12, 3, 1 << 27, enum_budget=4095) == (17, 36)
+    assert shortest_code_length(2, 12, 3, enum_budget=4096) == 17
+
+
+# N_2[k, d] for even d from the standard tables of binary linear codes
+# (MacWilliams & Sloane, ch. 17, and Brouwer's tables); N_2[7, 8] = 19 is
+# the extended Golay code shortened 5 times
+BINARY_EVEN = {
+    (2, 4): 6, (2, 6): 9, (2, 8): 12,
+    (3, 4): 7, (3, 6): 11, (3, 8): 14,
+    (4, 4): 8, (4, 6): 12, (4, 8): 15,
+    (5, 4): 10, (5, 6): 14, (5, 8): 16,
+    (6, 4): 11, (6, 6): 15, (6, 8): 18,
+    (7, 4): 12, (7, 6): 16, (7, 8): 19,
+}
+
+
+@pytest.mark.parametrize("k, d", sorted(BINARY_EVEN))
+def test_binary_even_distance_is_one_past_the_odd(k, d):
+    """N_2[k, d] = N_2[k, d - 1] + 1 for even d matches the tables, and,
+    where the two searches are cheap, the exhaustive search: a code at the
+    length and none one shorter."""
+    length = shortest_code_length(2, k, d)
+    assert length == BINARY_EVEN[k, d] == shortest_code_length(2, k, d - 1) + 1
+    if k <= 5 or d == 4:
+        assert code_exists(2, k, d, length) and not code_exists(2, k, d, length - 1)
+
+
+def test_binary_parity_extension_answers_past_the_frontier():
+    """N_2[8, 8] exhausted 2^27 nodes; as N_2[8, 7] + 1 it is 20, the
+    extended Golay code shortened 4 times."""
+    assert shortest_code_length(2, 8, 8) == 20
+
+
 # ---------------------------------------------------------------------------
 # instance bounds
 
@@ -543,10 +676,10 @@ def test_bounds_report_scans_each_code_length_once(monkeypatch):
 def test_bounds_report_with_alpha_over_its_cap():
     """alpha of 25 messages is over the 24-message cap, so it and its bound
     are unknown; kappa = 25 still gives the Singleton bound 27 as the lower
-    end, and the unsettled N_2[25, 3] the upper end 25 * 3."""
+    end, and N_2[25, 3] = 30, the shortened Hamming code, the upper end."""
     rep = bounds_report(no_side_info(25), F2, 1)
-    assert (rep.alpha, rep.alpha_bound, rep.kappa_bound) == (None, None, None)
-    assert (rep.kappa, rep.singleton, rep.lower, rep.upper) == (25, 27, 27, 75)
+    assert (rep.alpha, rep.alpha_bound, rep.kappa_bound) == (None, None, 30)
+    assert (rep.kappa, rep.singleton, rep.lower, rep.upper) == (25, 27, 27, 30)
 
 
 def test_bounds_report_mds_equality():

@@ -260,6 +260,22 @@ def test_bounds_and_search_agree_on_the_bracket_under_a_budget(capsys):
     assert json.loads(out) == {"status": "budget", "infeasible_below": 12, "feasible_at": 13, "nodes": 5001}
 
 
+def test_bounds_settles_classical_lengths_under_a_budget(capsys):
+    """N_2[5, 3] = 9 is the shortened Hamming code and N_11[5, 5] = 9 the
+    extended Reed-Solomon code: both spend no node, so 10 nodes settle the
+    first (it was bracketed 8..15) and the second, whose table exceeded the
+    enumeration budget, is known at all."""
+    code, out, _ = run(capsys, "bounds", "--instance", "no-side-info:5", "--q", "2",
+                       "--delta", "1", "--node-budget", "10")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["alpha_bound"], doc["kappa_bound"], doc["lower"], doc["upper"]) == (9, 9, 9, 9)
+    code, out, _ = run(capsys, "bounds", "--instance", "no-side-info:5", "--q", "11", "--delta", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["alpha_bound"], doc["kappa_bound"], doc["lower"], doc["upper"]) == (9, 9, 9, 9)
+
+
 def test_simulate(capsys, example1_file):
     code, out, _ = run(
         capsys, "simulate", "--instance", "example1", "--matrix", example1_file,

@@ -317,11 +317,12 @@ def test_optimal_length_bound_scans_respect_budget():
 def test_hit_set_table_over_budget_exits_with_the_bracket():
     """no-side-info:10 over GF(3): every nonzero class is a target, and the
     29,524 x 29,524 hit-set table exceeds the enumeration budget.  alpha =
-    kappa = 10 needs no table, N_3[10, 3] is unknown for the same reason,
-    so the bracket is Griesmer's 12 below and 10 * 3 above."""
+    kappa = 10 needs no table, and N_3[10, 3] = 13, the shortened Hamming
+    code, needs none either, so the bracket closes at 13 with no witness
+    built."""
     with pytest.raises(BudgetExceeded, match="analysing the instance") as err:
         optimal_length_search(no_side_info(10), F3, 1)
-    assert (err.value.infeasible_below, err.value.feasible_at, err.value.nodes) == (12, 30, 0)
+    assert (err.value.infeasible_below, err.value.feasible_at, err.value.nodes) == (13, 13, 0)
 
 
 def always_miss(hit_sets, quotas, size, iterations, stream):
