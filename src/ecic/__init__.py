@@ -11,10 +11,10 @@ from .bounds import (
     alpha_bound,
     bounds_report,
     code_exists,
-    find_code_generator,
     kappa_bound,
     mds_generator,
     random_coding_length,
+    shortest_code,
     shortest_code_length,
     singleton_bound,
     sphere_volume,

@@ -4,15 +4,15 @@ Four length bounds for correcting delta errors: two derived from the
 shortest classical code of a given dimension and distance (applied at the
 generalized independence number and at the min-rank), the Singleton-style
 bound kappa + 2*delta, and the smallest length at which a uniformly random
-matrix works with positive probability.  Shortest code lengths
-(`shortest_code_length`) are settled in order: a closed form; else a
-verified classical generator on the floor, the larger of the Griesmer and
-sphere-packing bounds (the anticode code of Solomon-Stiffler and Belov,
-the shortened Hamming code at d = 3, the extended Reed-Solomon code up to
-length q + 1); else, over GF(2) at even d, one more than at d - 1; else a
-scan upward from the floor, where every shorter length falls to a bound or
-an exhaustive proof.  All threshold arithmetic is exact big-integer;
-nothing here rounds through floats.
+matrix works with positive probability.  Shortest codes (`shortest_code`)
+are settled in order: a closed form; else a verified classical generator
+on the floor, the larger of the Griesmer and sphere-packing bounds (the
+anticode code of Solomon-Stiffler and Belov, the shortened Hamming code at
+d = 3, the extended Reed-Solomon code up to length q + 1); else, over
+GF(2) at even d, the code at d - 1 with a parity column; else a scan
+upward from the floor, where every shorter length falls to a bound or an
+exhaustive proof.  All threshold arithmetic is exact big-integer; nothing
+here rounds through floats.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from ._cover import (
     LOCAL_SEARCH_ITERATIONS,
     CoverTable,
     _seeded_bytes,
+    canonical_class,
     classes_matrix,
     cover_table,
     local_cover_search,
@@ -53,29 +54,10 @@ def sphere_volume(q: int, length: int, radius: int) -> int:
 def code_exists(
     q: int, k: int, d: int, length: int, node_budget: int = DEFAULT_NODE_BUDGET,
     *, _table: Optional[CoverTable] = None,
-) -> bool:
-    """Exhaustively decide whether a linear [length, k, >= d] code over GF(q)
-    exists, via column-multiset search."""
-    return find_code_generator(q, k, d, length, node_budget, _table=_table) is not None
-
-
-def _code_table(q: int, k: int, enum_budget: int = DEFAULT_ENUM_BUDGET) -> CoverTable:
-    """The cover table every length of a (q, k) code scan shares: the
-    projective classes of F_q^k as columns and as messages, and the
-    coordinate permutations of F_q^k, generated by a transposition and a
-    k-cycle, as its symmetries; BudgetExceeded when the table needs more
-    than `enum_budget` bytes."""
-    moves = [(1, 0) + tuple(range(2, k)), tuple(range(1, k)) + (0,)] if k > 1 else []
-    return cover_table(make_field(q), k, None, moves, enum_budget)
-
-
-def find_code_generator(
-    q: int, k: int, d: int, length: int, node_budget: int = DEFAULT_NODE_BUDGET,
-    *, _table: Optional[CoverTable] = None,
 ) -> Optional[FMatrix]:
-    """A k x length generator of minimum distance >= d, or None if none
-    exists (exhaustively established).  Both the columns and the nonzero
-    messages range over the projective classes of F_q^k.
+    """A k x length generator of minimum distance >= d over GF(q), or None
+    if none exists (exhaustively established).  Both the columns and the
+    nonzero messages range over the projective classes of F_q^k.
 
     The search is over systematic generators only: the k unit columns are
     forced in, and the remaining length - k columns must give each message
@@ -99,6 +81,16 @@ def find_code_generator(
     if not res.found:
         return None
     return classes_matrix(make_field(q), table.columns, sorted(units + list(res.classes)), k)
+
+
+def _code_table(q: int, k: int, enum_budget: int = DEFAULT_ENUM_BUDGET) -> CoverTable:
+    """The cover table every length of a (q, k) code scan shares: the
+    projective classes of F_q^k as columns and as messages, and the
+    coordinate permutations of F_q^k, generated by a transposition and a
+    k-cycle, as its symmetries; BudgetExceeded when the table needs more
+    than `enum_budget` bytes."""
+    moves = [(1, 0) + tuple(range(2, k)), tuple(range(1, k)) + (0,)] if k > 1 else []
+    return cover_table(make_field(q), k, None, moves, enum_budget)
 
 
 def _systematic(table: CoverTable, k: int, d: int) -> tuple[list[int], list[int]]:
@@ -171,19 +163,29 @@ def _smallest_primitive(field: Field) -> int:
     raise AssertionError("no primitive element found")
 
 
-def _hamming_generator(field: Field, k: int) -> FMatrix:
+def _hamming_code(field: Field, k: int) -> tuple[FMatrix, FMatrix]:
     """The shortened Hamming code [k + r, k, 3] with r least such that
-    (q^r - 1)/(q - 1) - r >= k: G = [I_k | -B^T], where B's columns are the
-    first k points of PG(r-1, q) of weight >= 2.  Its parity check [B | I_r]
-    has k + r distinct projective points as columns, so no two of them are
-    dependent."""
+    (q^r - 1)/(q - 1) - r >= k, as (G, H): the parity check H = [B | I_r],
+    B's columns the first k points of PG(r-1, q) of weight >= 2, so no two
+    of its k + r columns are dependent, and G = [I_k | -B^T], whose rows
+    span H's kernel."""
     q, r = field.q, 1
     while (q**r - 1) // (q - 1) - r < k:
         r += 1
     points = [c for c in projective_classes(field, r) if sum(1 for x in c if x) >= 2][:k]
-    rows = (tuple(int(i == j) for j in range(k)) + tuple(field.neg(x) for x in b)
-            for i, b in enumerate(points))
-    return FMatrix(field, tuple(rows), k + r)
+    G = (tuple(int(i == j) for j in range(k)) + tuple(field.neg(x) for x in b)
+         for i, b in enumerate(points))
+    H = (tuple(b[i] for b in points) + tuple(int(i == j) for j in range(r)) for i in range(r))
+    return FMatrix(field, tuple(G), k + r), FMatrix(field, tuple(H), k + r)
+
+
+def _parity_certifies(G: FMatrix, H: FMatrix) -> bool:
+    """Whether G H^T = 0 and H's columns are nonzero and pairwise
+    non-proportional: then no nonzero codeword of G has weight 1 or 2, so
+    its distance is at least 3, in O(k * r * N) work."""
+    columns = H.transpose()
+    return (all(any(c) for c in columns.rows) and not any(map(any, G.matmul(columns).rows))
+            and len({canonical_class(c, G.field) for c in columns.rows}) == H.ncols)
 
 
 def _anticode_generator(field: Field, k: int, d: int, enum_budget: int) -> Optional[FMatrix]:
@@ -230,66 +232,66 @@ def _anticode_generator(field: Field, k: int, d: int, enum_budget: int) -> Optio
 
 def _constructed_generator(
     field: Field, k: int, d: int, enum_budget: int
-) -> Optional[tuple[str, FMatrix]]:
-    """(family, generator) of a classical code on the floor `_code_floor`,
-    for k >= 2 and d >= 3, or None where no family below applies: the
-    anticode construction on the Griesmer bound, the shortened Hamming code
-    on the sphere-packing bound at d = 3, and the extended Reed-Solomon code
-    on the Singleton bound k + d - 1 <= q + 1 (which is Griesmer's there)."""
+) -> Optional[tuple[str, FMatrix, Optional[FMatrix]]]:
+    """(family, generator, parity check or None) of a classical code on the
+    floor `_code_floor`, for k >= 2 and d >= 3, or None where no family
+    below applies: the anticode construction on the Griesmer bound, the
+    shortened Hamming code (with its parity check) on the sphere-packing
+    bound at d = 3, and the extended Reed-Solomon code on the Singleton
+    bound k + d - 1 <= q + 1.  BudgetExceeded where q^k > `enum_budget`."""
     G = _anticode_generator(field, k, d, enum_budget)
     if G is not None:
-        return "anticode", G
+        return "anticode", G, None
     if d == 3:
-        return "shortened Hamming", _hamming_generator(field, k)
+        if field.q**k > enum_budget:
+            raise BudgetExceeded(f"{field.q}^{k} codewords exceed enumeration budget {enum_budget}")
+        return ("shortened Hamming", *_hamming_code(field, k))
     if k + d - 1 <= field.q + 1:
-        return "extended Reed-Solomon", mds_generator(field, k, k + d - 1)
+        return "extended Reed-Solomon", mds_generator(field, k, k + d - 1), None
     return None
 
 
-def shortest_code_length(
+def shortest_code(
     q: int, k: int, d: int, node_budget: int = DEFAULT_NODE_BUDGET,
     *, enum_budget: int = DEFAULT_ENUM_BUDGET, _table: Optional[CoverTable] = None,
-) -> int:
-    """Exact length of the shortest [N, k, d'] linear code with d' >= d.
+) -> FMatrix:
+    """A verified generator of a shortest [N, k, d'] linear code with d'
+    >= d: a k x N matrix of rank k, so its `ncols` is N_q[k, d].
 
-    Every answer is at least the floor `_code_floor`, the larger of the
-    Griesmer bound sum_{i<k} ceil(d / q^i) and the sphere-packing bound.
-    Questions are settled in this order, each with no table, probe, tabu
-    run or node until the scan:
-    - k <= 1 or d <= 2: the floor, attained by the empty, repetition and
-      identity codes and by [I_k | 1];
-    - a classical generator on the floor (`_constructed_generator`: the
-      anticode, shortened Hamming or extended Reed-Solomon code), returned
-      once re-verified: the floor's length, rank k and `code_min_distance
-      >= d`, InternalContradiction naming the family otherwise;
-    - q = 2 and even d: N_2[k, d - 1] + 1, since puncturing an [N, k, d]
-      code leaves [N - 1, k, d - 1] and a parity bit lifts an odd distance
-      by one;
-    - a scan from the floor up.  Each length is decided over systematic
-      generators (see `find_code_generator`: every code with d >= 1 has
-      one, so each "no" holds for all linear codes) by `_cover.settle`,
-      probing at each: `code_exists` under LOCAL_SEARCH_ITERATIONS x
-      classes nodes, then tabu (`local_cover_search`, stream
-      `ecic:code:{q}:{k}:{d}:{length}`), its generator re-verified, then
-      `code_exists` under what is left of `node_budget`.  At the first tabu
-      miss, the residual-code bound N_q[k, d] >= d + N_q[k - 1, ceil(d /
-      q)] (Huffman & Pless, Thm 2.7.1; the inner term by this function, or
-      its floor) rules out every length below it with no search.
+    No code is shorter than the floor `_code_floor`.  Questions are settled
+    in this order, with no table, probe, tabu run or node until the scan:
+    - k <= 1 or d <= 2: I_k and floor - k all-ones columns;
+    - `_constructed_generator`'s code, re-verified: the floor's length,
+      rank k and a distance >= d (by `_parity_certifies` for the Hamming
+      code, else `code_min_distance`), InternalContradiction naming the
+      family otherwise;
+    - q = 2 and even d: the code at d - 1 with a parity column (each row's
+      sum), since puncturing an [N, k, d] code leaves [N - 1, k, d - 1]
+      and a parity bit lifts an odd distance by one;
+    - a scan from the floor up over systematic generators (`code_exists`),
+      each length decided by `_cover.settle`: `code_exists` under
+      LOCAL_SEARCH_ITERATIONS x classes nodes, then tabu
+      (`local_cover_search`, stream `ecic:code:{q}:{k}:{d}:{length}`), its
+      generator re-verified, then `code_exists` under what is left of
+      `node_budget`.  At the first tabu miss, the residual-code bound
+      N_q[k, d] >= d + N_q[k - 1, ceil(d / q)] (Huffman & Pless, Thm
+      2.7.1; the inner term by `shortest_code_length`, or its floor) rules
+      out every length below it with no search.
 
     `node_budget` is spent afresh at each length and at each of the inner
-    scan's, since `code_exists`, which holds every kernel call, returns a
-    bool and not the nodes a finished search spent; no budget charges tabu
-    moves.  Raises NotPrimePower when q is no field order, UnknownCodeLength
-    when a length's budget runs out or the (q, k) cover table (`_code_table`)
-    or the constructed generator's q^k messages exceed `enum_budget`;
-    `_table` passes that table in.
+    scan's (`code_exists`, which holds every kernel call, returns no node
+    count); no budget charges tabu moves.  Raises NotPrimePower when q is
+    no field order, and UnknownCodeLength when a length's budget runs out
+    or the (q, k) cover table (`_code_table`, or `_table`) or the
+    constructed generator's q^k messages exceed `enum_budget`.
     """
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
     field = make_field(q)
     floor = _code_floor(q, k, d)
-    if k <= 1 or d <= 2:
-        return floor
+    if k <= 1 or d <= 2:  # I_k, then all-ones columns: empty, repetition, I_k, [I_k | 1]
+        ones = (1,) * (floor - k)
+        return FMatrix(field, tuple(r + ones for r in FMatrix.identity(field, k).rows), floor)
     residual_bound = 0  # set at the first tabu miss
 
     def tabu(length: int) -> tuple[Optional[FMatrix], int]:
@@ -308,34 +310,43 @@ def shortest_code_length(
             residual_bound = d + inner[0]
         return None, moves
 
-    def exhaustive(length: int, budget: int) -> tuple[Optional[bool], int]:
+    def exhaustive(length: int, budget: int) -> tuple[Optional[FMatrix], int]:
         found = length >= residual_bound and code_exists(q, k, d, length, budget, _table=table)
         return found or None, 0
 
     try:
         built = _constructed_generator(field, k, d, enum_budget)
         if built is not None:
-            family, G = built
-            if G.ncols != floor or mat_rank(G) < k or code_min_distance(G, enum_budget) < d:
+            family, G, H = built
+            if G.ncols != floor or mat_rank(G) < k or not (
+                _parity_certifies(G, H) if H is not None else code_min_distance(G, enum_budget) >= d
+            ):
                 raise InternalContradiction(f"the {family} generator is no [{floor}, {k}, {d}] code")
-            return floor
+            return G
         if q == 2 and d % 2 == 0:
             try:
-                return 1 + shortest_code_length(
-                    q, k, d - 1, node_budget, enum_budget=enum_budget, _table=_table
-                )
+                G = shortest_code(q, k, d - 1, node_budget, enum_budget=enum_budget, _table=_table)
             except UnknownCodeLength as exc:
                 raise UnknownCodeLength(q, k, d, str(exc)) from exc
+            return FMatrix(field, tuple(r + (sum(r) % 2,) for r in G.rows), G.ncols + 1)
         table = _table or _code_table(q, k, enum_budget)
         units, residual = _systematic(table, k, d)
         probe = LOCAL_SEARCH_ITERATIONS * len(table.hit_sets)
         # each identity column d times is a [k*d, k, d] code: the scan ends
         for length in range(floor, k * d + 1):
-            if settle(length, probe, node_budget, tabu, exhaustive)[0] is not None:
-                return length
+            if (G := settle(length, probe, node_budget, tabu, exhaustive)[0]) is not None:
+                return G
     except (BudgetExceeded, CapExceeded) as exc:
         raise UnknownCodeLength(q, k, d, str(exc)) from exc
     raise AssertionError("shortest-length scan passed its guaranteed upper end")
+
+
+def shortest_code_length(
+    q: int, k: int, d: int, node_budget: int = DEFAULT_NODE_BUDGET,
+    *, enum_budget: int = DEFAULT_ENUM_BUDGET, _table: Optional[CoverTable] = None,
+) -> int:
+    """N_q[k, d], the length of `shortest_code`'s generator."""
+    return shortest_code(q, k, d, node_budget, enum_budget=enum_budget, _table=_table).ncols
 
 
 def _code_length_bracket(

@@ -213,20 +213,15 @@ def _cmd_construct(args) -> int:
         need = 2 * args.delta + 1
         if args.strategy == "mds-concat":
             outer = bounds_mod.mds_generator(field, kappa, kappa + 2 * args.delta)
-        else:  # concat with a shortest distance-(2*delta+1) outer code
-            # one table for the scan and the code
+        elif args.length is None:  # concat with a shortest distance-(2*delta+1) outer code
+            outer = bounds_mod.shortest_code(field.q, kappa, need, args.node_budget,
+                                             enum_budget=args.enum_budget)
+        else:  # concat with an outer code of the given length
             table = bounds_mod._code_table(field.q, kappa, args.enum_budget)
-            length = args.length
-            if length is None:
-                length = bounds_mod.shortest_code_length(
-                    field.q, kappa, need, node_budget=args.node_budget,
-                    enum_budget=args.enum_budget, _table=table,
-                )
-            outer = bounds_mod.find_code_generator(
-                field.q, kappa, need, length, node_budget=args.node_budget, _table=table
-            )
+            outer = bounds_mod.code_exists(field.q, kappa, need, args.length, args.node_budget,
+                                           _table=table)
             if outer is None:
-                raise EcicError(f"no [{length}, {kappa}, {need}] outer code exists")
+                raise EcicError(f"no [{args.length}, {kappa}, {need}] outer code exists")
         code = construct_search.concatenate_construction(
             inst, field, args.delta, inner, outer, enum_budget=args.enum_budget
         )

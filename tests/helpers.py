@@ -228,7 +228,7 @@ def upward_code_scan(q, k, d, node_budget=1 << 27):
     length = sum(-(-d // q**i) for i in range(k))
     if k <= 1 or d == 1:
         return length
-    while not code_exists(q, k, d, length, node_budget):
+    while code_exists(q, k, d, length, node_budget) is None:
         length += 1
     return length
 

@@ -9,7 +9,6 @@ from ecic import (
     builtin_instance,
     code_exists,
     code_min_distance,
-    find_code_generator,
     kappa_bound,
     make_field,
     mat_rank,
@@ -20,6 +19,7 @@ from ecic import (
     pentagon,
     example1,
     random_coding_length,
+    shortest_code,
     shortest_code_length,
     singleton_bound,
     sphere_volume,
@@ -57,7 +57,7 @@ def test_sphere_volume_rejects_a_negative_radius():
 def scan_from_max_k_d(q, k, d):
     """Shortest length by the plain scan from max(k, d), without any bound."""
     length = max(k, d)
-    while not code_exists(q, k, d, length):
+    while code_exists(q, k, d, length) is None:
         length += 1
     return length
 
@@ -74,7 +74,7 @@ def assert_scan_agrees(q, k, d):
     g = griesmer(q, k, d)
     assert n >= g
     if g - 1 >= max(k, d):
-        assert not code_exists(q, k, d, g - 1)
+        assert code_exists(q, k, d, g - 1) is None
     return n
 
 
@@ -156,19 +156,19 @@ def test_code_tables_take_the_enumeration_budget():
 
 
 def test_code_exists_and_generator_agree():
-    assert not code_exists(2, 2, 5, 7)
-    assert code_exists(2, 2, 5, 8)
-    G = find_code_generator(2, 2, 5, 8)
+    assert code_exists(2, 2, 5, 7) is None
+    G = code_exists(2, 2, 5, 8)
+    assert (G.nrows, G.ncols) == (2, 8)
     assert mat_rank(G) == 2
     assert code_min_distance(G) >= 5
-    assert find_code_generator(2, 3, 5, 9) is None
+    assert code_exists(2, 3, 5, 9) is None
 
 
-def test_find_code_generator_input_checks():
+def test_code_exists_input_checks():
     with pytest.raises(ValueError, match="dimension must be positive"):
-        find_code_generator(2, 0, 3, 5)
-    assert find_code_generator(2, 3, 3, 2) is None  # shorter than k
-    assert find_code_generator(2, 3, 5, 4) is None  # shorter than d
+        code_exists(2, 0, 3, 5)
+    assert code_exists(2, 3, 3, 2) is None  # shorter than k
+    assert code_exists(2, 3, 5, 4) is None  # shorter than d
 
 
 def test_code_exists_agrees_with_brute_force_over_all_generators():
@@ -185,14 +185,14 @@ def test_code_exists_agrees_with_brute_force_over_all_generators():
             if mat_rank(G) == k and code_min_distance(G) >= d:
                 brute = True
                 break
-        assert code_exists(2, k, d, N) == brute
+        assert (code_exists(2, k, d, N) is not None) == brute
 
 
 def test_found_generators_hit_exact_distance():
     for (q, k, d) in [(2, 2, 3), (2, 3, 4), (3, 2, 3), (5, 2, 3)]:
         n = assert_scan_agrees(q, k, d)
-        G = find_code_generator(q, k, d, n)
-        assert G is not None
+        G = code_exists(q, k, d, n)
+        assert G is not None and G.ncols == n
         assert mat_rank(G) == k
         assert code_min_distance(G) >= d
 
@@ -213,8 +213,9 @@ def test_shortest_length_at_distance_two_is_k_plus_one():
 
 def scan_route(monkeypatch, q, k, d, **budgets):
     """(answer, log) of one scan: each `code_exists` call as ("exists", k,
-    length, node budget, outcome, nodes), the outcome True, False or "trip",
-    and each tabu run as ("tabu", its stream key, moves, found)."""
+    length, node budget, outcome, nodes), the outcome True (a generator),
+    False (None) or "trip", and each tabu run as ("tabu", its stream key,
+    moves, found)."""
     from ecic import bounds
 
     log = []
@@ -236,7 +237,7 @@ def scan_route(monkeypatch, q, k, d, **budgets):
         except BudgetExceeded as exc:
             log.append(("exists", k, length, node_budget, "trip", exc.nodes))
             raise
-        log.append(("exists", k, length, node_budget, found, nodes.pop()))
+        log.append(("exists", k, length, node_budget, found is not None, nodes.pop()))
         return found
 
     def stream(key, q):
@@ -472,7 +473,7 @@ def test_hamming_generators_meet_the_sphere_packing_bound():
     """The shortened Hamming generator has the sphere-packing length at
     d = 3 (which is the floor), full rank and a brute-force minimum
     distance of 3 wherever q^k <= 2,401."""
-    from ecic.bounds import _code_floor, _hamming_generator
+    from ecic.bounds import _code_floor, _hamming_code
 
     from helpers import brute_min_distance, brute_rank
 
@@ -481,7 +482,7 @@ def test_hamming_generators_meet_the_sphere_packing_bound():
         for k in range(2, 12):
             if q**k > 2401:
                 break
-            G = _hamming_generator(field, k)
+            G = _hamming_code(field, k)[0]
             assert G.ncols == _code_floor(q, k, 3), (q, k)
             assert brute_rank(field, G.rows, G.ncols) == k
             assert brute_min_distance(field, G.rows, G.ncols) == 3
@@ -515,12 +516,79 @@ def test_reed_solomon_generators_meet_the_singleton_bound():
     ("extended Reed-Solomon", 5, 3, 4),
 ])
 def test_classical_generators_are_reverified(monkeypatch, family, q, k, d):
-    from ecic import bounds
+    """The family's generator with its last column zeroed keeps the floor's
+    length and rank k but not distance d: the Reed-Solomon code fails
+    `code_min_distance`, the Hamming code its parity check (G H^T != 0),
+    and either failure names the family."""
+    from ecic import FMatrix, bounds
     from ecic.errors import InternalContradiction
 
-    monkeypatch.setattr(bounds, "code_min_distance", lambda G, budget: d - 1)
+    def zeroed(G):
+        return FMatrix(G.field, tuple(r[:-1] + (0,) for r in G.rows), G.ncols)
+
+    hamming, mds = bounds._hamming_code, bounds.mds_generator
+    if family == "shortened Hamming":
+        monkeypatch.setattr(bounds, "_hamming_code", lambda field, k: (
+            zeroed(hamming(field, k)[0]), hamming(field, k)[1]))
+    else:
+        monkeypatch.setattr(bounds, "mds_generator", lambda *args: zeroed(mds(*args)))
     with pytest.raises(InternalContradiction, match=f"the {family} generator is no"):
         shortest_code_length(q, k, d)
+
+
+HAMMING_CORRUPTIONS = {
+    "zero": lambda field, B: [tuple(0 for _ in B[0])] + B[1:],
+    "unit": lambda field, B: [tuple(int(i == 0) for i in range(len(B[0])))] + B[1:],
+    "proportional": lambda field, B: [B[0], tuple(field.mul(2, x) for x in B[0])] + B[2:],
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(HAMMING_CORRUPTIONS))
+def test_hamming_parity_check_refuses_dependent_columns(monkeypatch, corruption):
+    """Over GF(3), B's first point made zero or a unit vector, or its second
+    twice its first: G = [I_k | -B^T] still lies in the kernel of H = [B |
+    I_r] and has rank k, but H has a zero column or two proportional ones,
+    so G has a codeword of weight 1 or 2; the parity check refuses it and
+    names the family."""
+    from ecic import FMatrix, bounds
+    from ecic.errors import InternalContradiction
+
+    F3, k = make_field(3), 5
+    H = bounds._hamming_code(F3, k)[1]
+    r = H.nrows
+    B = HAMMING_CORRUPTIONS[corruption](F3, [tuple(h[j] for h in H.rows) for j in range(k)])
+    H = FMatrix(F3, tuple(tuple(b[i] for b in B) + h[k:] for i, h in enumerate(H.rows)), k + r)
+    G = FMatrix(F3, tuple(tuple(int(i == j) for j in range(k)) + tuple(F3.neg(x) for x in b)
+                          for i, b in enumerate(B)), k + r)
+    monkeypatch.setattr(bounds, "_hamming_code", lambda field, k: (G, H))
+    assert not any(any(row) for row in G.matmul(H.transpose()).rows)
+    assert mat_rank(G) == k and code_min_distance(G) <= 2
+    assert not bounds._parity_certifies(G, H)
+    with pytest.raises(InternalContradiction, match="the shortened Hamming generator is no"):
+        shortest_code_length(3, k, 3)
+
+
+def test_parity_check_certifies_every_hamming_code():
+    """The parity check accepts each shortened Hamming code, whose distance
+    is 3, and refuses the same pair once a column of H is zero."""
+    from ecic import FMatrix
+    from ecic.bounds import _hamming_code, _parity_certifies
+
+    for q in (2, 3, 4, 5, 7):
+        field = make_field(q)
+        for k in range(2, 9):
+            G, H = _hamming_code(field, k)
+            assert _parity_certifies(G, H), (q, k)
+            zeroed = FMatrix(field, tuple((0,) + r[1:] for r in H.rows), H.ncols)
+            assert not _parity_certifies(G, zeroed), (q, k)
+
+
+def test_hamming_length_needs_no_enumeration():
+    """N_2[25, 3] = 30: the parity check takes O(k * r * N) work where
+    `code_min_distance` walked 2^25 - 1 messages (over 2 s)."""
+    started = time.perf_counter()
+    assert shortest_code_length(2, 25, 3) == 30
+    assert time.perf_counter() - started < 0.5
 
 
 @pytest.mark.parametrize("q, k, d, length", [
@@ -541,13 +609,70 @@ def test_classical_lengths_spend_no_search(monkeypatch, q, k, d, length):
 
 
 def test_classical_construction_over_the_enumeration_budget_is_unknown():
-    """Verifying the [17, 12, 3] Hamming generator walks 2^12 messages."""
+    """The [17, 12, 3] Hamming generator has 2^12 messages: its parity
+    check enumerates none of them, but the route keeps the budget of the
+    families whose distance check walks them, so every answer under a
+    budget stays as it was."""
     from ecic.bounds import _code_length_bracket
 
     with pytest.raises(UnknownCodeLength, match="2\\^12 codewords exceed"):
         shortest_code_length(2, 12, 3, enum_budget=4095)
     assert _code_length_bracket(2, 12, 3, 1 << 27, enum_budget=4095) == (17, 36)
     assert shortest_code_length(2, 12, 3, enum_budget=4096) == 17
+
+
+# ---------------------------------------------------------------------------
+# every route of `shortest_code` yields a verified generator
+
+
+def assert_shortest_generator(q, k, d):
+    """`shortest_code` is a k x N_q[k, d] generator of rank k and distance
+    >= d (the empty code at k = 0 has no distance to check)."""
+    G = shortest_code(q, k, d)
+    assert (G.nrows, G.ncols) == (k, shortest_code_length(q, k, d))
+    assert mat_rank(G) == k
+    if k:
+        assert code_min_distance(G) >= d
+    return G
+
+
+def test_shortest_code_generators_over_small_questions():
+    for q in (2, 3, 4, 5):
+        for k in range(5):
+            for d in range(1, 7):
+                assert_shortest_generator(q, k, d)
+
+
+SHORTEST_CODE_ROUTES = {
+    "k=0": (2, 0, 3), "k=1": (3, 1, 5), "d=1": (2, 4, 1), "d=2": (4, 3, 2),
+    "anticode": (2, 4, 7), "shortened Hamming": (3, 5, 3),
+    "extended Reed-Solomon": (5, 3, 4), "parity extension": (2, 5, 6),
+    "tabu": (3, 3, 7), "exhaustive": (4, 4, 4),
+}
+
+
+@pytest.mark.parametrize("route", sorted(SHORTEST_CODE_ROUTES))
+def test_shortest_code_generator_on_each_route(route):
+    """One question per route: the closed forms, the three constructed
+    families (each the family's own generator), the parity extension (the
+    generator at d - 1 with each row's sum appended), the tabu witness of
+    N_3[3, 7] = 11 and the exhaustive probe's witness of N_4[4, 4] = 8."""
+    from ecic.bounds import _anticode_generator, _hamming_code
+
+    q, k, d = SHORTEST_CODE_ROUTES[route]
+    G = assert_shortest_generator(q, k, d)
+    field = make_field(q)
+    built = {
+        "d=1": lambda: mds_generator(field, k, k),
+        "anticode": lambda: _anticode_generator(field, k, d, 1 << 26),
+        "shortened Hamming": lambda: _hamming_code(field, k)[0],
+        "extended Reed-Solomon": lambda: mds_generator(field, k, k + d - 1),
+    }.get(route)
+    if built is not None:
+        assert G == built()
+    if route == "parity extension":
+        inner = shortest_code(q, k, d - 1)
+        assert G.rows == tuple(r + (sum(r) % 2,) for r in inner.rows)
 
 
 # N_2[k, d] for even d from the standard tables of binary linear codes
@@ -571,7 +696,8 @@ def test_binary_even_distance_is_one_past_the_odd(k, d):
     length = shortest_code_length(2, k, d)
     assert length == BINARY_EVEN[k, d] == shortest_code_length(2, k, d - 1) + 1
     if k <= 5 or d == 4:
-        assert code_exists(2, k, d, length) and not code_exists(2, k, d, length - 1)
+        assert code_exists(2, k, d, length) is not None
+        assert code_exists(2, k, d, length - 1) is None
 
 
 def test_binary_parity_extension_answers_past_the_frontier():

@@ -9,6 +9,7 @@ from ecic.cli import main
 
 from helpers import example1_matrix, pentagon_matrix
 from ecic import (
+    LinearIndexCode,
     builtin_instance,
     exists_ecic,
     format_matrix,
@@ -16,6 +17,7 @@ from ecic import (
     make_field,
     mat_rank,
     parse_matrix,
+    verify_ecic_direct,
 )
 
 
@@ -240,6 +242,77 @@ def test_construct_exits(capsys):
     code, out, err = run(capsys, "construct", *PENTAGON_Q2_D2, "--strategy", "concat", "--length", "6")
     assert (code, out) == (2, "")
     assert err == "error: no [6, 3, 5] outer code exists\n"
+
+
+def constructed_code(out, instance):
+    """The `construct` JSON document's matrix as a code of the instance."""
+    matrix = parse_matrix(json.loads(out)["matrix"])
+    return LinearIndexCode(builtin_instance(instance), matrix.field, matrix)
+
+
+@pytest.mark.parametrize("n, delta, length", [(6, 3, 17), (7, 2, 15)])
+def test_concat_takes_the_code_scan_s_generator(capsys, n, delta, length):
+    """Without side information kappa = n, so the outer code is N_2[n, 2 *
+    delta + 1]: N_2[6, 7] = 17 and N_2[7, 5] = 15, each a tabu witness one
+    past a length the residual-code bound rules out.  Both come from the
+    scan in well under a second, where a second exhaustive search for a
+    generator of the known length took 15 s and more than 2^27 nodes."""
+    instance = f"no-side-info:{n}"
+    started = time.perf_counter()
+    code, out, _ = run(
+        capsys, "construct", "--instance", instance, "--q", "2", "--delta", str(delta),
+        "--strategy", "concat",
+    )
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    ecic_code = constructed_code(out, instance)
+    assert (ecic_code.matrix.nrows, ecic_code.matrix.ncols) == (n, length)
+    assert verify_ecic_direct(ecic_code, delta).ok
+
+
+def test_concat_on_a_constructed_length_spends_no_search(capsys, monkeypatch):
+    """N_2[4, 7] = 14 is the anticode construction: its generator is the
+    outer code, with no kernel call (one used to spend 10,803 nodes)."""
+    from ecic import bounds
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(bounds, "multiset_cover_search", no_search)
+    code, out, _ = run(
+        capsys, "construct", "--instance", "no-side-info:4", "--q", "2", "--delta", "3",
+        "--strategy", "concat",
+    )
+    assert code == 0
+    assert constructed_code(out, "no-side-info:4").matrix.ncols == 14
+
+
+def test_concatenation_bound_in_an_exit_three_bracket_is_a_matrix(capsys):
+    """With kappa unsettled, the bracket's upper end concatenates the unit
+    columns of pentagon's 5 distinct demands with the upper end of the
+    N_2[5, 5] bracket, each identity column 5 times: 25 columns, `bounds`'
+    `upper` under 10 nodes and `search`'s `feasible_at` where the
+    enumeration budget trips first.  `concatenate_construction` builds that
+    matrix and it verifies; under 10 nodes the search's descent goes on to
+    a verified witness at 9, inside it."""
+    from ecic import FMatrix, concatenate_construction, pentagon, verify_ecic
+    from ecic.bounds import _code_length_bracket
+
+    inst, field, need = pentagon(), make_field(2), 5
+    demands = sorted(set(inst.demands))
+    units = FMatrix(field, tuple(tuple(int(m == j) for j in demands)
+                                 for m in range(inst.num_messages)), len(demands))
+    upper = _code_length_bracket(2, len(demands), need, 10)[1]
+    identity = FMatrix.identity(field, len(demands)).rows
+    outer = FMatrix(field, tuple(r * need for r in identity), upper)
+    matrix = concatenate_construction(inst, field, 2, units, outer).matrix
+    assert verify_ecic(LinearIndexCode(inst, field, matrix), 2).ok
+    code, out, _ = run(capsys, "bounds", *PENTAGON_Q2_D2, "--node-budget", "10")
+    assert code == 0 and json.loads(out)["upper"] == matrix.ncols == 25
+    code, out, _ = run(capsys, "search", *PENTAGON_Q2_D2, "--enum-budget", "3")
+    assert code == 3 and json.loads(out)["feasible_at"] == matrix.ncols
+    code, out, _ = run(capsys, "search", *PENTAGON_Q2_D2, "--node-budget", "10")
+    assert code == 3 and json.loads(out)["feasible_at"] == 9
 
 
 def test_bounds_and_search_agree_on_the_bracket_under_a_budget(capsys):

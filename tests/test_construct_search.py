@@ -7,10 +7,10 @@ import pytest
 from ecic import (
     FMatrix,
     LinearIndexCode,
+    code_exists,
     code_min_distance,
     concatenate_construction,
     exists_ecic,
-    find_code_generator,
     make_field,
     mat_rank,
     mds_generator,
@@ -91,7 +91,7 @@ def test_optimal_ic_matrix_is_an_index_code_of_min_rank_width():
 
 def test_concatenation_reaches_kappa_bound_for_pentagon():
     inner = min_rank(pentagon(), F2).ic_matrix
-    outer = find_code_generator(2, 3, 5, 10)
+    outer = code_exists(2, 3, 5, 10)
     code = concatenate_construction(pentagon(), F2, 2, inner, outer)
     assert code.length == 10
     assert verify_ecic(code, 2).ok
@@ -188,7 +188,7 @@ def test_concatenation_property_random_valid_inputs():
         from ecic import shortest_code_length
 
         length = shortest_code_length(2, kappa, need)
-        outer = find_code_generator(2, kappa, need, length)
+        outer = code_exists(2, kappa, need, length)
         inner = min_rank(inst, F2).ic_matrix
         code = concatenate_construction(inst, F2, delta, inner, outer)
         assert verify_ecic(code, delta).ok
