@@ -39,6 +39,7 @@ from .errors import (
 )
 from .field_linalg import (
     DEFAULT_ENUM_BUDGET, Field, FMatrix, code_min_distance, make_field, mat_rank,
+    parity_check_matrix,
 )
 from .index_codes import _check_delta, generalized_independence_number, min_rank
 from .instance import IcsiInstance
@@ -163,29 +164,27 @@ def _smallest_primitive(field: Field) -> int:
     raise AssertionError("no primitive element found")
 
 
-def _hamming_code(field: Field, k: int) -> tuple[FMatrix, FMatrix]:
+def _hamming_code(field: Field, k: int) -> FMatrix:
     """The shortened Hamming code [k + r, k, 3] with r least such that
-    (q^r - 1)/(q - 1) - r >= k, as (G, H): the parity check H = [B | I_r],
-    B's columns the first k points of PG(r-1, q) of weight >= 2, so no two
-    of its k + r columns are dependent, and G = [I_k | -B^T], whose rows
-    span H's kernel."""
+    (q^r - 1)/(q - 1) - r >= k: G = [I_k | -B^T], B's columns the first k
+    points of PG(r-1, q) of weight >= 2, so no two of the k + r columns of
+    its parity check [B | I_r] are dependent."""
     q, r = field.q, 1
     while (q**r - 1) // (q - 1) - r < k:
         r += 1
     points = [c for c in projective_classes(field, r) if sum(1 for x in c if x) >= 2][:k]
-    G = (tuple(int(i == j) for j in range(k)) + tuple(field.neg(x) for x in b)
-         for i, b in enumerate(points))
-    H = (tuple(b[i] for b in points) + tuple(int(i == j) for j in range(r)) for i in range(r))
-    return FMatrix(field, tuple(G), k + r), FMatrix(field, tuple(H), k + r)
+    return FMatrix(field, tuple(tuple(int(i == j) for j in range(k)) + tuple(map(field.neg, b))
+                                for i, b in enumerate(points)), k + r)
 
 
-def _parity_certifies(G: FMatrix, H: FMatrix) -> bool:
-    """Whether G H^T = 0 and H's columns are nonzero and pairwise
-    non-proportional: then no nonzero codeword of G has weight 1 or 2, so
-    its distance is at least 3, in O(k * r * N) work."""
-    columns = H.transpose()
-    return (all(any(c) for c in columns.rows) and not any(map(any, G.matmul(columns).rows))
-            and len({canonical_class(c, G.field) for c in columns.rows}) == H.ncols)
+def _parity_certifies(G: FMatrix) -> bool:
+    """Whether the columns of G's parity check (`parity_check_matrix`) are
+    nonzero and pairwise non-proportional: then no nonzero codeword has
+    weight 1 or 2, so the distance is at least 3, in O(k * r * N) work for
+    a systematic G."""
+    columns = parity_check_matrix(G).transpose().rows
+    return all(map(any, columns)) and len(
+        {canonical_class(c, G.field) for c in columns}) == len(columns)
 
 
 def _anticode_generator(field: Field, k: int, d: int, enum_budget: int) -> Optional[FMatrix]:
@@ -232,28 +231,28 @@ def _anticode_generator(field: Field, k: int, d: int, enum_budget: int) -> Optio
 
 def _constructed_generator(
     field: Field, k: int, d: int, enum_budget: int
-) -> Optional[tuple[str, FMatrix, Optional[FMatrix]]]:
-    """(family, generator, parity check or None) of a classical code on the
-    floor `_code_floor`, for k >= 2 and d >= 3, or None where no family
-    below applies: the anticode construction on the Griesmer bound, the
-    shortened Hamming code (with its parity check) on the sphere-packing
-    bound at d = 3, and the extended Reed-Solomon code on the Singleton
-    bound k + d - 1 <= q + 1.  BudgetExceeded where q^k > `enum_budget`."""
+) -> Optional[tuple[str, FMatrix]]:
+    """(family, generator) of a classical code on the floor `_code_floor`,
+    for k >= 2 and d >= 3, or None where no family below applies: the
+    anticode construction on the Griesmer bound, the shortened Hamming code
+    on the sphere-packing bound at d = 3, and the extended Reed-Solomon
+    code on the Singleton bound k + d - 1 <= q + 1.  BudgetExceeded where
+    q^k > `enum_budget`."""
     G = _anticode_generator(field, k, d, enum_budget)
     if G is not None:
-        return "anticode", G, None
+        return "anticode", G
     if d == 3:
         if field.q**k > enum_budget:
             raise BudgetExceeded(f"{field.q}^{k} codewords exceed enumeration budget {enum_budget}")
-        return ("shortened Hamming", *_hamming_code(field, k))
+        return "shortened Hamming", _hamming_code(field, k)
     if k + d - 1 <= field.q + 1:
-        return "extended Reed-Solomon", mds_generator(field, k, k + d - 1), None
+        return "extended Reed-Solomon", mds_generator(field, k, k + d - 1)
     return None
 
 
 def shortest_code(
     q: int, k: int, d: int, node_budget: int = DEFAULT_NODE_BUDGET,
-    *, enum_budget: int = DEFAULT_ENUM_BUDGET, _table: Optional[CoverTable] = None,
+    *, enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> FMatrix:
     """A verified generator of a shortest [N, k, d'] linear code with d'
     >= d: a k x N matrix of rank k, so its `ncols` is N_q[k, d].
@@ -282,8 +281,8 @@ def shortest_code(
     scan's (`code_exists`, which holds every kernel call, returns no node
     count); no budget charges tabu moves.  Raises NotPrimePower when q is
     no field order, and UnknownCodeLength when a length's budget runs out
-    or the (q, k) cover table (`_code_table`, or `_table`) or the
-    constructed generator's q^k messages exceed `enum_budget`.
+    or the (q, k) cover table (`_code_table`) or the constructed
+    generator's q^k messages exceed `enum_budget`.
     """
     if k < 0 or d < 1:
         raise ValueError("need k >= 0 and d >= 1")
@@ -317,19 +316,19 @@ def shortest_code(
     try:
         built = _constructed_generator(field, k, d, enum_budget)
         if built is not None:
-            family, G, H = built
-            if G.ncols != floor or mat_rank(G) < k or not (
-                _parity_certifies(G, H) if H is not None else code_min_distance(G, enum_budget) >= d
-            ):
+            family, G = built
+            certified = _parity_certifies(G) if family == "shortened Hamming" else (
+                code_min_distance(G, enum_budget) >= d)
+            if G.ncols != floor or mat_rank(G) < k or not certified:
                 raise InternalContradiction(f"the {family} generator is no [{floor}, {k}, {d}] code")
             return G
         if q == 2 and d % 2 == 0:
             try:
-                G = shortest_code(q, k, d - 1, node_budget, enum_budget=enum_budget, _table=_table)
+                G = shortest_code(q, k, d - 1, node_budget, enum_budget=enum_budget)
             except UnknownCodeLength as exc:
                 raise UnknownCodeLength(q, k, d, str(exc)) from exc
             return FMatrix(field, tuple(r + (sum(r) % 2,) for r in G.rows), G.ncols + 1)
-        table = _table or _code_table(q, k, enum_budget)
+        table = _code_table(q, k, enum_budget)
         units, residual = _systematic(table, k, d)
         probe = LOCAL_SEARCH_ITERATIONS * len(table.hit_sets)
         # each identity column d times is a [k*d, k, d] code: the scan ends
@@ -343,10 +342,10 @@ def shortest_code(
 
 def shortest_code_length(
     q: int, k: int, d: int, node_budget: int = DEFAULT_NODE_BUDGET,
-    *, enum_budget: int = DEFAULT_ENUM_BUDGET, _table: Optional[CoverTable] = None,
+    *, enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> int:
     """N_q[k, d], the length of `shortest_code`'s generator."""
-    return shortest_code(q, k, d, node_budget, enum_budget=enum_budget, _table=_table).ncols
+    return shortest_code(q, k, d, node_budget, enum_budget=enum_budget).ncols
 
 
 def _code_length_bracket(

@@ -482,7 +482,7 @@ def test_hamming_generators_meet_the_sphere_packing_bound():
         for k in range(2, 12):
             if q**k > 2401:
                 break
-            G = _hamming_code(field, k)[0]
+            G = _hamming_code(field, k)
             assert G.ncols == _code_floor(q, k, 3), (q, k)
             assert brute_rank(field, G.rows, G.ncols) == k
             assert brute_min_distance(field, G.rows, G.ncols) == 3
@@ -518,8 +518,8 @@ def test_reed_solomon_generators_meet_the_singleton_bound():
 def test_classical_generators_are_reverified(monkeypatch, family, q, k, d):
     """The family's generator with its last column zeroed keeps the floor's
     length and rank k but not distance d: the Reed-Solomon code fails
-    `code_min_distance`, the Hamming code its parity check (G H^T != 0),
-    and either failure names the family."""
+    `code_min_distance`, the Hamming code its parity check, and either
+    failure names the family."""
     from ecic import FMatrix, bounds
     from ecic.errors import InternalContradiction
 
@@ -528,8 +528,7 @@ def test_classical_generators_are_reverified(monkeypatch, family, q, k, d):
 
     hamming, mds = bounds._hamming_code, bounds.mds_generator
     if family == "shortened Hamming":
-        monkeypatch.setattr(bounds, "_hamming_code", lambda field, k: (
-            zeroed(hamming(field, k)[0]), hamming(field, k)[1]))
+        monkeypatch.setattr(bounds, "_hamming_code", lambda field, k: zeroed(hamming(field, k)))
     else:
         monkeypatch.setattr(bounds, "mds_generator", lambda *args: zeroed(mds(*args)))
     with pytest.raises(InternalContradiction, match=f"the {family} generator is no"):
@@ -546,41 +545,38 @@ HAMMING_CORRUPTIONS = {
 @pytest.mark.parametrize("corruption", sorted(HAMMING_CORRUPTIONS))
 def test_hamming_parity_check_refuses_dependent_columns(monkeypatch, corruption):
     """Over GF(3), B's first point made zero or a unit vector, or its second
-    twice its first: G = [I_k | -B^T] still lies in the kernel of H = [B |
-    I_r] and has rank k, but H has a zero column or two proportional ones,
+    twice its first: G = [I_k | -B^T] is still systematic of rank k, but
+    its parity check [B | I_r] has a zero column or two proportional ones,
     so G has a codeword of weight 1 or 2; the parity check refuses it and
     names the family."""
     from ecic import FMatrix, bounds
     from ecic.errors import InternalContradiction
 
     F3, k = make_field(3), 5
-    H = bounds._hamming_code(F3, k)[1]
-    r = H.nrows
-    B = HAMMING_CORRUPTIONS[corruption](F3, [tuple(h[j] for h in H.rows) for j in range(k)])
-    H = FMatrix(F3, tuple(tuple(b[i] for b in B) + h[k:] for i, h in enumerate(H.rows)), k + r)
-    G = FMatrix(F3, tuple(tuple(int(i == j) for j in range(k)) + tuple(F3.neg(x) for x in b)
-                          for i, b in enumerate(B)), k + r)
-    monkeypatch.setattr(bounds, "_hamming_code", lambda field, k: (G, H))
-    assert not any(any(row) for row in G.matmul(H.transpose()).rows)
+    G = bounds._hamming_code(F3, k)
+    B = HAMMING_CORRUPTIONS[corruption](F3, [tuple(map(F3.neg, row[k:])) for row in G.rows])
+    G = FMatrix(F3, tuple(row[:k] + tuple(map(F3.neg, b)) for row, b in zip(G.rows, B)), G.ncols)
+    monkeypatch.setattr(bounds, "_hamming_code", lambda field, k: G)
     assert mat_rank(G) == k and code_min_distance(G) <= 2
-    assert not bounds._parity_certifies(G, H)
+    assert not bounds._parity_certifies(G)
     with pytest.raises(InternalContradiction, match="the shortened Hamming generator is no"):
         shortest_code_length(3, k, 3)
 
 
 def test_parity_check_certifies_every_hamming_code():
     """The parity check accepts each shortened Hamming code, whose distance
-    is 3, and refuses the same pair once a column of H is zero."""
+    is 3, and refuses it once a row's parity part is zero (a weight-1 row,
+    so a zero column of H)."""
     from ecic import FMatrix
     from ecic.bounds import _hamming_code, _parity_certifies
 
     for q in (2, 3, 4, 5, 7):
         field = make_field(q)
         for k in range(2, 9):
-            G, H = _hamming_code(field, k)
-            assert _parity_certifies(G, H), (q, k)
-            zeroed = FMatrix(field, tuple((0,) + r[1:] for r in H.rows), H.ncols)
-            assert not _parity_certifies(G, zeroed), (q, k)
+            G = _hamming_code(field, k)
+            assert _parity_certifies(G), (q, k)
+            zeroed = (G.rows[0][:k] + (0,) * (G.ncols - k),) + G.rows[1:]
+            assert not _parity_certifies(FMatrix(field, zeroed, G.ncols)), (q, k)
 
 
 def test_hamming_length_needs_no_enumeration():
@@ -665,7 +661,7 @@ def test_shortest_code_generator_on_each_route(route):
     built = {
         "d=1": lambda: mds_generator(field, k, k),
         "anticode": lambda: _anticode_generator(field, k, d, 1 << 26),
-        "shortened Hamming": lambda: _hamming_code(field, k)[0],
+        "shortened Hamming": lambda: _hamming_code(field, k),
         "extended Reed-Solomon": lambda: mds_generator(field, k, k + d - 1),
     }.get(route)
     if built is not None:
