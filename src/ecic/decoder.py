@@ -23,13 +23,14 @@ error's translate of the unwanted-row span, and then the demanded symbol
 comes out right whenever the true error weight is within the code's radius.
 
 Found coset leaders are remembered per packed syndrome, each with the
-demand lane of its own reading (the value `decode` subtracts).  The memo
+demand lane of its own reading (the value `_recover` subtracts).  The memo
 is exact for every weight cap because the leader search tries weights 0,
 1, 2, ... in a fixed order: a leader of weight w is what every cap >= w
-returns.  A miss walks `coset_leader`'s own order through the packed
-columns, so its first match is the leader `coset_leader` would return; a
-walk that comes up empty goes to `coset_leader`, which raises
-WeightCapExceeded or NoSolution itself.
+returns.  A miss walks `coset_leader`'s own order, as (support, values)
+pairs, through the packed columns of the support alone, so its first
+match is the leader `coset_leader` would return; a walk that comes up
+empty goes to `coset_leader`, which raises WeightCapExceeded or
+NoSolution itself.
 
 The exhaustive check reads by linearity.  Before decoding it reads each
 error of its weight-ordered list once per code and once more per view
@@ -38,8 +39,9 @@ with the first error seen for each syndrome (the leader the search would
 return, checked like a searched one), so every syndrome the check meets
 is in the table and the check never searches.  Per message vector x and
 receiver it reads y = xL with x's side values once; y + e then reads as
-that plus e's reading, one lane add handed to `decode` per (x, e,
-receiver) in place of a lane sum over the word.
+that plus e's reading, one lane add handed to `_recover` (the decode
+step `decode` takes after reading the word) per (x, e, receiver), and
+only the counterexample gets a `DecodeOutcome`.
 """
 
 from __future__ import annotations
@@ -58,8 +60,10 @@ from .field_linalg import (
     FMatrix,
     FVector,
     PackedRows,
+    _dense,
     _kernel_rows,
     _rref,
+    _sparse_weight_ordered,
     _weight_ordered,
     all_vectors,
     coset_leader,
@@ -244,12 +248,13 @@ def _search(dec: ReceiverDecoder, key: int, weight_cap: int) -> tuple:
     whose reading has this syndrome, so the one it would return.  When none
     does, `coset_leader` walks again and decides between WeightCapExceeded
     and NoSolution."""
-    lanes, columns, mask = dec.lanes, dec.columns, dec.mask
-    for e in _weight_ordered(dec.code.field.q, len(columns), weight_cap):
-        read = lanes.lane_sum([columns[j][v] for j, v in enumerate(e) if v])
+    lanes, columns, mask, field = dec.lanes, dec.columns, dec.mask, dec.code.field
+    for supp, values in _sparse_weight_ordered(field.q, len(columns), weight_cap):
+        read = lanes.lane_sum([columns[j][v] for j, v in zip(supp, values)])
         if read & mask == key:
-            return _remember(dec, FVector._unchecked(dec.code.field, e), read)
-    syndrome = FVector._unchecked(dec.code.field, lanes.unpack(key, dec.syndrome_lanes))
+            leader = FVector._unchecked(field, _dense(len(columns), supp, values))
+            return _remember(dec, leader, read)
+    syndrome = FVector._unchecked(field, lanes.unpack(key, dec.syndrome_lanes))
     coset_leader(dec.parity, syndrome, weight_cap)  # raises, as its walk found nothing
     raise InternalContradiction("the packed walk missed a coset leader")
 
@@ -262,14 +267,28 @@ def _word_reading(dec: ReceiverDecoder, word: Sequence[int], side_values: Sequen
     )
 
 
+def _recover(dec: ReceiverDecoder, read: int, weight_cap: int) -> tuple[int, tuple]:
+    """Decode a packed reading: (the demanded symbol, the leader entry of
+    its syndrome under weight_cap).  The leader is the memo's, else
+    searched; the symbol is the reading's demand lane less the leader's."""
+    key = read & dec.mask
+    entry = dec.leaders.get(key)
+    if entry is None or entry[1] > weight_cap:  # not decided at this cap: search
+        entry = _search(dec, key, weight_cap)
+    if not dec.determined:
+        raise InternalContradiction("demanded symbol is not uniquely determined")
+    lanes = dec.lanes
+    field = lanes.field
+    value = lanes._labels[read >> dec.shift & ((1 << lanes._width) - 1)]
+    return field._add[value][field._neg[entry[2]]], entry
+
+
 def decode(
     dec: ReceiverDecoder,
-    received: Optional[FVector],
-    side_values: Optional[Sequence[int]],
+    received: FVector,
+    side_values: Sequence[int],
     weight_cap: int,
     truth: Optional[int] = None,
-    *,
-    _read: Optional[int] = None,
 ) -> DecodeOutcome:
     """Syndrome-decode one received word.
 
@@ -277,32 +296,20 @@ def decode(
     the syndrome and the demand lane.  Take the minimum-weight coset
     solution under `weight_cap` and subtract its demand reading.  Raises
     WeightCapExceeded when even the lightest coset member is heavier than
-    the cap (more channel errors than allowed for).  `_read` passes in
-    that reading already taken (the exhaustive check adds a message
-    vector's and an error's); `received` and `side_values` are then unread
-    and may be None.
+    the cap (more channel errors than allowed for).
     """
-    field, lanes = dec.code.field, dec.lanes
-    if _read is None:
-        if len(received.entries) != len(dec.columns):
-            raise LengthMismatch("received word length mismatch")
-        if len(side_values) != len(dec.sides):
-            raise LengthMismatch("side-information values must match the side set size")
-        if received.field is not field and received.field != field:
-            raise LengthMismatch("vector field/length mismatch")
-        for c in side_values:  # a negative c would index sides from the end
-            if not 0 <= c < field.q:
-                raise ValueError("vector entry outside field range")
-        _read = _word_reading(dec, received.entries, side_values)
-    key = _read & dec.mask
-    entry = dec.leaders.get(key)
-    if entry is None or entry[1] > weight_cap:  # not decided at this cap: search
-        entry = _search(dec, key, weight_cap)
-    estimate, weight, estimate_value = entry
-    if not dec.determined:
-        raise InternalContradiction("demanded symbol is not uniquely determined")
-    value = lanes._labels[_read >> dec.shift & ((1 << lanes._width) - 1)]
-    recovered = field._add[value][field._neg[estimate_value]]
+    field = dec.code.field
+    if len(received.entries) != len(dec.columns):
+        raise LengthMismatch("received word length mismatch")
+    if len(side_values) != len(dec.sides):
+        raise LengthMismatch("side-information values must match the side set size")
+    if received.field is not field and received.field != field:
+        raise LengthMismatch("vector field/length mismatch")
+    for c in side_values:  # a negative c would index sides from the end
+        if not 0 <= c < field.q:
+            raise ValueError("vector entry outside field range")
+    read = _word_reading(dec, received.entries, side_values)
+    recovered, (estimate, weight, _) = _recover(dec, read, weight_cap)
     return _outcome((recovered, estimate, weight, None if truth is None else recovered == truth))
 
 
@@ -322,8 +329,8 @@ def in_relevant_error_set(
 
 def _relevant(dec: ReceiverDecoder, cand: tuple[int, ...], ref: tuple[int, ...]) -> bool:
     """`in_relevant_error_set` on entry tuples already checked: the
-    difference has a zero complement syndrome.  Callers test cand == ref
-    first, as a zero difference needs no product."""
+    difference has a zero complement syndrome.  Callers skip it where cand
+    equals ref, as a zero difference needs no product."""
     field = dec.code.field
     add, mul, neg = field._add, field._mul, field._neg
     for row in dec.sparse_complement_parity:
@@ -432,31 +439,28 @@ def exhaustive_correctness_check(
     determined = next((i for i, dec in enumerate(decoders) if not dec.determined), m)
     receivers = list(zip(decoders[:determined], error_reads))
     sides = [sorted(inst.side_info[i]) for i in range(m)]
-    add, decodes = lanes._add, 0
-    for x in all_vectors(field, n):
+    add = lanes._add
+    for k, x in enumerate(all_vectors(field, n)):
         y, xs = encode(code, x).entries, x.entries
         # x's reading per receiver: y = xL read with x's side values, so that
         # y + e reads as this plus e's reading (the reading is linear)
-        bases = [_word_reading(dec, y, [xs[j] for j in sides[i]])
-                 for i, (dec, _) in enumerate(receivers)]
-        truths = [xs[d] for d in inst.demands]
+        views = [
+            (dec, reads, _word_reading(dec, y, [xs[j] for j in sides[i]]), xs[inst.demands[i]])
+            for i, (dec, reads) in enumerate(receivers)
+        ]
         for t, (e, err) in enumerate(errors):
-            for i, ((dec, reads), base) in enumerate(zip(receivers, bases)):
-                outcome = decode(dec, None, None, delta, truths[i], _read=add(base, reads[t]))
-                decodes += 1
-                if not outcome.success:
-                    return CheckReport(
-                        False, decodes, Counterexample("wrong-output", x, err, i, outcome)
-                    )
-                estimate = outcome.error_estimate.entries
-                if estimate != e and not _relevant(dec, estimate, e):
-                    return CheckReport(
-                        False,
-                        decodes,
-                        Counterexample("estimate-outside-relevant-set", x, err, i, outcome),
-                    )
-            if determined < m:
-                return CheckReport(
-                    False, decodes, Counterexample("undetermined-demand", x, err, determined, None)
-                )
-    return CheckReport(True, decodes, None)
+            for i, (dec, reads, base, truth) in enumerate(views):
+                recovered, (estimate, weight, _) = _recover(dec, add(base, reads[t]), delta)
+                # the leader table holds the check's own error vectors, so a
+                # leader equal to e is err itself
+                if recovered != truth or (
+                    estimate is not err and not _relevant(dec, estimate.entries, e)
+                ):
+                    kind = "wrong-output" if recovered != truth else "estimate-outside-relevant-set"
+                    outcome = _outcome((recovered, estimate, weight, recovered == truth))
+                    decodes = (k * len(errors) + t) * len(views) + i + 1  # this one included
+                    return CheckReport(False, decodes, Counterexample(kind, x, err, i, outcome))
+            if determined < m:  # x = 0 and error 0, after the determined receivers' decodes
+                ce = Counterexample("undetermined-demand", x, err, determined, None)
+                return CheckReport(False, determined, ce)
+    return CheckReport(True, total, None)

@@ -506,22 +506,32 @@ def solve_row_combination(M: FMatrix, target: FVector) -> tuple[FVector, list[FV
 # coset leaders and minimum distance
 
 
-def _weight_ordered(q: int, n: int, w: int) -> Iterator[tuple[int, ...]]:
-    """Entry tuples of length n over GF(q) with weight <= w, in ascending
-    weight, then lexicographic support, then lexicographic nonzero values
-    (none when w < 0).  `coset_leader` and the decoder's leader table both
-    walk this one order."""
+def _sparse_weight_ordered(q: int, n: int, w: int) -> Iterator[tuple[tuple, tuple]]:
+    """(support, nonzero values) of the vectors of length n over GF(q) with
+    weight <= w, in ascending weight, then lexicographic support, then
+    lexicographic values (none when w < 0).  `coset_leader`, the decoder's
+    leader search and its leader table all walk this one order."""
     if w < 0:
         return
-    yield (0,) * n
+    yield (), ()
     nonzero = range(1, q)
     for weight in range(1, min(w, n) + 1):
         for supp in itertools.combinations(range(n), weight):
             for values in itertools.product(nonzero, repeat=weight):
-                e = [0] * n
-                for j, val in zip(supp, values):
-                    e[j] = val
-                yield tuple(e)
+                yield supp, values
+
+
+def _dense(n: int, supp: Sequence[int], values: Sequence[int]) -> tuple[int, ...]:
+    """The entry tuple of length n with values[t] at supp[t], else 0."""
+    e = [0] * n
+    for j, val in zip(supp, values):
+        e[j] = val
+    return tuple(e)
+
+
+def _weight_ordered(q: int, n: int, w: int) -> Iterator[tuple[int, ...]]:
+    """`_sparse_weight_ordered` as dense entry tuples."""
+    return (_dense(n, supp, values) for supp, values in _sparse_weight_ordered(q, n, w))
 
 
 def coset_leader(H: FMatrix, s: FVector, weight_cap: int) -> FVector:
@@ -539,15 +549,14 @@ def coset_leader(H: FMatrix, s: FVector, weight_cap: int) -> FVector:
     add, mul = field._add, field._mul
     cols = [[(r, v) for r, v in enumerate(col) if v] for col in zip(*H.rows)]
     target = s.entries
-    for e in _weight_ordered(field.q, H.ncols, weight_cap):
+    for supp, values in _sparse_weight_ordered(field.q, H.ncols, weight_cap):
         acc = [0] * H.nrows
-        for j, val in enumerate(e):
-            if val:
-                m = mul[val]
-                for r, cv in cols[j]:
-                    acc[r] = add[acc[r]][m[cv]]
+        for j, val in zip(supp, values):
+            m = mul[val]
+            for r, cv in cols[j]:
+                acc[r] = add[acc[r]][m[cv]]
         if tuple(acc) == target:
-            return FVector._unchecked(field, e)
+            return FVector._unchecked(field, _dense(H.ncols, supp, values))
     if solve_linear(H, s) is None:
         raise NoSolution("inconsistent syndrome")
     raise WeightCapExceeded(f"no solution of weight <= {weight_cap}")

@@ -1,7 +1,7 @@
 """Differential property tests of `exhaustive_correctness_check` against
 the per-decode reference in `helpers.check_reference`, on random codes
 that pass and fail, of the leader table the check fills, and of the
-reading it hands `decode` against the public `decode`'s.  Skipped when
+reading it hands `_recover` against the public `decode`'s.  Skipped when
 hypothesis is not installed; `tests/conftest.py` makes them deterministic
 in CI."""
 
@@ -173,30 +173,38 @@ def test_check_matches_the_per_decode_reference_at_each_q(q, data):
 @settings(deadline=None)
 @given(data=st.data())
 def test_check_reads_each_word_as_the_public_decode_does(q, data):
-    """The check hands `decode` a reading taken by linearity (x's reading
+    """The check hands `_recover` a reading taken by linearity (x's reading
     plus the error's, each through the receiver's own view): for every
     (x, error, receiver) it decodes, that is what the public `decode`
     reads off the received word y + e and x's side values, and the public
-    outcome is the one the check got."""
+    outcome agrees with what the check got: the recovered symbol, the
+    estimate and its weight, and success on every decode but a failing
+    check's last, whose outcome is the counterexample's."""
     code, delta = data.draw(checks((q,)))
-    calls = []
+    calls, recover = [], decoder._recover
 
-    def record(dec, *args, _read=None, **kwargs):
-        outcome = decode(dec, *args, _read=_read, **kwargs)
-        calls.append((dec, _read, outcome))
-        return outcome
+    def record(dec, read, weight_cap):
+        result = recover(dec, read, weight_cap)
+        calls.append((dec, read, result))
+        return result
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decoder, "decode", record)
+        mp.setattr(decoder, "_recover", record)
         report = exhaustive_correctness_check(code, delta)
     assert len(calls) == report.decodes
     field, inst = code.field, code.inst
     words = ((x, e) for x in all_vectors(field, inst.num_messages)
              for e in _weight_ordered(field.q, code.length, delta))
-    for dec, read, outcome in calls:
+    failed = report.counterexample and report.counterexample.outcome
+    for k, (dec, read, (recovered, (estimate, weight, _))) in enumerate(calls):
         if dec.frame.index == 0:
             x, e = next(words)
         side = [x.entries[j] for j in sorted(dec.frame.side_info)]
         received = encode(code, x).add(FVector(field, e))
         assert read == decoder._word_reading(dec, received.entries, side)
-        assert decode(dec, received, side, delta, x.entries[dec.frame.demand]) == outcome
+        outcome = decode(dec, received, side, delta, x.entries[dec.frame.demand])
+        assert outcome[:3] == (recovered, estimate, weight)
+        if failed and k == len(calls) - 1:
+            assert outcome == failed
+        else:
+            assert outcome.success

@@ -398,6 +398,20 @@ def test_estimate_outside_the_relevant_set_is_a_counterexample(monkeypatch):
     assert report == check_reference(pentagon_code(), 2)
 
 
+def test_a_passing_check_builds_no_outcome(monkeypatch):
+    """The check builds a `DecodeOutcome` only for its counterexample: none
+    over the pentagon code's 7,360 decodes at delta = 2, one at delta = 3,
+    where the report is still the per-decode reference's."""
+    built, outcome = [], decoder._outcome
+    monkeypatch.setattr(decoder, "_outcome", lambda fields: built.append(fields) or outcome(fields))
+    assert exhaustive_correctness_check(pentagon_code(), 2) == CheckReport(True, 7360, None)
+    assert built == []
+    report = exhaustive_correctness_check(pentagon_code(), 3)
+    assert len(built) == 1 and not report.ok
+    monkeypatch.undo()
+    assert report == check_reference(pentagon_code(), 3)
+
+
 def test_exhaustive_check_budget():
     with pytest.raises(BudgetExceeded):
         exhaustive_correctness_check(pentagon_code(), 2, enum_budget=100)
