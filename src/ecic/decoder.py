@@ -23,7 +23,7 @@ error's translate of the unwanted-row span, and then the demanded symbol
 comes out right whenever the true error weight is within the code's radius.
 
 Found coset leaders are remembered per packed syndrome, each with the
-demand lane of its own reading (the value `_recover` subtracts).  The memo
+demand lane of its own reading (the value `decode` subtracts).  The memo
 is exact for every weight cap because the leader search tries weights 0,
 1, 2, ... in a fixed order: a leader of weight w is what every cap >= w
 returns.  A miss walks `coset_leader`'s own order, as (support, values)
@@ -39,9 +39,10 @@ with the first error seen for each syndrome (the leader the search would
 return, checked like a searched one), so every syndrome the check meets
 is in the table and the check never searches.  Per message vector x and
 receiver it reads y = xL with x's side values once; y + e then reads as
-that plus e's reading, one lane add handed to `_recover` (the decode
-step `decode` takes after reading the word) per (x, e, receiver), and
-only the counterexample gets a `DecodeOutcome`.
+that plus e's reading, one lane add handed to `decode` per (x, e,
+receiver) in place of a lane sum over the word.  `decode` then returns
+the outcome's fields as a plain tuple, so only the counterexample gets a
+`DecodeOutcome`.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .field_linalg import (
     _kernel_rows,
     _rref,
     _sparse_weight_ordered,
-    _weight_ordered,
     all_vectors,
     coset_leader,
     parity_check_matrix,
@@ -267,50 +267,51 @@ def _word_reading(dec: ReceiverDecoder, word: Sequence[int], side_values: Sequen
     )
 
 
-def _recover(dec: ReceiverDecoder, read: int, weight_cap: int) -> tuple[int, tuple]:
-    """Decode a packed reading: (the demanded symbol, the leader entry of
-    its syndrome under weight_cap).  The leader is the memo's, else
-    searched; the symbol is the reading's demand lane less the leader's."""
-    key = read & dec.mask
-    entry = dec.leaders.get(key)
-    if entry is None or entry[1] > weight_cap:  # not decided at this cap: search
-        entry = _search(dec, key, weight_cap)
-    if not dec.determined:
-        raise InternalContradiction("demanded symbol is not uniquely determined")
-    lanes = dec.lanes
-    field = lanes.field
-    value = lanes._labels[read >> dec.shift & ((1 << lanes._width) - 1)]
-    return field._add[value][field._neg[entry[2]]], entry
-
-
 def decode(
     dec: ReceiverDecoder,
-    received: FVector,
-    side_values: Sequence[int],
+    received: Optional[FVector],
+    side_values: Optional[Sequence[int]],
     weight_cap: int,
     truth: Optional[int] = None,
-) -> DecodeOutcome:
+    *,
+    _read: Optional[int] = None,
+) -> DecodeOutcome | tuple:
     """Syndrome-decode one received word.
 
     Read the word less its side contribution through the packed columns:
     the syndrome and the demand lane.  Take the minimum-weight coset
     solution under `weight_cap` and subtract its demand reading.  Raises
     WeightCapExceeded when even the lightest coset member is heavier than
-    the cap (more channel errors than allowed for).
+    the cap (more channel errors than allowed for).  `_read` passes in
+    that reading already taken (the exhaustive check adds a message
+    vector's and an error's); `received` and `side_values` are then unread
+    and may be None, and the outcome's fields come back as a plain tuple,
+    with no `DecodeOutcome` built.
     """
-    field = dec.code.field
-    if len(received.entries) != len(dec.columns):
-        raise LengthMismatch("received word length mismatch")
-    if len(side_values) != len(dec.sides):
-        raise LengthMismatch("side-information values must match the side set size")
-    if received.field is not field and received.field != field:
-        raise LengthMismatch("vector field/length mismatch")
-    for c in side_values:  # a negative c would index sides from the end
-        if not 0 <= c < field.q:
-            raise ValueError("vector entry outside field range")
-    read = _word_reading(dec, received.entries, side_values)
-    recovered, (estimate, weight, _) = _recover(dec, read, weight_cap)
-    return _outcome((recovered, estimate, weight, None if truth is None else recovered == truth))
+    field, lanes = dec.code.field, dec.lanes
+    read = _read
+    if read is None:
+        if len(received.entries) != len(dec.columns):
+            raise LengthMismatch("received word length mismatch")
+        if len(side_values) != len(dec.sides):
+            raise LengthMismatch("side-information values must match the side set size")
+        if received.field is not field and received.field != field:
+            raise LengthMismatch("vector field/length mismatch")
+        for c in side_values:  # a negative c would index sides from the end
+            if not 0 <= c < field.q:
+                raise ValueError("vector entry outside field range")
+        read = _word_reading(dec, received.entries, side_values)
+    key = read & dec.mask
+    entry = dec.leaders.get(key)
+    if entry is None or entry[1] > weight_cap:  # not decided at this cap: search
+        entry = _search(dec, key, weight_cap)
+    estimate, weight, estimate_value = entry
+    if not dec.determined:
+        raise InternalContradiction("demanded symbol is not uniquely determined")
+    value = lanes._labels[read >> dec.shift & ((1 << lanes._width) - 1)]
+    recovered = field._add[value][field._neg[estimate_value]]
+    fields = (recovered, estimate, weight, None if truth is None else recovered == truth)
+    return _outcome(fields) if _read is None else fields
 
 
 def in_relevant_error_set(
@@ -426,9 +427,12 @@ def exhaustive_correctness_check(
         raise BudgetExceeded(f"{total} decodes exceed enumeration budget {enum_budget}")
     reading = code_reading(code)
     decoders = [build_receiver_decoder(code, i, _reading=reading) for i in range(m)]
-    errors = [(e, FVector._unchecked(field, e)) for e in _weight_ordered(field.q, N, delta)]
     lanes, columns = reading.lanes, reading.columns
-    readings = [lanes.lane_sum([columns[j][v] for j, v in enumerate(e) if v]) for e, _ in errors]
+    errors, readings = [], []  # (entries, vector) per error, and its reading
+    for supp, values in _sparse_weight_ordered(field.q, N, delta):
+        e = _dense(N, supp, values)
+        errors.append((e, FVector._unchecked(field, e)))
+        readings.append(lanes.lane_sum([columns[j][v] for j, v in zip(supp, values)]))
     error_reads = []  # per decoder, each error's reading through its view
     for dec in decoders:  # and the leader table: the first error seen per syndrome
         reads = [_reduce(lanes, a, dec.reduction) for a in readings] if dec.reduction else readings
@@ -450,16 +454,17 @@ def exhaustive_correctness_check(
         ]
         for t, (e, err) in enumerate(errors):
             for i, (dec, reads, base, truth) in enumerate(views):
-                recovered, (estimate, weight, _) = _recover(dec, add(base, reads[t]), delta)
+                fields = decode(dec, None, None, delta, truth, _read=add(base, reads[t]))
+                _, estimate, _, success = fields
                 # the leader table holds the check's own error vectors, so a
                 # leader equal to e is err itself
-                if recovered != truth or (
+                if not success or (
                     estimate is not err and not _relevant(dec, estimate.entries, e)
                 ):
-                    kind = "wrong-output" if recovered != truth else "estimate-outside-relevant-set"
-                    outcome = _outcome((recovered, estimate, weight, recovered == truth))
+                    kind = "estimate-outside-relevant-set" if success else "wrong-output"
+                    ce = Counterexample(kind, x, err, i, _outcome(fields))
                     decodes = (k * len(errors) + t) * len(views) + i + 1  # this one included
-                    return CheckReport(False, decodes, Counterexample(kind, x, err, i, outcome))
+                    return CheckReport(False, decodes, ce)
             if determined < m:  # x = 0 and error 0, after the determined receivers' decodes
                 ce = Counterexample("undetermined-demand", x, err, determined, None)
                 return CheckReport(False, determined, ce)
