@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ._cover import (
     DEFAULT_NODE_BUDGET,
@@ -69,8 +69,9 @@ def code_exists(
     the unit columns onto themselves and keeps every weight and inner
     product, so the coordinate permutations are the table's symmetries:
     they prune isomorphic branches and change neither the answer nor the
-    generator.  A returned generator contains the unit columns.  `_table`
-    passes in the (q, k) table (`_code_table`) a length scan shares.
+    generator.  A returned generator contains the unit columns and has
+    been re-verified (`_checked_generator`).  `_table` passes in the (q, k)
+    table (`_code_table`) a length scan shares.
     """
     if k < 1:
         raise ValueError("dimension must be positive")
@@ -81,7 +82,7 @@ def code_exists(
     res = multiset_cover_search(table, residual, length - k, node_budget)
     if not res.found:
         return None
-    return classes_matrix(make_field(q), table.columns, sorted(units + list(res.classes)), k)
+    return _checked_generator(make_field(q), table, units, res.classes, d, "the cover kernel")
 
 
 def _code_table(q: int, k: int, enum_budget: int = DEFAULT_ENUM_BUDGET) -> CoverTable:
@@ -92,6 +93,21 @@ def _code_table(q: int, k: int, enum_budget: int = DEFAULT_ENUM_BUDGET) -> Cover
     than `enum_budget` bytes."""
     moves = [(1, 0) + tuple(range(2, k)), tuple(range(1, k)) + (0,)] if k > 1 else []
     return cover_table(make_field(q), k, None, moves, enum_budget)
+
+
+def _checked_generator(
+    field: Field, table: CoverTable, units: list[int], picks: Sequence[int], d: int, route: str,
+    enum_budget: int = DEFAULT_ENUM_BUDGET,
+) -> FMatrix:
+    """The systematic generator of a (q, k) code table's unit columns plus
+    `picks`, re-verified to have distance >= d by `code_min_distance`
+    (within `enum_budget`); InternalContradiction naming `route`, the
+    search that picked the columns, otherwise."""
+    k = len(units)
+    G = classes_matrix(field, table.columns, sorted(units + list(picks)), k)
+    if code_min_distance(G, enum_budget) < d:
+        raise InternalContradiction(f"{route}'s [{G.ncols}, {k}] code has distance < {d}")
+    return G
 
 
 def _systematic(table: CoverTable, k: int, d: int) -> tuple[list[int], list[int]]:
@@ -270,9 +286,10 @@ def shortest_code(
     - a scan from the floor up over systematic generators (`code_exists`),
       each length decided by `_cover.settle`: `code_exists` under
       LOCAL_SEARCH_ITERATIONS x classes nodes, then tabu
-      (`local_cover_search`, stream `ecic:code:{q}:{k}:{d}:{length}`), its
-      generator re-verified, then `code_exists` under what is left of
-      `node_budget`.  At the first tabu miss, the residual-code bound
+      (`local_cover_search`, stream `ecic:code:{q}:{k}:{d}:{length}`),
+      then `code_exists` under what is left of `node_budget`, each route's
+      generator re-verified (`_checked_generator`).  At the first tabu
+      miss, the residual-code bound
       N_q[k, d] >= d + N_q[k - 1, ceil(d / q)] (Huffman & Pless, Thm
       2.7.1; the inner term by `shortest_code_length`, or its floor) rules
       out every length below it with no search.
@@ -300,10 +317,7 @@ def shortest_code(
             _seeded_bytes(f"ecic:code:{q}:{k}:{d}:{length}", 256),
         )
         if picks is not None:
-            G = classes_matrix(field, table.columns, sorted(units + list(picks)), k)
-            if code_min_distance(G, enum_budget) < d:
-                raise InternalContradiction(f"tabu's [{length}, {k}] code has distance < {d}")
-            return G, moves
+            return _checked_generator(field, table, units, picks, d, "tabu", enum_budget), moves
         if not residual_bound:
             inner = _code_length_bracket(q, k - 1, -(-d // q), node_budget, enum_budget=enum_budget)
             residual_bound = d + inner[0]
@@ -423,8 +437,7 @@ class BoundsReport:
     unsettled code length's bracket still serves `lower`, the best lower
     bound available, and `upper`, the concatenation bound; when
     `mds_equality` holds the two coincide at kappa + 2*delta.  With kappa
-    unknown, `upper` concatenates the unit columns of the distinct demands,
-    as `optimal_length_search` does.
+    unknown, `upper` concatenates the unit columns of the distinct demands.
     """
 
     q: int
@@ -466,11 +479,17 @@ def bounds_report(
     field: Field,
     delta: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    *,
+    _enum_budget: int = DEFAULT_ENUM_BUDGET,
+    _table: Optional[CoverTable | BudgetExceeded] = None,
 ) -> BoundsReport:
     """Assemble every bound, leaving fields unknown (None) rather than
     failing when a computation runs out of budget.  `node_budget` bounds
     kappa's search, and each code scan afresh per length and per inner scan
-    (`shortest_code_length`); no budget charges tabu moves."""
+    (`shortest_code_length`); no budget charges tabu moves.
+    `optimal_length_search` takes its bracket from here: its
+    `_enum_budget` bounds every table built, and `_table` is its (instance,
+    q) cover table or its analysis's BudgetExceeded (`min_rank`'s)."""
     _check_delta(delta)
     d = 2 * delta + 1
     alpha = kappa = None
@@ -479,13 +498,13 @@ def bounds_report(
     except (BudgetExceeded, CapExceeded):
         pass
     try:
-        kappa = min_rank(inst, field, node_budget).kappa
+        kappa = min_rank(inst, field, node_budget, enum_budget=_enum_budget, _table=_table).kappa
     except (BudgetExceeded, CapExceeded):
         pass
     # without kappa, concatenate the unit columns of the distinct demands
     inner = len(set(inst.demands)) if kappa is None else kappa
     # alpha and kappa are often equal: one scan per distinct dimension
-    brackets = {k: _code_length_bracket(field.q, k, d, node_budget)
+    brackets = {k: _code_length_bracket(field.q, k, d, node_budget, enum_budget=_enum_budget)
                 for k in sorted({alpha, inner} - {None})}
     a_low, a_high = brackets.get(alpha, (None, None))
     k_low, k_high = brackets.get(kappa, (None, None))

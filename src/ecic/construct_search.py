@@ -27,16 +27,10 @@ from ._cover import (
     descend,
     multiset_cover_search,
 )
-# alpha_bound, kappa_bound, singleton_bound and enumerate_error_vectors are
-# no longer called here, but bench/tracing.py wraps them under this module's
-# names; mds_generator is re-exported from its home in bounds
-from .bounds import (  # noqa: F401
-    _code_length_bracket,
-    alpha_bound,
-    kappa_bound,
-    mds_generator,
-    singleton_bound,
-)
+# alpha_bound, kappa_bound, singleton_bound, min_rank and
+# enumerate_error_vectors are not called here, but bench/tracing.py wraps
+# them under this module's names
+from .bounds import alpha_bound, bounds_report, kappa_bound, singleton_bound  # noqa: F401
 from .errors import (
     BudgetExceeded,
     CapExceeded,
@@ -52,7 +46,7 @@ from .index_codes import (
     _check_delta,
     _margins_with_minimizers,
     generalized_independence_number,
-    min_rank,
+    min_rank,  # noqa: F401
     verify_ecic,
     verify_ic,
 )
@@ -226,45 +220,32 @@ def optimal_length_search(
 
     The length is found by `_cover.descend` (tabu witnesses, each
     re-verified, and one exhaustive proof by `exists_ecic`; its docstring
-    holds the policy), walking down from the concatenation bound (or from
-    the cover search's cap, if that is lower) to the best lower bound.
-    Kappa comes from `min_rank` on the same cover table, with the node
-    budget to itself; if the budgets leave it unsettled, the bounds drop it
-    and concatenate the unit columns of the distinct demands instead.  A
-    shortest outer code the budgets do not settle is bracketed by
-    bounds that need no search (`bounds._code_length_bracket`): the lower
-    end serves at alpha, the upper end at the concatenated code's width.
-    The node budget is shared by the whole descent, and `enum_budget`
-    bounds every table the search builds: the instance's and each min-rank
-    part's cover table, the code tables of the bounds, and the margins.
-    On its exhaustion the raised error carries the bracket proved so far:
-    every length below `infeasible_below` is infeasible, and `feasible_at`
-    has a verified witness (or is the concatenation bound).
+    holds the policy), walking down from `upper` (or from the cover
+    search's cap, if that is lower) to `lower`, both read from
+    `bounds.bounds_report` on the same cover table.  The node budget is
+    shared by the whole descent, and `enum_budget` bounds every table the
+    search builds: the instance's and each min-rank part's cover table,
+    the code tables of the bounds, and the margins.  On its exhaustion,
+    or the instance table's, the raised error carries the bracket proved
+    so far: every length below `infeasible_below` is infeasible, and
+    `feasible_at` has a verified witness (or is the concatenation bound).
     """
     _check_delta(delta)
     started = time.perf_counter()
     d = 2 * delta + 1
-    table = kappa = None
+    generalized_independence_number(inst)  # over alpha's vertex cap: CapExceeded first
     try:
         table = _analyse(inst, field, enum_budget)
-        kappa = min_rank(inst, field, node_budget, enum_budget=enum_budget, _table=table).kappa
     except BudgetExceeded as exc:
-        unsettled = exc
-    alpha = generalized_independence_number(inst)[0]
-    inner = len(set(inst.demands)) if kappa is None else kappa  # the concatenated code's width
-    brackets = {k: _code_length_bracket(field.q, k, d, node_budget, enum_budget=enum_budget)
-                for k in sorted({alpha, inner})}
-    lower = brackets[alpha][0]
-    if kappa is not None and inst.num_receivers:
-        lower = max(lower, kappa + 2 * delta)
-    upper = brackets[inner][1]
-
-    if table is None:
+        table = exc  # min_rank raises it again rather than analyse the instance twice
+    report = bounds_report(inst, field, delta, node_budget, _enum_budget=enum_budget, _table=table)
+    lower, upper = report.lower, report.upper
+    if isinstance(table, BudgetExceeded):
         raise BudgetExceeded(
             f"budget exhausted analysing the instance; infeasible below {lower}, "
             f"feasible at {upper}",
-            nodes=unsettled.nodes or 0, infeasible_below=lower, feasible_at=upper,
-        ) from unsettled
+            nodes=table.nodes or 0, infeasible_below=lower, feasible_at=upper,
+        ) from table
 
     def exhaustive(length: int, budget: int) -> tuple[Optional[LinearIndexCode], int]:
         res = exists_ecic(

@@ -342,20 +342,11 @@ class FMatrix:
         return FVector(f, tuple(acc))
 
     def matmul(self, other: FMatrix) -> FMatrix:
+        """Matrix product self @ other: one `left_mul` per row of self."""
         if other.nrows != self.ncols or other.field != self.field:
             raise LengthMismatch("matrix product dimension mismatch")
-        f = self.field
-        add, mul = f._add, f._mul
-        out = []
-        for row in self.rows:
-            acc = [0] * other.ncols
-            for coef, orow in zip(row, other.rows):
-                if coef:
-                    for j, v in enumerate(orow):
-                        if v:
-                            acc[j] = add[acc[j]][mul[coef][v]]
-            out.append(tuple(acc))
-        return FMatrix(f, tuple(out), other.ncols)
+        rows = tuple(other.left_mul(FVector(self.field, row)).entries for row in self.rows)
+        return FMatrix(self.field, rows, other.ncols)
 
     def mul_col(self, v: FVector) -> FVector:
         """Matrix times column vector: self @ v^T, returned as a vector."""

@@ -377,7 +377,7 @@ def min_rank(
     node_budget: int = DEFAULT_NODE_BUDGET,
     *,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
-    _table: Optional[CoverTable] = None,
+    _table: Optional[CoverTable | BudgetExceeded] = None,
 ) -> MinRankResult:
     """Minimum rank over all side-information completions of the demand
     rows, found as the length of a shortest plain index code: a delta = 0
@@ -399,8 +399,8 @@ def min_rank(
     Row i of the witness is L @ lambda_i for the found code L, where
     lambda_i solves receiver i's decoding system (see `verify_ic`).
     `_table` passes in the (instance, q) cover table (`_analyse`) a
-    length scan shares; it is used when the instance is one part as it
-    stands.
+    length scan shares, or the BudgetExceeded its analysis raised; it is
+    used, or raised, when the instance is one part as it stands.
     """
     n = inst.num_messages
     blocks = []
@@ -411,6 +411,8 @@ def min_rank(
         code = FMatrix.identity(field, len(msgs))
         if alpha < len(msgs):
             table = (_table if part == inst else None) or _analyse(part, field, enum_budget)
+            if isinstance(table, BudgetExceeded):  # the instance's analysis, not run twice
+                raise table
             quotas = [1] * len(table.targets)
 
             def exhaustive(length: int, budget: int) -> tuple[Optional[tuple[int, ...]], int]:

@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -350,6 +351,27 @@ def test_tabu_witness_is_reverified(monkeypatch):
     monkeypatch.setattr(bounds, "code_min_distance", lambda G, budget: 6)
     with pytest.raises(InternalContradiction, match="tabu's"):
         shortest_code_length(3, 3, 7)
+
+
+def test_kernel_witness_is_reverified(monkeypatch):
+    """N_3[3, 4] = 7 is a generator the exhaustive kernel picks; with every
+    pick turned into one class, a message misses it, and the code's
+    distance check catches the corrupted generator."""
+    from ecic import bounds
+    from ecic.errors import InternalContradiction
+
+    assert shortest_code_length(3, 3, 4) == 7
+    real = bounds.multiset_cover_search
+
+    def corrupted(table, quotas, size, node_budget):
+        res = real(table, quotas, size, node_budget)
+        return replace(res, classes=(0,) * size) if res.found else res
+
+    monkeypatch.setattr(bounds, "multiset_cover_search", corrupted)
+    with pytest.raises(InternalContradiction, match=r"the cover kernel's \[7, 3\] code"):
+        shortest_code_length(3, 3, 4)
+    with pytest.raises(InternalContradiction, match="the cover kernel's"):
+        code_exists(2, 2, 5, 8)
 
 
 @pytest.mark.parametrize("k, answer", [(6, 14), (7, 15)])

@@ -333,6 +333,25 @@ def test_bounds_and_search_agree_on_the_bracket_under_a_budget(capsys):
     assert json.loads(out) == {"status": "budget", "infeasible_below": 12, "feasible_at": 13, "nodes": 5001}
 
 
+def test_search_brackets_an_instance_of_parts_as_bounds_does(capsys, tmp_path):
+    """Three disjoint pentagons: the whole instance's cover table (32,767
+    classes) exceeds the enumeration budget, but min-rank takes kappa
+    part by part, 3 + 3 + 3, so both commands bracket the optimum by the
+    Singleton bound 9 + 2 and N_2[9, 3] = 13 at kappa."""
+    demands = list(range(1, 16))
+    side = [[5 * (i // 5) + (i + 1) % 5 + 1, 5 * (i // 5) + (i - 1) % 5 + 1] for i in range(15)]
+    path = tmp_path / "pentagons.json"
+    path.write_text(json.dumps({"m": 15, "n": 15, "f": demands, "X": side}))
+    args = ("--instance", str(path), "--q", "2", "--delta", "1")
+    code, out, _ = run(capsys, "bounds", *args)
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["alpha"], doc["kappa"], doc["lower"], doc["upper"]) == (6, 9, 11, 13)
+    code, out, err = run(capsys, "search", *args)
+    assert code == 3 and "analysing the instance" in err
+    assert json.loads(out) == {"status": "budget", "infeasible_below": 11, "feasible_at": 13, "nodes": 0}
+
+
 def test_bounds_settles_classical_lengths_under_a_budget(capsys):
     """N_2[5, 3] = 9 is the shortened Hamming code and N_11[5, 5] = 9 the
     extended Reed-Solomon code: both spend no node, so 10 nodes settle the

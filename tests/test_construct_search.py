@@ -325,6 +325,61 @@ def test_hit_set_table_over_budget_exits_with_the_bracket():
     assert (err.value.infeasible_below, err.value.feasible_at, err.value.nodes) == (13, 13, 0)
 
 
+def directed_cycle(n):
+    """Receiver i demands message i and holds message i + 1 (mod n)."""
+    from ecic import IcsiInstance
+
+    return IcsiInstance(n, n, tuple(range(n)), tuple(frozenset({(i + 1) % n}) for i in range(n)))
+
+
+def test_a_one_part_instance_over_budget_is_analysed_once(monkeypatch):
+    """The directed 16-cycle is one min-rank part, and its cover table
+    (65,535 classes) exceeds the enumeration budget: kappa stays unknown
+    with no second analysis, and the bracket is N_2[15, 3] = 20 at alpha
+    15 and N_2[16, 3] = 21 at the 16 demands' unit columns."""
+    from ecic import construct_search, index_codes
+
+    calls = []
+    real = index_codes._analyse
+
+    def analyse(inst, field, enum_budget):
+        calls.append(inst.num_messages)
+        return real(inst, field, enum_budget)
+
+    monkeypatch.setattr(index_codes, "_analyse", analyse)
+    monkeypatch.setattr(construct_search, "_analyse", analyse)
+    with pytest.raises(BudgetExceeded, match="analysing the instance") as err:
+        optimal_length_search(directed_cycle(16), F2, 1)
+    assert (err.value.infeasible_below, err.value.feasible_at, err.value.nodes) == (20, 21, 0)
+    assert calls == [16]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_search_stays_inside_the_bounds_bracket(q):
+    """`search` answers inside `bounds`' lower..upper under the same node
+    budget, or exits 3 with lower as its floor and a ceiling no higher than
+    upper.  Ten nodes leave some of these instances' kappa unsettled."""
+    from ecic import bounds_report
+
+    field = make_field(q)
+    rng = random.Random(q)
+    exits = []
+    for delta, budget in itertools.product([0, 1], [{"node_budget": 10}, {"node_budget": 1000}, {}]):
+        for _ in range(10):
+            inst = random_instance(rng, max_receivers=10, max_messages=8 if q == 2 else 6)
+            report = bounds_report(inst, field, delta, **budget)
+            try:
+                out = optimal_length_search(inst, field, delta, **budget)
+            except BudgetExceeded as exc:
+                exits.append(budget)
+                assert exc.infeasible_below == report.lower
+                assert exc.feasible_at <= report.upper
+            else:
+                assert report.lower <= out.optimal_length <= report.upper
+                assert verify_ecic(out.witness, delta).ok
+    assert 0 < len(exits) < 60
+
+
 def always_miss(hit_sets, quotas, size, iterations, stream):
     return None, 0
 

@@ -17,6 +17,7 @@ from ecic import (
 from ecic.errors import (
     BudgetExceeded,
     CapExceeded,
+    LengthMismatch,
     MalformedDocument,
     NoSolution,
     NotPrimePower,
@@ -164,6 +165,28 @@ def test_rank_against_span_oracle():
         for _ in range(25):
             m = random_matrix(field, rng.randint(1, 4), rng.randint(1, 4), rng)
             assert mat_rank(m) == brute_rank(field, list(m.rows), m.ncols)
+
+
+# ---------------------------------------------------------------------------
+# products
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_matmul_against_triple_loop(q):
+    """Over GF(4) and GF(9), where + and * are no residues mod q."""
+    field = make_field(q)
+    rng = random.Random(q)
+    for _ in range(20):
+        a, b, c = (rng.randint(0, 4) for _ in range(3))
+        A, B = random_matrix(field, a, b, rng), random_matrix(field, b, c, rng)
+        expected = [[0] * c for _ in range(a)]
+        for i, j, t in itertools.product(range(a), range(c), range(b)):
+            expected[i][j] = field.add(expected[i][j], field.mul(A.rows[i][t], B.rows[t][j]))
+        product = A.matmul(B)
+        assert (product.nrows, product.ncols) == (a, c)
+        assert [list(row) for row in product.rows] == expected
+    with pytest.raises(LengthMismatch):
+        A.matmul(random_matrix(field, b + 1, c, rng))
 
 
 # ---------------------------------------------------------------------------
