@@ -74,12 +74,11 @@ from __future__ import annotations
 import itertools
 import operator
 import struct
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, CapExceeded
-from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FMatrix, PackedRows
+from .field_linalg import DEFAULT_ENUM_BUDGET, Field, FMatrix, PackedRows, _Frozen
 
 # SHA-256 from CPython's built-in module, so no process loads OpenSSL's
 # libcrypto through `hashlib` for the seeded stream; the same function, so
@@ -97,8 +96,7 @@ _MAX_SIZE = 120
 DEFAULT_NODE_BUDGET = 1 << 27
 
 
-@dataclass(frozen=True)
-class CoverResult:
+class CoverResult(NamedTuple):
     found: bool
     classes: tuple[int, ...] | None  # multiset of class indices, non-decreasing
     nodes: int
@@ -279,19 +277,24 @@ def _stabilizer_masks(
     return by_visit(lanes[0]), by_visit(lanes[1])
 
 
-@dataclass(frozen=True)
-class CoverTable:
+class CoverTable(_Frozen):
     """One hit table as every cover search reads it, whatever the quotas
     and the size: the column classes' packed hit rows in class order, the
     symmetries listed for them, the classes and the targets (none for a
     table of bare rows).  The (instance, q) table (`index_codes._analyse`)
     is all the ECIC search and kappa share.  The kernel's arrays are made
-    from these on the first search and kept for every later one (`visit`)."""
+    from these on the first search and kept for every later one (`visit`,
+    in the `__dict__` slot)."""
 
-    hit_sets: Sequence[int]
-    symmetries: Sequence[Sequence[int]] = ()  # class permutations (see the module docstring)
-    columns: Sequence[tuple[int, ...]] = ()
-    targets: Sequence[tuple[int, ...]] = ()
+    _fields = ("hit_sets", "symmetries", "columns", "targets")
+    __slots__ = (*_fields, "__dict__")
+
+    def __init__(
+        self, hit_sets: Sequence[int],
+        symmetries: Sequence[Sequence[int]] = (),  # class permutations (see the module docstring)
+        columns: Sequence[tuple[int, ...]] = (), targets: Sequence[tuple[int, ...]] = (),
+    ):
+        self._set(hit_sets, symmetries, columns, targets)
 
     @cached_property
     def visit(self) -> tuple[list[int], ...]:
@@ -565,8 +568,7 @@ def settle(
     return found, spent, moves
 
 
-@dataclass(frozen=True)
-class Descent:
+class Descent(NamedTuple):
     size: int  # the shortest length with a witness, or `known`
     witness: Any  # the witness at `size`; None when `size` is `known`
     nodes: int  # exhaustive nodes, tripped probes included

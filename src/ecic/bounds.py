@@ -18,8 +18,7 @@ here rounds through floats.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ._cover import (
     DEFAULT_NODE_BUDGET,
@@ -429,8 +428,7 @@ def random_coding_length(inst: IcsiInstance, field: Field, delta: int) -> int:
     return N
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """All length bounds for one (instance, field, delta).
 
     Fields are None when their computation exceeded its budget, but an
@@ -453,7 +451,7 @@ class BoundsReport:
     upper: Optional[int]
 
     def to_doc(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     def to_text(self) -> str:
         rows = [

@@ -15,8 +15,7 @@ quota pruning supplies the one proof below the shortest of them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._cover import (
     _MAX_SIZE,
@@ -123,8 +122,7 @@ def random_construct(
 # exact existence and optimal length
 
 
-@dataclass(frozen=True)
-class ExistsResult:
+class ExistsResult(NamedTuple):
     feasible: bool
     witness: Optional[LinearIndexCode]
     nodes: int
@@ -187,16 +185,14 @@ def exists_ecic(
     return ExistsResult(True, witness, res.nodes)
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     nodes: int  # exhaustive cover-search nodes, summed over the lengths
     wall_seconds: float
     node_budget: int
     local_iterations: int  # tabu moves, summed over the lengths
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of the exact optimal-length search.
 
     `infeasible_below` is optimal_length - 1: every shorter length is ruled

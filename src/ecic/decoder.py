@@ -43,13 +43,18 @@ that plus e's reading, one lane add handed to `decode` per (x, e,
 receiver) in place of a lane sum over the word.  `decode` then returns
 the outcome's fields as a plain tuple, so only the counterexample gets a
 `DecodeOutcome`.
+
+The records here, as everywhere in the package, are NamedTuples: making
+one at import compiles a single `__new__`, where a frozen dataclass
+compiled every method and imported `dataclasses` and `inspect`.  The
+decoder itself is a slots class on `field_linalg._Frozen`, because
+`decode` reads its fields on every step and a slot read is faster than a
+NamedTuple item read.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-from dataclasses import dataclass
 from itertools import chain
 from operator import getitem
 from typing import NamedTuple, Optional, Sequence
@@ -61,6 +66,7 @@ from .field_linalg import (
     FMatrix,
     FVector,
     PackedRows,
+    _Frozen,
     _dense,
     _kernel_rows,
     _rref,
@@ -133,49 +139,39 @@ def code_reading(code: LinearIndexCode) -> CodeReading:
     return CodeReading(lanes, tuple(map(tuple, M)), columns, side_images, left_kernel)
 
 
-def _on_first_use(make):
-    """A property made on first use and kept in the decoder's `dense` dict:
-    adding it to the instance's own dict would slow every field read."""
-    def get(dec):
-        if make.__name__ not in dec.dense:
-            dec.dense[make.__name__] = make(dec)
-        return dec.dense[make.__name__]
-    return property(get, doc=make.__doc__)
-
-
-@dataclass(frozen=True, eq=False)
-class ReceiverDecoder:
+class ReceiverDecoder(_Frozen):
     """One receiver's view on its code's reading.  A word's syndrome is its
     reading under `mask`, side lanes reduced by `reduction` (empty at full row
     rank, else folded into `columns` and `sides`); `syndrome_lanes` are those
     it leaves free.  The demand lane, read when `determined`, is at bit
     `shift`.  sides[k][c] reads -c * (side row k); leaders maps a syndrome to
-    (leader, weight, the leader's demand reading)."""
+    (leader, weight, the leader's demand reading).  Its parity checks are
+    made on first use and kept (in the `__dict__` slot).  Equal only to
+    itself."""
 
-    code: LinearIndexCode
-    frame: ReceiverFrame
-    lanes: PackedRows
-    matrix: tuple
-    columns: tuple
-    sides: tuple
-    mask: int
-    shift: int
-    reduction: tuple
-    determined: bool
-    syndrome_lanes: tuple
-    leaders: dict = dataclasses.field(default_factory=dict)
-    dense: dict = dataclasses.field(default_factory=dict)
+    _fields = ("code", "frame", "lanes", "matrix", "columns", "sides", "mask", "shift",
+               "reduction", "determined", "syndrome_lanes", "leaders")
+    __slots__ = (*_fields, "__dict__")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    @_on_first_use
+    def __init__(
+        self, code: LinearIndexCode, frame: ReceiverFrame, lanes: PackedRows, matrix: tuple,
+        columns: tuple, sides: tuple, mask: int, shift: int, reduction: tuple,
+        determined: bool, syndrome_lanes: tuple,
+    ):
+        self._set(code, frame, lanes, matrix, columns, sides, mask, shift, reduction,
+                  determined, syndrome_lanes, {})
+
+    @functools.cached_property
     def complement_parity(self) -> FMatrix:  # its own elimination: independent of the reading
         return parity_check_matrix(self.code.matrix.rows_at(sorted(self.frame.complement)))
 
-    @_on_first_use
+    @functools.cached_property
     def sparse_complement_parity(self) -> tuple:  # each row's nonzero (position, value) pairs
         rows = self.complement_parity.rows
         return tuple([tuple([(j, v) for j, v in enumerate(h) if v]) for h in rows])
 
-    @_on_first_use
+    @functools.cached_property
     def parity(self) -> FMatrix:
         """A parity check of the unknown rows' span: what the syndrome lanes
         read after reduction, as dense rows."""
@@ -226,8 +222,9 @@ class DecodeOutcome(NamedTuple):
     success: Optional[bool]  # None when ground truth was not supplied
 
 
-# DecodeOutcome from one tuple of its fields: the class's generated
-# Python-level __new__ costs a sixth of a decode
+# DecodeOutcome from one tuple of its fields: a NamedTuple is a tuple, so
+# tuple.__new__ makes one without the class's generated Python-level
+# __new__, which costs a sixth of a decode
 _outcome = functools.partial(tuple.__new__, DecodeOutcome)
 
 
@@ -389,8 +386,7 @@ def _decode_round(
     return outcomes
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     # "wrong-output", "estimate-outside-relevant-set", or "undetermined-demand"
     # (the receiver's demanded row lies in the span of its complement rows,
     # so no decoder reads it; outcome is then None)
@@ -401,8 +397,7 @@ class Counterexample:
     outcome: Optional[DecodeOutcome]
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     ok: bool
     decodes: int
     counterexample: Optional[Counterexample]

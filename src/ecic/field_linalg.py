@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -241,16 +240,57 @@ def make_field(q: int) -> Field:
 # vectors and matrices
 
 
-@dataclass(frozen=True)
-class FVector:
+class _Frozen:
+    """The base of the immutable value types: a subclass lists its fields
+    in `_fields` and `__slots__`, sets each once in `__init__`, and is
+    equal, hashed and shown by value, `Name(field=value, ...)`.  Fields
+    are slots, not NamedTuple items, because the hot loops read them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple) -> None:
+        """Restores what pickle and copy took: (the `__dict__` slot's
+        entries or None, the slot values)."""
+        for name, value in {**(state[0] or {}), **state[1]}.items():
+            object.__setattr__(self, name, value)
+
+
+class FVector(_Frozen):
     """Immutable vector over a Field; entries are integers in [0, q)."""
 
-    field: Field
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("field", "entries")
 
-    def __post_init__(self):
-        q = self.field.q
-        if any(not (0 <= x < q) for x in self.entries):
+    def __init__(self, field: Field, entries: tuple[int, ...]):
+        object.__setattr__(self, "field", field)  # inline, not `_set`: a hot constructor
+        object.__setattr__(self, "entries", entries)
+        q = field.q
+        if any(not (0 <= x < q) for x in entries):
             raise ValueError("vector entry outside field range")
 
     def __len__(self) -> int:
@@ -294,18 +334,18 @@ class FVector:
         return v
 
 
-@dataclass(frozen=True)
-class FMatrix:
+class FMatrix(_Frozen):
     """Immutable row-major matrix over a Field."""
 
-    field: Field
-    rows: tuple[tuple[int, ...], ...]
-    ncols: int
+    __slots__ = _fields = ("field", "rows", "ncols")
 
-    def __post_init__(self):
-        q = self.field.q
-        for r in self.rows:
-            if len(r) != self.ncols:
+    def __init__(self, field: Field, rows: tuple[tuple[int, ...], ...], ncols: int):
+        object.__setattr__(self, "field", field)  # inline, as in FVector
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "ncols", ncols)
+        q = field.q
+        for r in rows:
+            if len(r) != ncols:
                 raise LengthMismatch("ragged matrix rows")
             if any(not (0 <= x < q) for x in r):
                 raise ValueError("matrix entry outside field range")

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from ._cover import (
     DEFAULT_NODE_BUDGET,
@@ -44,6 +43,7 @@ from .field_linalg import (
     FMatrix,
     FVector,
     PackedRows,
+    _Frozen,
     mat_rank,
     solve_linear,
 )
@@ -52,15 +52,13 @@ from .instance import IcsiInstance, automorphisms, enumerate_error_vectors, in_s
 DEFAULT_ALPHA_VERTEX_CAP = 24
 
 
-@dataclass(frozen=True)
-class LinearIndexCode:
+class LinearIndexCode(_Frozen):
     """An n x N matrix over GF(q) bound to an instance."""
 
-    inst: IcsiInstance
-    field: Field
-    matrix: FMatrix
+    __slots__ = _fields = ("inst", "field", "matrix")
 
-    def __post_init__(self):
+    def __init__(self, inst: IcsiInstance, field: Field, matrix: FMatrix):
+        self._set(inst, field, matrix)
         if self.matrix.field != self.field:
             raise LengthMismatch("matrix field differs from code field")
         if self.matrix.nrows != self.inst.num_messages:
@@ -111,8 +109,7 @@ def margins(code: LinearIndexCode, enum_budget: int = DEFAULT_ENUM_BUDGET) -> tu
     return tuple(m for m, _ in _margins_with_minimizers(code, enum_budget))
 
 
-@dataclass(frozen=True)
-class EcicVerdict:
+class EcicVerdict(NamedTuple):
     """Outcome of an error-correction check, with a counterexample on failure.
 
     `certificate`, when present, is a message-difference vector z with
@@ -359,8 +356,7 @@ def _min_rank_parts(inst: IcsiInstance) -> list[tuple[list[int], IcsiInstance]]:
     return parts
 
 
-@dataclass(frozen=True)
-class MinRankResult:
+class MinRankResult(NamedTuple):
     """Min-rank value with its witnesses: `ic_matrix`, an n x kappa plain
     index code, and `witness`, of rank kappa, with one row per receiver --
     the demand unit vector plus a vector supported on that receiver's side
@@ -459,8 +455,7 @@ def min_rank(
     return result
 
 
-@dataclass(frozen=True)
-class InstanceParams:
+class InstanceParams(NamedTuple):
     """Alpha and kappa for one instance over one field, with witnesses."""
 
     field: Field

@@ -16,8 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -25,23 +24,23 @@ from .errors import (
     IndexOutOfRange,
     MalformedDocument,
 )
-from .field_linalg import DEFAULT_ENUM_BUDGET, Field
+from .field_linalg import DEFAULT_ENUM_BUDGET, Field, _Frozen
 
 
-@dataclass(frozen=True)
-class IcsiInstance:
+class IcsiInstance(_Frozen):
     """An index-coding-with-side-information instance.
 
     demands[i] is the 0-based message index receiver i wants; side_info[i]
     is the 0-based set of messages receiver i already holds.
     """
 
-    num_receivers: int
-    num_messages: int
-    demands: tuple[int, ...]
-    side_info: tuple[frozenset[int], ...]
+    __slots__ = _fields = ("num_receivers", "num_messages", "demands", "side_info")
 
-    def __post_init__(self):
+    def __init__(
+        self, num_receivers: int, num_messages: int,
+        demands: tuple[int, ...], side_info: tuple[frozenset[int], ...],
+    ):
+        self._set(num_receivers, num_messages, demands, side_info)
         m, n = self.num_receivers, self.num_messages
         if m < 0 or n < 0:
             raise MalformedDocument("negative receiver or message count")
@@ -64,8 +63,7 @@ class IcsiInstance:
         return frozenset(range(self.num_messages)) - self.side_info[i] - {self.demands[i]}
 
 
-@dataclass(frozen=True)
-class ReceiverFrame:
+class ReceiverFrame(NamedTuple):
     """One receiver's view: demand, side information, and the rest."""
 
     index: int

@@ -1,6 +1,5 @@
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -365,7 +364,7 @@ def test_kernel_witness_is_reverified(monkeypatch):
 
     def corrupted(table, quotas, size, node_budget):
         res = real(table, quotas, size, node_budget)
-        return replace(res, classes=(0,) * size) if res.found else res
+        return res._replace(classes=(0,) * size) if res.found else res
 
     monkeypatch.setattr(bounds, "multiset_cover_search", corrupted)
     with pytest.raises(InternalContradiction, match=r"the cover kernel's \[7, 3\] code"):

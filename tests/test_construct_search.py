@@ -380,6 +380,39 @@ def test_search_stays_inside_the_bounds_bracket(q):
     assert 0 < len(exits) < 60
 
 
+@pytest.mark.parametrize(
+    "name, q, delta, answer",
+    [("pentagon", 2, 1, 6), ("pentagon", 2, 2, 9), ("pentagon", 3, 1, 5), ("pentagon", 3, 2, 8),
+     ("odd-cycle-complement:3", 2, 1, 6)],
+)
+def test_search_inside_an_open_bracket_under_relabelling(name, q, delta, answer):
+    """Instances whose bracket stays open (alpha < kappa), relabelled by a
+    seeded permutation of the messages and one of the receivers: the
+    search lands inside lower..upper with a witness the direct route
+    verifies, at the unrelabelled length."""
+    from ecic import bounds_report, builtin_instance, verify_ecic_direct
+    from ecic.instance import IcsiInstance
+
+    inst, field = builtin_instance(name), make_field(q)
+    assert optimal_length_search(inst, field, delta).optimal_length == answer
+    rng = random.Random(f"{name}:{q}:{delta}")
+    for _ in range(6):
+        msgs, order = list(range(inst.num_messages)), list(range(inst.num_receivers))
+        rng.shuffle(msgs)
+        rng.shuffle(order)
+        relabelled = IcsiInstance(
+            inst.num_receivers, inst.num_messages,
+            tuple(msgs[inst.demands[i]] for i in order),
+            tuple(frozenset(msgs[x] for x in inst.side_info[i]) for i in order),
+        )
+        report = bounds_report(relabelled, field, delta)
+        assert report.lower < report.upper
+        out = optimal_length_search(relabelled, field, delta)
+        assert report.lower <= out.optimal_length <= report.upper
+        assert out.optimal_length == answer == out.witness.length
+        assert out.witness.inst == relabelled and verify_ecic_direct(out.witness, delta).ok
+
+
 def always_miss(hit_sets, quotas, size, iterations, stream):
     return None, 0
 

@@ -118,6 +118,57 @@ def test_make_field_is_cached():
 
 
 # ---------------------------------------------------------------------------
+# value semantics
+
+
+def test_vectors_and_matrices_are_values():
+    F4, rows = make_field(4), ((1, 2, 3), (0, 3, 1))
+    u, M = FVector(F4, (0, 2, 3)), FMatrix(F4, rows, 3)
+    for a, b, other in [
+        (u, FVector(make_field(4), (0, 2, 3)), FVector(F4, (0, 2, 1))),
+        (u, FVector._unchecked(F4, (0, 2, 3)), FVector(F3, (0, 2, 2))),
+        (M, FMatrix(F4, tuple(map(tuple, map(list, rows))), 3), FMatrix(F4, rows[:1], 3)),
+        (M, FMatrix._unchecked(F4, rows, 3), FMatrix(F4, (), 3)),
+    ]:
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1 and a != other
+    assert repr(u) == "FVector(field=Field(q=4, p=2, e=2, modulus=(1, 1, 1)), entries=(0, 2, 3))"
+    assert repr(FMatrix(F2, ((1,),), 1)) == "FMatrix(field=Field(q=2), rows=((1,),), ncols=1)"
+    assert u != (F4, (0, 2, 3)) and M != "FMatrix"
+
+
+@pytest.mark.parametrize("name", ["field", "entries", "rows", "ncols", "other"])
+def test_vectors_and_matrices_are_immutable(name):
+    for obj in (FVector(F2, (1, 0)), FMatrix(F2, ((1, 0),), 2)):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert FVector(F2, (1, 0)).entries == (1, 0)
+
+
+def test_vectors_and_matrices_survive_pickle_and_copy():
+    import copy
+    import pickle
+
+    for obj in (FVector(make_field(4), (0, 2, 3)), FMatrix(F3, ((1, 2), (0, 1)), 2)):
+        for again in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+            assert again == obj and hash(again) == hash(obj)
+
+
+def test_vector_and_matrix_input_checks():
+    with pytest.raises(ValueError, match="^vector entry outside field range$"):
+        FVector(F2, (0, 2))
+    with pytest.raises(ValueError, match="^vector entry outside field range$"):
+        FVector(F3, (-1,))
+    with pytest.raises(LengthMismatch, match="^ragged matrix rows$"):
+        FMatrix(F2, ((1, 0), (1,)), 2)
+    with pytest.raises(ValueError, match="^matrix entry outside field range$"):
+        FMatrix(F3, ((1, 3),), 2)
+    with pytest.raises(LengthMismatch, match="^vector field/length mismatch$"):
+        FVector(F2, (1, 0)).add(FVector(F2, (1,)))
+
+
+# ---------------------------------------------------------------------------
 # weight / distance
 
 

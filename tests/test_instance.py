@@ -201,3 +201,135 @@ def test_instance_validation():
         IcsiInstance(1, 2, (4,), (frozenset(),))
     with pytest.raises(MalformedDocument):
         IcsiInstance(2, 2, (0,), (frozenset(),))
+
+
+# ---------------------------------------------------------------------------
+# value semantics of the instance, the code, the cover table and the decoder
+
+
+def relabelled_pentagon():
+    """The pentagon built again from fresh tuples and sets."""
+    return IcsiInstance(5, 5, tuple(range(5)), tuple(frozenset(s) for s in pentagon().side_info))
+
+
+def test_rebuilt_instances_are_equal_and_share_the_alpha_cache():
+    from ecic.index_codes import generalized_independence_number
+
+    a, b = pentagon(), relabelled_pentagon()
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != no_side_info(5) and a != (5, 5, a.demands, a.side_info)
+    assert repr(IcsiInstance(1, 1, (0,), (frozenset(),))) == (
+        "IcsiInstance(num_receivers=1, num_messages=1, demands=(0,), side_info=(frozenset(),))"
+    )
+    generalized_independence_number(a)
+    hits = generalized_independence_number.cache_info().hits
+    assert generalized_independence_number(b) == (2, (0, 2))
+    assert generalized_independence_number.cache_info().hits == hits + 1
+
+
+def test_rebuilt_codes_and_tables_are_equal():
+    from ecic import FMatrix, LinearIndexCode
+    from ecic._cover import CoverTable
+
+    rows = ((1, 0), (0, 1), (1, 1), (1, 0), (0, 1))
+    code = LinearIndexCode(pentagon(), F2, FMatrix(F2, rows, 2))
+    again = LinearIndexCode(relabelled_pentagon(), make_field(2), FMatrix(F2, rows, 2))
+    assert code == again and hash(code) == hash(again)
+    assert code != LinearIndexCode(pentagon(), F2, FMatrix(F2, rows[::-1], 2))
+    table = CoverTable((3, 5, 6), ((0, 2, 1),), ((1, 0), (0, 1), (1, 1)), ((1, 0), (0, 1)))
+    same = CoverTable((3, 5, 6), ((0, 2, 1),), ((1, 0), (0, 1), (1, 1)), ((1, 0), (0, 1)))
+    table.visit  # made on first use and kept out of equality
+    assert table == same and hash(table) == hash(same)
+    assert table != CoverTable((3, 5, 6)) and CoverTable((3,)) == CoverTable((3,), (), (), ())
+    assert table.visit is table.visit
+
+
+def test_instances_codes_and_tables_survive_pickle_and_copy():
+    import copy
+    import pickle
+
+    from ecic import FMatrix, LinearIndexCode
+    from ecic._cover import CoverTable
+
+    table = CoverTable((3, 5, 6), ((0, 2, 1),))
+    table.visit
+    code = LinearIndexCode(example1(), F2, FMatrix(F2, ((1,), (1,), (1,)), 1))
+    for obj in (pentagon(), code, table):
+        for again in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+            assert again == obj and hash(again) == hash(obj)
+    assert pickle.loads(pickle.dumps(table)).visit == table.visit
+
+
+def test_instances_codes_tables_and_decoders_are_immutable():
+    from ecic import FMatrix, LinearIndexCode, build_receiver_decoder
+    from ecic._cover import CoverTable
+
+    code = LinearIndexCode(
+        example1(), F2, FMatrix(F2, ((1,), (1,), (1,)), 1)
+    )
+    objects = [
+        (example1(), "demands"), (code, "matrix"), (CoverTable((1,)), "hit_sets"),
+        (CoverTable((1,)), "visit"), (build_receiver_decoder(code, 0), "leaders"),
+    ]
+    for obj, name in objects:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+
+
+def test_code_input_checks():
+    from ecic import FMatrix, LinearIndexCode
+    from ecic.errors import LengthMismatch
+
+    with pytest.raises(LengthMismatch, match="^matrix field differs from code field$"):
+        LinearIndexCode(example1(), F3, FMatrix(F2, ((1,), (1,), (1,)), 1))
+    with pytest.raises(
+        LengthMismatch, match=r"^matrix must have one row per message \(3\), got 2$"
+    ):
+        LinearIndexCode(example1(), F2, FMatrix(F2, ((1,), (1,)), 1))
+
+
+def test_instance_input_messages():
+    cases = [
+        ((-1, 0, (), ()), MalformedDocument, "negative receiver or message count"),
+        ((1, 1, (), ()), MalformedDocument, "demand/side-information arity mismatch"),
+        ((1, 2, (2,), (frozenset(),)), IndexOutOfRange, "demand of receiver 1 out of range"),
+        ((1, 2, (0,), (frozenset({5}),)), IndexOutOfRange,
+         "side information of receiver 1 out of range"),
+        ((1, 2, (1,), (frozenset({1}),)), DemandInSideInfo,
+         "receiver 1 demands message 2 it already holds"),
+    ]
+    for args, error, message in cases:
+        with pytest.raises(error) as raised:
+            IcsiInstance(*args)
+        assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_decoders_compare_by_identity():
+    from ecic import FMatrix, LinearIndexCode, build_receiver_decoder
+
+    code = LinearIndexCode(example1(), F2, FMatrix(F2, ((1,), (1,), (1,)), 1))
+    a, b = build_receiver_decoder(code, 0), build_receiver_decoder(code, 0)
+    assert a == a and a != b and len({a, b, a}) == 2
+    assert hash(a) == object.__hash__(a)
+    assert a.leaders is not b.leaders
+
+
+def test_package_import_defines_no_generated_classes():
+    """Records are NamedTuples and the value types slots classes, so
+    neither the package nor its CLI imports dataclasses (or inspect,
+    which dataclasses brought in)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, ecic, ecic.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
