@@ -45,8 +45,9 @@ the outcome's fields as a plain tuple, so only the counterexample gets a
 `DecodeOutcome`.
 
 The records here, as everywhere in the package, are NamedTuples: making
-one at import compiles a single `__new__`, where a frozen dataclass
-compiled every method and imported `dataclasses` and `inspect`.  The
+one at import compiles a single `__new__`, where a class decorator
+that generates every method would compile them all and import `inspect`
+(see README, "Performance notes").  The
 decoder itself is a slots class on `field_linalg._Frozen`, because
 `decode` reads its fields on every step and a slot read is faster than a
 NamedTuple item read.
